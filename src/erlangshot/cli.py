@@ -90,7 +90,20 @@ def _require_schema(cfg):
         raise ConfigError(f"unsupported schema_version {v} (expected {SCHEMA_VERSION})")
 
 
-def _sim_config(block, where, seed):
+def _check_seed(value, where):
+    if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value < 2**64:
+        raise ConfigError(f"{where} must be an integer in [0, 2**64)")
+    return value
+
+
+def _derived_seed(seed, offset):
+    """Seed of a secondary Monte Carlo run; wraps so every accepted seed runs."""
+    return (seed + offset) % 2**64
+
+
+def _sim_config(block, where, seed=0):
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} must be an object")
     _check_keys(block, {"dt", "t_end", "n_paths", "record_stride", "n_workers"}, where)
     try:
         return SimConfig(
@@ -128,10 +141,20 @@ class RunReport:
         self.seed = seed
         self.metrics = {}
         self.flags = {}
+        self.counters = {}
         self._t0 = time.perf_counter()
 
     def metric(self, name, value):
         self.metrics[name] = float(value)
+
+    def count_paths(self, sim, batch):
+        """Add a path simulation's engine counters: paths, path-steps, jumps."""
+        for name, n in (
+            ("paths", sim.n_paths),
+            ("steps", sim.n_paths * sim.n_steps),
+            ("jumps", int(batch.jump_counts.sum())),
+        ):
+            self.counters[name] = self.counters.get(name, 0) + n
 
     def flag(self, name, ok):
         self.flags[name] = bool(ok)
@@ -147,6 +170,7 @@ class RunReport:
             "seed": self.seed,
             "metrics": self.metrics,
             "flags": self.flags,
+            "counters": self.counters,
             "passed": self.passed,
             "wall_time_s": time.perf_counter() - self._t0,
         }
@@ -195,6 +219,21 @@ def _validate_wave(cfg):
         _get(blk, "t_end", float, "swarm block", default=14.0, pred=lambda v: v > 0)
         _get(blk, "record_stride", int, "swarm block", default=50, pred=lambda v: v >= 1)
         _get(blk, "n_workers", int, "swarm block", default=1, pred=lambda v: 1 <= v <= 64)
+        _swarm_config(blk)
+
+
+def _swarm_config(blk, seed=0):
+    try:
+        return SimConfig(
+            dt=float(blk.get("dt", 0.002)),
+            t_end=float(blk.get("t_end", 14.0)),
+            n_paths=1,
+            seed=seed,
+            record_stride=int(blk.get("record_stride", 50)),
+            n_workers=int(blk.get("n_workers", 1)),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"invalid swarm block: {exc}") from exc
 
 
 def _run_wave(cfg, out_dir, seed, report):
@@ -233,14 +272,7 @@ def _run_wave(cfg, out_dir, seed, report):
             report.flag(f"speed_ratio_beta{b:g}_gt_2", ratio > 2.0)
     if "swarm" in cfg:
         blk = cfg["swarm"]
-        sim = SimConfig(
-            dt=float(blk.get("dt", 0.002)),
-            t_end=float(blk.get("t_end", 14.0)),
-            n_paths=1,
-            seed=seed,
-            record_stride=int(blk.get("record_stride", 50)),
-            n_workers=int(blk.get("n_workers", 1)),
-        )
+        sim = _swarm_config(blk, seed)
         for m in cfg["m_values"]:
             for b in betas:
                 series = simulate.simulate_swarm(int(blk["n_agents"]), m, gamma, b, sim)
@@ -417,8 +449,9 @@ def _validate_stationary(cfg):
     if not grid["x_lo"] < grid["x_hi"]:
         raise ConfigError("grid.x_lo must be below grid.x_hi")
     _get(grid, "n", int, "grid block", required=True, pred=lambda v: v >= 9)
-    if not isinstance(cfg.get("sim"), dict):
+    if "sim" not in cfg:
         raise ConfigError("sim block is required")
+    _sim_config(cfg["sim"], "sim block")
     _get(cfg, "n_bins", int, "stationary config", default=80, pred=lambda v: v >= 5)
 
 
@@ -472,6 +505,7 @@ def _run_stationary(cfg, out_dir, seed, report):
         LinearRestoring(alpha), ZeroDiffusion(), ConstantRate(lam), ErlangJumpLaw(m, gamma)
     )
     batch = simulate.simulate_paths(model, sim, x0=0.0)
+    report.count_paths(sim, batch)
     final = batch.final_positions
     hist = simulate.empirical_density(final, int(cfg.get("n_bins", 80)))
     write_csv(
@@ -544,7 +578,7 @@ def _run_transient(cfg, out_dir, seed, report):
         mass = law.total_mass(t)
         xs, cdf = law.cdf_grid(t, z_max)
         samples = simulate.sample_linear_shot_noise_exact(
-            alpha, lam, gamma, 1, x0, t, n, seed + i
+            alpha, lam, gamma, 1, x0, t, n, _derived_seed(seed, i)
         )
         ks = simulate.ks_distance(samples, interp_cdf(xs, np.minimum(cdf, 1.0)))
         dens = law.continuous_density(xs, t)
@@ -557,7 +591,7 @@ def _run_transient(cfg, out_dir, seed, report):
         report.flag(f"ks_t{i}_below_0.02", ks < 0.02)
     t_u = float(cfg.get("t_u", 1.0))
     samples = simulate.sample_linear_shot_noise_exact(
-        alpha, lam, gamma, 1, x0, t_u, n, seed + 101
+        alpha, lam, gamma, 1, x0, t_u, n, _derived_seed(seed, 101)
     )
     for j, u in enumerate(cfg.get("u_values", [1.0]), start=1):
         u = float(u)
@@ -588,10 +622,12 @@ def _validate_tanh(cfg):
     if cfg["beta"] >= cfg["gamma"]:
         raise ConfigError("tilted jumps require beta < gamma (integrability)")
     _get(cfg, "t", float, "tanh config", required=True, pred=lambda v: v > 0)
-    if not isinstance(cfg.get("sim"), dict):
+    if "sim" not in cfg:
         raise ConfigError("sim block is required")
-    if "stationary_sim" in cfg and not isinstance(cfg["stationary_sim"], dict):
-        raise ConfigError("stationary_sim block must be an object")
+    if cfg["t"] != _sim_config(cfg["sim"], "sim block").t_end:
+        raise ConfigError("t must equal sim.t_end: the law is checked at the simulated horizon")
+    if "stationary_sim" in cfg:
+        _sim_config(cfg["stationary_sim"], "stationary_sim block")
 
 
 def _run_tanh(cfg, out_dir, seed, report):
@@ -607,6 +643,7 @@ def _run_tanh(cfg, out_dir, seed, report):
         [xs, law.density(xs, t)],
     )
     batch = simulate.simulate_tanh(lam, gamma, beta, sim)
+    report.count_paths(sim, batch)
     ks = simulate.ks_distance(batch.final_positions, interp_cdf(xs, cdf))
     report.metric("transient_mass", mass)
     report.metric("transient_ks", ks)
@@ -614,7 +651,7 @@ def _run_tanh(cfg, out_dir, seed, report):
     report.flag("transient_ks_below_0.02", ks < 0.02)
 
     if "stationary_sim" in cfg:
-        ssim = _sim_config(cfg["stationary_sim"], "stationary_sim block", seed + 1)
+        ssim = _sim_config(cfg["stationary_sim"], "stationary_sim block", _derived_seed(seed, 1))
         olaw = closedform.TiltedOuLaw(alpha, lam, gamma, beta)
         ys, ycdf = olaw.cdf_grid()
         write_csv(
@@ -623,6 +660,7 @@ def _run_tanh(cfg, out_dir, seed, report):
             [ys, olaw.density(ys)],
         )
         obatch = simulate.simulate_ou_tanh(alpha, lam, gamma, beta, ssim)
+        report.count_paths(ssim, obatch)
         sks = simulate.ks_distance(obatch.final_positions, interp_cdf(ys, ycdf))
         report.metric("stationary_ks", sks)
         report.flag("stationary_ks_below_0.03", sks < 0.03)
@@ -728,11 +766,9 @@ def run_command(command, config_path, out_dir, seed_override=None, quiet=False):
     try:
         cfg = _load_config(config_path)
         validate(cfg)
-        seed = cfg.get("seed", 0)
-        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-            raise ConfigError("seed must be a nonnegative integer")
+        seed = _check_seed(cfg.get("seed", 0), "config seed")
         if seed_override is not None:
-            seed = seed_override
+            seed = _check_seed(seed_override, "--seed")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -20,6 +20,7 @@ from scipy.special import gammaln
 
 __all__ = [
     "RngStream",
+    "stream_key",
     "ErlangJumpLaw",
     "SymmetricLaplaceLaw",
     "TiltedJumpLaw",
@@ -29,6 +30,19 @@ __all__ = [
     "tilted_sample",
     "compound_poisson_increment",
 ]
+
+
+def stream_key(seed, stream_id):
+    """128-bit Philox key ``(stream_id << 64) | seed`` of stream (seed, stream_id).
+
+    Both parts must lie in [0, 2**64): a wider seed would spill into the
+    stream id and alias another pair's stream.
+    """
+    if not (0 <= seed < 2**64):
+        raise ValueError("seed must fit in 64 bits")
+    if not (0 <= stream_id < 2**64):
+        raise ValueError("stream_id must fit in 64 bits")
+    return (stream_id << 64) | seed
 
 
 @dataclass
@@ -45,11 +59,7 @@ class RngStream:
     _gen: Generator = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not (0 <= self.seed < 2**64):
-            raise ValueError("seed must fit in 64 bits")
-        if not (0 <= self.stream_id < 2**64):
-            raise ValueError("stream_id must fit in 64 bits")
-        self._gen = Generator(Philox(key=(self.stream_id << 64) | self.seed))
+        self._gen = Generator(Philox(key=stream_key(self.seed, self.stream_id)))
 
     @property
     def generator(self) -> Generator:

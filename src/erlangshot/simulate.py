@@ -3,10 +3,15 @@
 Path simulation is Euler-Maruyama with a fixed in-step order (drift, then
 diffusion, then jumps) and per-path Philox streams keyed by
 ``(seed, path_index)``, so results are reproducible and independent of how
-paths are partitioned across workers.  The interacting swarm couples pure
-jump agents through the empirical barycenter entering their Poisson
-rates; state-dependent rates are simulated by thinning against a per-step
-majorant.
+paths are partitioned across workers.  One engine serves every path
+simulator.  Each path's stream yields, in order: its total jump count
+N ~ Poisson(rate * t_end), N arrival uniforms binned to steps, the
+uniforms of the N jump magnitudes, then the Gaussian step normals block by
+block.  Work on jumps is O(jumps) rather than O(steps), and increments are
+built one step block at a time, so memory does not grow with the number of
+steps.  The interacting swarm couples pure jump agents through the
+empirical barycenter entering their Poisson rates; state-dependent rates
+are simulated by thinning against a per-step majorant.
 
 Estimators (wave speed, normalized histograms, Kolmogorov-Smirnov
 distance) live here as well.
@@ -22,6 +27,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .master import ConstantRate, ModelSpec
+from .noise import stream_key
 
 __all__ = [
     "SimConfig",
@@ -41,6 +47,10 @@ __all__ = [
 ]
 
 _CHUNK = 4096
+# bytes of a chunk's step-block increment buffer: a block spans
+# _BLOCK_BYTES // (8 * paths in chunk) steps
+_BLOCK_BYTES = 16 * 2**20
+_TILE = 64  # paths per cache-sized tile of normals
 _ESTIMATOR_STREAM_BASE = 2**63
 
 
@@ -64,6 +74,9 @@ class SimConfig:
             raise ValueError("dt must be positive")
         if not self.t_end > 0 or self.dt > self.t_end:
             raise ValueError("t_end must satisfy dt <= t_end")
+        steps = self.t_end / self.dt
+        if abs(steps - round(steps)) > 1e-9 * steps:
+            raise ValueError(f"t_end/dt = {steps!r} must be an integer step count")
         if self.n_paths < 1:
             raise ValueError("n_paths must be >= 1")
         if self.record_stride < 1:
@@ -144,7 +157,38 @@ class EmpiricalDensity:
 
 
 def _path_generator(seed, index):
-    return Generator(Philox(key=((index & 0xFFFFFFFFFFFFFFFF) << 64) | seed))
+    return Generator(Philox(key=stream_key(seed, index)))
+
+
+class _PathStreams:
+    """Per-path Philox streams served by one re-keyed bit generator.
+
+    ``start(i)`` resets the generator to the start of the stream keyed by
+    ``stream_key(seed, i)``; its draws equal those of ``_path_generator(seed,
+    i)`` without constructing a bit generator, whose seeding reads OS
+    entropy every time.  ``save``/``resume`` park and continue a stream.
+    One instance per chunk: it is not safe to share across threads.
+    """
+
+    def __init__(self, seed):
+        self.seed = seed
+        self._bits = Philox(key=0)
+        self.gen = Generator(self._bits)
+        self._fresh = self._bits.state  # zero counter, empty output buffer
+        self._key = self._fresh["state"]["key"]
+
+    def start(self, index):
+        key = stream_key(self.seed, index)
+        self._key[0] = key & 0xFFFFFFFFFFFFFFFF
+        self._key[1] = key >> 64
+        self._bits.state = self._fresh
+        return self.gen
+
+    def save(self):
+        return self._bits.state
+
+    def resume(self, state):
+        self._bits.state = state
 
 
 def _run_chunks(n_paths, n_workers, worker):
@@ -163,47 +207,126 @@ def _run_chunks(n_paths, n_workers, worker):
             list(pool.map(lambda s: worker(*s), spans))
 
 
-def _euler_engine(drift_fn, sigma, jump_magnitudes, rate, config, x0):
-    """Shared Euler-Maruyama loop.
+def _engine(step, state0, sigma, jumps, rate, config) -> TrajectoryBatch:
+    """The Euler-Maruyama path engine.
 
-    ``jump_magnitudes(gen, total)`` draws jump sizes from a path's own
-    generator.  Returns (times, recorded paths, jump counts).
+    ``step(state, incr)`` advances a chunk by one step in place: ``state``
+    has one row per variable (started at ``state0``) and one column per
+    path, its last row is the recorded observable, and ``incr`` holds the
+    step's diffusion-plus-jump increment of every path.  ``jumps`` is
+    ``(d, magnitudes)``: ``magnitudes(u)`` maps an (n, d) array of
+    uniforms to n jump sizes.  ``rate`` is the constant jump rate.
+
+    Per path the stream yields, in order: the total jump count
+    N ~ Poisson(rate * t_end), N arrival uniforms binned to steps, N * d
+    magnitude uniforms, then (sigma > 0) the step normals block by block.
+    Given N, uniform arrivals binned to steps are multinomial, so the
+    per-step counts are independent Poisson(rate * dt) as in per-step
+    sampling, at O(jumps) cost.  Increments are built one step block at a
+    time, so a chunk holds one ``_BLOCK_BYTES`` buffer plus its jumps
+    whatever ``n_steps``; results do not depend on the block length.
     """
-    n_steps = config.n_steps
+    n_steps, dt = config.n_steps, config.dt
     rec = config.record_steps()
     rec_pos = {s: i for i, s in enumerate(rec)}
-    times = rec * config.dt
     out = np.empty((config.n_paths, len(rec)))
     counts = np.zeros(config.n_paths, dtype=np.int64)
-    dt = config.dt
-    sqdt = math.sqrt(dt)
+    mean_jumps = rate * n_steps * dt
+    scale = sigma * math.sqrt(dt)
 
     def worker(lo, hi):
         k = hi - lo
-        incr = np.zeros((n_steps, k))
-        for j in range(k):
-            g = _path_generator(config.seed, lo + j)
-            col = sqdt * sigma * g.standard_normal(n_steps) if sigma > 0 else np.zeros(n_steps)
-            if rate > 0:
-                nj = g.poisson(rate * dt, n_steps)
-                tot = int(nj.sum())
-                counts[lo + j] = tot
-                if tot:
-                    jm = jump_magnitudes(g, tot)
-                    col = col + np.bincount(
-                        np.repeat(np.arange(n_steps), nj), weights=jm, minlength=n_steps
-                    )
-            incr[:, j] = col
-        x = np.full(k, float(x0))
-        out[lo:hi, 0] = x
-        for s in range(n_steps):
-            x = x + drift_fn(x) * dt + incr[s]
-            i = rec_pos.get(s + 1)
-            if i is not None:
-                out[lo:hi, i] = x
+        block = max(1, min(n_steps, _BLOCK_BYTES // (8 * k)))
+        n_blocks = -(-n_steps // block)
+        incr = np.empty((block, k))
+        # normals of _TILE paths, path-major so each path's draw is one
+        # contiguous write; flushed transposed into incr while in cache
+        tile = np.empty((_TILE, block)) if scale > 0 else None
+        streams = _PathStreams(config.seed)
+        gen = streams.gen
+        parked = [None] * k
+        n_jumps = np.zeros(k, dtype=np.int64)
+        # every path's jump uniforms, back to back: N arrivals, then N * d
+        per_jump = 1 + jumps[0]
+        pool = np.empty(int(k * per_jump * (mean_jumps + 1)))
+        used = 0
+        state = np.repeat(np.asarray(state0, dtype=float)[:, None], k, axis=1)
+        out[lo:hi, 0] = state[-1]
+        for b in range(n_blocks):
+            b0 = b * block
+            nb = min(block, n_steps - b0)
+            buf = incr[:nb]
+            if b == 0 or scale > 0:
+                for j in range(k):
+                    if b == 0:
+                        streams.start(lo + j)
+                        n = gen.poisson(mean_jumps) if mean_jumps > 0 else 0
+                        if n:
+                            w = n * per_jump
+                            if used + w > pool.size:
+                                pool = np.concatenate([pool[:used], np.empty(used + w)])
+                            gen.random(out=pool[used : used + w])
+                            used += w
+                            n_jumps[j] = n
+                    else:
+                        streams.resume(parked[j])
+                    if scale > 0:
+                        row = j % _TILE
+                        gen.standard_normal(out=tile[row, :nb])
+                        if b + 1 < n_blocks:
+                            parked[j] = streams.save()
+                        if row == _TILE - 1 or j == k - 1:
+                            np.multiply(tile[: row + 1, :nb].T, scale, out=buf[:, j - row : j + 1])
+            if b == 0:
+                counts[lo:hi] = n_jumps
+                cells, sizes, edges = _jump_table(
+                    pool[:used], n_jumps, jumps, n_steps, block, n_blocks
+                )
+            if scale == 0:
+                buf.fill(0.0)
+            jumps_here = slice(edges[b], edges[b + 1])
+            np.add.at(buf.reshape(-1), cells[jumps_here], sizes[jumps_here])
+            for s in range(nb):
+                step(state, buf[s])
+                i = rec_pos.get(b0 + s + 1)
+                if i is not None:
+                    out[lo:hi, i] = state[-1]
 
     _run_chunks(config.n_paths, config.n_workers, worker)
-    return times, out, counts
+    return TrajectoryBatch(rec * dt, out, counts)
+
+
+def _jump_table(drawn, n_jumps, jumps, n_steps, block, n_blocks):
+    """A chunk's jumps as flat cells of their block's (step, path) buffer.
+
+    ``drawn`` holds each path's jump uniforms back to back (N arrivals,
+    then N * d magnitude uniforms) for the paths' counts ``n_jumps``.
+    Returns cells and sizes grouped by block, in draw order within a
+    block, and the edges of each block's run.
+    """
+    k = len(n_jumps)
+    n_uniforms, magnitudes = jumps
+    runs = np.stack([n_jumps, n_jumps * n_uniforms], axis=1).ravel()
+    is_arrival = np.repeat(np.tile([True, False], k), runs)
+    steps = np.minimum((drawn[is_arrival] * n_steps).astype(np.int64), n_steps - 1)
+    blocks = steps // block
+    order = np.argsort(blocks, kind="stable")
+    edges = np.searchsorted(blocks[order], np.arange(n_blocks + 1))
+    cells = ((steps % block) * k + np.repeat(np.arange(k), n_jumps))[order]
+    sizes = magnitudes(drawn[~is_arrival].reshape(-1, n_uniforms))[order]
+    return cells, sizes, edges
+
+
+def _erlang_jumps(law):
+    return law.m, lambda u: -np.log1p(-u).sum(axis=1) / law.gamma
+
+
+def _laplace_jumps(gamma):
+    def magnitudes(u):
+        u = u[:, 0]
+        return np.where(u < 0.5, np.log(2 * u), -np.log(2 * (1 - u))) / gamma
+
+    return 1, magnitudes
 
 
 def simulate_paths(model: ModelSpec, config: SimConfig, x0=0.0) -> TrajectoryBatch:
@@ -214,27 +337,15 @@ def simulate_paths(model: ModelSpec, config: SimConfig, x0=0.0) -> TrajectoryBat
     """
     if not isinstance(model.rate, ConstantRate):
         raise ValueError("simulate_paths requires a constant Poisson rate")
-    lam = model.rate.lam
-    law = model.jumps
-    sigma_arr = model.diffusion.sigma(np.zeros(1))
-    sigma = float(sigma_arr[0])
+    sigma = float(model.diffusion.sigma(np.zeros(1))[0])
+    drift, dt = model.drift.b, config.dt
 
-    def jumps(g, total):
-        u = g.random((total, law.m))
-        return -np.log1p(-u).sum(axis=1) / law.gamma
+    def step(state, incr):
+        x = state[0]
+        x += drift(x) * dt
+        x += incr
 
-    times, paths, counts = _euler_engine(
-        model.drift.b, sigma, jumps, lam, config, x0
-    )
-    return TrajectoryBatch(times, paths, counts)
-
-
-def _laplace_jumps(gamma):
-    def jumps(g, total):
-        u = g.random(total)
-        return np.where(u < 0.5, np.log(2 * u), -np.log(2 * (1 - u))) / gamma
-
-    return jumps
+    return _engine(step, [x0], sigma, _erlang_jumps(model.jumps), model.rate.lam, config)
 
 
 def simulate_tanh(lam, gamma, beta, config: SimConfig) -> TrajectoryBatch:
@@ -242,14 +353,14 @@ def simulate_tanh(lam, gamma, beta, config: SimConfig) -> TrajectoryBatch:
     Poisson, started at zero."""
     if lam < 0 or not gamma > 0 or not beta > 0:
         raise ValueError("need lam >= 0, gamma > 0, beta > 0")
+    dt = config.dt
 
-    def drift(x):
-        return beta * np.tanh(beta * x)
+    def step(state, incr):
+        x = state[0]
+        x += beta * np.tanh(beta * x) * dt
+        x += incr
 
-    times, paths, counts = _euler_engine(
-        drift, 1.0, _laplace_jumps(gamma), lam, config, 0.0
-    )
-    return TrajectoryBatch(times, paths, counts)
+    return _engine(step, [0.0], 1.0, _laplace_jumps(gamma), lam, config)
 
 
 def simulate_ou_tanh(alpha, lam, gamma, beta, config: SimConfig) -> TrajectoryBatch:
@@ -257,45 +368,16 @@ def simulate_ou_tanh(alpha, lam, gamma, beta, config: SimConfig) -> TrajectoryBa
     tanh-drift jump diffusion increments dX."""
     if not alpha > 0 or lam < 0 or not gamma > 0 or beta < 0:
         raise ValueError("need alpha > 0, lam >= 0, gamma > 0, beta >= 0")
-    n_steps = config.n_steps
-    rec = config.record_steps()
-    rec_pos = {s: i for i, s in enumerate(rec)}
-    times = rec * config.dt
-    out = np.empty((config.n_paths, len(rec)))
-    counts = np.zeros(config.n_paths, dtype=np.int64)
     dt = config.dt
-    sqdt = math.sqrt(dt)
-    jump_fn = _laplace_jumps(gamma)
 
-    def worker(lo, hi):
-        k = hi - lo
-        incr = np.zeros((n_steps, k))
-        for j in range(k):
-            g = _path_generator(config.seed, lo + j)
-            col = sqdt * g.standard_normal(n_steps)
-            if lam > 0:
-                nj = g.poisson(lam * dt, n_steps)
-                tot = int(nj.sum())
-                counts[lo + j] = tot
-                if tot:
-                    jm = jump_fn(g, tot)
-                    col = col + np.bincount(
-                        np.repeat(np.arange(n_steps), nj), weights=jm, minlength=n_steps
-                    )
-            incr[:, j] = col
-        x = np.zeros(k)
-        y = np.zeros(k)
-        out[lo:hi, 0] = y
-        for s in range(n_steps):
-            dx = beta * np.tanh(beta * x) * dt + incr[s]
-            y = y - alpha * y * dt + dx
-            x = x + dx
-            i = rec_pos.get(s + 1)
-            if i is not None:
-                out[lo:hi, i] = y
+    def step(state, incr):
+        x, y = state
+        dx = beta * np.tanh(beta * x) * dt + incr
+        y -= alpha * dt * y
+        y += dx
+        x += dx
 
-    _run_chunks(config.n_paths, config.n_workers, worker)
-    return TrajectoryBatch(times, out, counts)
+    return _engine(step, [0.0, 0.0], 1.0, _laplace_jumps(gamma), lam, config)
 
 
 def sample_linear_shot_noise_exact(alpha, lam, gamma, m, x0, t, n, seed):

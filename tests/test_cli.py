@@ -248,3 +248,74 @@ def test_seed_override(tmp_path):
 
 def test_missing_config_file(tmp_path):
     assert main(["wave", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]) == 2
+
+
+def _small_tanh_cfg(**over):
+    cfg = _tanh_cfg(t=0.5)
+    cfg["sim"] = {"dt": 0.05, "t_end": 0.5, "n_paths": 500, "record_stride": 5}
+    cfg["stationary_sim"] = {"dt": 0.05, "t_end": 2.0, "n_paths": 400, "record_stride": 10}
+    cfg.update(over)
+    return cfg
+
+
+def _bad_sim(cfg, block, **over):
+    cfg[block] = dict(cfg[block], **over)
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "command,cfg,argv",
+    [
+        ("stationary", _bad_sim(_stationary_cfg(), "sim", dt=-0.1), []),
+        ("stationary", _stationary_cfg(sim=[0.01, 15.0]), []),
+        # t_end/dt = 3.33: the run would stop at t = 0.9
+        ("stationary", _bad_sim(_stationary_cfg(), "sim", dt=0.3, t_end=1.0), []),
+        ("tanh", _bad_sim(_small_tanh_cfg(), "stationary_sim", dt=0.3, t_end=1.0), []),
+        ("tanh", _bad_sim(_small_tanh_cfg(), "stationary_sim", n_paths=0), []),
+        # the law would be evaluated at t = 0.5 against paths stopped at 1.0
+        ("tanh", _bad_sim(_small_tanh_cfg(), "sim", t_end=1.0), []),
+        ("wave", _wave_cfg(swarm={"n_agents": 10, "dt": 0.3, "t_end": 1.0}), []),
+        ("wave", _wave_cfg(seed=2**64), []),
+        ("wave", _wave_cfg(seed=-1), []),
+        ("wave", _wave_cfg(), ["--seed", "-1"]),
+        ("wave", _wave_cfg(), ["--seed", str(2**64)]),
+    ],
+)
+def test_invalid_config_exits_2_and_writes_nothing(tmp_path, command, cfg, argv):
+    path = _write(tmp_path, "c.json", cfg)
+    out = tmp_path / "out"
+    assert main([command, "--config", path, "--out", str(out), *argv]) == 2
+    assert not out.exists()
+
+
+def test_largest_seed_runs(tmp_path):
+    # derived seeds of secondary runs wrap instead of overflowing the key
+    path = _write(tmp_path, "t.json", _transient_cfg(times=[0.7], n_samples=2000))
+    out = tmp_path / "out"
+    assert main(["transient", "--config", path, "--out", str(out), "--seed", str(2**64 - 1)]) in (0, 1)
+    assert json.loads((out / "report.json").read_text())["seed"] == 2**64 - 1
+
+
+def test_report_keys_and_engine_counters(tmp_path):
+    keys = {"command", "parameters", "seed", "metrics", "flags", "counters", "passed",
+            "wall_time_s"}
+    cfg = _small_tanh_cfg()
+    out = tmp_path / "tanh"
+    assert main(["tanh", "--config", _write(tmp_path, "t.json", cfg), "--out", str(out)]) in (0, 1)
+    report = json.loads((out / "report.json").read_text())
+    assert set(report) == keys
+    assert set(report["metrics"]) == {
+        "transient_mass", "transient_ks", "stationary_ks", "stationary_ks_jump_only"}
+    counters = report["counters"]
+    assert set(counters) == {"paths", "steps", "jumps"}
+    assert counters["paths"] == 500 + 400
+    assert counters["steps"] == 500 * 10 + 400 * 40
+    # lambda = 1 over horizons 0.5 and 2.0: about 250 + 800 jumps
+    assert 900 < counters["jumps"] < 1200
+
+    out = tmp_path / "wave"
+    cfg = _wave_cfg(m_values=[1], n_xi=501)
+    assert main(["wave", "--config", _write(tmp_path, "w.json", cfg), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert set(report) == keys
+    assert report["counters"] == {}

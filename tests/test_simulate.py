@@ -1,10 +1,14 @@
 """Monte Carlo engine: paths, swarm, and estimators."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 from scipy import stats
+
+from erlangshot import simulate
 
 from erlangshot.closedform import (
     TanhTransientLaw,
@@ -23,6 +27,8 @@ from erlangshot.master import (
 from erlangshot.noise import ErlangJumpLaw
 from erlangshot.simulate import (
     SimConfig,
+    _path_generator,
+    _PathStreams,
     SwarmSeries,
     empirical_density,
     estimate_speed,
@@ -48,6 +54,8 @@ def test_config_validation():
         SimConfig(dt=2.0, t_end=1.0, n_paths=1)
     with pytest.raises(ValueError):
         SimConfig(dt=0.1, t_end=1.0, n_paths=0)
+    with pytest.raises(ValueError):
+        SimConfig(dt=0.3, t_end=1.0, n_paths=1)  # would stop at t = 0.9
 
 
 def test_deterministic_decay_path():
@@ -238,3 +246,75 @@ def test_tanh_full_model_vs_closed_form_reduced():
     batch = simulate_tanh(1.0, 2.0, 0.5, cfg)
     xs, cdf = TanhTransientLaw(1.0, 2.0, 0.5).cdf_grid(1.0)
     assert ks_distance(batch.final_positions, interp_cdf(xs, cdf)) < 0.02
+
+
+def test_jump_arrivals_are_per_step_poisson():
+    # sigma = 0, zero drift and m = 1: a path rises exactly at the steps
+    # that hold at least one jump
+    lam, dt = 2.0, 0.01
+    model = ModelSpec(ZeroDrift(), ZeroDiffusion(), ConstantRate(lam), ErlangJumpLaw(1, 1.0))
+    batch = simulate_paths(model, SimConfig(dt=dt, t_end=5.0, n_paths=2000, seed=15))
+    hit = np.diff(batch.paths, axis=1) > 0
+    p = 1.0 - math.exp(-lam * dt)
+    assert abs(hit.mean() - p) < 4 * math.sqrt(p * (1 - p) / hit.size)
+    steps = np.nonzero(hit)[1]
+    assert stats.kstest((steps + 0.5) / hit.shape[1], "uniform").pvalue > 0.001
+
+
+@pytest.mark.parametrize(
+    "seed,index",
+    [(0, 0), (7, 1), (2**64 - 1, 3), (5, 2**32), (11, 2**32 + 7), (2**40, 2**64 - 1)],
+)
+def test_chunk_stream_equals_keyed_philox(seed, index):
+    streams = _PathStreams(seed)
+    streams.start(99).standard_normal(3)  # an earlier path must not leak
+    got = streams.start(index).standard_normal(8)
+    ref = Generator(Philox(key=(index << 64) | seed)).standard_normal(8)
+    assert got.tobytes() == ref.tobytes()
+
+
+def test_stream_keys_reject_out_of_range():
+    # seed 2**64 with path 0 would otherwise alias seed 0 with path 1
+    for seed, index in ((2**64, 0), (-1, 0), (0, 2**64), (0, -1)):
+        with pytest.raises(ValueError):
+            _path_generator(seed, index)
+        with pytest.raises(ValueError):
+            _PathStreams(seed).start(index)
+
+
+def test_results_do_not_depend_on_step_block_length(monkeypatch):
+    # 7-step blocks: each path's normals continue across 29 blocks, and
+    # jumps land in the block that holds their step
+    cfg = SimConfig(dt=0.01, t_end=2.0, n_paths=300, seed=17, record_stride=10)
+    whole = simulate_ou_tanh(1.0, 3.0, 2.0, 0.5, cfg)
+    monkeypatch.setattr(simulate, "_BLOCK_BYTES", 8 * 300 * 7)
+    blocked = simulate_ou_tanh(1.0, 3.0, 2.0, 0.5, cfg)
+    assert whole.paths.tobytes() == blocked.paths.tobytes()
+    assert np.array_equal(whole.jump_counts, blocked.jump_counts)
+
+
+def test_engine_memory_does_not_grow_with_steps():
+    # a full n_steps x paths increment buffer would take 164 MB here
+    cfg = SimConfig(dt=0.0025, t_end=100.0, n_paths=512, seed=18, record_stride=40_000)
+    tracemalloc.start()
+    try:
+        simulate_tanh(1.0, 2.0, 0.5, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20
+
+
+def test_path_does_not_depend_on_its_batch():
+    # a path's stream is keyed by its index alone, whatever the chunk size,
+    # block length or the number of jumps its chunk-mates draw
+    mean = 20.0 * 2.0
+    grew = False
+    for seed in range(5):
+        one = SimConfig(dt=0.01, t_end=2.0, n_paths=1, seed=seed, record_stride=10)
+        many = SimConfig(dt=0.01, t_end=2.0, n_paths=40, seed=seed, record_stride=10)
+        alone = simulate_ou_tanh(1.0, 20.0, 2.0, 0.5, one)
+        batch = simulate_ou_tanh(1.0, 20.0, 2.0, 0.5, many)
+        assert alone.paths[0].tobytes() == batch.paths[0].tobytes()
+        grew |= alone.jump_counts[0] > mean + 1  # overflowed the first estimate
+    assert grew

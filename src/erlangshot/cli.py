@@ -147,14 +147,28 @@ class RunReport:
     def metric(self, name, value):
         self.metrics[name] = float(value)
 
+    def _add_counters(self, **counts):
+        for name, n in counts.items():
+            self.counters[name] = self.counters.get(name, 0) + n
+
     def count_paths(self, sim, batch):
         """Add a path simulation's engine counters: paths, path-steps, jumps."""
-        for name, n in (
-            ("paths", sim.n_paths),
-            ("steps", sim.n_paths * sim.n_steps),
-            ("jumps", int(batch.jump_counts.sum())),
-        ):
-            self.counters[name] = self.counters.get(name, 0) + n
+        self._add_counters(
+            paths=sim.n_paths,
+            steps=sim.n_paths * sim.n_steps,
+            jumps=int(batch.jump_counts.sum()),
+        )
+
+    def count_swarm(self, sim, series):
+        """Add a swarm run's counters: agents, agent-steps (sub-steps
+        included), thinning proposals, accepted jumps, majorant retries."""
+        self._add_counters(
+            agents=series.n_agents,
+            agent_steps=series.n_agents * (sim.n_steps + series.majorant_retries),
+            proposals=series.proposals,
+            jumps=series.jumps,
+            majorant_retries=series.majorant_retries,
+        )
 
     def flag(self, name, ok):
         self.flags[name] = bool(ok)
@@ -276,6 +290,7 @@ def _run_wave(cfg, out_dir, seed, report):
         for m in cfg["m_values"]:
             for b in betas:
                 series = simulate.simulate_swarm(int(blk["n_agents"]), m, gamma, b, sim)
+                report.count_swarm(sim, series)
                 fitted = simulate.estimate_speed(series, 0.5)
                 sol = speeds[(m, b)]
                 rel = abs(fitted / sol.speed - 1.0)

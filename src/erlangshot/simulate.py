@@ -11,7 +11,11 @@ block.  Work on jumps is O(jumps) rather than O(steps), and increments are
 built one step block at a time, so memory does not grow with the number of
 steps.  The interacting swarm couples pure jump agents through the
 empirical barycenter entering their Poisson rates; state-dependent rates
-are simulated by thinning against a per-step majorant.
+are simulated by thinning against a per-step majorant.  The swarm draws
+from the one stream ``(seed, 0)``: per step one uniform per agent, which
+gives the agent's Poisson count of proposals, then, round by round, the
+acceptance uniforms and the magnitude uniforms of the accepted proposals,
+so its work is vectorised over agents and its memory is O(agents).
 
 Estimators (wave speed, normalized histograms, Kolmogorov-Smirnov
 distance) live here as well.
@@ -20,6 +24,7 @@ distance) live here as well.
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -135,6 +140,8 @@ class SwarmSeries:
     gamma: float
     beta: float
     majorant_retries: int = 0
+    proposals: int = 0  # thinning proposals of the committed (sub-)steps
+    jumps: int = 0  # accepted proposals
 
     def centered_tail_positions(self, fraction=0.5):
         """Pooled barycenter-centered positions over the trailing window."""
@@ -223,8 +230,9 @@ def _engine(step, state0, sigma, jumps, rate, config) -> TrajectoryBatch:
     Given N, uniform arrivals binned to steps are multinomial, so the
     per-step counts are independent Poisson(rate * dt) as in per-step
     sampling, at O(jumps) cost.  Increments are built one step block at a
-    time, so a chunk holds one ``_BLOCK_BYTES`` buffer plus its jumps
-    whatever ``n_steps``; results do not depend on the block length.
+    time, so each thread holds one ``_BLOCK_BYTES`` buffer, reused by its
+    chunks, plus a chunk's jumps whatever ``n_steps``; results do not depend
+    on the block length.
     """
     n_steps, dt = config.n_steps, config.dt
     rec = config.record_steps()
@@ -233,12 +241,18 @@ def _engine(step, state0, sigma, jumps, rate, config) -> TrajectoryBatch:
     counts = np.zeros(config.n_paths, dtype=np.int64)
     mean_jumps = rate * n_steps * dt
     scale = sigma * math.sqrt(dt)
+    # one increment buffer per thread, reused by its chunks: a fresh one per
+    # chunk page-faults all of its _BLOCK_BYTES again
+    local = threading.local()
 
     def worker(lo, hi):
         k = hi - lo
         block = max(1, min(n_steps, _BLOCK_BYTES // (8 * k)))
         n_blocks = -(-n_steps // block)
-        incr = np.empty((block, k))
+        incr = getattr(local, "incr", None)
+        if incr is None or incr.size < block * k:
+            incr = local.incr = np.empty(block * k)
+        incr = incr[: block * k].reshape(block, k)
         # normals of _TILE paths, path-major so each path's draw is one
         # contiguous write; flushed transposed into incr while in cache
         tile = np.empty((_TILE, block)) if scale > 0 else None
@@ -412,48 +426,29 @@ def sample_linear_shot_noise_exact(alpha, lam, gamma, m, x0, t, n, seed):
 # interacting swarm
 
 
-class _UniformBuffer:
-    """Blocked per-agent uniform streams with on-demand refill."""
+def _poisson_inverse(u, mu):
+    """Poisson(mu) counts inverted from 1-D uniforms, elementwise.
 
-    def __init__(self, seed, n_agents, block=2048):
-        self.gens = [_path_generator(seed, i) for i in range(n_agents)]
-        self.block = block
-        self.buf = np.vstack([g.random(block) for g in self.gens])
-        self.cursor = np.zeros(n_agents, dtype=np.int64)
-
-    def refill_low(self, headroom=16):
-        low = np.nonzero(self.cursor >= self.block - headroom)[0]
-        for i in low:
-            self.buf[i] = self.gens[i].random(self.block)
-            self.cursor[i] = 0
-
-    def draw_all(self):
-        """One uniform per agent, vectorized."""
-        u = self.buf[np.arange(len(self.cursor)), self.cursor]
-        self.cursor += 1
-        return u
-
-    def draw(self, i, k=1):
-        if self.cursor[i] + k > self.block:
-            self.buf[i] = self.gens[i].random(self.block)
-            self.cursor[i] = 0
-        v = self.buf[i, self.cursor[i] : self.cursor[i] + k]
-        self.cursor[i] += k
-        return v
-
-
-def _poisson_count_from_uniform(u, mu, p0):
-    """Invert a Poisson(mu) count from a single uniform (u > p0 known)."""
+    Returns the least k with u <= P(N <= k), the cumulative sum built term
+    by term; uniforms at or below exp(-mu) give 0.  Work shrinks to the
+    entries still above their running CDF.
+    """
+    counts = np.zeros(u.shape, dtype=np.int64)
+    pk = np.exp(-mu)
+    live = np.nonzero(u > pk)[0]
+    uu, mm, pk = u[live], mu[live], pk[live]
+    cdf = pk.copy()
     k = 0
-    pk = p0
-    cdf = p0
-    while u > cdf:
+    while live.size:
         k += 1
-        pk *= mu / k
-        cdf += pk
         if k > 10000:
             raise ThinningError("Poisson inversion failed to terminate")
-    return k
+        pk *= mm / k
+        cdf += pk
+        counts[live] = k
+        keep = uu > cdf
+        live, uu, mm, pk, cdf = live[keep], uu[keep], mm[keep], pk[keep], cdf[keep]
+    return counts
 
 
 def simulate_swarm(n_agents, m, gamma, beta, config: SimConfig) -> SwarmSeries:
@@ -469,6 +464,16 @@ def simulate_swarm(n_agents, m, gamma, beta, config: SimConfig) -> SwarmSeries:
     rolled back, Chat is enlarged, the step is retried with a halved
     sub-step, and the retry count is reported on the result.
 
+    All randomness comes from the one stream ``(seed, 0)``.  Per step it
+    yields one uniform per agent, from which each agent's Poisson count of
+    proposals is inverted, then, round by round, one acceptance uniform per
+    agent with a proposal left and m magnitude uniforms per accepted
+    proposal.  Round r handles every agent's r-th proposal, which sees the
+    agent's own earlier jumps in the step, so the law is that of handling
+    each agent's proposals in sequence.  Memory is O(n_agents) plus the
+    recorded snapshots; ``proposals`` and ``jumps`` count the proposals and
+    accepted jumps of the committed (sub-)steps.
+
     Agents start at zero; the barycenter and full position snapshots are
     recorded every ``record_stride`` steps.
     """
@@ -479,36 +484,39 @@ def simulate_swarm(n_agents, m, gamma, beta, config: SimConfig) -> SwarmSeries:
     if not gamma > 0 or not beta > 0:
         raise ValueError("gamma and beta must be positive")
 
-    buffers = _UniformBuffer(config.seed, n_agents)
+    gen = _path_generator(config.seed, 0)
     x = np.zeros(n_agents)
     xbar = 0.0
     chat = 1.0 / beta
-    retries = 0
-    agent_idx = np.arange(n_agents)
+    retries = proposals = jumps = 0
 
     def advance(dt, depth):
         """One certified step of length dt; recurses on majorant failure."""
-        nonlocal x, xbar, chat, retries
+        nonlocal x, xbar, chat, retries, proposals, jumps
         if depth > 24:
             raise ThinningError("majorant certification failed after 24 halvings")
         saved = x.copy()
         lb = np.exp(-beta * (x - xbar - chat * dt))
-        mu = lb * dt
-        buffers.refill_low()
-        u = buffers.draw_all()
-        p0 = np.exp(-mu)
-        for i in np.nonzero(u > p0)[0]:
-            k = _poisson_count_from_uniform(u[i], mu[i], p0[i])
-            for _ in range(k):
-                # accept with current-rate / majorant; own jumps only raise
-                # x_i, so the ratio stays below one within the step
-                acc = math.exp(-beta * (x[i] - xbar)) / lb[i]
-                if buffers.draw(i)[0] <= acc:
-                    uj = buffers.draw(i, m)
-                    x[i] += -np.log1p(-uj).sum() / gamma
+        counts = _poisson_inverse(gen.random(n_agents), lb * dt)
+        n_proposed = int(counts.sum())
+        n_accepted = 0
+        active = np.nonzero(counts)[0]
+        r = 0
+        while active.size:
+            # accept with current-rate / majorant; own jumps only raise
+            # x_i, so the ratio stays below one within the step
+            acc = np.exp(-beta * (x[active] - xbar)) / lb[active]
+            hit = active[gen.random(active.size) <= acc]
+            if hit.size:
+                x[hit] -= np.log1p(-gen.random((hit.size, m))).sum(axis=1) / gamma
+                n_accepted += hit.size
+            r += 1
+            active = active[counts[active] > r]
         new_bar = x.mean()
         if new_bar - xbar <= chat * dt:
             xbar = new_bar
+            proposals += n_proposed
+            jumps += n_accepted
             return
         # majorant violated: enlarge the overestimate and redo in halves
         retries += 1
@@ -547,6 +555,8 @@ def simulate_swarm(n_agents, m, gamma, beta, config: SimConfig) -> SwarmSeries:
         gamma=gamma,
         beta=beta,
         majorant_retries=retries,
+        proposals=proposals,
+        jumps=jumps,
     )
 
 

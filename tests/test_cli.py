@@ -319,3 +319,16 @@ def test_report_keys_and_engine_counters(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert set(report) == keys
     assert report["counters"] == {}
+
+
+def test_report_swarm_counters(tmp_path):
+    swarm = {"n_agents": 50, "dt": 0.01, "t_end": 1.0, "record_stride": 2}
+    cfg = _wave_cfg(m_values=[1, 2], n_xi=501, swarm=swarm)
+    out = tmp_path / "wave"
+    assert main(["wave", "--config", _write(tmp_path, "w.json", cfg), "--out", str(out)]) in (0, 1)
+    counters = json.loads((out / "report.json").read_text())["counters"]
+    assert set(counters) == {"agents", "agent_steps", "proposals", "jumps", "majorant_retries"}
+    assert counters["agents"] == 2 * 50
+    # each majorant retry turns one committed step into two half-steps
+    assert counters["agent_steps"] == 2 * 50 * 100 + 50 * counters["majorant_retries"]
+    assert 0 < counters["jumps"] <= counters["proposals"]

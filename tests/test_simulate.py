@@ -29,6 +29,7 @@ from erlangshot.simulate import (
     SimConfig,
     _path_generator,
     _PathStreams,
+    _poisson_inverse,
     SwarmSeries,
     empirical_density,
     estimate_speed,
@@ -318,3 +319,27 @@ def test_path_does_not_depend_on_its_batch():
         assert alone.paths[0].tobytes() == batch.paths[0].tobytes()
         grew |= alone.jump_counts[0] > mean + 1  # overflowed the first estimate
     assert grew
+
+
+def test_poisson_inverse_matches_scipy_ppf():
+    rng = np.random.default_rng(19)
+    u = rng.random(200_000)
+    mu = np.exp(rng.uniform(math.log(1e-4), math.log(5.0), u.size))
+    counts = _poisson_inverse(u, mu)
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, stats.poisson.ppf(u, mu).astype(np.int64))
+    assert counts.max() >= 10  # the large-mu tail is exercised
+
+
+def test_swarm_memory_is_linear_in_agents():
+    # one uniform buffer row of 2048 per agent would take 328 MB here
+    cfg = SimConfig(dt=0.01, t_end=0.2, n_paths=1, seed=20, record_stride=1)
+    tracemalloc.start()
+    try:
+        series = simulate_swarm(20_000, 2, 1.0, 1.0, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert series.snapshots.shape == (21, 20_000)
+    assert 0 < series.jumps <= series.proposals
+    assert peak < 16 * 2**20

@@ -18,11 +18,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 from scipy import integrate
 
 from . import closedform, master, oracles, simulate, specfun
@@ -132,8 +135,26 @@ def write_csv(path, header, columns):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _environment():
+    """Interpreter and library versions and usable CPUs of this process."""
+    try:
+        nproc = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        nproc = os.cpu_count()
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "nproc": nproc,
+    }
+
+
 class RunReport:
-    """Named metrics, pass/fail flags, and provenance for one run."""
+    """Named metrics, pass/fail flags, and provenance for one run.
+
+    ``timings`` holds the seconds spent validating the config, running the
+    experiment, and writing output files (the config echo and every CSV;
+    CSVs written during the run count under ``write``, not ``run``)."""
 
     def __init__(self, command, parameters, seed):
         self.command = command
@@ -142,7 +163,14 @@ class RunReport:
         self.metrics = {}
         self.flags = {}
         self.counters = {}
+        self.timings = {"validate": 0.0, "run": 0.0, "write": 0.0}
         self._t0 = time.perf_counter()
+
+    def write_csv(self, path, header, columns):
+        """Write a CSV artifact, timed under ``write``."""
+        start = time.perf_counter()
+        write_csv(path, header, columns)
+        self.timings["write"] += time.perf_counter() - start
 
     def metric(self, name, value):
         self.metrics[name] = float(value)
@@ -185,6 +213,8 @@ class RunReport:
             "metrics": self.metrics,
             "flags": self.flags,
             "counters": self.counters,
+            "timings": self.timings,
+            "environment": _environment(),
             "passed": self.passed,
             "wall_time_s": time.perf_counter() - self._t0,
         }
@@ -261,7 +291,7 @@ def _run_wave(cfg, out_dir, seed, report):
             sol = closedform.gumbel_wave(b, gamma) if m == 1 else closedform.whittaker_wave(b, gamma)
             speeds[(m, b)] = sol
             dens = sol.profile(xi)
-            write_csv(
+            report.write_csv(
                 Path(out_dir) / f"wave_m{m}_beta{b:g}.csv", ["xi", "density"], [xi, dens]
             )
             mass = integrate.simpson(dens, x=xi)
@@ -303,7 +333,7 @@ def _run_wave(cfg, out_dir, seed, report):
                 report.metric(f"ks_centered{tag}", ks)
                 report.flag(f"speed{tag}_within_5pct", rel < 0.05)
                 report.flag(f"ks_centered{tag}_below_0.05", ks < 0.05)
-                write_csv(
+                report.write_csv(
                     Path(out_dir) / f"swarm_barycenter_m{m}_beta{b:g}.csv",
                     ["t", "barycenter"],
                     [series.times, series.barycenter],
@@ -424,7 +454,7 @@ def _run_verify_master(cfg, out_dir, seed, report):
     scale = max(1.0, float(np.max(np.abs(direct))))
     report.metric("m1_direct_form_gap", gap1)
     report.flag("m1_direct_form_matches", gap1 <= 1e-12 * scale)
-    write_csv(
+    report.write_csv(
         Path(out_dir) / "generator_gaps.csv",
         ["m", "h", "max_gap"],
         [np.array([r[0] for r in rows], dtype=float),
@@ -514,7 +544,7 @@ def _run_stationary(cfg, out_dir, seed, report):
     else:
         dens = closedform.stationary_ou_m2(alpha, lam, gamma, x)
         gf = GridFunction(grid, dens)
-    write_csv(Path(out_dir) / "analytic_density.csv", ["x", "density"], [x, dens])
+    report.write_csv(Path(out_dir) / "analytic_density.csv", ["x", "density"], [x, dens])
 
     model = ModelSpec(
         LinearRestoring(alpha), ZeroDiffusion(), ConstantRate(lam), ErlangJumpLaw(m, gamma)
@@ -523,7 +553,7 @@ def _run_stationary(cfg, out_dir, seed, report):
     report.count_paths(sim, batch)
     final = batch.final_positions
     hist = simulate.empirical_density(final, int(cfg.get("n_bins", 80)))
-    write_csv(
+    report.write_csv(
         Path(out_dir) / "mc_histogram.csv",
         ["bin_lo", "bin_hi", "mass"],
         [hist.bin_edges[:-1], hist.bin_edges[1:], hist.masses],
@@ -597,7 +627,7 @@ def _run_transient(cfg, out_dir, seed, report):
         )
         ks = simulate.ks_distance(samples, interp_cdf(xs, np.minimum(cdf, 1.0)))
         dens = law.continuous_density(xs, t)
-        write_csv(Path(out_dir) / f"density_t{i}.csv", ["x", "density"], [xs, dens])
+        report.write_csv(Path(out_dir) / f"density_t{i}.csv", ["x", "density"], [xs, dens])
         report.metric(f"mass_t{i}", mass)
         report.metric(f"ks_t{i}", ks)
         report.metric(f"atom_weight_t{i}", law.atom_weight(t))
@@ -652,10 +682,8 @@ def _run_tanh(cfg, out_dir, seed, report):
     law = closedform.TanhTransientLaw(lam, gamma, beta)
     mass = law.mass(t)
     xs, cdf = law.cdf_grid(t)
-    write_csv(
-        Path(out_dir) / "tanh_transient_density.csv",
-        ["x", "density"],
-        [xs, law.density(xs, t)],
+    report.write_csv(
+        Path(out_dir) / "tanh_transient_density.csv", ["x", "density"], law.density_grid(t)
     )
     batch = simulate.simulate_tanh(lam, gamma, beta, sim)
     report.count_paths(sim, batch)
@@ -669,10 +697,8 @@ def _run_tanh(cfg, out_dir, seed, report):
         ssim = _sim_config(cfg["stationary_sim"], "stationary_sim block", _derived_seed(seed, 1))
         olaw = closedform.TiltedOuLaw(alpha, lam, gamma, beta)
         ys, ycdf = olaw.cdf_grid()
-        write_csv(
-            Path(out_dir) / "ou_stationary_density.csv",
-            ["y", "density"],
-            [ys, olaw.density(ys)],
+        report.write_csv(
+            Path(out_dir) / "ou_stationary_density.csv", ["y", "density"], olaw.density_grid()
         )
         obatch = simulate.simulate_ou_tanh(alpha, lam, gamma, beta, ssim)
         report.count_paths(ssim, obatch)
@@ -778,6 +804,7 @@ _COMMANDS = {
 def run_command(command, config_path, out_dir, seed_override=None, quiet=False):
     """Validate and execute one subcommand; returns the process exit code."""
     validate, run = _COMMANDS[command]
+    start = time.perf_counter()
     try:
         cfg = _load_config(config_path)
         validate(cfg)
@@ -787,13 +814,20 @@ def run_command(command, config_path, out_dir, seed_override=None, quiet=False):
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    validated = time.perf_counter()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     echo = dict(cfg)
     echo["seed"] = seed
     (out / "config_echo.json").write_text(json.dumps(echo, indent=2, sort_keys=True) + "\n")
     report = RunReport(command, echo, seed)
+    echoed = time.perf_counter()
     run(cfg, out, seed, report)
+    timings = report.timings
+    timings["validate"] = validated - start
+    # the run's CSV writes are already counted under "write"
+    timings["run"] = time.perf_counter() - echoed - timings["write"]
+    timings["write"] += echoed - validated
     report.write(out)
     if not quiet:
         for name, value in sorted(report.metrics.items()):

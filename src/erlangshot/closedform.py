@@ -9,7 +9,12 @@ law by characteristic-function inversion and the invariant law of its
 Ornstein-Uhlenbeck-driven companion.
 
 Quadrature is adaptive (QUADPACK) with absolute tolerance 1e-8 or better;
-infinite domains go through the library's exponential mappings.
+infinite domains go through the library's exponential mappings.  Both
+tanh laws invert their characteristic function with one trapezoid cosine
+sum over a uniform frequency grid: on a uniform x grid (``density_grid``,
+``mass``, ``cdf_grid``) the sum is evaluated by one chirp-z transform in
+O((n_x + n_u) log) time and O(n_x + n_u) memory; at scattered points
+(``density``) by the dense sum over the same coefficients.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate
+from scipy.signal import czt
 from scipy.special import gammaln, ive, kv
 
 from .master import GridFunction, GridSpec
@@ -421,6 +427,38 @@ def gaussian_pair_mixture(x, t, beta):
     return float(out) if out.ndim == 0 else out
 
 
+def _cosine_coefficients(char_fn, u_max, period):
+    """Frequency grid and trapezoid-weighted coefficients of the inversion
+    f(x) = (1/pi) int_0^u_max phi(u) cos(u x) du of an even, real phi.
+
+    The grid is uniform on [0, u_max] with spacing du <= pi / period and at
+    least 2001 nodes; the sum repeats in x every 2 pi / du >= 2 period."""
+    n = int(np.ceil(u_max / (np.pi / period))) + 1
+    u = np.linspace(0.0, u_max, max(n, 2001))
+    w = np.full(u.shape, u[1] - u[0])
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return u, char_fn(u) * w
+
+
+def _cosine_sum(x, u, c):
+    """(1/pi) sum_k c_k cos(u_k x) at scattered points x (dense sum)."""
+    x = np.asarray(x, dtype=float)
+    out = (np.cos(np.outer(np.atleast_1d(x), u)) @ c) / np.pi
+    out = out.reshape(x.shape)
+    return float(out) if out.ndim == 0 else out
+
+
+def _cosine_sum_grid(x, u, c):
+    """The same sum on a uniform grid x by one chirp-z transform.
+
+    With x_j = x_0 + j dx and u_k = k du the sum is
+    Re sum_k (c_k e^{i k du x_0}) w^{jk} with w = e^{i du dx}."""
+    du, dx = u[1] - u[0], x[1] - x[0]
+    a = c * np.exp(1j * du * x[0] * np.arange(u.size))
+    return czt(a, m=x.size, w=np.exp(1j * du * dx), a=1.0).real / np.pi
+
+
 @dataclass(frozen=True)
 class TanhTransientLaw:
     """Transient law of the tanh-drift jump diffusion started at zero.
@@ -437,7 +475,9 @@ class TanhTransientLaw:
     prefactor) is exactly what keeps Q normalized; total mass one is an
     acceptance check.  The density is recovered by characteristic-function
     inversion on a uniform frequency grid truncated where the Gaussian
-    factor is below 1e-18.
+    factor is below 1e-18: ``density_grid`` (and ``mass`` and ``cdf_grid``
+    built on it) evaluates the trapezoid sum on a uniform x grid by chirp-z,
+    ``density`` evaluates it at scattered points by the dense sum.
     """
 
     lam: float
@@ -465,11 +505,10 @@ class TanhTransientLaw:
         )
         return float(out) if out.ndim == 0 else out
 
-    def _frequency_grid(self, t, x_scale):
+    def _coefficients(self, t, x_scale):
         u_max = np.sqrt(2.0 * 42.0 / t)
-        du = np.pi / (abs(x_scale) + self.beta * t + 10.0 * np.sqrt(t) + 50.0 / (self.gamma - self.beta))
-        n = int(np.ceil(u_max / du)) + 1
-        return np.linspace(0.0, u_max, max(n, 2001))
+        period = abs(x_scale) + self.beta * t + 10.0 * np.sqrt(t) + 50.0 / (self.gamma - self.beta)
+        return _cosine_coefficients(lambda u: self.char_fn(u, t), u_max, period)
 
     def density(self, x, t):
         """Density at positions x and time t > 0."""
@@ -478,28 +517,28 @@ class TanhTransientLaw:
         x = np.asarray(x, dtype=float)
         if self.lam == 0:
             return gaussian_pair_mixture(x, t, self.beta)
-        u = self._frequency_grid(t, np.max(np.abs(x)) if x.size else 1.0)
-        phi = self.char_fn(u, t)
-        w = np.full(u.shape, u[1] - u[0])
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        out = (np.cos(np.outer(np.atleast_1d(x), u)) @ (phi * w)) / np.pi
-        out = out.reshape(x.shape)
-        return float(out) if out.ndim == 0 else out
+        return _cosine_sum(x, *self._coefficients(t, np.max(np.abs(x)) if x.size else 1.0))
+
+    def density_grid(self, t, n=8001):
+        """(x, density) on n uniform points spanning the support at time t."""
+        if not t > 0:
+            raise ValueError("t must be positive")
+        hw = self.support_halfwidth(t)
+        x = np.linspace(-hw, hw, n)
+        if self.lam == 0:
+            return x, gaussian_pair_mixture(x, t, self.beta)
+        return x, _cosine_sum_grid(x, *self._coefficients(t, hw))
 
     def support_halfwidth(self, t):
         """Half width beyond which the density is numerically negligible."""
         return self.beta * t + 10.0 * np.sqrt(t) + 45.0 / (self.gamma - self.beta)
 
     def mass(self, t, n=8001):
-        hw = self.support_halfwidth(t)
-        x = np.linspace(-hw, hw, n)
-        return float(integrate.simpson(self.density(x, t), x=x))
+        x, dens = self.density_grid(t, n)
+        return float(integrate.simpson(dens, x=x))
 
     def cdf_grid(self, t, n=8001):
-        hw = self.support_halfwidth(t)
-        x = np.linspace(-hw, hw, n)
-        dens = self.density(x, t)
+        x, dens = self.density_grid(t, n)
         cum = integrate.cumulative_trapezoid(dens, x, initial=0.0)
         return x, cum / cum[-1]
 
@@ -524,6 +563,10 @@ class TiltedOuLaw:
     ``jump_component_density`` is the bare Bessel-K mixture (log-singular
     at the centers when nu = 0); ``density`` is the full invariant law
     including the Gaussian factor, which is what simulations converge to.
+    The full law is recovered by characteristic-function inversion:
+    ``density_grid`` (and ``cdf_grid`` built on it) evaluates the trapezoid
+    sum on a uniform y grid by chirp-z, ``density`` evaluates it at
+    scattered points by the dense sum.
     """
 
     alpha: float
@@ -586,22 +629,25 @@ class TiltedOuLaw:
         )
         return float(out) if out.ndim == 0 else out
 
+    def _coefficients(self, y_scale):
+        u_max = np.sqrt(4.0 * self.alpha * 42.0)
+        period = (
+            max(1.0, y_scale) + self.beta / self.alpha + 50.0 / self.gamma
+            + 10.0 / np.sqrt(self.alpha)
+        )
+        return _cosine_coefficients(self.char_fn, u_max, period)
+
     def density(self, y):
         """Full invariant density (jump mixture convolved with the Brownian
         stationary Gaussian), by characteristic-function inversion."""
         y = np.asarray(y, dtype=float)
-        u_max = np.sqrt(4.0 * self.alpha * 42.0)
-        y_max = max(1.0, np.max(np.abs(y))) if y.size else 1.0
-        du = np.pi / (y_max + self.beta / self.alpha + 50.0 / self.gamma + 10.0 / np.sqrt(self.alpha))
-        n = max(int(np.ceil(u_max / du)) + 1, 2001)
-        u = np.linspace(0.0, u_max, n)
-        phi = self.char_fn(u)
-        w = np.full(n, u[1] - u[0])
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        out = (np.cos(np.outer(np.atleast_1d(y), u)) @ (phi * w)) / np.pi
-        out = out.reshape(y.shape)
-        return float(out) if out.ndim == 0 else out
+        return _cosine_sum(y, *self._coefficients(np.max(np.abs(y)) if y.size else 1.0))
+
+    def density_grid(self, n=8001):
+        """(y, density) on n uniform points spanning the support."""
+        hw = self.support_halfwidth()
+        y = np.linspace(-hw, hw, n)
+        return y, _cosine_sum_grid(y, *self._coefficients(hw))
 
     def support_halfwidth(self):
         return (
@@ -611,9 +657,7 @@ class TiltedOuLaw:
         )
 
     def cdf_grid(self, n=8001):
-        hw = self.support_halfwidth()
-        y = np.linspace(-hw, hw, n)
-        dens = self.density(y)
+        y, dens = self.density_grid(n)
         cum = integrate.cumulative_trapezoid(dens, y, initial=0.0)
         return y, cum / cum[-1]
 

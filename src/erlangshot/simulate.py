@@ -492,15 +492,16 @@ def simulate_swarm(n_agents, m, gamma, beta, config: SimConfig) -> SwarmSeries:
 
     def advance(dt, depth):
         """One certified step of length dt; recurses on majorant failure."""
-        nonlocal x, xbar, chat, retries, proposals, jumps
+        nonlocal xbar, chat, retries, proposals, jumps
         if depth > 24:
             raise ThinningError("majorant certification failed after 24 halvings")
-        saved = x.copy()
         lb = np.exp(-beta * (x - xbar - chat * dt))
         counts = _poisson_inverse(gen.random(n_agents), lb * dt)
         n_proposed = int(counts.sum())
         n_accepted = 0
         active = np.nonzero(counts)[0]
+        # only agents with a proposal can move, so only they are saved
+        moved, saved = active, x[active]
         r = 0
         while active.size:
             # accept with current-rate / majorant; own jumps only raise
@@ -521,7 +522,7 @@ def simulate_swarm(n_agents, m, gamma, beta, config: SimConfig) -> SwarmSeries:
         # majorant violated: enlarge the overestimate and redo in halves
         retries += 1
         chat = max(2.0 * chat, 2.0 * (new_bar - xbar) / dt)
-        x = saved
+        x[moved] = saved
         advance(dt / 2.0, depth + 1)
         advance(dt / 2.0, depth + 1)
 

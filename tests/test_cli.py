@@ -297,13 +297,17 @@ def test_largest_seed_runs(tmp_path):
 
 
 def test_report_keys_and_engine_counters(tmp_path):
-    keys = {"command", "parameters", "seed", "metrics", "flags", "counters", "passed",
-            "wall_time_s"}
+    keys = {"command", "parameters", "seed", "metrics", "flags", "counters", "timings",
+            "environment", "passed", "wall_time_s"}
     cfg = _small_tanh_cfg()
     out = tmp_path / "tanh"
     assert main(["tanh", "--config", _write(tmp_path, "t.json", cfg), "--out", str(out)]) in (0, 1)
     report = json.loads((out / "report.json").read_text())
     assert set(report) == keys
+    assert set(report["timings"]) == {"validate", "run", "write"}
+    assert all(v >= 0 for v in report["timings"].values())
+    assert set(report["environment"]) == {"python", "numpy", "scipy", "nproc"}
+    assert report["environment"]["nproc"] >= 1
     assert set(report["metrics"]) == {
         "transient_mass", "transient_ks", "stationary_ks", "stationary_ks_jump_only"}
     counters = report["counters"]

@@ -1,6 +1,7 @@
 """Analytic densities, transforms, and wave profiles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -290,6 +291,36 @@ def test_tanh_transient_ks_vs_reduced_mc():
     assert ks_distance(batch.final_positions, interp_cdf(xs, cdf)) < 0.03
 
 
+@pytest.mark.parametrize("t", [0.25, 0.5, 1.0, 3.0])
+def test_tanh_density_grid_matches_dense_sum(t):
+    # chirp-z on the uniform grid against the pointwise dense cosine sum
+    law = TanhTransientLaw(1.0, 2.0, 0.5)
+    x, dens = law.density_grid(t)
+    hw = law.support_halfwidth(t)
+    np.testing.assert_array_equal(x, np.linspace(-hw, hw, 8001))
+    np.testing.assert_allclose(dens, law.density(x, t), rtol=0, atol=1e-10)
+
+
+def test_tanh_density_grid_no_jumps_is_gaussian_pair():
+    x, dens = TanhTransientLaw(0.0, 2.0, 0.5).density_grid(1.0)
+    np.testing.assert_allclose(dens, gaussian_pair_mixture(x, 1.0, 0.5), rtol=0, atol=1e-14)
+
+
+def _peak_alloc(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cosine_inversion_grid_memory():
+    # the dense sum peaks at 244 MB here: an 8001 x 2001 outer product and its cosine
+    assert _peak_alloc(lambda: TanhTransientLaw(1.0, 2.0, 0.5).cdf_grid(1.0)) < 8 * 2**20
+    assert _peak_alloc(lambda: TiltedOuLaw(1.0, 1.0, 2.0, 0.5).cdf_grid()) < 8 * 2**20
+
+
 # ---------------------------------------------------------------------------
 # OU driven by the tanh jump diffusion
 
@@ -343,6 +374,15 @@ def test_ou_tanh_full_law_mass_and_variance():
     expect_var = 1.0 / (2 * alpha) + lam / (alpha * gamma**2) + (beta / alpha) ** 2
     assert mass == pytest.approx(1.0, abs=1e-5)
     assert var == pytest.approx(expect_var, abs=1e-5)
+
+
+@pytest.mark.parametrize("lam", [1.0, 1.5])
+def test_ou_density_grid_matches_dense_sum(lam):
+    law = TiltedOuLaw(1.0, lam, 2.0, 0.5)
+    y, dens = law.density_grid()
+    hw = law.support_halfwidth()
+    np.testing.assert_array_equal(y, np.linspace(-hw, hw, 8001))
+    np.testing.assert_allclose(dens, law.density(y), rtol=0, atol=1e-10)
 
 
 def test_densities_nonnegative_everywhere():

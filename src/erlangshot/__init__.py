@@ -17,6 +17,7 @@ from .closedform import (
     mellin_moment,
     ou_tanh_stationary,
     stationary_m1,
+    stationary_ou_m1,
     stationary_ou_m2,
     tanh_transient,
     transient_m1_linear,
@@ -55,6 +56,7 @@ from .noise import (
 )
 from .simulate import (
     EmpiricalDensity,
+    ExactSample,
     SimConfig,
     SwarmSeries,
     ThinningError,

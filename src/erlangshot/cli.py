@@ -121,18 +121,14 @@ def _sim_config(block, where, seed=0):
         raise ConfigError(f"invalid {where}: {exc}") from exc
 
 
-def _fmt(v):
-    if isinstance(v, float):
-        return format(v, ".17g")
-    return str(v)
-
-
 def write_csv(path, header, columns):
-    cols = [np.asarray(c) for c in columns]
-    lines = [",".join(header)]
-    for row in zip(*cols):
-        lines.append(",".join(_fmt(float(v)) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Write equal-length columns as CSV, every value as a float with 17
+    significant digits, formatted by one printf-style call over the table."""
+    table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
+    n, k = table.shape
+    row = ",".join(["%.17g"] * k) + "\n"
+    body = row * n % tuple(table.ravel().tolist())
+    Path(path).write_text(",".join(header) + "\n" + body)
 
 
 def _environment():
@@ -186,6 +182,10 @@ class RunReport:
             steps=sim.n_paths * sim.n_steps,
             jumps=int(batch.jump_counts.sum()),
         )
+
+    def count_exact(self, sample):
+        """Add an exact sampler's counters: samples as paths, no steps, jumps."""
+        self._add_counters(paths=len(sample), steps=0, jumps=int(sample.jump_counts.sum()))
 
     def count_swarm(self, sim, series):
         """Add a swarm run's counters: agents, agent-steps (sub-steps
@@ -500,19 +500,6 @@ def _validate_stationary(cfg):
     _get(cfg, "n_bins", int, "stationary config", default=80, pred=lambda v: v >= 5)
 
 
-def _analytic_stationary_density(m, alpha, lam, gamma, x):
-    if m == 2:
-        return closedform.stationary_ou_m2(alpha, lam, gamma, x)
-    # m = 1 with linear drift: Gamma(lam/alpha, gamma)
-    k = lam / alpha
-    x = np.asarray(x, dtype=float)
-    from scipy.special import gammaln
-
-    safe = np.where(x > 0, x, 1.0)
-    vals = np.exp(k * np.log(gamma) + (k - 1) * np.log(safe) - gamma * safe - gammaln(k))
-    return np.where(x > 0, vals, 0.0)
-
-
 def _stationary_residual_metric(m, alpha, lam, gamma, x_hi, model):
     """Differential-form residual of the analytic law on its own grid.
 
@@ -520,13 +507,14 @@ def _stationary_residual_metric(m, alpha, lam, gamma, x_hi, model):
     the left edge is probed down until the boundary value clears the decay
     gate of the residual machinery.
     """
+    density = closedform.stationary_ou_m1 if m == 1 else closedform.stationary_ou_m2
     x_lo = 1e-4
-    while x_lo > 1e-300 and _analytic_stationary_density(m, alpha, lam, gamma, x_lo) > 1e-13:
+    while x_lo > 1e-300 and density(alpha, lam, gamma, x_lo) > 1e-13:
         x_lo *= 1e-2
-    while _analytic_stationary_density(m, alpha, lam, gamma, x_hi) > 1e-13:
+    while density(alpha, lam, gamma, x_hi) > 1e-13:
         x_hi += 10.0 / gamma
     spec = GridSpec(x_lo, x_hi, 4001)
-    gf = GridFunction(spec, _analytic_stationary_density(m, alpha, lam, gamma, spec.nodes()))
+    gf = GridFunction(spec, density(alpha, lam, gamma, spec.nodes()))
     return master.stationary_residual(gf, model)
 
 
@@ -537,21 +525,20 @@ def _run_stationary(cfg, out_dir, seed, report):
     sim = _sim_config(cfg["sim"], "sim block", seed)
     x = grid.nodes()
     if m == 1:
-        gf = closedform.stationary_m1(
+        dens = closedform.stationary_m1(
             lambda s: alpha * s, lambda s: np.full_like(np.asarray(s, float), lam), gamma, grid
-        )
-        dens = gf.values
+        ).values
     else:
         dens = closedform.stationary_ou_m2(alpha, lam, gamma, x)
-        gf = GridFunction(grid, dens)
     report.write_csv(Path(out_dir) / "analytic_density.csv", ["x", "density"], [x, dens])
 
-    model = ModelSpec(
-        LinearRestoring(alpha), ZeroDiffusion(), ConstantRate(lam), ErlangJumpLaw(m, gamma)
+    # sigma = 0 and linear drift: the state at t_end is drawn exactly from
+    # the explicit shot-noise solution; sim.dt does not enter
+    sample = simulate.sample_linear_shot_noise_exact(
+        alpha, lam, gamma, m, 0.0, sim.t_end, sim.n_paths, seed
     )
-    batch = simulate.simulate_paths(model, sim, x0=0.0)
-    report.count_paths(sim, batch)
-    final = batch.final_positions
+    report.count_exact(sample)
+    final = sample.values
     hist = simulate.empirical_density(final, int(cfg.get("n_bins", 80)))
     report.write_csv(
         Path(out_dir) / "mc_histogram.csv",
@@ -571,6 +558,9 @@ def _run_stationary(cfg, out_dir, seed, report):
     mc_mean = float(final.mean())
     se = float(final.std(ddof=1) / np.sqrt(len(final)))
     analytic_mean = closedform.cumulant(1, m, gamma, lam, lambda s: alpha * s)
+    model = ModelSpec(
+        LinearRestoring(alpha), ZeroDiffusion(), ConstantRate(lam), ErlangJumpLaw(m, gamma)
+    )
     resid = _stationary_residual_metric(m, alpha, lam, gamma, grid.x_hi, model)
     report.metric("ks", ks)
     report.metric("mc_mean", mc_mean)
@@ -624,7 +614,7 @@ def _run_transient(cfg, out_dir, seed, report):
         xs, cdf = law.cdf_grid(t, z_max)
         samples = simulate.sample_linear_shot_noise_exact(
             alpha, lam, gamma, 1, x0, t, n, _derived_seed(seed, i)
-        )
+        ).values
         ks = simulate.ks_distance(samples, interp_cdf(xs, np.minimum(cdf, 1.0)))
         dens = law.continuous_density(xs, t)
         report.write_csv(Path(out_dir) / f"density_t{i}.csv", ["x", "density"], [xs, dens])
@@ -637,7 +627,7 @@ def _run_transient(cfg, out_dir, seed, report):
     t_u = float(cfg.get("t_u", 1.0))
     samples = simulate.sample_linear_shot_noise_exact(
         alpha, lam, gamma, 1, x0, t_u, n, _derived_seed(seed, 101)
-    )
+    ).values
     for j, u in enumerate(cfg.get("u_values", [1.0]), start=1):
         u = float(u)
         emp = np.exp(-u * samples)

@@ -25,6 +25,7 @@ __all__ = [
     "SymmetricLaplaceLaw",
     "TiltedJumpLaw",
     "erlang_pdf",
+    "erlang_magnitudes",
     "erlang_sample",
     "laplace_sample",
     "tilted_sample",
@@ -200,13 +201,27 @@ def erlang_pdf(law: ErlangJumpLaw, x):
     return float(vals) if vals.ndim == 0 else vals
 
 
+def erlang_magnitudes(u, gamma):
+    """Erlang(m, gamma) jump sizes from an (n, m) array of uniforms.
+
+    Row i gives the sum of the m inverse-CDF exponentials -log1p(-u) / gamma.
+    The columns are added one by one from 0.0, the order ``np.sum`` uses on
+    rows shorter than 8, so for m < 8 the result equals
+    ``-np.log1p(-u).sum(axis=1) / gamma`` bit for bit without a reduce over
+    a short axis.  Every Erlang sampler of the package goes through here.
+    """
+    total = np.zeros(len(u))
+    for j in range(u.shape[1]):
+        total += np.log1p(-u[:, j])
+    total /= -gamma
+    return total
+
+
 def erlang_sample(law: ErlangJumpLaw, rng: RngStream, size=None):
     """Draw Erlang(m, gamma) samples as sums of m inverse-CDF exponentials."""
     if size is None:
-        u = rng.uniform(law.m)
-        return float(-np.log1p(-u).sum() / law.gamma)
-    u = rng.uniform((size, law.m))
-    return -np.log1p(-u).sum(axis=1) / law.gamma
+        return float(erlang_magnitudes(rng.uniform((1, law.m)), law.gamma)[0])
+    return erlang_magnitudes(rng.uniform((size, law.m)), law.gamma)
 
 
 def laplace_sample(law: SymmetricLaplaceLaw, rng: RngStream, size=None):

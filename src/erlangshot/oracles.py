@@ -122,11 +122,10 @@ def erlang_survival_ref(m, gamma, x):
         return 1.0
     # integrate the tail out to where the integrand is below 1e-20
     hi = x + (60.0 + m * 10.0) / gamma
+    log_norm = log_gamma_ref(m)
 
     def pdf(s):
-        return math.exp(
-            m * math.log(gamma) + (m - 1) * math.log(s) - gamma * s - log_gamma_ref(m)
-        )
+        return math.exp(m * math.log(gamma) + (m - 1) * math.log(s) - gamma * s - log_norm)
 
     val, _ = integrate.quad(pdf, x, hi, epsabs=1e-14, epsrel=1e-13, limit=400)
     return val

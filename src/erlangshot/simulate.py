@@ -1,4 +1,5 @@
-"""Monte Carlo engine: jump-diffusion paths and the mean-field swarm.
+"""Monte Carlo engine: jump-diffusion paths, exact linear shot-noise
+samples, and the mean-field swarm.
 
 Path simulation is Euler-Maruyama with a fixed in-step order (drift, then
 diffusion, then jumps) and per-path Philox streams keyed by
@@ -17,6 +18,13 @@ gives the agent's Poisson count of proposals, then, round by round, the
 acceptance uniforms and the magnitude uniforms of the accepted proposals,
 so its work is vectorised over agents and its memory is O(agents).
 
+Where the pathwise solution is explicit (linear drift, no diffusion),
+``sample_linear_shot_noise_exact`` draws the state at a fixed time from it
+directly: O(jumps) work, no time steps and no discretization bias.  Euler
+paths of the same model remain as a bias check.  Every Erlang jump size,
+in the engine, the exact sampler and the swarm, comes from
+``noise.erlang_magnitudes``.
+
 Estimators (wave speed, normalized histograms, Kolmogorov-Smirnov
 distance) live here as well.
 """
@@ -32,12 +40,13 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .master import ConstantRate, ModelSpec
-from .noise import stream_key
+from .noise import erlang_magnitudes, stream_key
 
 __all__ = [
     "SimConfig",
     "TrajectoryBatch",
     "SwarmSeries",
+    "ExactSample",
     "EmpiricalDensity",
     "ThinningError",
     "simulate_paths",
@@ -148,6 +157,19 @@ class SwarmSeries:
         t0 = self.times[-1] * (1.0 - fraction)
         sel = self.times >= t0
         return (self.snapshots[sel] - self.barycenter[sel, None]).ravel()
+
+
+@dataclass(frozen=True)
+class ExactSample:
+    """Exact draws of a process state and the jump count behind each.
+
+    ``len()`` is the number of draws."""
+
+    values: np.ndarray
+    jump_counts: np.ndarray  # per-draw totals
+
+    def __len__(self):
+        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -332,7 +354,7 @@ def _jump_table(drawn, n_jumps, jumps, n_steps, block, n_blocks):
 
 
 def _erlang_jumps(law):
-    return law.m, lambda u: -np.log1p(-u).sum(axis=1) / law.gamma
+    return law.m, lambda u: erlang_magnitudes(u, law.gamma)
 
 
 def _laplace_jumps(gamma):
@@ -394,32 +416,39 @@ def simulate_ou_tanh(alpha, lam, gamma, beta, config: SimConfig) -> TrajectoryBa
     return _engine(step, [0.0, 0.0], 1.0, _laplace_jumps(gamma), lam, config)
 
 
-def sample_linear_shot_noise_exact(alpha, lam, gamma, m, x0, t, n, seed):
+def sample_linear_shot_noise_exact(alpha, lam, gamma, m, x0, t, n, seed) -> ExactSample:
     """Exact samples of the linear-drift shot-noise state at time t.
 
-    X_t = x0 e^{-alpha t} + sum_j J_j e^{-alpha (t - tau_j)} with jump times
-    uniform on [0, t] given their Poisson(lam t) count and Erlang(m, gamma)
-    magnitudes.  No discretization error; paths that saw no jump sit at
-    exactly x0 * exp(-alpha * t).
+    For drift -alpha x and no diffusion the SDE has the explicit solution
+    X_t = x0 e^{-alpha t} + sum_j J_j e^{-alpha (t - tau_j)}, with jump
+    times uniform on [0, t] given their Poisson(lam t) count and
+    Erlang(m, gamma) magnitudes; each sample is drawn from it directly.
+    The work is O(jumps): no time steps and no discretization error.
+    Samples that saw no jump sit at exactly x0 * exp(-alpha * t).
+
+    Chunk c of 4096 samples draws from stream ``(seed, 2**63 + 4096 c)``:
+    the chunk's Poisson counts, then its arrival uniforms, then its
+    magnitude uniforms.  Returns the samples with their Poisson counts.
     """
-    out = np.empty(n)
+    values = np.empty(n)
+    counts = np.empty(n, dtype=np.int64)
+    base = x0 * np.exp(-alpha * t)
     for lo in range(0, n, _CHUNK):
         hi = min(n, lo + _CHUNK)
         k = hi - lo
         g = _path_generator(seed, _ESTIMATOR_STREAM_BASE + lo)
         nj = g.poisson(lam * t, k)
         tot = int(nj.sum())
-        base = x0 * np.exp(-alpha * t)
         x = np.full(k, base)
         if tot:
             tau = t * g.random(tot)
-            u = g.random((tot, m))
-            jm = -np.log1p(-u).sum(axis=1) / gamma
+            jm = erlang_magnitudes(g.random((tot, m)), gamma)
             contrib = jm * np.exp(-alpha * (t - tau))
             idx = np.repeat(np.arange(k), nj)
             x = x + np.bincount(idx, weights=contrib, minlength=k)
-        out[lo:hi] = x
-    return out
+        values[lo:hi] = x
+        counts[lo:hi] = nj
+    return ExactSample(values, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +538,7 @@ def simulate_swarm(n_agents, m, gamma, beta, config: SimConfig) -> SwarmSeries:
             acc = np.exp(-beta * (x[active] - xbar)) / lb[active]
             hit = active[gen.random(active.size) <= acc]
             if hit.size:
-                x[hit] -= np.log1p(-gen.random((hit.size, m))).sum(axis=1) / gamma
+                x[hit] += erlang_magnitudes(gen.random((hit.size, m)), gamma)
                 n_accepted += hit.size
             r += 1
             active = active[counts[active] > r]

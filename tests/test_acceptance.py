@@ -138,7 +138,7 @@ def test_criterion_4_transient_m1():
         xs, cdf = law.cdf_grid(t, 40.0)
         samples = simulate.sample_linear_shot_noise_exact(
             alpha, lam, gamma, 1, x0, t, 100_000, 400 + i
-        )
+        ).values
         ks = simulate.ks_distance(samples, interp_cdf(xs, np.minimum(cdf, 1.0)))
         crit.check(f"t={t} KS vs MC {ks:.4f} < 0.02", ks < 0.02)
     t_inf = 40.0 / alpha

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from erlangshot.cli import main
+from erlangshot.cli import main, write_csv
+from erlangshot.simulate import sample_linear_shot_noise_exact
 
 
 def _write(tmp_path, name, cfg):
@@ -151,6 +152,38 @@ def test_stationary_m1_csv_matches_gamma_law(tmp_path):
     data = np.array([[float(v) for v in line.split(",")] for line in body])
     x, dens = data[:, 0], data[:, 1]
     assert np.max(np.abs(dens - x * np.exp(-x))) < 1e-8
+
+
+def test_stationary_draws_the_exact_sampler(tmp_path):
+    # the command's sample is the exact sampler's at the config seed and
+    # horizon: same mean bit for bit, counted as paths with no steps
+    cfg = _stationary_cfg()
+    cfg["sim"] = {"dt": 0.05, "t_end": 10.0, "n_paths": 6000, "record_stride": 50}
+    out = tmp_path / "out"
+    assert main(["stationary", "--config", _write(tmp_path, "s.json", cfg), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    sample = sample_linear_shot_noise_exact(1.0, 2.0, 1.0, 2, 0.0, 10.0, 6000, 2)
+    assert report["metrics"]["mc_mean"] == float(sample.values.mean())
+    assert report["counters"] == {
+        "paths": 6000, "steps": 0, "jumps": int(sample.jump_counts.sum())}
+    # lambda * t_end = 20 jumps per sample
+    assert 6000 * 19 < report["counters"]["jumps"] < 6000 * 21
+
+
+def test_stationary_result_ignores_step_keys(tmp_path):
+    # dt, record_stride and n_workers are validated but do not change the result
+    bodies = []
+    for i, sim in enumerate([
+        {"dt": 0.05, "t_end": 10.0, "n_paths": 3000, "record_stride": 50},
+        {"dt": 0.5, "t_end": 10.0, "n_paths": 3000, "record_stride": 1, "n_workers": 4},
+    ]):
+        cfg = _stationary_cfg(sim=sim, grid={"x_lo": 1e-4, "x_hi": 40.0, "n": 401})
+        out = tmp_path / f"o{i}"
+        path = _write(tmp_path, f"s{i}.json", cfg)
+        assert main(["stationary", "--config", path, "--out", str(out)]) in (0, 1)
+        report = json.loads((out / "report.json").read_text())
+        bodies.append(((out / "mc_histogram.csv").read_bytes(), report["metrics"]))
+    assert bodies[0] == bodies[1]
 
 
 def test_stationary_lambda_zero_degenerate(tmp_path):
@@ -336,3 +369,23 @@ def test_report_swarm_counters(tmp_path):
     # each majorant retry turns one committed step into two half-steps
     assert counters["agent_steps"] == 2 * 50 * 100 + 50 * counters["majorant_retries"]
     assert 0 < counters["jumps"] <= counters["proposals"]
+
+
+def test_write_csv_matches_per_value_format(tmp_path):
+    # the table-wide printf form writes the bytes of formatting each value
+    # with format(float(v), ".17g"), special values and integer columns included
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e300,
+                        -1e300, 0.1, 1.0 / 3.0, 2.0**53 + 1, 123456789.0, -7.25e-12])
+    rng = np.random.default_rng(3)
+    cols = [
+        np.concatenate([special, rng.standard_normal(500) * 10.0 ** rng.integers(-30, 30, 500)]),
+        np.arange(514),
+        np.concatenate([rng.integers(-(2**40), 2**40, 513), [2**63 - 1]]),
+    ]
+    path = tmp_path / "t.csv"
+    write_csv(path, ["a", "b", "c"], cols)
+    lines = ["a,b,c"] + [",".join(format(float(v), ".17g") for v in row) for row in zip(*cols)]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    write_csv(path, ["x"], [np.array([])])
+    assert path.read_bytes() == b"x\n"

@@ -20,6 +20,7 @@ from erlangshot.closedform import (
     mellin_moment,
     ou_tanh_stationary,
     stationary_m1,
+    stationary_ou_m1,
     stationary_ou_m2,
     tanh_transient,
     whittaker_wave,
@@ -64,7 +65,7 @@ def test_stationary_m1_vs_monte_carlo():
     x = grid.nodes()
     cdf = integrate.cumulative_trapezoid(gf.values, x, initial=0.0)
     cdf /= cdf[-1]
-    samples = sample_linear_shot_noise_exact(1.0, 2.0, 1.0, 1, 0.0, 25.0, 100_000, 31)
+    samples = sample_linear_shot_noise_exact(1.0, 2.0, 1.0, 1, 0.0, 25.0, 100_000, 31).values
     assert ks_distance(samples, interp_cdf(x, cdf)) < 0.02
 
 
@@ -73,6 +74,21 @@ def test_stationary_m1_divergence_detected():
     grid = GridSpec(0.1, 50.0, 1000)
     with pytest.raises(NormalizationError):
         stationary_m1(lambda x: np.ones_like(x), lambda x: np.full_like(x, 3.0), 0.5, grid)
+
+
+@pytest.mark.parametrize("alpha,lam,gamma", [(1.0, 2.0, 1.0), (0.7, 0.4, 2.5), (2.0, 2.0, 0.6)])
+def test_stationary_ou_m1_is_scipy_gamma(alpha, lam, gamma):
+    # shape lam/alpha > 1, < 1 and = 1 (exponential) against scipy's Gamma pdf,
+    # the origin and the negative half line included
+    x = np.concatenate([[-1.0, 0.0], np.geomspace(1e-8, 60.0, 2000)])
+    got = stationary_ou_m1(alpha, lam, gamma, x)
+    want = stats.gamma.pdf(x, lam / alpha, scale=1.0 / gamma)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    assert stationary_ou_m1(alpha, lam, gamma, 1.5) == pytest.approx(
+        stats.gamma.pdf(1.5, lam / alpha, scale=1.0 / gamma), rel=1e-12
+    )
+    with pytest.raises(ValueError):
+        stationary_ou_m1(0.0, lam, gamma, x)
 
 
 def test_stationary_ou_m2_mass_and_moment():
@@ -174,7 +190,7 @@ def test_transient_ks_vs_exact_sampler():
     law = TransientLaw(alpha, lam, gamma, x0)
     t = 0.7
     xs, cdf = law.cdf_grid(t, 40.0)
-    samples = sample_linear_shot_noise_exact(alpha, lam, gamma, 1, x0, t, 100_000, 77)
+    samples = sample_linear_shot_noise_exact(alpha, lam, gamma, 1, x0, t, 100_000, 77).values
     assert ks_distance(samples, interp_cdf(xs, np.minimum(cdf, 1.0))) < 0.02
 
 

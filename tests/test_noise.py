@@ -13,6 +13,7 @@ from erlangshot.noise import (
     SymmetricLaplaceLaw,
     TiltedJumpLaw,
     compound_poisson_increment,
+    erlang_magnitudes,
     erlang_pdf,
     erlang_sample,
     laplace_sample,
@@ -46,6 +47,20 @@ def test_law_validation():
         SymmetricLaplaceLaw(0.0)
     with pytest.raises(ValueError):
         TiltedJumpLaw(SymmetricLaplaceLaw(2.0), 2.0)  # beta >= gamma
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_erlang_magnitudes_equal_row_sum_bitwise(m):
+    # column-by-column sum equals the reduce form bit for bit, exactly-zero
+    # uniforms (whose log1p is -0.0) included
+    u = np.random.default_rng(m).random((50_000, m))
+    u[:3] = 0.0
+    u[3:6, 0] = 0.0
+    for gamma in (1.0, 0.37, 2.9):
+        got = erlang_magnitudes(u, gamma)
+        want = -np.log1p(-u).sum(axis=1) / gamma
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_erlang_sample_moments():

@@ -108,12 +108,38 @@ def test_exact_linear_sampler_against_transform():
     from erlangshot.closedform import laplace_transform_linear
 
     alpha, lam, gamma, x0, t = 1.0, 2.0, 1.0, 0.3, 1.0
-    s = sample_linear_shot_noise_exact(alpha, lam, gamma, 1, x0, t, 100_000, 5)
+    s = sample_linear_shot_noise_exact(alpha, lam, gamma, 1, x0, t, 100_000, 5).values
     for u in (0.5, 1.0):
         emp = np.exp(-u * s)
         se = emp.std(ddof=1) / math.sqrt(len(emp))
         expect = laplace_transform_linear(u, t, 1, alpha, lam, gamma, x0)
         assert abs(emp.mean() - expect) < 4 * se
+
+
+def test_exact_linear_sampler_m2_against_transform():
+    # m = 2 magnitudes: E[e^{-u X_t}] against the analytic Laplace transform
+    from erlangshot.closedform import laplace_transform_linear
+
+    alpha, lam, gamma, x0, t = 1.0, 2.0, 1.0, 0.3, 4.0
+    s = sample_linear_shot_noise_exact(alpha, lam, gamma, 2, x0, t, 100_000, 6).values
+    for u in (0.25, 0.5, 1.0):
+        emp = np.exp(-u * s)
+        se = emp.std(ddof=1) / math.sqrt(len(emp))
+        expect = laplace_transform_linear(u, t, 2, alpha, lam, gamma, x0)
+        assert abs(emp.mean() - expect) < 4 * se
+
+
+def test_exact_linear_sampler_jump_counts():
+    # the per-sample Poisson counts come back beside the samples; a sample
+    # without a jump sits exactly at the decayed start
+    alpha, lam, t, x0 = 0.8, 1.5, 3.0, 0.7
+    sample = sample_linear_shot_noise_exact(alpha, lam, 1.2, 2, x0, t, 10_000, 9)
+    assert len(sample) == 10_000 and sample.jump_counts.shape == (10_000,)
+    assert sample.jump_counts.dtype == np.int64
+    n = sample.jump_counts
+    assert abs(n.mean() - lam * t) < 4 * math.sqrt(lam * t / len(n))
+    assert np.all(sample.values[n == 0] == x0 * math.exp(-alpha * t))
+    assert np.all(sample.values[n > 0] > x0 * math.exp(-alpha * t))
 
 
 def test_tanh_no_jumps_matches_gaussian_pair():

@@ -20,7 +20,6 @@ from .closedform import (
     stationary_ou_m1,
     stationary_ou_m2,
     tanh_transient,
-    transient_m1_linear,
     whittaker_wave,
 )
 from .master import (
@@ -48,7 +47,6 @@ from .noise import (
     RngStream,
     SymmetricLaplaceLaw,
     TiltedJumpLaw,
-    compound_poisson_increment,
     erlang_pdf,
     erlang_sample,
     laplace_sample,

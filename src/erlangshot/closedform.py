@@ -43,7 +43,6 @@ __all__ = [
     "stationary_ou_m2",
     "cumulant",
     "laplace_transform_linear",
-    "transient_m1_linear",
     "gumbel_wave",
     "whittaker_wave",
     "mellin_moment",
@@ -317,15 +316,6 @@ class TransientLaw:
         dens = self.continuous_density(loc + z, t)
         cum = integrate.cumulative_trapezoid(dens, z, initial=0.0)
         return loc + z, self.atom_weight(t) + cum
-
-
-def transient_m1_linear(x, t, alpha, lam, gamma, x0):
-    """Continuous part of the m=1 linear-drift transient density at (x, t).
-
-    The point mass (weight e^{-lam t} at x0 e^{-alpha t}) is carried by
-    TransientLaw explicitly and is not smeared into this value.
-    """
-    return TransientLaw(alpha, lam, gamma, x0).continuous_density(x, t)
 
 
 # ---------------------------------------------------------------------------

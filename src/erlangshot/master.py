@@ -94,10 +94,6 @@ class GridFunction:
             raise ValueError("grid values must be finite")
         object.__setattr__(self, "values", vals)
 
-    @classmethod
-    def from_callable(cls, spec: GridSpec, fn):
-        return cls(spec, np.asarray(fn(spec.nodes()), dtype=float))
-
 
 # ---------------------------------------------------------------------------
 # model description: drift b(x), diffusion sigma(x), jump rate lambda(x)

@@ -1,4 +1,4 @@
-"""Jump-size laws and compound Poisson increments.
+"""Jump-size laws of compound Poisson noise and their samplers.
 
 Provides the one-sided Erlang jump law, the symmetric Laplace law, the
 cosh-tilted Laplace law with its mass factor, and exact samplers for each.
@@ -29,7 +29,6 @@ __all__ = [
     "erlang_sample",
     "laplace_sample",
     "tilted_sample",
-    "compound_poisson_increment",
 ]
 
 
@@ -253,22 +252,3 @@ def tilted_sample(law: TiltedJumpLaw, rng: RngStream, size=None):
     mag = -np.log1p(-u_mag) / rates[idx]
     out = signs[idx] * mag
     return float(out[0]) if scalar else out
-
-
-def compound_poisson_increment(rate, jump_sampler, dt, rng: RngStream):
-    """One compound Poisson increment over a step of length dt.
-
-    ``jump_sampler(rng, n)`` must return n jump sizes.  The number of jumps
-    is Poisson(rate * dt); the increment is their sum (0.0 when no jump
-    fires or the rate is zero).
-    """
-    if rate < 0:
-        raise ValueError("rate must be nonnegative")
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    if rate == 0:
-        return 0.0
-    n = int(rng.poisson(rate * dt))
-    if n == 0:
-        return 0.0
-    return float(np.sum(jump_sampler(rng, n)))

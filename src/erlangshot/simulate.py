@@ -13,10 +13,11 @@ built one step block at a time, so memory does not grow with the number of
 steps.  The interacting swarm couples pure jump agents through the
 empirical barycenter entering their Poisson rates; state-dependent rates
 are simulated by thinning against a per-step majorant.  The swarm draws
-from the one stream ``(seed, 0)``: per step one uniform per agent, which
-gives the agent's Poisson count of proposals, then, round by round, the
-acceptance uniforms and the magnitude uniforms of the accepted proposals,
-so its work is vectorised over agents and its memory is O(agents).
+from the one stream ``(seed, 0)``: per step one Poisson total of
+proposals, allocated to agents in proportion to their majorant rates by
+a block-sum picker, then, round by round, the acceptance uniforms and the
+magnitude uniforms of the accepted proposals, so a step's work is
+O(proposals + agents / 32) and its memory is O(agents).
 
 Where the pathwise solution is explicit (linear drift, no diffusion),
 ``sample_linear_shot_noise_exact`` draws the state at a fixed time from it
@@ -69,7 +70,8 @@ _ESTIMATOR_STREAM_BASE = 2**63
 
 
 class ThinningError(RuntimeError):
-    """Raised when the thinning majorant cannot be certified."""
+    """Raised when a swarm step is unresolved after 24 halvings: its
+    thinning majorant is not certified or expects too many proposals."""
 
 
 @dataclass(frozen=True)
@@ -455,29 +457,39 @@ def sample_linear_shot_noise_exact(alpha, lam, gamma, m, x0, t, n, seed) -> Exac
 # interacting swarm
 
 
-def _poisson_inverse(u, mu):
-    """Poisson(mu) counts inverted from 1-D uniforms, elementwise.
+_AGENT_BLOCK = 32  # agents per block of the swarm's weighted picker
+_PICK_CHUNK = 4096  # picks resolved per pass, bounding the picker's temporaries
+_MAX_PROPOSALS = 64  # expected per agent and (sub-)step; a step expecting more is split
+_RECENTRE = 32.0  # re-centre the swarm's weights once beta |xbar - ref| passes this
 
-    Returns the least k with u <= P(N <= k), the cumulative sum built term
-    by term; uniforms at or below exp(-mu) give 0.  Work shrinks to the
-    entries still above their running CDF.
+
+def _pick_weighted(u, w2d, cum):
+    """Row-major indices into ``w2d`` drawn with probability proportional
+    to their weights, one per uniform in ``u`` (values in [0, 1)).
+
+    ``w2d`` holds nonnegative weights in rows of ``_AGENT_BLOCK``; ``cum``
+    is 0 followed by the cumulative sums of its row sums.  A uniform
+    scaled to the total picks a row by binary search over ``cum``, then an
+    entry by the running sum inside that row, so the work is
+    O(len(u) * (_AGENT_BLOCK + log(rows))).  Only entries of positive
+    weight are returned: rounding can put a target at or past the end of
+    its row or of ``cum``, and such a target falls back to the last entry
+    of positive weight there.
     """
-    counts = np.zeros(u.shape, dtype=np.int64)
-    pk = np.exp(-mu)
-    live = np.nonzero(u > pk)[0]
-    uu, mm, pk = u[live], mu[live], pk[live]
-    cdf = pk.copy()
-    k = 0
-    while live.size:
-        k += 1
-        if k > 10000:
-            raise ThinningError("Poisson inversion failed to terminate")
-        pk *= mm / k
-        cdf += pk
-        counts[live] = k
-        keep = uu > cdf
-        live, uu, mm, pk, cdf = live[keep], uu[keep], mm[keep], pk[keep], cdf[keep]
-    return counts
+    picks = np.empty(len(u), dtype=np.int64)
+    for lo in range(0, len(u), _PICK_CHUNK):
+        target = u[lo:lo + _PICK_CHUNK] * cum[-1]
+        rows = np.searchsorted(cum, target, side="right") - 1
+        over = rows >= len(w2d)
+        if over.any():
+            rows[over] = np.flatnonzero(np.diff(cum))[-1]
+        w = w2d[rows]
+        cols = (np.cumsum(w, axis=1) <= (target - cum[rows])[:, None]).sum(axis=1)
+        over = cols >= _AGENT_BLOCK
+        if over.any():
+            cols[over] = _AGENT_BLOCK - 1 - np.argmax(w[over, ::-1] > 0, axis=1)
+        picks[lo:lo + _PICK_CHUNK] = rows * _AGENT_BLOCK + cols
+    return picks
 
 
 def simulate_swarm(n_agents, m, gamma, beta, config: SimConfig) -> SwarmSeries:
@@ -487,21 +499,38 @@ def simulate_swarm(n_agents, m, gamma, beta, config: SimConfig) -> SwarmSeries:
     Erlang(m, gamma) magnitudes, xbar being the empirical mean position
     (the finite-population stand-in for the mean-field average).  Within a
     step the barycenter is frozen; events are generated by thinning against
-    the majorant exp(-beta (xi_i - Chat dt)), where Chat over-estimates how
-    fast the barycenter can move.  A post-step check certifies the
-    majorant: if the barycenter advanced more than Chat dt, the step is
-    rolled back, Chat is enlarged, the step is retried with a halved
-    sub-step, and the retry count is reported on the result.
+    the majorant lb_i = exp(-beta (x_i - xbar - Chat dt)), where Chat
+    over-estimates how fast the barycenter can move.  A post-step check
+    certifies the majorant: if the barycenter advanced more than Chat dt,
+    the step is rolled back, Chat is enlarged, the step is retried with a
+    halved sub-step, and the retry count is reported on the result.  A
+    step whose majorant expects more than ``_MAX_PROPOSALS`` proposals per
+    agent is split into halves before any draw, which bounds the memory of
+    a step; neither kind of halving may nest more than 24 deep, else
+    ``ThinningError`` is raised.
 
-    All randomness comes from the one stream ``(seed, 0)``.  Per step it
-    yields one uniform per agent, from which each agent's Poisson count of
-    proposals is inverted, then, round by round, one acceptance uniform per
-    agent with a proposal left and m magnitude uniforms per accepted
-    proposal.  Round r handles every agent's r-th proposal, which sees the
+    Independent Poisson(lb_i dt) proposal counts have the law of one
+    Poisson(sum_i lb_i dt) total allocated multinomially in proportion to
+    lb_i (Lewis & Shedler 1979).  Since lb_i = exp(beta (xbar + Chat dt -
+    ref)) w_i with w_i = exp(-beta (x_i - ref)), the swarm keeps the
+    weights w_i and their sums over blocks of ``_AGENT_BLOCK`` agents, and
+    a (sub-)step costs O(proposals + blocks), not O(agents).  After a
+    committed step only the picked agents' weights and their blocks' sums
+    are refreshed; a rollback restores positions only.  The reference
+    ``ref`` is re-centred at xbar, and every weight recomputed, once
+    beta |xbar - ref| passes ``_RECENTRE``, so weights stay finite however
+    far the wave travels.  The barycenter is advanced by the committed
+    jumps and recomputed from the positions at every recorded step.
+
+    All randomness comes from the one stream ``(seed, 0)``.  Per (sub-)step
+    it yields one Poisson total K, K allocation uniforms, then, round by
+    round, one acceptance uniform per picked agent with a proposal left
+    and m magnitude uniforms per accepted proposal.  Round r handles every
+    picked agent's r-th proposal, in increasing agent order; it sees the
     agent's own earlier jumps in the step, so the law is that of handling
     each agent's proposals in sequence.  Memory is O(n_agents) plus the
-    recorded snapshots; ``proposals`` and ``jumps`` count the proposals and
-    accepted jumps of the committed (sub-)steps.
+    recorded snapshots; ``proposals`` and ``jumps`` count the proposals
+    and accepted jumps of the committed (sub-)steps.
 
     Agents start at zero; the barycenter and full position snapshots are
     recorded every ``record_stride`` steps.
@@ -514,44 +543,67 @@ def simulate_swarm(n_agents, m, gamma, beta, config: SimConfig) -> SwarmSeries:
         raise ValueError("gamma and beta must be positive")
 
     gen = _path_generator(config.seed, 0)
+    n_blocks = -(-n_agents // _AGENT_BLOCK)
     x = np.zeros(n_agents)
-    xbar = 0.0
+    # weights padded with zeros to whole blocks; w2d is a view of w
+    w = np.zeros(n_blocks * _AGENT_BLOCK)
+    w2d = w.reshape(n_blocks, _AGENT_BLOCK)
+    w[:n_agents] = 1.0  # exp(-beta (x - ref)) at the start
+    block_sums = w2d.sum(axis=1)
+    cum = np.zeros(n_blocks + 1)  # 0, then the running block sums
+    xbar = ref = 0.0
     chat = 1.0 / beta
     retries = proposals = jumps = 0
+    log_max_total = math.log(_MAX_PROPOSALS * n_agents)
 
     def advance(dt, depth):
-        """One certified step of length dt; recurses on majorant failure."""
+        """One certified step of length dt; recurses in halves when the step
+        is too coarse or its majorant fails."""
         nonlocal xbar, chat, retries, proposals, jumps
         if depth > 24:
-            raise ThinningError("majorant certification failed after 24 halvings")
-        lb = np.exp(-beta * (x - xbar - chat * dt))
-        counts = _poisson_inverse(gen.random(n_agents), lb * dt)
-        n_proposed = int(counts.sum())
+            raise ThinningError("swarm step still unresolved after 24 halvings")
+        np.cumsum(block_sums, out=cum[1:])
+        # log of the majorant's expected proposal total, so no exp overflows
+        log_total = beta * (xbar + chat * dt - ref) + math.log(cum[-1] * dt)
+        if log_total > log_max_total:
+            # a step this coarse is split, not allocated
+            advance(dt / 2.0, depth + 1)
+            advance(dt / 2.0, depth + 1)
+            return
+        n_proposed = int(gen.poisson(math.exp(log_total)))
+        rest = np.sort(_pick_weighted(gen.random(n_proposed), w2d, cum))
+        # only picked agents can move, so only they are saved
+        picked, saved = rest, x[rest]
+        rise = 0.0
         n_accepted = 0
-        active = np.nonzero(counts)[0]
-        # only agents with a proposal can move, so only they are saved
-        moved, saved = active, x[active]
-        r = 0
-        while active.size:
-            # accept with current-rate / majorant; own jumps only raise
-            # x_i, so the ratio stays below one within the step
-            acc = np.exp(-beta * (x[active] - xbar)) / lb[active]
-            hit = active[gen.random(active.size) <= acc]
+        while rest.size:
+            # each round takes one proposal of every agent with one left, in
+            # increasing agent order; accept with current rate / majorant
+            # = exp(-beta (x_i - ref + Chat dt)) / w_i, w_i being frozen at
+            # the step start; own jumps only raise x_i, so it stays below one
+            first = np.empty(rest.size, dtype=bool)
+            first[0] = True
+            np.not_equal(rest[1:], rest[:-1], out=first[1:])
+            act, rest = rest[first], rest[~first]
+            acc = np.exp(-beta * (x[act] - ref + chat * dt)) / w[act]
+            hit = act[gen.random(act.size) <= acc]
             if hit.size:
-                x[hit] += erlang_magnitudes(gen.random((hit.size, m)), gamma)
+                mags = erlang_magnitudes(gen.random((hit.size, m)), gamma)
+                x[hit] += mags
+                rise += mags.sum() / n_agents
                 n_accepted += hit.size
-            r += 1
-            active = active[counts[active] > r]
-        new_bar = x.mean()
-        if new_bar - xbar <= chat * dt:
-            xbar = new_bar
+        if rise <= chat * dt:
+            xbar += rise
             proposals += n_proposed
             jumps += n_accepted
+            w[picked] = np.exp(-beta * (x[picked] - ref))
+            blocks = picked // _AGENT_BLOCK
+            block_sums[blocks] = w2d[blocks].sum(axis=1)
             return
         # majorant violated: enlarge the overestimate and redo in halves
         retries += 1
-        chat = max(2.0 * chat, 2.0 * (new_bar - xbar) / dt)
-        x[moved] = saved
+        chat = max(2.0 * chat, 2.0 * rise / dt)
+        x[picked] = saved
         advance(dt / 2.0, depth + 1)
         advance(dt / 2.0, depth + 1)
 
@@ -565,6 +617,7 @@ def simulate_swarm(n_agents, m, gamma, beta, config: SimConfig) -> SwarmSeries:
     for step in range(1, n_steps + 1):
         advance(config.dt, 0)
         if step in rec_set:
+            xbar = float(x.mean())
             times.append(step * config.dt)
             bary.append(xbar)
             snaps.append(x.copy())
@@ -575,6 +628,10 @@ def simulate_swarm(n_agents, m, gamma, beta, config: SimConfig) -> SwarmSeries:
             if half.sum() >= 2 and np.ptp(tt[half]) > 0:
                 slope = np.polyfit(tt[half], bb[half], 1)[0]
                 chat = max(1.0 / beta, 2.0 * slope)
+        if beta * abs(xbar - ref) > _RECENTRE:
+            ref = xbar
+            w[:n_agents] = np.exp(-beta * (x - ref))
+            block_sums[:] = w2d.sum(axis=1)
 
     return SwarmSeries(
         times=np.asarray(times),

@@ -12,7 +12,6 @@ from erlangshot.noise import (
     RngStream,
     SymmetricLaplaceLaw,
     TiltedJumpLaw,
-    compound_poisson_increment,
     erlang_magnitudes,
     erlang_pdf,
     erlang_sample,
@@ -140,18 +139,6 @@ def test_tilted_symmetry_and_ks():
     cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2 * (xs[1] - xs[0]))])
     cdf /= cdf[-1]
     assert ks_distance(s, lambda x: np.interp(x, xs, cdf)) < 0.01
-
-
-def test_compound_poisson_increment():
-    rng = RngStream(13, 0)
-    assert compound_poisson_increment(0.0, None, 0.5, rng) == 0.0
-    law = ErlangJumpLaw(1, 1.0)
-    sampler = functools.partial(erlang_sample, law)
-    vals = np.array(
-        [compound_poisson_increment(2.0, sampler, 1.0, rng) for _ in range(100_000)]
-    )
-    se = vals.std(ddof=1) / math.sqrt(len(vals))
-    assert abs(vals.mean() - 2.0) < 4 * se  # lam * dt * E[J] = 2
 
 
 def test_compound_poisson_count_distribution():

@@ -29,8 +29,10 @@ from erlangshot.simulate import (
     SimConfig,
     _path_generator,
     _PathStreams,
-    _poisson_inverse,
+    _AGENT_BLOCK,
+    _pick_weighted,
     SwarmSeries,
+    ThinningError,
     empirical_density,
     estimate_speed,
     interp_cdf,
@@ -347,14 +349,65 @@ def test_path_does_not_depend_on_its_batch():
     assert grew
 
 
-def test_poisson_inverse_matches_scipy_ppf():
-    rng = np.random.default_rng(19)
-    u = rng.random(200_000)
-    mu = np.exp(rng.uniform(math.log(1e-4), math.log(5.0), u.size))
-    counts = _poisson_inverse(u, mu)
-    assert counts.dtype == np.int64
-    assert np.array_equal(counts, stats.poisson.ppf(u, mu).astype(np.int64))
-    assert counts.max() >= 10  # the large-mu tail is exercised
+def test_weighted_picker_stays_in_range_and_matches_weights():
+    n = 1000  # not a multiple of the block size: the last block is padded
+    rng = np.random.default_rng(21)
+    weights = 10.0 ** rng.uniform(-12.0, 3.0, n)
+    # zero weights: the first agent of block 2, and the whole last block
+    weights[[2 * _AGENT_BLOCK, 500]] = 0.0
+    weights[n // _AGENT_BLOCK * _AGENT_BLOCK:] = 0.0
+    w = np.zeros(-(-n // _AGENT_BLOCK) * _AGENT_BLOCK)
+    w[:n] = weights
+    w2d = w.reshape(-1, _AGENT_BLOCK)
+    cum = np.concatenate([[0.0], np.cumsum(w2d.sum(axis=1))])
+    total = cum[-1]
+    # block edges, the largest uniform below one, and u = 1, the edge that
+    # rounding of u * total can reach
+    edges = [c / total for c in cum[1:]] + [np.nextafter(1.0, 0.0), 1.0]
+    u = np.concatenate([rng.random(200_000), edges])
+    picks = _pick_weighted(u, w2d, cum)
+    assert picks.min() >= 0 and picks.max() < n
+    assert np.all(weights[picks] > 0)
+    assert picks[-1] == np.flatnonzero(weights)[-1]
+    # pick frequencies against w_i / W, rare agents pooled into one cell
+    observed = np.bincount(picks[:200_000], minlength=n).astype(float)
+    expected = 200_000 * weights / weights.sum()
+    big = expected >= 5
+    obs = np.append(observed[big], observed[~big].sum())
+    exp = np.append(expected[big], expected[~big].sum())
+    chi2 = np.sum((obs - exp) ** 2 / exp)
+    assert stats.chi2.sf(chi2, df=len(exp) - 1) > 0.001
+
+
+def test_swarm_weights_recentre_over_long_travel():
+    # jumps of mean 4 carry beta * xbar far past 745, where weights keyed to
+    # the start position would underflow and the majorant scale overflow
+    cfg = SimConfig(dt=0.005, t_end=20.0, n_paths=1, seed=22, record_stride=20)
+    with np.errstate(over="raise", invalid="raise"):
+        series = simulate_swarm(100, 1, 0.25, 1.0, cfg)
+    assert np.all(np.isfinite(series.snapshots))
+    assert np.all(np.isfinite(series.barycenter))
+    assert series.barycenter[-1] > 745.0 * 1.25
+    np.testing.assert_allclose(
+        series.barycenter, series.snapshots.mean(axis=1), rtol=0, atol=1e-12
+    )
+
+
+def test_swarm_splits_a_coarse_step_and_guards_its_depth():
+    # at dt 4 the majorant expects about 4 e^4 ~ 218 proposals per agent,
+    # over the per-step bound: the step is split, and the run completes
+    cfg = SimConfig(dt=4.0, t_end=40.0, n_paths=1, seed=23, record_stride=1)
+    series = simulate_swarm(10, 1, 1.0, 1.0, cfg)
+    assert series.jumps > 0
+    assert np.all(np.isfinite(series.snapshots))
+    np.testing.assert_allclose(
+        series.barycenter, series.snapshots.mean(axis=1), rtol=0, atol=1e-12
+    )
+    # a step still far too coarse after 24 halvings trips the depth guard,
+    # with no overflow on the way
+    cfg = SimConfig(dt=1e9, t_end=1e9, n_paths=1, seed=23, record_stride=1)
+    with np.errstate(over="raise", invalid="raise"), pytest.raises(ThinningError):
+        simulate_swarm(10, 1, 1.0, 1.0, cfg)
 
 
 def test_swarm_memory_is_linear_in_agents():

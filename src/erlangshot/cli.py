@@ -225,6 +225,10 @@ class RunReport:
 # wave
 
 
+# trailing fraction of the swarm run that the speed is fitted over
+_SPEED_WINDOW = 0.5
+
+
 def _validate_wave(cfg):
     _require_schema(cfg)
     _check_keys(
@@ -263,7 +267,15 @@ def _validate_wave(cfg):
         _get(blk, "t_end", float, "swarm block", default=14.0, pred=lambda v: v > 0)
         _get(blk, "record_stride", int, "swarm block", default=50, pred=lambda v: v >= 1)
         _get(blk, "n_workers", int, "swarm block", default=1, pred=lambda v: 1 <= v <= 64)
-        _swarm_config(blk)
+        sim = _swarm_config(blk)
+        # the recorded times that simulate.estimate_speed fits over
+        times = sim.record_steps() * sim.dt
+        need = simulate.MIN_SPEED_FIT_TIMES
+        if np.count_nonzero(times >= times[-1] * (1.0 - _SPEED_WINDOW)) < need:
+            raise ConfigError(
+                f"swarm block records fewer than {need} times in the trailing "
+                f"{_SPEED_WINDOW:g} of t_end; lower dt or record_stride"
+            )
 
 
 def _swarm_config(blk, seed=0):
@@ -321,7 +333,7 @@ def _run_wave(cfg, out_dir, seed, report):
             for b in betas:
                 series = simulate.simulate_swarm(int(blk["n_agents"]), m, gamma, b, sim)
                 report.count_swarm(sim, series)
-                fitted = simulate.estimate_speed(series, 0.5)
+                fitted = simulate.estimate_speed(series, _SPEED_WINDOW)
                 sol = speeds[(m, b)]
                 rel = abs(fitted / sol.speed - 1.0)
                 centered = series.centered_tail_positions(0.25)
@@ -812,7 +824,11 @@ def run_command(command, config_path, out_dir, seed_override=None, quiet=False):
     (out / "config_echo.json").write_text(json.dumps(echo, indent=2, sort_keys=True) + "\n")
     report = RunReport(command, echo, seed)
     echoed = time.perf_counter()
-    run(cfg, out, seed, report)
+    try:
+        run(cfg, out, seed, report)
+    except simulate.ThinningError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     timings = report.timings
     timings["validate"] = validated - start
     # the run's CSV writes are already counted under "write"

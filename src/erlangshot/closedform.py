@@ -12,8 +12,9 @@ Quadrature is adaptive (QUADPACK) with absolute tolerance 1e-8 or better;
 infinite domains go through the library's exponential mappings.  Both
 tanh laws invert their characteristic function with one trapezoid cosine
 sum over a uniform frequency grid: on a uniform x grid (``density_grid``,
-``mass``, ``cdf_grid``) the sum is evaluated by one chirp-z transform in
-O((n_x + n_u) log) time and O(n_x + n_u) memory; at scattered points
+``mass``, ``cdf_grid``) the sum is evaluated by one chirp-z transform
+(Bluestein's algorithm on ``scipy.fft``) in O((n_x + n_u) log) time and
+O(n_x + n_u) memory; at scattered points
 (``density``) by the dense sum over the same coefficients.
 """
 
@@ -23,8 +24,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import fft as sfft
 from scipy import integrate
-from scipy.signal import czt
 from scipy.special import gammaln, ive, kv
 
 from .master import GridFunction, GridSpec
@@ -462,13 +463,23 @@ def _cosine_sum(x, u, c):
 
 
 def _cosine_sum_grid(x, u, c):
-    """The same sum on a uniform grid x by one chirp-z transform.
+    """The same sum on a uniform grid x by a chirp-z transform (Bluestein).
 
     With x_j = x_0 + j dx and u_k = k du the sum is
-    Re sum_k (c_k e^{i k du x_0}) w^{jk} with w = e^{i du dx}."""
+    Re sum_k a_k e^{i theta jk}, a_k = c_k e^{i k du x_0}, theta = du dx.
+    Bluestein's identity jk = (j^2 + k^2 - (k - j)^2) / 2 turns it into
+    e^{i theta j^2/2} sum_k (a_k e^{i theta k^2/2}) e^{-i theta (j-k)^2/2}:
+    one convolution with the conjugate chirp over the lags -(n_u - 1) ..
+    n_x - 1, done by FFTs of one ``next_fast_len`` size."""
+    n, m = u.size, x.size
     du, dx = u[1] - u[0], x[1] - x[0]
-    a = c * np.exp(1j * du * x[0] * np.arange(u.size))
-    return czt(a, m=x.size, w=np.exp(1j * du * dx), a=1.0).real / np.pi
+    k = np.arange(max(n, m), dtype=float)
+    chirp = np.exp(0.5j * du * dx * k**2)
+    size = sfft.next_fast_len(n + m - 1)
+    a = sfft.fft(c * np.exp(1j * du * x[0] * k[:n]) * chirp[:n], size)
+    kernel = np.concatenate([chirp[n - 1 : 0 : -1], chirp[:m]]).conj()
+    conv = sfft.ifft(a * sfft.fft(kernel, size))[n - 1 : n - 1 + m]
+    return (chirp[:m] * conv).real / np.pi
 
 
 @dataclass(frozen=True)

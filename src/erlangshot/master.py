@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy import fft as sfft
 
 from .noise import ErlangJumpLaw, erlang_pdf
 
@@ -260,18 +260,28 @@ def _drift_diffusion_term(P: GridFunction, model: ModelSpec):
     return -_d1(bP, h) + 0.5 * _d2(s2P, h)
 
 
+def _causal_convolution(g, kern):
+    """First len(g) terms of the linear convolution of g and kern (equal
+    lengths n), from one zero-padded real FFT product of length at least
+    2n - 1, so no wrapped term reaches them."""
+    n = g.size
+    size = sfft.next_fast_len(2 * n - 1, real=True)
+    return sfft.irfft(sfft.rfft(g, size) * sfft.rfft(kern, size), size)[:n]
+
+
 def _erlang_convolution(P: GridFunction, model: ModelSpec):
     """One-sided convolution integral of the gain term by trapezoid.
 
     Computes int_{x_lo}^{x} E(m, gamma; x - z) lambda(z) P(z) dz at every
-    node with the kernel evaluated exactly on the grid offsets.
+    node with the kernel evaluated exactly on the grid offsets; the sums
+    over z are the causal convolution of the gain with the kernel.
     """
     spec = P.spec
     h = spec.h
     x = spec.nodes()
     g = model.rate.rate(x) * P.values
     kern = erlang_pdf(model.jumps, np.arange(spec.n) * h)
-    full = fftconvolve(g, kern)[: spec.n]
+    full = _causal_convolution(g, kern)
     # trapezoid endpoint correction: half weight at z = x_lo and z = x
     corr = 0.5 * (g[0] * kern + g * kern[0])
     return h * (full - corr)

@@ -27,6 +27,7 @@ __all__ = [
     "erlang_pdf",
     "erlang_magnitudes",
     "erlang_sample",
+    "laplace_magnitudes",
     "laplace_sample",
     "tilted_sample",
 ]
@@ -223,15 +224,17 @@ def erlang_sample(law: ErlangJumpLaw, rng: RngStream, size=None):
     return erlang_magnitudes(rng.uniform((size, law.m)), law.gamma)
 
 
+def laplace_magnitudes(u, gamma):
+    """Symmetric Laplace(gamma) jump sizes from uniforms u by inverting the
+    CDF: log(2u) / gamma below u = 1/2 and -log(2(1 - u)) / gamma from it
+    on.  Every Laplace sampler of the package goes through here."""
+    return np.where(u < 0.5, np.log(2 * u), -np.log(2 * (1 - u))) / gamma
+
+
 def laplace_sample(law: SymmetricLaplaceLaw, rng: RngStream, size=None):
     """Draw from the two-sided exponential by inverting its CDF."""
-    u = rng.uniform(size)
-    out = np.where(
-        u < 0.5,
-        np.log(2.0 * u) / law.gamma,
-        -np.log(2.0 * (1.0 - np.asarray(u))) / law.gamma,
-    )
-    return float(out) if np.ndim(out) == 0 else out
+    out = laplace_magnitudes(rng.uniform(size), law.gamma)
+    return float(out) if out.ndim == 0 else out
 
 
 def tilted_sample(law: TiltedJumpLaw, rng: RngStream, size=None):

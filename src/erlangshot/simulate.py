@@ -41,7 +41,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .master import ConstantRate, ModelSpec
-from .noise import erlang_magnitudes, stream_key
+from .noise import erlang_magnitudes, laplace_magnitudes, stream_key
 
 __all__ = [
     "SimConfig",
@@ -360,11 +360,7 @@ def _erlang_jumps(law):
 
 
 def _laplace_jumps(gamma):
-    def magnitudes(u):
-        u = u[:, 0]
-        return np.where(u < 0.5, np.log(2 * u), -np.log(2 * (1 - u))) / gamma
-
-    return 1, magnitudes
+    return 1, lambda u: laplace_magnitudes(u[:, 0], gamma)
 
 
 def simulate_paths(model: ModelSpec, config: SimConfig, x0=0.0) -> TrajectoryBatch:
@@ -651,14 +647,18 @@ def simulate_swarm(n_agents, m, gamma, beta, config: SimConfig) -> SwarmSeries:
 # estimators
 
 
+# recorded times that estimate_speed needs in its window
+MIN_SPEED_FIT_TIMES = 10
+
+
 def estimate_speed(series: SwarmSeries, window_fraction=0.5):
     """Least-squares slope of the barycenter over the trailing window."""
     if not 0 < window_fraction <= 1:
         raise ValueError("window_fraction must be in (0, 1]")
     t = series.times
     sel = t >= t[-1] * (1.0 - window_fraction)
-    if sel.sum() < 10:
-        raise ValueError("need at least 10 recorded times in the window")
+    if sel.sum() < MIN_SPEED_FIT_TIMES:
+        raise ValueError(f"need at least {MIN_SPEED_FIT_TIMES} recorded times in the window")
     return float(np.polyfit(t[sel], series.barycenter[sel], 1)[0])
 
 

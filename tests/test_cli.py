@@ -1,10 +1,16 @@
 """CLI contract: config validation, exit codes, artifacts, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import erlangshot
+from erlangshot import simulate
 from erlangshot.cli import main, write_csv
 from erlangshot.simulate import sample_linear_shot_noise_exact
 
@@ -312,6 +318,8 @@ def _bad_sim(cfg, block, **over):
         ("wave", _wave_cfg(seed=-1), []),
         ("wave", _wave_cfg(), ["--seed", "-1"]),
         ("wave", _wave_cfg(), ["--seed", str(2**64)]),
+        # one 50-unit step records t = 0 and 50 only: too few for the speed fit
+        ("wave", _wave_cfg(swarm={"n_agents": 10, "dt": 50.0, "t_end": 50.0}), []),
     ],
 )
 def test_invalid_config_exits_2_and_writes_nothing(tmp_path, command, cfg, argv):
@@ -319,6 +327,50 @@ def test_invalid_config_exits_2_and_writes_nothing(tmp_path, command, cfg, argv)
     out = tmp_path / "out"
     assert main([command, "--config", path, "--out", str(out), *argv]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("t_end,code", [(1.6, 2), (1.8, (0, 1))])
+def test_wave_swarm_needs_ten_times_in_the_speed_window(tmp_path, capsys, t_end, code):
+    # dt 0.1: t_end 1.6 records 9 times in [0.8, 1.6], too few for the
+    # speed fit; t_end 1.8 records 10 in [0.9, 1.8] and runs
+    cfg = _wave_cfg(m_values=[1], n_xi=501, swarm={"n_agents": 10, "dt": 0.1, "t_end": t_end,
+                                                   "record_stride": 1})
+    out = tmp_path / "out"
+    got = main(["wave", "--config", _write(tmp_path, "w.json", cfg), "--out", str(out)])
+    if code == 2:
+        assert got == 2 and not out.exists()
+        assert "fewer than 10" in capsys.readouterr().err
+    else:
+        assert got in code and (out / "report.json").exists()
+
+
+def test_wave_thinning_error_exits_1_without_traceback(tmp_path, capsys, monkeypatch):
+    def unresolved(*args, **kwargs):
+        raise simulate.ThinningError("swarm step still unresolved after 24 halvings")
+
+    monkeypatch.setattr(simulate, "simulate_swarm", unresolved)
+    swarm = {"n_agents": 10, "dt": 0.01, "t_end": 1.0, "record_stride": 2}
+    cfg = _wave_cfg(m_values=[1], n_xi=501, swarm=swarm)
+    out = tmp_path / "out"
+    assert main(["wave", "--config", _write(tmp_path, "w.json", cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: swarm step still unresolved after 24 halvings\n"
+    assert not (out / "report.json").exists()
+
+
+def test_cli_import_loads_neither_scipy_signal_nor_stats():
+    # start-up cost: a fresh interpreter importing the CLI must not pull in
+    # the two heaviest scipy subpackages
+    src = Path(erlangshot.__file__).resolve().parents[1]
+    code = (
+        "import sys, erlangshot.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[:2] in (['scipy', 'signal'], ['scipy', 'stats'])))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_largest_seed_runs(tmp_path):

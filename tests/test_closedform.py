@@ -13,6 +13,8 @@ from erlangshot.closedform import (
     TanhTransientLaw,
     TiltedOuLaw,
     TransientLaw,
+    _cosine_sum,
+    _cosine_sum_grid,
     cumulant,
     gaussian_pair_mixture,
     gumbel_wave,
@@ -309,12 +311,25 @@ def test_tanh_transient_ks_vs_reduced_mc():
 
 @pytest.mark.parametrize("t", [0.25, 0.5, 1.0, 3.0])
 def test_tanh_density_grid_matches_dense_sum(t):
-    # chirp-z on the uniform grid against the pointwise dense cosine sum
+    # Bluestein chirp-z on the uniform grid against the pointwise dense cosine sum
     law = TanhTransientLaw(1.0, 2.0, 0.5)
     x, dens = law.density_grid(t)
     hw = law.support_halfwidth(t)
     np.testing.assert_array_equal(x, np.linspace(-hw, hw, 8001))
     np.testing.assert_allclose(dens, law.density(x, t), rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("n_x", [101, 8001, 1000])
+def test_cosine_sum_grid_matches_dense_sum_for_any_grid_size(n_x):
+    # fewer, more, and an even number of x points than the 2001 frequencies,
+    # on a grid off the origin's symmetry
+    law = TanhTransientLaw(1.0, 2.0, 0.5)
+    hw = law.support_halfwidth(0.5)
+    u, c = law._coefficients(0.5, hw)
+    assert u.size == 2001
+    x = np.linspace(-hw, 0.7 * hw, n_x)
+    dense = np.concatenate([_cosine_sum(x[i : i + 1000], u, c) for i in range(0, n_x, 1000)])
+    np.testing.assert_allclose(_cosine_sum_grid(x, u, c), dense, rtol=0, atol=1e-10)
 
 
 def test_tanh_density_grid_no_jumps_is_gaussian_pair():

@@ -14,6 +14,7 @@ from erlangshot.master import (
     ModelSpec,
     ZeroDiffusion,
     ZeroDrift,
+    _causal_convolution,
     apply_shift_operator,
     differential_generator,
     fit_convergence_order,
@@ -255,3 +256,15 @@ def test_model_validation():
         wave_residual(
             GridFunction(GridSpec(0, 1, 9), np.zeros(9)), 1.0, 1.0, 3, 1.0
         )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 257, 1000])
+def test_causal_convolution_matches_direct_sum(n):
+    # first n terms of the zero-padded real FFT product against the direct sum
+    rng = np.random.default_rng(n)
+    g = rng.standard_normal(n)
+    kern = np.exp(-0.05 * np.arange(n)) * rng.uniform(0.5, 1.5, n)
+    want = np.convolve(g, kern)[:n]
+    got = _causal_convolution(g, kern)
+    assert got.shape == (n,)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))

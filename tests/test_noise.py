@@ -15,6 +15,7 @@ from erlangshot.noise import (
     erlang_magnitudes,
     erlang_pdf,
     erlang_sample,
+    laplace_magnitudes,
     laplace_sample,
     tilted_sample,
 )
@@ -84,6 +85,26 @@ def test_erlang_sum_decomposition():
     b = sum(erlang_sample(ErlangJumpLaw(1, g), RngStream(9, k + 1), size=n) for k in range(m))
     d = stats.ks_2samp(a, b).statistic
     assert d < 0.02
+
+
+def test_laplace_magnitudes_equal_both_former_inverse_cdfs_bitwise():
+    # the shared sampler reproduces the engine's expression and laplace_sample's
+    # former one bit for bit, at u = 1/2 and next to both ends of [0, 1)
+    u = np.random.default_rng(4).random(50_000)
+    u[:7] = [0.5, 5e-324, 1e-300, 1e-17, 1.0 - 2.0**-53, 1.0 - 1e-12, 0.5 - 2.0**-54]
+    for gamma in (1.0, 0.37, 2.9):
+        got = laplace_magnitudes(u, gamma)
+        engine = np.where(u < 0.5, np.log(2 * u), -np.log(2 * (1 - u))) / gamma
+        sampler = np.where(u < 0.5, np.log(2.0 * u) / gamma, -np.log(2.0 * (1.0 - u)) / gamma)
+        assert got.dtype == engine.dtype and got.shape == engine.shape
+        assert np.array_equal(got.view(np.int64), engine.view(np.int64))
+        assert np.array_equal(got.view(np.int64), sampler.view(np.int64))
+        assert got[0] == 0.0 and np.all(np.isfinite(got))
+        assert np.all(np.diff(got[np.argsort(u)]) >= 0)  # monotone in u
+    law = SymmetricLaplaceLaw(1.7)
+    drawn = laplace_sample(law, RngStream(10, 0), size=1000)
+    assert drawn.tobytes() == laplace_magnitudes(RngStream(10, 0).uniform(1000), 1.7).tobytes()
+    assert isinstance(laplace_sample(law, RngStream(10, 0)), float)
 
 
 def test_laplace_sample_moments_and_ks():

@@ -334,6 +334,20 @@ def test_engine_memory_does_not_grow_with_steps():
     assert peak < 48 * 2**20
 
 
+def test_tanh_paths_unchanged_by_the_shared_laplace_sampler(monkeypatch):
+    # the engine's jumps come from noise.laplace_magnitudes; swapping in the
+    # expression the engine used inline before leaves every byte in place
+    cfg = SimConfig(dt=0.01, t_end=1.0, n_paths=3000, seed=11, record_stride=10)
+    batch = simulate_tanh(2.0, 2.0, 0.5, cfg)
+    assert batch.jump_counts.sum() > 5000
+
+    def inline(u, gamma):
+        return np.where(u < 0.5, np.log(2 * u), -np.log(2 * (1 - u))) / gamma
+
+    monkeypatch.setattr(simulate, "laplace_magnitudes", inline)
+    assert simulate_tanh(2.0, 2.0, 0.5, cfg).paths.tobytes() == batch.paths.tobytes()
+
+
 def test_path_does_not_depend_on_its_batch():
     # a path's stream is keyed by its index alone, whatever the chunk size,
     # block length or the number of jumps its chunk-mates draw

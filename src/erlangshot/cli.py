@@ -26,7 +26,6 @@ from pathlib import Path
 
 import numpy as np
 import scipy
-from scipy import integrate
 
 from . import closedform, master, oracles, simulate, specfun
 from .master import (
@@ -42,6 +41,7 @@ from .master import (
     ZeroDrift,
 )
 from .noise import ErlangJumpLaw
+from .quadrature import cumulative_trapezoid, simpson
 from .simulate import SimConfig, interp_cdf
 
 SCHEMA_VERSION = 1
@@ -257,6 +257,14 @@ def _validate_wave(cfg):
     if not cfg["xi_lo"] < cfg["xi_hi"]:
         raise ConfigError("xi_lo must be below xi_hi")
     _get(cfg, "n_xi", int, "wave config", required=True, pred=lambda v: v >= 101)
+    for m in m_values:
+        for b in beta_values:
+            sol = _wave_solution(m, float(b), float(cfg["gamma"]))
+            if not all(np.isfinite(v) and v > 0 for v in (sol.speed, sol.norm)):
+                raise ConfigError(
+                    f"the m={m}, beta={b:g} wave has no finite positive speed and norm "
+                    f"at gamma={cfg['gamma']:g}"
+                )
     if "swarm" in cfg:
         blk = cfg["swarm"]
         if not isinstance(blk, dict):
@@ -276,6 +284,13 @@ def _validate_wave(cfg):
                 f"swarm block records fewer than {need} times in the trailing "
                 f"{_SPEED_WINDOW:g} of t_end; lower dt or record_stride"
             )
+
+
+def _wave_solution(m, beta, gamma):
+    with np.errstate(over="ignore", under="ignore"):
+        if m == 1:
+            return closedform.gumbel_wave(beta, gamma)
+        return closedform.whittaker_wave(beta, gamma)
 
 
 def _swarm_config(blk, seed=0):
@@ -300,14 +315,14 @@ def _run_wave(cfg, out_dir, seed, report):
     speeds = {}
     for m in cfg["m_values"]:
         for b in betas:
-            sol = closedform.gumbel_wave(b, gamma) if m == 1 else closedform.whittaker_wave(b, gamma)
+            sol = _wave_solution(m, b, gamma)
             speeds[(m, b)] = sol
             dens = sol.profile(xi)
             report.write_csv(
                 Path(out_dir) / f"wave_m{m}_beta{b:g}.csv", ["xi", "density"], [xi, dens]
             )
-            mass = integrate.simpson(dens, x=xi)
-            mean = integrate.simpson(xi * dens, x=xi)
+            mass = simpson(dens, xi)
+            mean = simpson(xi * dens, xi)
             tag = f"_beta{b:g}"
             report.metric(f"C{m}{tag}", sol.speed)
             report.metric(f"mass_m{m}{tag}", mass)
@@ -564,7 +579,7 @@ def _run_stationary(cfg, out_dir, seed, report):
         if m == 1
         else closedform.stationary_ou_m2(alpha, lam, gamma, fine)
     )
-    cum = integrate.cumulative_trapezoid(fine_dens, fine, initial=0.0)
+    cum = cumulative_trapezoid(fine_dens, fine)
     cum /= cum[-1]
     ks = simulate.ks_distance(final, interp_cdf(fine, cum))
     mc_mean = float(final.mean())
@@ -710,7 +725,7 @@ def _run_tanh(cfg, out_dir, seed, report):
         # informational: distance to the bare Bessel-K mixture (jump part only)
         jd = olaw.jump_component_density(ys)
         jd = np.where(np.isfinite(jd), jd, 0.0)
-        jcdf = integrate.cumulative_trapezoid(jd, ys, initial=0.0)
+        jcdf = cumulative_trapezoid(jd, ys)
         jcdf /= jcdf[-1]
         report.metric(
             "stationary_ks_jump_only",
@@ -728,38 +743,49 @@ def _validate_verify_specfun(cfg):
     _get(cfg, "n_samples", int, "verify-specfun config", default=120, pred=lambda v: v >= 100)
 
 
+# parameter tuples per oracle call, so memory does not grow with n_samples
+_SPECFUN_BATCH = 4096
+
+
 def _run_verify_specfun(cfg, out_dir, seed, report):
     n = int(cfg.get("n_samples", 120))
     rng = np.random.default_rng(seed)
 
     def sweep(name, tol, sampler, impl, ref, relative=False, ulp_floor=False):
-        worst = 0.0
-        ok = True
-        for _ in range(n):
-            args = sampler(rng)
-            a, b = impl(*args), ref(*args)
-            err = abs(a - b) / (max(abs(b), 1e-300) if relative else 1.0)
-            worst = max(worst, err)
-            # absolute tolerances bottom out at a few ulps of the value
-            bound = max(tol, 8.0 * np.finfo(float).eps * abs(b)) if ulp_floor else tol
-            ok = ok and err <= bound
-        report.metric(f"max_err_{name}", worst)
-        report.flag(f"{name}_within_tol", ok)
+        # all n tuples are drawn first, in the order of the one-at-a-time
+        # loop; ref takes parameter arrays and evaluates a batch per call
+        draws = [sampler(rng) for _ in range(n)]
+        got = np.array([impl(*args) for args in draws], dtype=float)
+        cols = [np.array(c) for c in zip(*draws)]
+        want = np.concatenate([
+            np.atleast_1d(ref(*(c[i : i + _SPECFUN_BATCH] for c in cols)))
+            for i in range(0, n, _SPECFUN_BATCH)
+        ])
+        err = np.abs(got - want)
+        if relative:
+            err /= np.maximum(np.abs(want), 1e-300)
+        # absolute tolerances bottom out at a few ulps of the value
+        bound = np.maximum(tol, 8.0 * np.finfo(float).eps * np.abs(want)) if ulp_floor else tol
+        report.metric(f"max_err_{name}", err.max())
+        report.flag(f"{name}_within_tol", np.all(err <= bound))
+
+    def elementwise(fn):
+        return np.vectorize(fn, otypes=[float])
 
     sweep(
         "log_gamma", 1e-12,
         lambda r: (10 ** r.uniform(-3, 3),),
-        specfun.log_gamma, oracles.log_gamma_ref, ulp_floor=True,
+        specfun.log_gamma, elementwise(oracles.log_gamma_ref), ulp_floor=True,
     )
     sweep(
         "digamma", 1e-10,
         lambda r: (10 ** r.uniform(-2, 3),),
-        specfun.digamma, oracles.digamma_ref,
+        specfun.digamma, elementwise(oracles.digamma_ref),
     )
     sweep(
         "bessel_i", 1e-10,
         lambda r: (r.uniform(0, 5), r.uniform(0, 50)),
-        specfun.bessel_i, oracles.bessel_i_ref, relative=True,
+        specfun.bessel_i, elementwise(oracles.bessel_i_ref), relative=True,
     )
     sweep(
         "bessel_k", 1e-9,
@@ -785,7 +811,7 @@ def _run_verify_specfun(cfg, out_dir, seed, report):
         "kummer_1f1", 1e-10,
         lambda r: (-float(r.integers(0, 9)), r.uniform(0.5, 4.0), r.uniform(-30.0, 30.0)),
         specfun.kummer_1f1,
-        lambda a, b, z: oracles.kummer_1f1_poly_ref(int(-a), b, z),
+        elementwise(lambda a, b, z: oracles.kummer_1f1_poly_ref(int(-a), b, z)),
     )
 
 

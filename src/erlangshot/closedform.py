@@ -8,28 +8,34 @@ Whittaker traveling-wave profiles with their speeds, and the tanh-drift
 jump diffusion: transient law by characteristic-function inversion and
 the invariant law of its Ornstein-Uhlenbeck-driven companion.
 
-Quadrature is adaptive (QUADPACK) with absolute tolerance 1e-8 or better;
-infinite domains go through the library's exponential mappings.  Both
-tanh laws invert their characteristic function with one trapezoid cosine
-sum over a uniform frequency grid: on a uniform x grid (``density_grid``,
-``mass``, ``cdf_grid``) the sum is evaluated by one chirp-z transform
-(Bluestein's algorithm on ``scipy.fft``) in O((n_x + n_u) log) time and
-O(n_x + n_u) memory; at scattered points
+Quadrature is adaptive 21-point Gauss-Kronrod (``quadrature.gauss_kronrod``)
+with absolute tolerance 1e-8 or better; infinite domains are mapped to
+(0, 1].  Both tanh laws invert their characteristic function with one
+trapezoid cosine sum over a uniform frequency grid: on a uniform x grid
+(``density_grid``, ``mass``, ``cdf_grid``) the sum is evaluated by one
+chirp-z transform (Bluestein's algorithm on ``scipy.fft``) in
+O((n_x + n_u) log) time and O(n_x + n_u) memory; at scattered points
 (``density``) by the dense sum over the same coefficients.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import fft as sfft
-from scipy import integrate
 from scipy.special import gammaln, ive, kv
 
 from .master import GridFunction, GridSpec
 from .noise import SymmetricLaplaceLaw, TiltedJumpLaw
+from .quadrature import (
+    CONVERGED,
+    LIMIT,
+    NONFINITE,
+    cumulative_trapezoid,
+    gauss_kronrod,
+    simpson,
+)
 from .specfun import digamma, erlang_survival, kummer_1f1, kummer_u
 
 __all__ = [
@@ -65,17 +71,19 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
 
 
 def _quad(fn, a, b, **kw):
+    """Integral of fn over [a, b] (b may be +inf); fn takes an array of points.
+
+    Raises DivergenceError when the subdivision limit is hit, round-off stops
+    progress above the tolerance, or the value is not finite."""
     opts = dict(epsabs=1e-11, epsrel=1e-11, limit=400)
     opts.update(kw)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", integrate.IntegrationWarning)
-        try:
-            val, err = integrate.quad(fn, a, b, **opts)
-        except integrate.IntegrationWarning as exc:
-            raise DivergenceError(f"quadrature failed to converge: {exc}") from exc
-    if not np.isfinite(val):
+    (val,), _, (status,) = gauss_kronrod(lambda x, k: fn(x), a, b, **opts)
+    if status == NONFINITE:
         raise DivergenceError("quadrature produced a non-finite value")
-    return val
+    if status != CONVERGED:
+        why = "subdivision limit reached" if status == LIMIT else "round-off stops progress"
+        raise DivergenceError(f"quadrature failed to converge: {why}")
+    return float(val)
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +134,7 @@ def stationary_m1(f, lambda_fn, gamma, grid: GridSpec) -> GridFunction:
     unnorm = np.exp(expo) / fvals
     if not np.all(np.isfinite(unnorm)):
         raise NormalizationError("stationary density is not finite on the grid")
-    mass = integrate.simpson(unnorm, x=xf)
+    mass = simpson(unnorm, xf)
     if not (np.isfinite(mass) and mass > 0):
         raise NormalizationError("stationary mass is not finite and positive")
     # a non-decaying right tail means the grid truncates diverging mass
@@ -206,7 +214,8 @@ def cumulant(j, m, gamma, lam, f):
     """j-th stationary cumulant of the shot-noise process with drift -f.
 
     kappa_j = int_0^inf x^j lam * S(m, gamma; x) / f(x) dx with S the Erlang
-    survival function, by adaptive quadrature (abs tol 1e-8).  Raises
+    survival function, by adaptive quadrature (abs tol 1e-8).  f must accept
+    arrays: the quadrature evaluates it on many points at once.  Raises
     DivergenceError when the tail is not integrable.
     """
     if int(j) != j or j < 1:
@@ -221,7 +230,7 @@ def cumulant(j, m, gamma, lam, f):
     def integrand(x):
         return x**j * lam * erlang_survival(m, gamma, x) / f(x)
 
-    # cheap non-integrability probe before handing to QUADPACK
+    # cheap non-integrability probe before the quadrature
     probe = np.array([50.0, 100.0, 200.0]) * (m / gamma)
     vals = np.array([integrand(p) for p in probe])
     if np.any(~np.isfinite(vals)) or (vals[-1] > vals[0] and vals[-1] > 1e-6):
@@ -315,7 +324,7 @@ class TransientLaw:
         loc = self.atom_location(t)
         z = np.linspace(0.0, z_max, n)
         dens = self.continuous_density(loc + z, t)
-        cum = integrate.cumulative_trapezoid(dens, z, initial=0.0)
+        cum = cumulative_trapezoid(dens, z)
         return loc + z, self.atom_weight(t) + cum
 
 
@@ -370,7 +379,7 @@ class WaveSolution:
         lo, hi = self.support_bounds()
         xi = np.linspace(lo, hi, n)
         dens = self.profile(xi)
-        cum = integrate.cumulative_trapezoid(dens, xi, initial=0.0)
+        cum = cumulative_trapezoid(dens, xi)
         return xi, cum / cum[-1]
 
 
@@ -558,11 +567,11 @@ class TanhTransientLaw:
 
     def mass(self, t, n=8001):
         x, dens = self.density_grid(t, n)
-        return float(integrate.simpson(dens, x=x))
+        return float(simpson(dens, x))
 
     def cdf_grid(self, t, n=8001):
         x, dens = self.density_grid(t, n)
-        cum = integrate.cumulative_trapezoid(dens, x, initial=0.0)
+        cum = cumulative_trapezoid(dens, x)
         return x, cum / cum[-1]
 
 
@@ -681,7 +690,7 @@ class TiltedOuLaw:
 
     def cdf_grid(self, n=8001):
         y, dens = self.density_grid(n)
-        cum = integrate.cumulative_trapezoid(dens, y, initial=0.0)
+        cum = cumulative_trapezoid(dens, y)
         return y, cum / cum[-1]
 
 

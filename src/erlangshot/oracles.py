@@ -2,10 +2,13 @@
 
 Every routine here reaches its value by a different algorithm than the
 corresponding function in :mod:`erlangshot.specfun` (Stirling series,
-direct power series, integral representations via adaptive quadrature,
-closed-form identities), so agreement between the two is a meaningful
-check rather than a tautology.  Used by the ``verify-specfun`` command and
-by the test suite.
+direct power series, integral representations, closed-form identities), so
+agreement between the two is a meaningful check rather than a tautology.
+The integral representations go through adaptive 21-point Gauss-Kronrod in
+numpy (:func:`erlangshot.quadrature.gauss_kronrod`), never through
+specfun's exp-sinh rule; they accept arrays of parameters and integrate
+the whole batch in one adaptive loop.  Used by the ``verify-specfun``
+command and by the test suite.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate
+
+from .quadrature import gauss_kronrod
 
 __all__ = [
     "log_gamma_ref",
@@ -97,6 +101,24 @@ def bessel_i_ref(nu, x):
     raise RuntimeError("bessel_i series did not converge")
 
 
+def _batch(*params):
+    """Parameters broadcast together and flattened, with their common shape."""
+    arrays = np.broadcast_arrays(*(np.asarray(p, dtype=float) for p in params))
+    return [p.ravel() for p in arrays], arrays[0].shape
+
+
+def _shaped(values, shape):
+    return float(values[0]) if shape == () else values.reshape(shape)
+
+
+def _integrate(f, a, b, epsabs, epsrel):
+    return gauss_kronrod(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=400)[0]
+
+
+def _log_gamma(a):
+    return np.array([log_gamma_ref(v) for v in a])
+
+
 def bessel_k_ref(nu, x):
     """Modified Bessel K by quadrature of int_0^inf e^{-x cosh t} cosh(nu t) dt.
 
@@ -104,31 +126,53 @@ def bessel_k_ref(nu, x):
     values and the result keeps relative accuracy even where K underflows
     toward the tiny end of double precision.
     """
-    if x <= 0:
+    (nu, x), shape = _batch(nu, x)
+    if np.any(x <= 0):
         raise ValueError("need x > 0")
-    nu = abs(nu)
-    t_hi = math.acosh(1.0 + 750.0 / x)
+    nu = np.abs(nu)
+    t_hi = np.arccosh(1.0 + 750.0 / x)
 
-    def scaled(t):
-        return math.exp(-x * (math.cosh(t) - 1.0) + math.log(math.cosh(nu * t)))
+    def scaled(t, k):
+        return np.exp(-x[k] * (np.cosh(t) - 1.0) + np.log(np.cosh(nu[k] * t)))
 
-    val, _ = integrate.quad(scaled, 0.0, t_hi, epsabs=1e-300, epsrel=1e-13, limit=400)
-    return val * math.exp(-x)
+    return _shaped(_integrate(scaled, 0.0, t_hi, 1e-300, 1e-13) * np.exp(-x), shape)
 
 
 def erlang_survival_ref(m, gamma, x):
     """Erlang tail mass by adaptive quadrature of the density."""
-    if x == 0.0:
-        return 1.0
+    (m, gamma, x), shape = _batch(m, gamma, x)
     # integrate the tail out to where the integrand is below 1e-20
     hi = x + (60.0 + m * 10.0) / gamma
-    log_norm = log_gamma_ref(m)
+    log_norm = m * np.log(gamma) - _log_gamma(m)
 
-    def pdf(s):
-        return math.exp(m * math.log(gamma) + (m - 1) * math.log(s) - gamma * s - log_norm)
+    def pdf(s, k):
+        return np.exp(log_norm[k] + (m[k] - 1) * np.log(s) - gamma[k] * s)
 
-    val, _ = integrate.quad(pdf, x, hi, epsabs=1e-14, epsrel=1e-13, limit=400)
-    return val
+    val = _integrate(pdf, x, hi, 1e-14, 1e-13)
+    return _shaped(np.where(x == 0.0, 1.0, val), shape)
+
+
+def _kummer_u(a, b, z):
+    """U(a, b, z) on flat parameter arrays: the [0, 1] and [1, inf) parts of
+    the Laplace integral as one batch of 2n integrals."""
+    if np.any(a <= 0) or np.any(z <= 0):
+        raise ValueError("need a > 0 and z > 0")
+    n = a.size
+    # for a < 1 the endpoint singularity t^{a-1} on [0, 1] is removed by
+    # the substitution t = s^{1/a}
+    smooth = np.concatenate([a < 1.0, np.zeros(n, dtype=bool)])
+    a2, b2, z2 = (np.tile(v, 2) for v in (a, b, z))
+
+    def integrand(s, k):
+        ak, sm = a2[k], smooth[k]
+        t = np.where(sm, s ** (1.0 / ak), s)
+        log_jac = np.where(sm, -np.log(ak), (ak - 1.0) * np.log(t))
+        return np.exp(-z2[k] * t + log_jac + (b2[k] - ak - 1.0) * np.log1p(t))
+
+    lo = np.repeat([0.0, 1.0], n)
+    hi = np.repeat([1.0, np.inf], n)
+    parts = _integrate(integrand, lo, hi, 1e-14, 1e-12)
+    return (parts[:n] + parts[n:]) * np.exp(-_log_gamma(a))
 
 
 def kummer_u_ref(a, b, z):
@@ -137,36 +181,22 @@ def kummer_u_ref(a, b, z):
     For a < 1 the endpoint singularity t^{a-1} is removed analytically by
     the substitution t = s^{1/a} before quadrature.
     """
-    if a <= 0 or z <= 0:
-        raise ValueError("need a > 0 and z > 0")
-
-    def integrand(t):
-        return math.exp(-z * t + (a - 1.0) * math.log(t) + (b - a - 1.0) * math.log1p(t))
-
-    if a < 1.0:
-        def smooth(s):
-            t = s ** (1.0 / a)
-            return math.exp(-z * t + (b - a - 1.0) * math.log1p(t)) / a
-
-        v1, _ = integrate.quad(smooth, 0.0, 1.0, epsabs=1e-14, epsrel=1e-12, limit=400)
-    else:
-        v1, _ = integrate.quad(integrand, 0.0, 1.0, epsabs=1e-14, epsrel=1e-12, limit=400)
-    v2, _ = integrate.quad(integrand, 1.0, np.inf, epsabs=1e-14, epsrel=1e-12, limit=400)
-    return (v1 + v2) * math.exp(-log_gamma_ref(a))
+    (a, b, z), shape = _batch(a, b, z)
+    return _shaped(_kummer_u(a, b, z), shape)
 
 
 def whittaker_w0_ref(kappa, z):
     """Whittaker W_{kappa,0} through the confluent reduction and the U oracle."""
-    a = 0.5 - kappa
-    return math.exp(-z / 2.0) * math.sqrt(z) * kummer_u_ref(a, 1.0, z)
+    (kappa, z), shape = _batch(kappa, z)
+    u = _kummer_u(0.5 - kappa, np.ones_like(z), z)
+    return _shaped(np.exp(-z / 2.0) * np.sqrt(z) * u, shape)
 
 
 def exp1_ref(z):
     """Exponential integral E1 by quadrature (for the U(1,1,z) identity)."""
-    val, _ = integrate.quad(
-        lambda t: math.exp(-z * t) / t, 1.0, np.inf, epsabs=1e-14, epsrel=1e-13
-    )
-    return val
+    (z,), shape = _batch(z)
+    val = _integrate(lambda t, k: np.exp(-z[k] * t) / t, np.ones_like(z), np.inf, 1e-14, 1e-13)
+    return _shaped(val, shape)
 
 
 def kummer_1f1_poly_ref(n, b, z):

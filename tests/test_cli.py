@@ -320,6 +320,8 @@ def _bad_sim(cfg, block, **over):
         ("wave", _wave_cfg(), ["--seed", str(2**64)]),
         # one 50-unit step records t = 0 and 50 only: too few for the speed fit
         ("wave", _wave_cfg(swarm={"n_agents": 10, "dt": 50.0, "t_end": 50.0}), []),
+        # valid key by key, but the m=2 speed overflows at gamma/beta = 1e-9
+        ("wave", _wave_cfg(m_values=[2], gamma=1e-9), []),
     ],
 )
 def test_invalid_config_exits_2_and_writes_nothing(tmp_path, command, cfg, argv):
@@ -366,6 +368,22 @@ def test_cli_import_loads_neither_scipy_signal_nor_stats():
         "import sys, erlangshot.cli; "
         "print(sorted(m for m in sys.modules "
         "if m.split('.')[:2] in (['scipy', 'signal'], ['scipy', 'stats'])))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_scipy_integrate_optimize_sparse_or_linalg():
+    # start-up cost: quadrature is numpy-only, so the CLI needs only
+    # scipy.special and scipy.fft
+    src = Path(erlangshot.__file__).resolve().parents[1]
+    code = (
+        "import sys, erlangshot.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+        "(['scipy', 'integrate'], ['scipy', 'optimize'], ['scipy', 'sparse'], "
+        "['scipy', 'linalg'])))"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,

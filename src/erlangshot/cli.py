@@ -603,6 +603,11 @@ def _run_stationary(cfg, out_dir, seed, report):
 # transient
 
 
+def _transient_z_max(alpha, lam, gamma):
+    """Width of the grid past the atom that the transient law is tabulated on."""
+    return 40.0 / gamma + 20.0 * lam / (alpha * gamma)
+
+
 def _validate_transient(cfg):
     _require_schema(cfg)
     _check_keys(
@@ -618,15 +623,35 @@ def _validate_transient(cfg):
     if not isinstance(times, list) or not times:
         raise ConfigError("times must be a non-empty list")
     for t in times:
-        if not isinstance(t, (int, float)) or isinstance(t, bool) or t <= 0:
-            raise ConfigError("all comparison times must be positive (t = 0 is the pure atom)")
+        if not isinstance(t, (int, float)) or isinstance(t, bool) or not 0 < t < np.inf:
+            raise ConfigError(
+                "all comparison times must be positive and finite (t = 0 is the pure atom)"
+            )
     u_values = cfg.get("u_values", [1.0])
     if not isinstance(u_values, list) or any(
         not isinstance(u, (int, float)) or isinstance(u, bool) or u < 0 for u in u_values
     ):
         raise ConfigError("u_values must be a list of nonnegative reals")
-    _get(cfg, "t_u", float, "transient config", default=1.0, pred=lambda v: v > 0)
+    _get(cfg, "t_u", float, "transient config", default=1.0, pred=lambda v: 0 < v < np.inf)
     _get(cfg, "n_samples", int, "transient config", default=100000, pred=lambda v: v >= 100)
+    # the law must evaluate to finite values over the range the run
+    # tabulates and integrates, at every comparison time; as numpy scalars,
+    # parameters whose ratios overflow give inf instead of raising
+    alpha, lam, gamma = (np.float64(cfg[key]) for key in ("alpha", "lambda", "gamma"))
+    law = closedform.TransientLaw(alpha, lam, gamma, float(cfg.get("x0", 0.0)))
+    with np.errstate(all="ignore"):
+        z_hi = max(_transient_z_max(alpha, lam, gamma), law.mass_z_max())
+        if not np.isfinite(z_hi):
+            raise ConfigError("lambda / (alpha * gamma) overflows the transient grid")
+        probe = np.linspace(0.0, z_hi, 33)
+        for t in sorted(set(times)):
+            what = f"the transient law at t = {t:g}"
+            try:
+                dens = law.continuous_density(law.atom_location(t) + probe, t)
+            except (OverflowError, ValueError) as exc:
+                raise ConfigError(f"{what} cannot be evaluated: {exc}") from exc
+            if not np.all(np.isfinite(dens)):
+                raise ConfigError(f"{what} does not evaluate to finite values")
 
 
 def _run_transient(cfg, out_dir, seed, report):
@@ -634,16 +659,20 @@ def _run_transient(cfg, out_dir, seed, report):
     x0 = float(cfg.get("x0", 0.0))
     n = int(cfg.get("n_samples", 100000))
     law = closedform.TransientLaw(alpha, lam, gamma, x0)
-    z_max = 40.0 / gamma + 20.0 * lam / (alpha * gamma)
-    for i, t in enumerate(cfg["times"], start=1):
-        t = float(t)
+    z_max = _transient_z_max(alpha, lam, gamma)
+    times = [float(t) for t in cfg["times"]]
+    t_u = float(cfg.get("t_u", 1.0))
+    # one pathwise sample, read at every comparison time and at t_u
+    grid = sorted(set(times) | {t_u})
+    sample = simulate.sample_linear_shot_noise_exact(
+        alpha, lam, gamma, 1, x0, grid, n, _derived_seed(seed, 1)
+    )
+    report.count_exact(sample)
+    at = {t: sample.values[i] for i, t in enumerate(grid)}
+    for i, t in enumerate(times, start=1):
         mass = law.total_mass(t)
-        xs, cdf = law.cdf_grid(t, z_max)
-        samples = simulate.sample_linear_shot_noise_exact(
-            alpha, lam, gamma, 1, x0, t, n, _derived_seed(seed, i)
-        ).values
-        ks = simulate.ks_distance(samples, interp_cdf(xs, np.minimum(cdf, 1.0)))
-        dens = law.continuous_density(xs, t)
+        xs, dens, cdf = law.density_cdf_grid(t, z_max)
+        ks = simulate.ks_distance(at[t], interp_cdf(xs, np.minimum(cdf, 1.0)))
         report.write_csv(Path(out_dir) / f"density_t{i}.csv", ["x", "density"], [xs, dens])
         report.metric(f"mass_t{i}", mass)
         report.metric(f"ks_t{i}", ks)
@@ -651,10 +680,7 @@ def _run_transient(cfg, out_dir, seed, report):
         report.metric(f"atom_location_t{i}", law.atom_location(t))
         report.flag(f"mass_t{i}_within_1e-4", abs(mass - 1.0) <= 1e-4)
         report.flag(f"ks_t{i}_below_0.02", ks < 0.02)
-    t_u = float(cfg.get("t_u", 1.0))
-    samples = simulate.sample_linear_shot_noise_exact(
-        alpha, lam, gamma, 1, x0, t_u, n, _derived_seed(seed, 101)
-    ).values
+    samples = at[t_u]
     for j, u in enumerate(cfg.get("u_values", [1.0]), start=1):
         u = float(u)
         emp = np.exp(-u * samples)

@@ -299,17 +299,19 @@ class TransientLaw:
         a, lam, g = self.alpha, self.lam, self.gamma
         grow = np.expm1(a * t)  # e^{alpha t} - 1
         zz = np.where(z > 0, z, 0.0)
-        hyp = np.array(
-            [kummer_1f1(1.0 - lam / a, 2.0, -g * grow * zi) for zi in np.atleast_1d(zz)]
-        ).reshape(zz.shape)
+        hyp = kummer_1f1(1.0 - lam / a, 2.0, -g * grow * zz)
         vals = np.exp(-lam * t) * (lam * g / a) * grow * np.exp(-g * zz) * hyp
         out = np.where(z >= 0, vals, 0.0)
         return float(out) if out.ndim == 0 else out
 
+    def mass_z_max(self):
+        """Default upper end of ``total_mass``'s integral past the atom."""
+        return 60.0 / self.gamma + 10.0 * self.lam / (self.alpha * self.gamma)
+
     def total_mass(self, t, z_max=None):
         """Atom weight plus quadrature mass of the continuous part."""
         if z_max is None:
-            z_max = 60.0 / self.gamma + 10.0 * self.lam / (self.alpha * self.gamma)
+            z_max = self.mass_z_max()
         loc = self.atom_location(t)
         cont = _quad(
             lambda z: self.continuous_density(loc + z, t),
@@ -319,13 +321,19 @@ class TransientLaw:
         )
         return self.atom_weight(t) + cont
 
-    def cdf_grid(self, t, z_max, n=4001):
-        """Right-continuous CDF tabulated on x = atom_location + [0, z_max]."""
+    def density_cdf_grid(self, t, z_max, n=4001):
+        """(x, continuous density, right-continuous CDF) tabulated on
+        x = atom_location + [0, z_max]; the CDF integrates that density."""
         loc = self.atom_location(t)
         z = np.linspace(0.0, z_max, n)
         dens = self.continuous_density(loc + z, t)
         cum = cumulative_trapezoid(dens, z)
-        return loc + z, self.atom_weight(t) + cum
+        return loc + z, dens, self.atom_weight(t) + cum
+
+    def cdf_grid(self, t, z_max, n=4001):
+        """Right-continuous CDF tabulated on x = atom_location + [0, z_max]."""
+        x, _, cdf = self.density_cdf_grid(t, z_max, n)
+        return x, cdf
 
 
 # ---------------------------------------------------------------------------

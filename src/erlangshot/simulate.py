@@ -20,8 +20,11 @@ magnitude uniforms of the accepted proposals, so a step's work is
 O(proposals + agents / 32) and its memory is O(agents).
 
 Where the pathwise solution is explicit (linear drift, no diffusion),
-``sample_linear_shot_noise_exact`` draws the state at a fixed time from it
-directly: O(jumps) work, no time steps and no discretization bias.  Euler
+``sample_linear_shot_noise_exact`` draws the state from it directly, at one
+time or along each path at every time of an increasing sequence: a path's
+jumps are drawn once, up to the last time, and each is summed once into
+the Markov recursion between consecutive times.  The work is O(jumps up to
+the last time), with no time steps and no discretization bias.  Euler
 paths of the same model remain as a bias check.  Every Erlang jump size,
 in the engine, the exact sampler and the swarm, comes from
 ``noise.erlang_magnitudes``.
@@ -163,15 +166,16 @@ class SwarmSeries:
 
 @dataclass(frozen=True)
 class ExactSample:
-    """Exact draws of a process state and the jump count behind each.
+    """Exact draws of a process state, one entry per draw or one row per
+    time and one column per draw, and the jump count behind each draw.
 
     ``len()`` is the number of draws."""
 
     values: np.ndarray
-    jump_counts: np.ndarray  # per-draw totals
+    jump_counts: np.ndarray  # per-draw totals, up to the last time
 
     def __len__(self):
-        return len(self.values)
+        return self.values.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -415,38 +419,64 @@ def simulate_ou_tanh(alpha, lam, gamma, beta, config: SimConfig) -> TrajectoryBa
 
 
 def sample_linear_shot_noise_exact(alpha, lam, gamma, m, x0, t, n, seed) -> ExactSample:
-    """Exact samples of the linear-drift shot-noise state at time t.
+    """Exact samples of the linear-drift shot-noise state at time t, or
+    along each path at every time of an increasing sequence t.
 
     For drift -alpha x and no diffusion the SDE has the explicit solution
-    X_t = x0 e^{-alpha t} + sum_j J_j e^{-alpha (t - tau_j)}, with jump
-    times uniform on [0, t] given their Poisson(lam t) count and
-    Erlang(m, gamma) magnitudes; each sample is drawn from it directly.
-    The work is O(jumps): no time steps and no discretization error.
-    Samples that saw no jump sit at exactly x0 * exp(-alpha * t).
+    X_t = x0 e^{-alpha t} + Y_t, Y_t = sum_{tau_j <= t} J_j e^{-alpha (t - tau_j)},
+    with jump times uniform on [0, t_max] given their Poisson(lam t_max)
+    count and Erlang(m, gamma) magnitudes; each path is drawn from it
+    directly, once, up to the largest time t_max.  Between consecutive
+    times the jump part follows the Markov recursion
+        Y_i = Y_{i-1} e^{-alpha (t_i - t_{i-1})}
+              + sum_{t_{i-1} < tau_j <= t_i} J_j e^{-alpha (t_i - tau_j)},
+    so each jump is summed once and the work is O(jumps up to t_max): no
+    time steps and no discretization error.  Y is carried apart from x0,
+    so a path that saw no jump by t_i sits at exactly x0 * exp(-alpha * t_i).
 
-    Chunk c of 4096 samples draws from stream ``(seed, 2**63 + 4096 c)``:
+    Chunk c of 4096 paths draws from stream ``(seed, 2**63 + 4096 c)``:
     the chunk's Poisson counts, then its arrival uniforms, then its
-    magnitude uniforms.  Returns the samples with their Poisson counts.
+    magnitude uniforms.  ``values`` has shape (n,) for a scalar t and
+    (len(t), n) for a sequence, row i holding X_{t_i}; ``jump_counts`` holds
+    each path's Poisson count up to t_max.  Times must be finite, positive
+    and strictly increasing (ValueError).
     """
-    values = np.empty(n)
+    times = np.atleast_1d(np.asarray(t, dtype=float))
+    if times.ndim != 1 or not times.size:
+        raise ValueError("t must be a time or a non-empty sequence of times")
+    if not np.all(np.isfinite(times) & (times > 0)):
+        raise ValueError("times must be finite and positive")
+    if np.any(np.diff(times) <= 0):
+        raise ValueError("times must be strictly increasing")
+    n_times, t_max = len(times), float(times[-1])
+    # scalar exp per time, as in atom_location: a no-jump path equals it exactly
+    base = np.array([x0 * np.exp(-alpha * ti) for ti in times.tolist()])
+    decay = np.exp(-alpha * np.diff(times))
+    values = np.empty((n_times, n))
     counts = np.empty(n, dtype=np.int64)
-    base = x0 * np.exp(-alpha * t)
     for lo in range(0, n, _CHUNK):
         hi = min(n, lo + _CHUNK)
         k = hi - lo
         g = _path_generator(seed, _ESTIMATOR_STREAM_BASE + lo)
-        nj = g.poisson(lam * t, k)
-        tot = int(nj.sum())
-        x = np.full(k, base)
-        if tot:
-            tau = t * g.random(tot)
-            jm = erlang_magnitudes(g.random((tot, m)), gamma)
-            contrib = jm * np.exp(-alpha * (t - tau))
-            idx = np.repeat(np.arange(k), nj)
-            x = x + np.bincount(idx, weights=contrib, minlength=k)
-        values[lo:hi] = x
+        nj = g.poisson(lam * t_max, k)
         counts[lo:hi] = nj
-    return ExactSample(values, counts)
+        tot = int(nj.sum())
+        if not tot:
+            values[:, lo:hi] = base[:, None]
+            continue
+        tau = t_max * g.random(tot)
+        jm = erlang_magnitudes(g.random((tot, m)), gamma)
+        # the comparison interval (t_{i-1}, t_i] of each jump; tau <= t_max
+        span = np.searchsorted(times, tau) if n_times > 1 else 0
+        contrib = jm * np.exp(-alpha * (times[span] - tau))
+        cell = span * k + np.repeat(np.arange(k), nj)
+        new = np.bincount(cell, weights=contrib, minlength=n_times * k).reshape(n_times, k)
+        y = new[0]
+        values[0, lo:hi] = base[0] + y
+        for i in range(1, n_times):
+            y = y * decay[i - 1] + new[i]
+            values[i, lo:hi] = base[i] + y
+    return ExactSample(values[0] if np.ndim(t) == 0 else values, counts)
 
 
 # ---------------------------------------------------------------------------

@@ -196,69 +196,122 @@ def whittaker_w0(kappa, z):
     return float(out) if out.ndim == 0 else out
 
 
-def _kummer_series(a, b, z, acc):
-    # plain Taylor series; callers guarantee z >= 0 and b > 0
+def _kummer_polynomial(a, b, z):
+    # exact terminating polynomial of degree -a (a a negative integer); z a
+    # float or an array, so a scalar call does no numpy per-operation work
     term = 1.0
     total = 1.0
-    for k in range(1, acc.max_terms + 1):
-        term *= (a + k - 1) / (b + k - 1) * z / k
-        total += term
-        if abs(term) <= acc.abs_tol * max(1.0, abs(total)):
-            return total
-    raise OverflowError(
-        f"kummer_1f1 series did not converge within {acc.max_terms} terms (z={z})"
-    )
+    for k in range(1, int(-a) + 1):
+        term = term * ((a + k - 1) / (b + k - 1) * z / k)
+        total = total + term
+    return total
+
+
+def _kummer_series(a, b, z, acc):
+    # plain Taylor series on a 1-d array; callers guarantee z > 0 and b > 0.
+    # Each entry stops at its own first term below tolerance, as a scalar
+    # evaluation would, so an entry's value does not depend on the others.
+    out = np.empty_like(z)
+    idx = np.arange(z.size)
+    term = np.ones_like(z)
+    total = np.ones_like(z)
+    # an overflowing series is reported below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, acc.max_terms + 1):
+            term = term * ((a + k - 1) / (b + k - 1) * z / k)
+            total = total + term
+            done = np.abs(term) <= acc.abs_tol * np.maximum(1.0, np.abs(total))
+            if done.any():
+                out[idx[done]] = total[done]
+                keep = ~done
+                idx, z, term, total = idx[keep], z[keep], term[keep], total[keep]
+                if not idx.size:
+                    break
+        else:
+            raise OverflowError(
+                f"kummer_1f1 series did not converge within {acc.max_terms} terms "
+                f"(z={z.max()})"
+            )
+    if not np.all(np.isfinite(out)):
+        raise OverflowError(f"kummer_1f1 series overflowed (a={a}, b={b})")
+    return out
 
 
 def _kummer_asymptotic_neg(a, b, s):
     # 1F1(a; b; -s) ~ Gamma(b)/Gamma(b-a) s^{-a} sum_k (a)_k (a-b+1)_k/(k! s^k)
-    # for s -> +inf, summed to the smallest term
-    pref = np.exp(_sp.gammaln(b) - _sp.gammaln(b - a)) * s ** (-a)
-    term = 1.0
-    total = 1.0
-    prev = abs(term)
+    # for s -> +inf on a 1-d array, each entry summed to its smallest term.
+    # s^{-a} is the C library pow, entry by entry: numpy's vectorised power
+    # can differ from it in the last bit.
+    pref = np.exp(_sp.gammaln(b) - _sp.gammaln(b - a)) * np.array(
+        [si ** (-a) for si in s.tolist()]
+    )
+    out = np.empty_like(s)
+    idx = np.arange(s.size)
+    term = np.ones_like(s)
+    total = np.ones_like(s)
+    prev = np.abs(term)
     for k in range(1, 60):
-        term *= (a + k - 1) * (a - b + k) / (k * s)
-        if abs(term) > prev:
-            break
-        total += term
-        prev = abs(term)
-        if abs(term) < 1e-17 * abs(total):
-            break
-    return pref * total
+        term = term * ((a + k - 1) * (a - b + k) / (k * s))
+        grew = np.abs(term) > prev
+        total = np.where(grew, total, total + term)
+        done = grew | (np.abs(term) < 1e-17 * np.abs(total))
+        prev = np.abs(term)
+        if done.any():
+            out[idx[done]] = total[done]
+            keep = ~done
+            idx, s, term, total, prev = idx[keep], s[keep], term[keep], total[keep], prev[keep]
+            if not idx.size:
+                break
+    out[idx] = total
+    return pref * out
 
 
 def kummer_1f1(a, b, z, acc: Accuracy = _DEFAULT_ACC):
     """Kummer confluent hypergeometric function 1F1(a; b; z), b > 0.
 
+    ``a`` and ``b`` are scalars, ``z`` a scalar or an array; every entry of
+    an array equals the scalar evaluation at that entry, bit for bit.
     Terminating cases (a a nonpositive integer) are evaluated as the exact
     polynomial.  Negative arguments go through the Kummer transform
     1F1(a;b;z) = e^z 1F1(b-a;b;-z) so the series has positive terms, and
     very large |z| falls back to the standard asymptotic expansion.
 
     Raises OverflowError when the series fails to converge within
-    ``acc.max_terms`` terms.
+    ``acc.max_terms`` terms or overflows, and when a terminating
+    polynomial's degree -a exceeds ``acc.max_terms``.
     """
     _require(b > 0, "kummer_1f1 requires b > 0")
-    z = float(z)
-    if a == 0.0 or z == 0.0:
-        return 1.0
-    if a == int(a) and a <= 0:
-        # exact terminating polynomial of degree -a
-        n = int(-a)
-        term = 1.0
-        total = 1.0
-        for k in range(1, n + 1):
-            term *= (a + k - 1) / (b + k - 1) * z / k
-            total += term
-        return total
-    if z > 0:
-        if z <= 40.0:
-            return _kummer_series(a, b, z, acc)
+    z = np.asarray(z, dtype=float)
+    scalar = z.ndim == 0
+    if a == 0.0:
+        return 1.0 if scalar else np.ones(z.shape)
+    if a == int(a) and a < 0:
+        if -a > acc.max_terms:
+            raise OverflowError(
+                f"kummer_1f1 polynomial of degree {-a:g} exceeds {acc.max_terms} terms"
+            )
+        out = _kummer_polynomial(a, b, float(z) if scalar else z)
+        return float(out) if scalar else out
+    zf = z.ravel()
+    out = np.ones_like(zf)
+    # the scalar route's branches, entry by entry; NaN falls to the last
+    pos = zf > 0
+    neg = ~pos & (zf != 0.0)
+    s = -zf
+    near = zf <= 40.0
+    sel = pos & near
+    if sel.any():
+        out[sel] = _kummer_series(a, b, zf[sel], acc)
+    sel = pos & ~near
+    if sel.any():
         # reduce to a decaying-argument evaluation: 1F1(a;b;z) = e^z 1F1(b-a;b;-z)
-        return float(np.exp(z) * kummer_1f1(b - a, b, -z, acc))
-    # z < 0: Kummer transform gives a stable positive-term series for b > a
-    s = -z
-    if s <= 40.0:
-        return float(np.exp(z) * _kummer_series(b - a, b, s, acc))
-    return float(_kummer_asymptotic_neg(a, b, s))
+        out[sel] = np.exp(zf[sel]) * kummer_1f1(b - a, b, s[sel], acc)
+    near = s <= 40.0
+    sel = neg & near
+    if sel.any():
+        # z < 0: Kummer transform gives a stable positive-term series for b > a
+        out[sel] = np.exp(zf[sel]) * _kummer_series(b - a, b, s[sel], acc)
+    sel = neg & ~near
+    if sel.any():
+        out[sel] = _kummer_asymptotic_neg(a, b, s[sel])
+    return float(out[0]) if scalar else out.reshape(z.shape)

@@ -234,6 +234,38 @@ def test_transient_run(tmp_path):
     assert (out / "density_t1.csv").exists()
 
 
+def test_transient_counts_one_pathwise_sample(tmp_path, monkeypatch):
+    # one exact sample read at every time: n paths and the jumps of one
+    # draw up to max(times, t_u) = 1.0, not of a fresh draw per time
+    n, lam, t_max = 30000, 2.0, 1.0
+    calls = []
+
+    def counted(*args):
+        calls.append(args[5])
+        return sample_linear_shot_noise_exact(*args)
+
+    monkeypatch.setattr(simulate, "sample_linear_shot_noise_exact", counted)
+    cfg = _write(tmp_path, "t.json", _transient_cfg())
+    out = tmp_path / "out"
+    assert main(["transient", "--config", cfg, "--out", str(out)]) == 0
+    assert calls == [[0.3, 0.7, 1.0]]
+    counters = json.loads((out / "report.json").read_text())["counters"]
+    assert set(counters) == {"paths", "steps", "jumps"}
+    assert counters["paths"] == n and counters["steps"] == 0
+    assert abs(counters["jumps"] - lam * t_max * n) < 5 * np.sqrt(lam * t_max * n)
+
+
+def test_transient_times_are_sorted_and_deduplicated(tmp_path):
+    # repeated and unsorted times, one of them t_u: each reads its own row
+    # of the one sample, so equal times report equal metrics
+    cfg = _write(tmp_path, "t.json", _transient_cfg(times=[0.7, 0.3, 0.7], t_u=0.3))
+    out = tmp_path / "out"
+    assert main(["transient", "--config", cfg, "--out", str(out)]) == 0
+    metrics = json.loads((out / "report.json").read_text())["metrics"]
+    assert metrics["ks_t1"] == metrics["ks_t3"] != metrics["ks_t2"]
+    assert (out / "density_t1.csv").read_bytes() == (out / "density_t3.csv").read_bytes()
+
+
 def test_transient_t_zero_exits_2(tmp_path):
     cfg = _write(tmp_path, "t.json", _transient_cfg(times=[0.0, 0.5]))
     assert main(["transient", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -302,6 +334,11 @@ def _bad_sim(cfg, block, **over):
     return cfg
 
 
+# 1F1's terminating polynomial would have degree about 1e300: these
+# configs once hung inside TransientLaw.total_mass
+_TRANSIENT_HANGS = [_transient_cfg(alpha=1e-300), _transient_cfg(**{"lambda": 1e300})]
+
+
 @pytest.mark.parametrize(
     "command,cfg,argv",
     [
@@ -322,12 +359,29 @@ def _bad_sim(cfg, block, **over):
         ("wave", _wave_cfg(swarm={"n_agents": 10, "dt": 50.0, "t_end": 50.0}), []),
         # valid key by key, but the m=2 speed overflows at gamma/beta = 1e-9
         ("wave", _wave_cfg(m_values=[2], gamma=1e-9), []),
+        # e^{alpha t} - 1 overflows: the law is not finite at t = 1e6
+        ("transient", _transient_cfg(times=[0.3, 1e6]), []),
+        *(("transient", cfg, []) for cfg in _TRANSIENT_HANGS),
+        ("transient", _transient_cfg(times=[0.3, float("inf")]), []),
+        ("transient", _transient_cfg(t_u=float("inf")), []),
     ],
 )
 def test_invalid_config_exits_2_and_writes_nothing(tmp_path, command, cfg, argv):
     path = _write(tmp_path, "c.json", cfg)
     out = tmp_path / "out"
-    assert main([command, "--config", path, "--out", str(out), *argv]) == 2
+    args = [command, "--config", path, "--out", str(out), *argv]
+    if cfg in _TRANSIENT_HANGS:
+        # a regression to the hang must fail here, not freeze the suite:
+        # run the command in a child with a timeout
+        src = Path(erlangshot.__file__).resolve().parents[1]
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-m", "erlangshot.cli", *args], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
+    else:
+        assert main(args) == 2
     assert not out.exists()
 
 

@@ -28,6 +28,7 @@ from erlangshot.closedform import (
     whittaker_wave,
 )
 from erlangshot.master import GridSpec
+from erlangshot.specfun import kummer_1f1
 from erlangshot.oracles import digamma_ref
 from erlangshot.simulate import (
     interp_cdf,
@@ -185,6 +186,39 @@ def test_transient_converges_to_gamma_law():
     trans = law.continuous_density(x, t)
     statio = stats.gamma.pdf(x, lam / alpha, scale=1.0 / gamma)
     assert np.max(np.abs(trans - statio)) < 1e-3
+
+
+def test_transient_density_is_one_kummer_call_per_grid(monkeypatch):
+    # the grid's 1F1 values come from one vectorised call, equal bit for
+    # bit to one-point evaluations
+    from erlangshot import closedform
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(np.size(args[2]))
+        return kummer_1f1(*args, **kwargs)
+
+    monkeypatch.setattr(closedform, "kummer_1f1", counted)
+    for lam in (2.0, 1.7):
+        law = TransientLaw(1.0, lam, 1.3, 0.2)
+        x = law.atom_location(0.9) + np.linspace(-1.0, 40.0, 4001)
+        calls.clear()
+        dens = law.continuous_density(x, 0.9)
+        assert calls == [4001]
+        one = [law.continuous_density(xi, 0.9) for xi in x[::50]]
+        assert np.array_equal(dens[::50], one)
+
+
+def test_transient_density_cdf_grid_is_one_evaluation():
+    # density_cdf_grid tabulates the density once and integrates it; its
+    # grid and CDF are those of cdf_grid
+    law = TransientLaw(1.0, 1.7, 1.3, 0.2)
+    x, dens, cdf = law.density_cdf_grid(0.9, 30.0, 2001)
+    assert np.array_equal(dens, law.continuous_density(x, 0.9))
+    xs, cdf2 = law.cdf_grid(0.9, 30.0, 2001)
+    assert np.array_equal(x, xs) and np.array_equal(cdf, cdf2)
+    assert cdf[0] == law.atom_weight(0.9)
 
 
 def test_transient_ks_vs_exact_sampler():

@@ -12,6 +12,7 @@ from erlangshot import simulate
 
 from erlangshot.closedform import (
     TanhTransientLaw,
+    TransientLaw,
     cumulant,
     gaussian_pair_mixture,
     gumbel_wave,
@@ -24,7 +25,7 @@ from erlangshot.master import (
     ZeroDiffusion,
     ZeroDrift,
 )
-from erlangshot.noise import ErlangJumpLaw
+from erlangshot.noise import ErlangJumpLaw, erlang_magnitudes, stream_key
 from erlangshot.simulate import (
     SimConfig,
     _path_generator,
@@ -142,6 +143,81 @@ def test_exact_linear_sampler_jump_counts():
     assert abs(n.mean() - lam * t) < 4 * math.sqrt(lam * t / len(n))
     assert np.all(sample.values[n == 0] == x0 * math.exp(-alpha * t))
     assert np.all(sample.values[n > 0] > x0 * math.exp(-alpha * t))
+
+
+def _exact_draws(alpha, lam, gamma, m, t_max, n, seed):
+    # each path's jump times and magnitudes, redrawn from the exact
+    # sampler's documented stream layout: per chunk of 4096 paths from
+    # stream (seed, 2**63 + lo), Poisson counts, arrivals, magnitudes
+    path, tau, jm = [], [], []
+    for lo in range(0, n, 4096):
+        k = min(n, lo + 4096) - lo
+        g = Generator(Philox(key=stream_key(seed, 2**63 + lo)))
+        nj = g.poisson(lam * t_max, k)
+        tot = int(nj.sum())
+        path.append(lo + np.repeat(np.arange(k), nj))
+        tau.append(t_max * g.random(tot))
+        jm.append(erlang_magnitudes(g.random((tot, m)), gamma))
+    return np.concatenate(path), np.concatenate(tau), np.concatenate(jm)
+
+
+def test_exact_sampler_scalar_time_matches_one_time_draw_bitwise():
+    # a scalar t returns what the one-time sampler returned: the values
+    # x0 e^{-alpha t} + sum_j J_j e^{-alpha (t - tau_j)}, summed per path in
+    # draw order, and each path's Poisson count
+    alpha, lam, gamma, x0, t, n, seed = 0.8, 1.5, 1.2, 0.7, 3.0, 5000, 9
+    for m in (1, 2):
+        got = sample_linear_shot_noise_exact(alpha, lam, gamma, m, x0, t, n, seed)
+        path, tau, jm = _exact_draws(alpha, lam, gamma, m, t, n, seed)
+        want = x0 * np.exp(-alpha * t) + np.bincount(
+            path, weights=jm * np.exp(-alpha * (t - tau)), minlength=n
+        )
+        assert got.values.shape == (n,) and len(got) == n
+        assert np.array_equal(got.values, want)
+        assert np.array_equal(got.jump_counts, np.bincount(path, minlength=n))
+
+
+def test_exact_sampler_times_follow_the_direct_formula():
+    # each row equals x0 e^{-alpha t_i} + sum_{tau <= t_i} J e^{-alpha (t_i - tau)}
+    # recomputed from the same draws, and a path without a jump by t_i sits
+    # exactly on the law's atom
+    alpha, lam, gamma, x0, n, seed = 0.8, 1.5, 1.2, 0.7, 5000, 11
+    times = [0.05, 0.4, 1.0, 2.5, 3.0]
+    law = TransientLaw(alpha, lam, gamma, x0)
+    for m in (1, 2):
+        sample = sample_linear_shot_noise_exact(alpha, lam, gamma, m, x0, times, n, seed)
+        assert sample.values.shape == (len(times), n) and len(sample) == n
+        path, tau, jm = _exact_draws(alpha, lam, gamma, m, times[-1], n, seed)
+        assert np.array_equal(sample.jump_counts, np.bincount(path, minlength=n))
+        for row, t in zip(sample.values, times):
+            seen = tau <= t
+            direct = x0 * np.exp(-alpha * t) + np.bincount(
+                path[seen], weights=jm[seen] * np.exp(-alpha * (t - tau[seen])), minlength=n
+            )
+            np.testing.assert_array_max_ulp(row, direct, maxulp=8)
+            no_jump = np.bincount(path[seen], minlength=n) == 0
+            assert no_jump.any() and np.all(row[no_jump] == law.atom_location(t))
+
+
+def test_exact_sampler_rows_match_the_transient_law():
+    # every row against the m = 1 transient law at its time; at t = 2 the
+    # atom weighs e^{-4} = 0.018, so an atom off by one ulp fails the bound
+    alpha, lam, gamma, x0 = 1.0, 2.0, 1.0, 0.5
+    law = TransientLaw(alpha, lam, gamma, x0)
+    times = [0.3, 0.7, 1.5, 2.0]
+    sample = sample_linear_shot_noise_exact(alpha, lam, gamma, 1, x0, times, 100_000, 13)
+    for row, t in zip(sample.values, times):
+        xs, cdf = law.cdf_grid(t, 80.0)
+        assert ks_distance(row, interp_cdf(xs, np.minimum(cdf, 1.0))) < 0.01
+
+
+@pytest.mark.parametrize(
+    "t", [0.0, -1.0, np.inf, np.nan, [], [0.5, 0.5], [1.0, 0.5], [0.0, 1.0], [0.5, np.inf],
+          [[0.5, 1.0]]],
+)
+def test_exact_sampler_rejects_bad_times(t):
+    with pytest.raises(ValueError):
+        sample_linear_shot_noise_exact(1.0, 2.0, 1.0, 1, 0.0, t, 100, 0)
 
 
 def test_tanh_no_jumps_matches_gaussian_pair():

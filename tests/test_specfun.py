@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from erlangshot import oracles, specfun
 from erlangshot.specfun import (
@@ -246,6 +247,100 @@ def test_kummer_1f1_asymptotic_matches_polynomial_route():
 def test_kummer_1f1_overflow_error():
     with pytest.raises(OverflowError):
         kummer_1f1(2.0, 1.0, 30.0, acc=Accuracy(max_terms=5))
+
+
+def _kummer_1f1_scalar_ref(a, b, z, acc=Accuracy()):
+    # the one-point evaluation kummer_1f1 performed before it took arrays,
+    # kept as the loop reference: the array route must equal it bit for bit
+    if a == 0.0 or z == 0.0:
+        return 1.0
+    if a == int(a) and a <= 0:
+        term = total = 1.0
+        for k in range(1, int(-a) + 1):
+            term *= (a + k - 1) / (b + k - 1) * z / k
+            total += term
+        return total
+
+    def series(a, z):
+        term = total = 1.0
+        for k in range(1, acc.max_terms + 1):
+            term *= (a + k - 1) / (b + k - 1) * z / k
+            total += term
+            if abs(term) <= acc.abs_tol * max(1.0, abs(total)):
+                return total
+        raise OverflowError
+
+    def asymptotic(a, s):
+        pref = np.exp(gammaln(b) - gammaln(b - a)) * s ** (-a)
+        term = total = prev = 1.0
+        for k in range(1, 60):
+            term *= (a + k - 1) * (a - b + k) / (k * s)
+            if abs(term) > prev:
+                break
+            total += term
+            prev = abs(term)
+            if abs(term) < 1e-17 * abs(total):
+                break
+        return pref * total
+
+    if z > 0:
+        if z <= 40.0:
+            return series(a, z)
+        return float(np.exp(z) * _kummer_1f1_scalar_ref(b - a, b, -z, acc))
+    if -z <= 40.0:
+        return float(np.exp(z) * series(b - a, -z))
+    return float(asymptotic(a, -z))
+
+
+# every branch: 0, the positive series (0 < z <= 40), the transform of
+# z > 40, the transformed series (-40 <= z < 0) and the asymptotic form
+_BRANCH_Z = np.concatenate([
+    [0.0, -0.0, 40.0, -40.0, np.nextafter(40.0, 50.0), np.nextafter(-40.0, -50.0)],
+    np.random.default_rng(23).uniform(-45.0, 45.0, 60),
+    np.random.default_rng(29).uniform(-700.0, 700.0, 40),
+])
+
+
+@pytest.mark.parametrize(
+    "a", [-3.0, -1.0, 0.0, 0.3, -0.7, 1.0 - 2.1 / 1.3, 2.5, -5.5, 1.0, 2.0, 4.0]
+)
+@pytest.mark.parametrize("b", [0.5, 2.0, 3.7])
+def test_kummer_1f1_array_equals_scalar_bitwise(a, b):
+    # for z > 40, b - a = 0 (a = b = 2) and b - a a negative integer
+    # (a = 4, b = 2; a = 2.5, b = 0.5) end on the transform's trivial and
+    # polynomial routes
+    got = kummer_1f1(a, b, _BRANCH_Z)
+    assert got.shape == _BRANCH_Z.shape
+    one = np.array([kummer_1f1(a, b, z) for z in _BRANCH_Z])
+    ref = np.array([_kummer_1f1_scalar_ref(a, b, float(z)) for z in _BRANCH_Z])
+    assert np.array_equal(got, one) and np.array_equal(got, ref)
+    # shape kept for 2-d input, and each scalar result is a float
+    square = kummer_1f1(a, b, _BRANCH_Z[:100].reshape(10, 10))
+    assert np.array_equal(square, got[:100].reshape(10, 10))
+    assert type(kummer_1f1(a, b, 1.5)) is float
+
+
+def test_kummer_1f1_polynomial_degree_bounded_by_max_terms():
+    # the polynomial loops over -a terms, so a = -1e300 ran practically
+    # forever; beyond max_terms it is an OverflowError.  Degrees here stay
+    # small enough that a regression fails instead of hanging the suite
+    # (the CLI test runs the 1e300 case in a child with a timeout)
+    for a in (-1e6, -501.0):
+        with pytest.raises(OverflowError):
+            kummer_1f1(a, 2.0, -1.0)
+        with pytest.raises(OverflowError):
+            kummer_1f1(a, 2.0, np.array([-1.0, 3.0]))
+    assert kummer_1f1(-500.0, 2.0, -1e-3) == pytest.approx(
+        oracles.kummer_1f1_poly_ref(500, 2.0, -1e-3), rel=1e-12
+    )
+    with pytest.raises(OverflowError):
+        kummer_1f1(-6.0, 2.0, -1.0, acc=Accuracy(max_terms=5))
+
+
+def test_kummer_1f1_series_overflow_is_an_error():
+    # the series overflows to inf instead of converging: an error, not inf
+    with pytest.raises(OverflowError):
+        kummer_1f1(-1e10 + 0.5, 2.0, -1.0)
 
 
 def test_accuracy_validation():

@@ -603,6 +603,11 @@ def _run_stationary(cfg, out_dir, seed, report):
 # transient
 
 
+# bound on lambda * t_max, the expected jumps of one exact transient path: a
+# chunk of 4096 paths holds about 4096 times as many jumps in memory at once
+_MAX_SAMPLE_JUMPS = 1000.0
+
+
 def _transient_z_max(alpha, lam, gamma):
     """Width of the grid past the atom that the transient law is tabulated on."""
     return 40.0 / gamma + 20.0 * lam / (alpha * gamma)
@@ -634,12 +639,22 @@ def _validate_transient(cfg):
         raise ConfigError("u_values must be a list of nonnegative reals")
     _get(cfg, "t_u", float, "transient config", default=1.0, pred=lambda v: 0 < v < np.inf)
     _get(cfg, "n_samples", int, "transient config", default=100000, pred=lambda v: v >= 100)
+    # each exact path draws Poisson(lambda * t_max) jumps, 4096 paths at a time
+    t_max = max(max(times), cfg.get("t_u", 1.0))
+    if not cfg["lambda"] * t_max <= _MAX_SAMPLE_JUMPS:
+        raise ConfigError(
+            f"lambda * largest time = {cfg['lambda'] * t_max:g} expected jumps per "
+            f"exact path exceeds {_MAX_SAMPLE_JUMPS}"
+        )
     # the law must evaluate to finite values over the range the run
     # tabulates and integrates, at every comparison time; as numpy scalars,
     # parameters whose ratios overflow give inf instead of raising
     alpha, lam, gamma = (np.float64(cfg[key]) for key in ("alpha", "lambda", "gamma"))
-    law = closedform.TransientLaw(alpha, lam, gamma, float(cfg.get("x0", 0.0)))
     with np.errstate(all="ignore"):
+        try:
+            law = closedform.TransientLaw(alpha, lam, gamma, float(cfg.get("x0", 0.0)))
+        except ValueError as exc:
+            raise ConfigError(f"transient law: {exc}") from exc
         z_hi = max(_transient_z_max(alpha, lam, gamma), law.mass_z_max())
         if not np.isfinite(z_hi):
             raise ConfigError("lambda / (alpha * gamma) overflows the transient grid")

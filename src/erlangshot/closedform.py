@@ -265,6 +265,11 @@ def laplace_transform_linear(u, t, m, alpha, lam, gamma, x0):
     return float(np.exp(-x0 * u * np.exp(-alpha * t) - lam * inner))
 
 
+# 1F1 argument past which TransientLaw uses 1F1's large-argument expansion,
+# in units of max(1, (lam / alpha)^2): its next term is below 1e-32 there
+_FAR_S = 1e16
+
+
 @dataclass(frozen=True)
 class TransientLaw:
     """Time-dependent law for m=1 jumps and linear restoring drift.
@@ -283,6 +288,8 @@ class TransientLaw:
         for name in ("alpha", "lam", "gamma"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        if not np.isfinite(self.mass_z_max()):
+            raise ValueError("lam / (alpha * gamma) overflows the range of the law")
 
     def atom_weight(self, t):
         return float(np.exp(-self.lam * t))
@@ -291,22 +298,47 @@ class TransientLaw:
         return float(self.x0 * np.exp(-self.alpha * t))
 
     def continuous_density(self, x, t):
-        """Continuous part at position x and time t > 0 (zero for z < 0)."""
+        """Continuous part at position x and time t > 0 (zero for z < 0).
+
+        With G = e^{alpha t} - 1, r = lam / alpha and s = gamma G z the
+        density is e^{-lam t} (lam gamma / alpha) G e^{-gamma z} 1F1(1 - r; 2; -s).
+        It is formed as the exp of a sum of logs, so it neither underflows
+        once lam t passes about 745 nor overflows with G.  The 1F1 factor
+        is positive: Kummer's transformation makes it e^{-s} 1F1(1 + r; 2; s).
+        Past s = ``_FAR_S`` max(1, r^2), or where the 1F1 evaluation is not
+        a finite positive number, its log is the large-s expansion to first
+        order,
+        (r - 1) log s - log Gamma(1 + r) + log1p(r (r - 1) / s).
+        """
         if not t > 0:
             raise ValueError("t must be positive")
         x = np.asarray(x, dtype=float)
         z = x - self.atom_location(t)
         a, lam, g = self.alpha, self.lam, self.gamma
-        grow = np.expm1(a * t)  # e^{alpha t} - 1
+        r = lam / a
         zz = np.where(z > 0, z, 0.0)
-        hyp = kummer_1f1(1.0 - lam / a, 2.0, -g * grow * zz)
-        vals = np.exp(-lam * t) * (lam * g / a) * grow * np.exp(-g * zz) * hyp
-        out = np.where(z >= 0, vals, 0.0)
+        log_grow = a * t + np.log(-np.expm1(-a * t))  # log(e^{alpha t} - 1)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            log_s = np.log(g * zz) + log_grow
+            s = np.exp(log_s)
+            far = s > _FAR_S * max(1.0, r * r)
+            hyp = kummer_1f1(1.0 - r, 2.0, -np.where(far, 0.0, s))
+            far |= ~(np.isfinite(hyp) & (hyp > 0))
+            log_hyp = np.where(
+                far,
+                (r - 1.0) * log_s - gammaln(1.0 + r) + np.log1p(r * (r - 1.0) / s),
+                np.log(hyp),
+            )
+        log_vals = -lam * t + np.log(lam * g / a) + log_grow - g * zz + log_hyp
+        out = np.where(z >= 0, np.exp(log_vals), 0.0)
         return float(out) if out.ndim == 0 else out
 
     def mass_z_max(self):
-        """Default upper end of ``total_mass``'s integral past the atom."""
-        return 60.0 / self.gamma + 10.0 * self.lam / (self.alpha * self.gamma)
+        """Default upper end of ``total_mass``'s integral past the atom
+        (inf where lam / (alpha * gamma) overflows)."""
+        with np.errstate(over="ignore", divide="ignore"):
+            ag = np.float64(self.alpha) * self.gamma
+            return float(60.0 / self.gamma + 10.0 * self.lam / ag)
 
     def total_mass(self, t, z_max=None):
         """Atom weight plus quadrature mass of the continuous part."""

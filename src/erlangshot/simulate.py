@@ -2,17 +2,21 @@
 samples, and the mean-field swarm.
 
 Path simulation is Euler-Maruyama with a fixed in-step order (drift, then
-diffusion, then jumps) and per-path Philox streams keyed by
-``(seed, path_index)``, so results are reproducible and independent of how
-paths are partitioned across workers.  One engine serves every path
-simulator.  Each path's stream yields, in order: its total jump count
-N ~ Poisson(rate * t_end), N arrival uniforms binned to steps, the
-uniforms of the N jump magnitudes, then the Gaussian step normals block by
-block.  Work on jumps is O(jumps) rather than O(steps), and increments are
-built one step block at a time, so memory does not grow with the number of
-steps.  The interacting swarm couples pure jump agents through the
-empirical barycenter entering their Poisson rates; state-dependent rates
-are simulated by thinning against a per-step majorant.  The swarm draws
+diffusion, then jumps).  Randomness is keyed per tile of 64 paths: tile t
+(paths 64 t ... 64 t + 63) draws from the Philox key ``(seed, t)``, and the
+third Philox counter word selects what it draws.  Word 0 yields the tile's
+64 total jump counts N ~ Poisson(rate * t_end), then their arrival uniforms
+binned to steps, then their magnitude uniforms; word g + 1 yields the
+Gaussian normals of step segment g, 64 steps by 64 paths.  Every tile is
+drawn in full, so a path's draws depend on its seed and index alone and
+results are reproducible and independent of how paths are partitioned
+across workers.  One engine serves every path simulator.  Work on jumps is
+O(jumps) rather than O(steps), and increments are built one step block at
+a time, so memory does not grow with the number of steps.
+
+The interacting swarm couples pure jump agents through the empirical
+barycenter entering their Poisson rates; state-dependent rates are
+simulated by thinning against a per-step majorant.  The swarm draws
 from the one stream ``(seed, 0)``: per step one Poisson total of
 proposals, allocated to agents in proportion to their majorant rates by
 a block-sum picker, then, round by round, the acceptance uniforms and the
@@ -66,9 +70,11 @@ __all__ = [
 
 _CHUNK = 4096
 # bytes of a chunk's step-block increment buffer: a block spans
-# _BLOCK_BYTES // (8 * paths in chunk) steps
+# _BLOCK_BYTES // (8 * paths in chunk) steps, rounded down to whole segments
+# of _SEG steps and at least one segment
 _BLOCK_BYTES = 16 * 2**20
-_TILE = 64  # paths per cache-sized tile of normals
+_TILE = 64  # paths per tile: the paths that share one Philox key
+_SEG = 64  # steps per segment: one normal draw of a tile
 _ESTIMATOR_STREAM_BASE = 2**63
 
 
@@ -195,35 +201,32 @@ def _path_generator(seed, index):
     return Generator(Philox(key=stream_key(seed, index)))
 
 
-class _PathStreams:
-    """Per-path Philox streams served by one re-keyed bit generator.
+class _TileStreams:
+    """Tile streams served by one re-keyed bit generator.
 
-    ``start(i)`` resets the generator to the start of the stream keyed by
-    ``stream_key(seed, i)``; its draws equal those of ``_path_generator(seed,
-    i)`` without constructing a bit generator, whose seeding reads OS
-    entropy every time.  ``save``/``resume`` park and continue a stream.
-    One instance per chunk: it is not safe to share across threads.
+    ``restart(t, word)`` resets the generator to the start of the stream
+    with key ``stream_key(seed, t)`` and Philox counter word 2 at ``word``;
+    its draws equal those of ``Generator(Philox(key=stream_key(seed, t),
+    counter=[0, 0, word, 0]))`` without constructing a bit generator, whose
+    seeding reads OS entropy every time.  One instance per chunk: it is not
+    safe to share across threads.
     """
 
     def __init__(self, seed):
         self.seed = seed
         self._bits = Philox(key=0)
-        self.gen = Generator(self._bits)
+        self._gen = Generator(self._bits)
         self._fresh = self._bits.state  # zero counter, empty output buffer
         self._key = self._fresh["state"]["key"]
+        self._counter = self._fresh["state"]["counter"]
 
-    def start(self, index):
-        key = stream_key(self.seed, index)
+    def restart(self, tile, word):
+        key = stream_key(self.seed, tile)
         self._key[0] = key & 0xFFFFFFFFFFFFFFFF
         self._key[1] = key >> 64
+        self._counter[2] = word
         self._bits.state = self._fresh
-        return self.gen
-
-    def save(self):
-        return self._bits.state
-
-    def resume(self, state):
-        self._bits.state = state
+        return self._gen
 
 
 def _run_chunks(n_paths, n_workers, worker):
@@ -231,14 +234,15 @@ def _run_chunks(n_paths, n_workers, worker):
 
     Chunk boundaries are independent of the worker count, and each chunk
     writes to disjoint output slices, so results are bit-identical for any
-    n_workers.
+    n_workers.  No more threads start than there are chunks.
     """
     spans = [(lo, min(lo + _CHUNK, n_paths)) for lo in range(0, n_paths, _CHUNK)]
-    if n_workers == 1 or len(spans) == 1:
+    n_threads = min(n_workers, len(spans))
+    if n_threads == 1:
         for lo, hi in spans:
             worker(lo, hi)
     else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        with ThreadPoolExecutor(max_workers=n_threads) as pool:
             list(pool.map(lambda s: worker(*s), spans))
 
 
@@ -252,15 +256,25 @@ def _engine(step, state0, sigma, jumps, rate, config) -> TrajectoryBatch:
     ``(d, magnitudes)``: ``magnitudes(u)`` maps an (n, d) array of
     uniforms to n jump sizes.  ``rate`` is the constant jump rate.
 
-    Per path the stream yields, in order: the total jump count
-    N ~ Poisson(rate * t_end), N arrival uniforms binned to steps, N * d
-    magnitude uniforms, then (sigma > 0) the step normals block by block.
-    Given N, uniform arrivals binned to steps are multinomial, so the
-    per-step counts are independent Poisson(rate * dt) as in per-step
-    sampling, at O(jumps) cost.  Increments are built one step block at a
-    time, so each thread holds one ``_BLOCK_BYTES`` buffer, reused by its
-    chunks, plus a chunk's jumps whatever ``n_steps``; results do not depend
-    on the block length.
+    Randomness is keyed per tile of ``_TILE`` = 64 paths: tile t holds
+    paths 64 t ... 64 t + 63 and draws from the Philox key
+    ``stream_key(seed, t)``.  With counter word 2 at 0 the tile's stream
+    yields its 64 jump counts N_i ~ Poisson(rate * t_end), then the arrival
+    uniforms of all their jumps, path after path, binned to steps, then
+    their d magnitude uniforms each.  Given N_i, uniform arrivals binned to
+    steps are multinomial, so the per-step counts are independent
+    Poisson(rate * dt) as in per-step sampling, at O(jumps) cost.  With
+    counter word 2 at g + 1 (sigma > 0) it yields the normals of step
+    segment g, steps ``_SEG`` g ... ``_SEG`` (g + 1) - 1: one (``_SEG``, 64)
+    draw, step-major, cut short at the last step.  Every tile is drawn in
+    full and columns past ``n_paths`` are discarded, so a path's draws are
+    a function of ``(seed, index)`` alone, whatever the batch, chunk or
+    worker count.
+
+    Increments are built one step block of whole segments at a time, so
+    each thread holds one ``_BLOCK_BYTES`` buffer, reused by its chunks,
+    plus a chunk's jumps whatever ``n_steps``; results do not depend on
+    the block length.
     """
     n_steps, dt = config.n_steps, config.dt
     rec = config.record_steps()
@@ -275,56 +289,41 @@ def _engine(step, state0, sigma, jumps, rate, config) -> TrajectoryBatch:
 
     def worker(lo, hi):
         k = hi - lo
-        block = max(1, min(n_steps, _BLOCK_BYTES // (8 * k)))
+        block = min(n_steps, max(1, _BLOCK_BYTES // (8 * k * _SEG)) * _SEG)
         n_blocks = -(-n_steps // block)
         incr = getattr(local, "incr", None)
         if incr is None or incr.size < block * k:
             incr = local.incr = np.empty(block * k)
         incr = incr[: block * k].reshape(block, k)
-        # normals of _TILE paths, path-major so each path's draw is one
-        # contiguous write; flushed transposed into incr while in cache
-        tile = np.empty((_TILE, block)) if scale > 0 else None
-        streams = _PathStreams(config.seed)
-        gen = streams.gen
-        parked = [None] * k
-        n_jumps = np.zeros(k, dtype=np.int64)
-        # every path's jump uniforms, back to back: N arrivals, then N * d
-        per_jump = 1 + jumps[0]
-        pool = np.empty(int(k * per_jump * (mean_jumps + 1)))
-        used = 0
+        # chunks start on a tile boundary; the last tile may run past hi
+        tiles = range(lo // _TILE, -(-hi // _TILE))
+        streams = _TileStreams(config.seed)
+        drawn = []
+        for t in tiles:
+            gen = streams.restart(t, 0)
+            n = gen.poisson(mean_jumps, _TILE)
+            total = int(n.sum())
+            drawn.append((n, gen.random(total), gen.random((total, jumps[0]))))
+        counts[lo:hi], cells, sizes, edges = _jump_table(
+            drawn, k, jumps[1], n_steps, block, n_blocks
+        )
+        normals = np.empty((_SEG, _TILE))
         state = np.repeat(np.asarray(state0, dtype=float)[:, None], k, axis=1)
         out[lo:hi, 0] = state[-1]
         for b in range(n_blocks):
             b0 = b * block
             nb = min(block, n_steps - b0)
             buf = incr[:nb]
-            if b == 0 or scale > 0:
-                for j in range(k):
-                    if b == 0:
-                        streams.start(lo + j)
-                        n = gen.poisson(mean_jumps) if mean_jumps > 0 else 0
-                        if n:
-                            w = n * per_jump
-                            if used + w > pool.size:
-                                pool = np.concatenate([pool[:used], np.empty(used + w)])
-                            gen.random(out=pool[used : used + w])
-                            used += w
-                            n_jumps[j] = n
-                    else:
-                        streams.resume(parked[j])
-                    if scale > 0:
-                        row = j % _TILE
-                        gen.standard_normal(out=tile[row, :nb])
-                        if b + 1 < n_blocks:
-                            parked[j] = streams.save()
-                        if row == _TILE - 1 or j == k - 1:
-                            np.multiply(tile[: row + 1, :nb].T, scale, out=buf[:, j - row : j + 1])
-            if b == 0:
-                counts[lo:hi] = n_jumps
-                cells, sizes, edges = _jump_table(
-                    pool[:used], n_jumps, jumps, n_steps, block, n_blocks
-                )
-            if scale == 0:
+            if scale > 0:
+                for s0 in range(b0, b0 + nb, _SEG):
+                    seg = normals[: min(_SEG, n_steps - s0)]
+                    rows = slice(s0 - b0, s0 - b0 + len(seg))
+                    for t in tiles:
+                        streams.restart(t, s0 // _SEG + 1).standard_normal(out=seg)
+                        c0 = t * _TILE - lo
+                        w = min(_TILE, k - c0)
+                        np.multiply(seg[:, :w], scale, out=buf[rows, c0 : c0 + w])
+            else:
                 buf.fill(0.0)
             jumps_here = slice(edges[b], edges[b + 1])
             np.add.at(buf.reshape(-1), cells[jumps_here], sizes[jumps_here])
@@ -338,25 +337,27 @@ def _engine(step, state0, sigma, jumps, rate, config) -> TrajectoryBatch:
     return TrajectoryBatch(rec * dt, out, counts)
 
 
-def _jump_table(drawn, n_jumps, jumps, n_steps, block, n_blocks):
+def _jump_table(drawn, k, magnitudes, n_steps, block, n_blocks):
     """A chunk's jumps as flat cells of their block's (step, path) buffer.
 
-    ``drawn`` holds each path's jump uniforms back to back (N arrivals,
-    then N * d magnitude uniforms) for the paths' counts ``n_jumps``.
-    Returns cells and sizes grouped by block, in draw order within a
+    ``drawn`` holds, for each tile of the chunk, its 64 jump counts, their
+    arrival uniforms and their magnitude uniforms (see ``_engine``), which
+    ``magnitudes`` maps to jump sizes.  Returns the chunk's k per-path jump
+    counts, then cells and sizes grouped by block, in draw order within a
     block, and the edges of each block's run.
     """
-    k = len(n_jumps)
-    n_uniforms, magnitudes = jumps
-    runs = np.stack([n_jumps, n_jumps * n_uniforms], axis=1).ravel()
-    is_arrival = np.repeat(np.tile([True, False], k), runs)
-    steps = np.minimum((drawn[is_arrival] * n_steps).astype(np.int64), n_steps - 1)
+    n_jumps = np.concatenate([n for n, _, _ in drawn])
+    # chunk column of every drawn jump; columns from k on are phantoms
+    cols = np.repeat(np.arange(len(n_jumps)), n_jumps)
+    keep = cols < k
+    arrivals = np.concatenate([a for _, a, _ in drawn])[keep]
+    steps = np.minimum((arrivals * n_steps).astype(np.int64), n_steps - 1)
     blocks = steps // block
     order = np.argsort(blocks, kind="stable")
     edges = np.searchsorted(blocks[order], np.arange(n_blocks + 1))
-    cells = ((steps % block) * k + np.repeat(np.arange(k), n_jumps))[order]
-    sizes = magnitudes(drawn[~is_arrival].reshape(-1, n_uniforms))[order]
-    return cells, sizes, edges
+    cells = ((steps % block) * k + cols[keep])[order]
+    sizes = magnitudes(np.concatenate([u for _, _, u in drawn])[keep])[order]
+    return n_jumps[:k], cells, sizes, edges
 
 
 def _erlang_jumps(law):

@@ -359,11 +359,13 @@ _TRANSIENT_HANGS = [_transient_cfg(alpha=1e-300), _transient_cfg(**{"lambda": 1e
         ("wave", _wave_cfg(swarm={"n_agents": 10, "dt": 50.0, "t_end": 50.0}), []),
         # valid key by key, but the m=2 speed overflows at gamma/beta = 1e-9
         ("wave", _wave_cfg(m_values=[2], gamma=1e-9), []),
-        # e^{alpha t} - 1 overflows: the law is not finite at t = 1e6
+        # lambda t = 2e6 jumps per exact path: a 4096-path chunk would not fit
         ("transient", _transient_cfg(times=[0.3, 1e6]), []),
         *(("transient", cfg, []) for cfg in _TRANSIENT_HANGS),
         ("transient", _transient_cfg(times=[0.3, float("inf")]), []),
         ("transient", _transient_cfg(t_u=float("inf")), []),
+        # lambda t = 1200 jumps per exact path, past the bound of 1000
+        ("transient", _transient_cfg(times=[600.0]), []),
     ],
 )
 def test_invalid_config_exits_2_and_writes_nothing(tmp_path, command, cfg, argv):
@@ -383,6 +385,15 @@ def test_invalid_config_exits_2_and_writes_nothing(tmp_path, command, cfg, argv)
     else:
         assert main(args) == 2
     assert not out.exists()
+
+
+def test_transient_at_a_large_time_is_the_stationary_law(tmp_path):
+    # lambda t = 800: e^{-lambda t} underflows, yet the law is the Gamma law
+    cfg = _transient_cfg(times=[400.0], n_samples=20000)
+    out = tmp_path / "out"
+    assert main(["transient", "--config", _write(tmp_path, "t.json", cfg), "--out", str(out)]) == 0
+    metrics = json.loads((out / "report.json").read_text())["metrics"]
+    assert metrics["mass_t1"] == pytest.approx(1.0, abs=1e-6)
 
 
 @pytest.mark.parametrize("t_end,code", [(1.6, 2), (1.8, (0, 1))])

@@ -188,6 +188,25 @@ def test_transient_converges_to_gamma_law():
     assert np.max(np.abs(trans - statio)) < 1e-3
 
 
+@pytest.mark.parametrize(
+    "alpha,lam,gamma,x0,t", [(1.0, 2.0, 1.0, 0.5, 400.0), (1.0, 1.7, 1.3, 0.2, 800.0)]
+)
+def test_transient_law_at_large_times_is_the_stationary_law(alpha, lam, gamma, x0, t):
+    # lam t past 745 underflows e^{-lam t}, alpha t past 709 overflows
+    # e^{alpha t}: the density is formed in logs, and is the Gamma law
+    law = TransientLaw(alpha, lam, gamma, x0)
+    assert law.total_mass(t) == pytest.approx(1.0, abs=1e-6)
+    x = np.linspace(0.0, 30.0, 3001)
+    statio = stats.gamma.pdf(x, lam / alpha, scale=1.0 / gamma)
+    assert np.max(np.abs(law.continuous_density(x, t) - statio)) < 1e-12
+
+
+def test_transient_law_rejects_an_overflowing_range():
+    # lam / (alpha * gamma) overflows: the default mass range is not finite
+    with pytest.raises(ValueError):
+        TransientLaw(1e-300, 2.0, 1e-300, 0.0)
+
+
 def test_transient_density_is_one_kummer_call_per_grid(monkeypatch):
     # the grid's 1F1 values come from one vectorised call, equal bit for
     # bit to one-point evaluations

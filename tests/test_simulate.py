@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,7 +30,9 @@ from erlangshot.noise import ErlangJumpLaw, erlang_magnitudes, stream_key
 from erlangshot.simulate import (
     SimConfig,
     _path_generator,
-    _PathStreams,
+    _SEG,
+    _TILE,
+    _TileStreams,
     _AGENT_BLOCK,
     _pick_weighted,
     SwarmSeries,
@@ -338,6 +341,37 @@ def test_worker_count_does_not_change_results():
         assert np.array_equal(outs[0].jump_counts, other.jump_counts)
 
 
+def test_gaussian_paths_do_not_depend_on_workers_or_batch():
+    # sigma = 1: 4196 paths span a chunk and end mid-tile, so the second
+    # chunk's last tile has phantom columns; 150 steps end mid-segment
+    cfg = SimConfig(dt=0.01, t_end=1.5, n_paths=4196, seed=22, record_stride=10)
+    runs = [
+        simulate_ou_tanh(1.0, 3.0, 2.0, 0.5, replace(cfg, n_workers=w))
+        for w in (1, 2, 8)
+    ]
+    for other in runs[1:]:
+        assert runs[0].paths.tobytes() == other.paths.tobytes()
+        assert np.array_equal(runs[0].jump_counts, other.jump_counts)
+    wider = simulate_ou_tanh(1.0, 3.0, 2.0, 0.5, replace(cfg, n_paths=4500))
+    assert runs[0].paths.tobytes() == wider.paths[:4196].tobytes()
+    assert np.array_equal(runs[0].jump_counts, wider.jump_counts[:4196])
+
+
+def test_thread_pool_is_capped_at_the_chunk_count(monkeypatch):
+    # 8 workers on 4097 paths, two chunks, start two threads; one chunk none
+    sizes = []
+    real = simulate.ThreadPoolExecutor
+
+    def counted(max_workers):
+        sizes.append(max_workers)
+        return real(max_workers=max_workers)
+
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", counted)
+    for n_paths in (4097, 4096):
+        simulate_paths(_ou_model(), SimConfig(dt=0.1, t_end=1.0, n_paths=n_paths, n_workers=8))
+    assert sizes == [2]
+
+
 def test_same_seed_reproduces_swarm():
     cfg = SimConfig(dt=0.01, t_end=1.0, n_paths=1, seed=13, record_stride=10)
     a = simulate_swarm(200, 2, 1.0, 1.0, cfg)
@@ -370,12 +404,41 @@ def test_jump_arrivals_are_per_step_poisson():
     "seed,index",
     [(0, 0), (7, 1), (2**64 - 1, 3), (5, 2**32), (11, 2**32 + 7), (2**40, 2**64 - 1)],
 )
-def test_chunk_stream_equals_keyed_philox(seed, index):
-    streams = _PathStreams(seed)
-    streams.start(99).standard_normal(3)  # an earlier path must not leak
-    got = streams.start(index).standard_normal(8)
-    ref = Generator(Philox(key=(index << 64) | seed)).standard_normal(8)
-    assert got.tobytes() == ref.tobytes()
+def test_paths_follow_the_tile_stream_layout(seed, index):
+    # known answer: with zero drift and no jumps, path i after s + 1 steps
+    # is the running sum of sigma sqrt(dt) times entry [s mod _SEG, i mod 64]
+    # of the normals of tile i // 64 under counter word 2 = s // _SEG + 1;
+    # 150 steps end mid-segment and 150 paths end mid-tile
+    sigma, dt, n_paths = 0.7, 0.01, 150
+    model = ModelSpec(
+        ZeroDrift(), ConstantDiffusion(sigma), ConstantRate(0.0), ErlangJumpLaw(1, 1.0)
+    )
+    batch = simulate_paths(model, SimConfig(dt=dt, t_end=1.5, n_paths=n_paths, seed=seed))
+    n_steps = batch.paths.shape[1] - 1
+
+    def tile_normals(tile):
+        key = stream_key(seed, tile)
+        segs = [
+            Generator(Philox(key=key, counter=[0, 0, g + 1, 0])).standard_normal((_SEG, _TILE))
+            for g in range(-(-n_steps // _SEG))
+        ]
+        return np.concatenate(segs)[:n_steps]
+
+    for tile in range(-(-n_paths // _TILE)):
+        normals = tile_normals(tile)
+        for i in range(tile * _TILE, min(n_paths, (tile + 1) * _TILE)):
+            want = np.zeros(n_steps + 1)
+            for s in range(n_steps):
+                want[s + 1] = want[s] + sigma * math.sqrt(dt) * normals[s, i % _TILE]
+            assert batch.paths[i].tobytes() == want.tobytes()
+    # the engine's re-keyed generator reaches the extreme tiles the same way;
+    # an earlier stream must not leak into a restart
+    streams = _TileStreams(seed)
+    streams.restart(99, 5).standard_normal(3)
+    for word in (0, 1, 7):
+        got = streams.restart(index // _TILE, word).standard_normal(8)
+        ref = Generator(Philox(key=stream_key(seed, index // _TILE), counter=[0, 0, word, 0]))
+        assert got.tobytes() == ref.standard_normal(8).tobytes()
 
 
 def test_stream_keys_reject_out_of_range():
@@ -384,7 +447,7 @@ def test_stream_keys_reject_out_of_range():
         with pytest.raises(ValueError):
             _path_generator(seed, index)
         with pytest.raises(ValueError):
-            _PathStreams(seed).start(index)
+            _TileStreams(seed).restart(index, 0)
 
 
 def test_results_do_not_depend_on_step_block_length(monkeypatch):

@@ -95,12 +95,12 @@ class SimConfig:
     n_workers: int = 1
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
-        if not self.t_end > 0 or self.dt > self.t_end:
-            raise ValueError("t_end must satisfy dt <= t_end")
+        if not 0 < self.dt < math.inf:
+            raise ValueError("dt must be positive and finite")
+        if not self.dt <= self.t_end < math.inf:
+            raise ValueError("t_end must be finite and satisfy dt <= t_end")
         steps = self.t_end / self.dt
-        if abs(steps - round(steps)) > 1e-9 * steps:
+        if not steps < math.inf or abs(steps - round(steps)) > 1e-9 * steps:
             raise ValueError(f"t_end/dt = {steps!r} must be an integer step count")
         if self.n_paths < 1:
             raise ValueError("n_paths must be >= 1")

@@ -1,5 +1,7 @@
 """CLI contract: config validation, exit codes, artifacts, reproducibility."""
 
+import copy
+import itertools
 import json
 import os
 import subprocess
@@ -10,8 +12,8 @@ import numpy as np
 import pytest
 
 import erlangshot
-from erlangshot import simulate
-from erlangshot.cli import main, write_csv
+from erlangshot import cli, simulate
+from erlangshot.cli import main, parse_config, write_csv
 from erlangshot.simulate import sample_linear_shot_noise_exact
 
 
@@ -75,24 +77,26 @@ def test_bad_schema_version(tmp_path):
     assert main(["wave", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+def _verify_master_cfg(**over):
+    cfg = {
+        "schema_version": 1,
+        "m_values": [1, 2, 3, 4],
+        "grid_sizes": [513, 1025, 2049, 4097],
+        "gamma": 0.7,
+        "lambda": 0.8,
+        "x_lo": -8.0,
+        "x_hi": 10.0,
+        "drift": {"kind": "linear_restoring", "alpha": 0.6},
+        "sigma": 0.3,
+        "n_test_densities": 2,
+        "seed": 1,
+    }
+    cfg.update(over)
+    return cfg
+
+
 def test_verify_master_run(tmp_path):
-    cfg = _write(
-        tmp_path,
-        "vm.json",
-        {
-            "schema_version": 1,
-            "m_values": [1, 2, 3, 4],
-            "grid_sizes": [513, 1025, 2049, 4097],
-            "gamma": 0.7,
-            "lambda": 0.8,
-            "x_lo": -8.0,
-            "x_hi": 10.0,
-            "drift": {"kind": "linear_restoring", "alpha": 0.6},
-            "sigma": 0.3,
-            "n_test_densities": 2,
-            "seed": 1,
-        },
-    )
+    cfg = _write(tmp_path, "vm.json", _verify_master_cfg())
     out = tmp_path / "out"
     assert main(["verify-master", "--config", cfg, "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
@@ -366,6 +370,12 @@ _TRANSIENT_HANGS = [_transient_cfg(alpha=1e-300), _transient_cfg(**{"lambda": 1e
         ("transient", _transient_cfg(t_u=float("inf")), []),
         # lambda t = 1200 jumps per exact path, past the bound of 1000
         ("transient", _transient_cfg(times=[600.0]), []),
+        # a bool is not an integer: this once ran and reported order_mTrue
+        ("verify-master", _verify_master_cfg(m_values=[True]), []),
+        # m = 4 coarsens every size to 65: four equal grids, no order to fit
+        ("verify-master", _verify_master_cfg(m_values=[4], grid_sizes=[65, 129, 193, 257]), []),
+        # a repeated size is not a refinement: three distinct grids
+        ("verify-master", _verify_master_cfg(grid_sizes=[513, 513, 1025, 2049]), []),
     ],
 )
 def test_invalid_config_exits_2_and_writes_nothing(tmp_path, command, cfg, argv):
@@ -524,3 +534,88 @@ def test_write_csv_matches_per_value_format(tmp_path):
 
     write_csv(path, ["x"], [np.array([])])
     assert path.read_bytes() == b"x\n"
+
+
+# one small valid config per command; every block and tag a table names is present
+_SMALL = {
+    "wave": _wave_cfg(m_values=[1], n_xi=501,
+                      swarm={"n_agents": 10, "dt": 0.1, "t_end": 1.8, "record_stride": 1}),
+    "verify-master": _verify_master_cfg(),
+    "stationary": _stationary_cfg(),
+    "transient": _transient_cfg(),
+    "tanh": _small_tanh_cfg(),
+    "verify-specfun": {"schema_version": 1, "n_samples": 100, "seed": 5},
+}
+
+
+def _numeric_keys(table, path=()):
+    """(key path, is a list) of every real or integer field of a table, nested
+    blocks included.  Each step of a path is (key,), or (key, tag) for a
+    tagged block switched to that tag."""
+    for f in table.fields:
+        if isinstance(f.kind, cli._Table):
+            yield from _numeric_keys(f.kind, path + ((f.name,),))
+        elif isinstance(f.kind, dict):
+            for tag, sub in f.kind.items():
+                yield from _numeric_keys(sub, path + ((f.name, tag),))
+        else:
+            yield path + ((f.name,),), isinstance(f.kind, list)
+
+
+def _with_value(cfg, path, in_list, value):
+    cfg = copy.deepcopy(cfg)
+    block = cfg
+    for key, *tag in path[:-1]:
+        if tag:
+            block[key] = {"kind": tag[0]}
+        block = block[key]
+    block[path[-1][0]] = [value] if in_list else value
+    return cfg
+
+
+_BAD_NUMBERS = {"nan": float("nan"), "inf": float("inf"), "-inf": float("-inf"),
+                "true": True, "str": "1"}
+_BAD_NUMBER_CASES = [
+    pytest.param(command, _with_value(cfg, path, in_list, value),
+                 id="-".join([command, ".".join(map(":".join, path)), name]))
+    for command, cfg in _SMALL.items()
+    for path, in_list in _numeric_keys(cli._COMMANDS[command][0])
+    for name, value in _BAD_NUMBERS.items()
+]
+
+
+@pytest.mark.parametrize("command,cfg", list(_SMALL.items()))
+def test_small_configs_parse(command, cfg):
+    assert parse_config(command, cfg).seed == cfg["seed"]
+
+
+@pytest.mark.parametrize("command,cfg", _BAD_NUMBER_CASES)
+def test_non_finite_or_non_numeric_field_exits_2(tmp_path, capsys, command, cfg):
+    # every real and integer field, list elements and nested blocks included,
+    # rejects NaN, the infinities, a bool and a string with one error line
+    out = tmp_path / "out"
+    assert main([command, "--config", _write(tmp_path, "c.json", cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _readme_configs():
+    """(command, config) of each json block under a '### <command>' heading."""
+    lines = iter((Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines())
+    command, found = None, []
+    for line in lines:
+        if line.startswith("### "):
+            command = line[4:].strip()
+        elif line == "```json":
+            body = itertools.takewhile(lambda body_line: body_line != "```", lines)
+            found.append((command, json.loads("\n".join(body))))
+    return found
+
+
+def test_readme_configs_parse():
+    configs = _readme_configs()
+    assert [command for command, _ in configs] == [
+        "wave", "verify-master", "stationary", "transient", "tanh"]
+    for command, cfg in configs:
+        parse_config(command, cfg)

@@ -63,6 +63,9 @@ def test_config_validation():
         SimConfig(dt=0.1, t_end=1.0, n_paths=0)
     with pytest.raises(ValueError):
         SimConfig(dt=0.3, t_end=1.0, n_paths=1)  # would stop at t = 0.9
+    for dt, t_end in [(0.1, math.inf), (math.nan, 1.0), (1e-300, 1e300)]:
+        with pytest.raises(ValueError):
+            SimConfig(dt=dt, t_end=t_end, n_paths=1)
 
 
 def test_deterministic_decay_path():

@@ -63,6 +63,8 @@ from .simulate import (
     estimate_speed,
     ks_distance,
     sample_linear_shot_noise_exact,
+    sample_ou_tanh_exact,
+    sample_tanh_exact,
     simulate_ou_tanh,
     simulate_paths,
     simulate_swarm,

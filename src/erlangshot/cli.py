@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import keyword
+import math
 import os
 import platform
 import sys
@@ -179,6 +180,17 @@ def _load_config(path):
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
+def _check_spacing(lo, hi, n, what):
+    """The spacing of an n-point grid on [lo, hi], which must be finite and
+    positive: a span past the float range, or a spacing that underflows,
+    leaves no grid to evaluate on."""
+    h = (hi - lo) / (n - 1)
+    if not 0 < h < math.inf:
+        raise ConfigError(f"{what} spacing ({hi:g} - {lo:g}) / {n - 1} = {h:g} "
+                          "must be finite and positive")
+    return h
+
+
 def _derived_seed(seed, offset):
     """Seed of a secondary Monte Carlo run; wraps so every accepted seed runs."""
     return (seed + offset) % 2**64
@@ -235,14 +247,6 @@ class RunReport:
 
     def metric(self, name, value):
         self.metrics[name] = float(value)
-
-    def count_paths(self, sim, batch):
-        """Add a path simulation's engine counters: paths, path-steps, jumps."""
-        self.counters.update(
-            paths=sim.n_paths,
-            steps=sim.n_paths * sim.n_steps,
-            jumps=int(batch.jump_counts.sum()),
-        )
 
     def count_exact(self, sample):
         """Add an exact sampler's counters: samples as paths, no steps, jumps."""
@@ -313,6 +317,7 @@ _WAVE = _record(
 def _check_wave(cfg):
     if not cfg.xi_lo < cfg.xi_hi:
         raise ConfigError("xi_lo must be below xi_hi")
+    _check_spacing(cfg.xi_lo, cfg.xi_hi, cfg.n_xi, "xi grid")
     for m in cfg.m_values:
         for b in cfg.beta_values:
             sol = _wave_solution(m, b, cfg.gamma)
@@ -421,6 +426,12 @@ def _ladder(m, grid_sizes):
 def _check_verify_master(cfg):
     if not cfg.x_lo < cfg.x_hi:
         raise ConfigError("x_lo must be below x_hi")
+    _check_spacing(cfg.x_lo, cfg.x_hi, max(cfg.grid_sizes), "x grid")
+    # the test densities are Gaussian bumps whose widths are fractions of
+    # the span, and their exponents square those widths
+    span = cfg.x_hi - cfg.x_lo
+    if not span * span < math.inf:
+        raise ConfigError(f"x_hi - x_lo = {span:g} is too wide: the test densities square it")
     for m in cfg.m_values:
         if len(set(_ladder(m, cfg.grid_sizes))) < 4:
             raise ConfigError(
@@ -500,6 +511,14 @@ _STATIONARY = _record(
 )
 
 
+def _check_stationary(cfg):
+    # the law decays like e^{-gamma x}: a coarser grid cannot represent it
+    h = _check_spacing(cfg.grid.x_lo, cfg.grid.x_hi, cfg.grid.n, "grid")
+    if h * cfg.gamma > 1.0:
+        raise ConfigError(f"grid spacing {h:g} exceeds the Erlang scale 1/gamma = "
+                          f"{1.0 / cfg.gamma:g}")
+
+
 def _stationary_residual(cfg):
     """Differential-form residual of the analytic law on its own grid.
 
@@ -574,8 +593,8 @@ def _run_stationary(cfg, seed, report):
 # transient
 
 
-# bound on lambda * t_max, the expected jumps of one exact transient path: a
-# chunk of 4096 paths holds about 4096 times as many jumps in memory at once
+# bound on lambda * t_max, the expected jumps of one exact path (transient,
+# tanh): a chunk of 4096 paths holds about 4096 times as many jumps in memory
 _MAX_SAMPLE_JUMPS = 1000.0
 
 _TRANSIENT = _record(
@@ -594,14 +613,18 @@ def _transient_z_max(alpha, lam, gamma):
     return 40.0 / gamma + 20.0 * lam / (alpha * gamma)
 
 
-def _check_transient(cfg):
-    # each exact path draws Poisson(lambda * t_max) jumps, 4096 paths at a time
-    jumps = cfg.lambda_ * max(*cfg.times, cfg.t_u)
+def _check_sample_jumps(jumps):
+    """Bound the expected jumps of one exact path, lambda times its horizon."""
     if not jumps <= _MAX_SAMPLE_JUMPS:
         raise ConfigError(
             f"lambda * largest time = {jumps:g} expected jumps per "
             f"exact path exceeds {_MAX_SAMPLE_JUMPS}"
         )
+
+
+def _check_transient(cfg):
+    # each exact path draws Poisson(lambda * t_max) jumps, 4096 paths at a time
+    _check_sample_jumps(cfg.lambda_ * max(*cfg.times, cfg.t_u))
     # the law must evaluate to finite values over the range the run
     # tabulates and integrates, at every comparison time; as numpy scalars,
     # parameters whose ratios overflow give inf instead of raising
@@ -615,10 +638,16 @@ def _check_transient(cfg):
         if not np.isfinite(z_hi):
             raise ConfigError("lambda / (alpha * gamma) overflows the transient grid")
         probe = np.linspace(0.0, z_hi, 33)
+        # spacing of the run's 4001-point grid past the atom
+        dz = _transient_z_max(alpha, lam, gamma) / 4000
         for t in sorted(set(cfg.times)):
             what = f"the transient law at t = {t:g}"
+            loc = law.atom_location(t)
+            if not loc + dz > loc:
+                raise ConfigError(f"{what}: its atom x0 e^(-alpha t) = {loc:g} does not "
+                                  f"resolve the grid spacing {dz:g}")
             try:
-                dens = law.continuous_density(law.atom_location(t) + probe, t)
+                dens = law.continuous_density(loc + probe, t)
             except (OverflowError, ValueError) as exc:
                 raise ConfigError(f"{what} cannot be evaluated: {exc}") from exc
             if not np.all(np.isfinite(dens)):
@@ -678,31 +707,37 @@ def _check_tanh(cfg):
         raise ConfigError("tilted jumps require beta < gamma (integrability)")
     if cfg.t != cfg.sim.t_end:
         raise ConfigError("t must equal sim.t_end: the law is checked at the simulated horizon")
+    for sim in (cfg.sim, cfg.stationary_sim):
+        if sim is not None:
+            _check_sample_jumps(cfg.lambda_ * sim.t_end)
 
 
 def _run_tanh(cfg, seed, report):
     alpha, lam, gamma, beta, t = cfg.alpha, cfg.lambda_, cfg.gamma, cfg.beta, cfg.t
-    sim = replace(cfg.sim, seed=seed)
     law = closedform.TanhTransientLaw(lam, gamma, beta)
     mass = law.mass(t)
     xs, cdf = law.cdf_grid(t)
     report.write_csv("tanh_transient_density.csv", ["x", "density"], law.density_grid(t))
-    batch = simulate.simulate_tanh(lam, gamma, beta, sim)
-    report.count_paths(sim, batch)
-    ks = simulate.ks_distance(batch.final_positions, interp_cdf(xs, cdf))
+    # exact jump-adapted draws of the state at the horizon; dt, record_stride
+    # and n_workers do not enter
+    sample = simulate.sample_tanh_exact(lam, gamma, beta, t, cfg.sim.n_paths, seed)
+    report.count_exact(sample)
+    ks = simulate.ks_distance(sample.values, interp_cdf(xs, cdf))
     report.metric("transient_mass", mass)
     report.metric("transient_ks", ks)
     report.flag("transient_mass_within_1e-4", abs(mass - 1.0) <= 1e-4)
     report.flag("transient_ks_below_0.02", ks < 0.02)
 
     if cfg.stationary_sim is not None:
-        ssim = replace(cfg.stationary_sim, seed=_derived_seed(seed, 1))
+        ssim = cfg.stationary_sim
         olaw = closedform.TiltedOuLaw(alpha, lam, gamma, beta)
         ys, ycdf = olaw.cdf_grid()
         report.write_csv("ou_stationary_density.csv", ["y", "density"], olaw.density_grid())
-        obatch = simulate.simulate_ou_tanh(alpha, lam, gamma, beta, ssim)
-        report.count_paths(ssim, obatch)
-        sks = simulate.ks_distance(obatch.final_positions, interp_cdf(ys, ycdf))
+        osample = simulate.sample_ou_tanh_exact(
+            alpha, lam, gamma, beta, ssim.t_end, ssim.n_paths, _derived_seed(seed, 1)
+        )
+        report.count_exact(osample)
+        sks = simulate.ks_distance(osample.values, interp_cdf(ys, ycdf))
         report.metric("stationary_ks", sks)
         report.flag("stationary_ks_below_0.03", sks < 0.03)
         # informational: distance to the bare Bessel-K mixture (jump part only)
@@ -712,7 +747,7 @@ def _run_tanh(cfg, seed, report):
         jcdf /= jcdf[-1]
         report.metric(
             "stationary_ks_jump_only",
-            simulate.ks_distance(obatch.final_positions, interp_cdf(ys, jcdf)),
+            simulate.ks_distance(osample.values, interp_cdf(ys, jcdf)),
         )
 
 
@@ -802,7 +837,7 @@ def _run_verify_specfun(cfg, seed, report):
 _COMMANDS = {
     "wave": (_WAVE, _check_wave, _run_wave),
     "verify-master": (_VERIFY_MASTER, _check_verify_master, _run_verify_master),
-    "stationary": (_STATIONARY, None, _run_stationary),
+    "stationary": (_STATIONARY, _check_stationary, _run_stationary),
     "transient": (_TRANSIENT, _check_transient, _run_transient),
     "tanh": (_TANH, _check_tanh, _run_tanh),
     "verify-specfun": (_VERIFY_SPECFUN, None, _run_verify_specfun),

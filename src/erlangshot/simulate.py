@@ -28,9 +28,13 @@ Where the pathwise solution is explicit (linear drift, no diffusion),
 time or along each path at every time of an increasing sequence: a path's
 jumps are drawn once, up to the last time, and each is summed once into
 the Markov recursion between consecutive times.  The work is O(jumps up to
-the last time), with no time steps and no discretization bias.  Euler
-paths of the same model remain as a bias check.  Every Erlang jump size,
-in the engine, the exact sampler and the swarm, comes from
+the last time), with no time steps and no discretization bias.  The
+tanh-drift jump diffusion and its OU-driven companion are sampled exactly
+too: ``sample_tanh_exact`` and ``sample_ou_tanh_exact`` advance each path
+from jump to jump, the diffusion between jumps being a Brownian motion
+with drift +beta or -beta, its sign drawn once per interval.  Euler paths
+of these models remain as a bias check.  Every Erlang jump size, in the
+engine, the exact sampler and the swarm, comes from
 ``noise.erlang_magnitudes``.
 
 Estimators (wave speed, normalized histograms, Kolmogorov-Smirnov
@@ -62,6 +66,8 @@ __all__ = [
     "simulate_ou_tanh",
     "simulate_swarm",
     "sample_linear_shot_noise_exact",
+    "sample_tanh_exact",
+    "sample_ou_tanh_exact",
     "estimate_speed",
     "empirical_density",
     "ks_distance",
@@ -76,6 +82,7 @@ _BLOCK_BYTES = 16 * 2**20
 _TILE = 64  # paths per tile: the paths that share one Philox key
 _SEG = 64  # steps per segment: one normal draw of a tile
 _ESTIMATOR_STREAM_BASE = 2**63
+_CELLS = 2**18  # (round, path) cells per block of the jump-adapted sampler
 
 
 class ThinningError(RuntimeError):
@@ -388,8 +395,9 @@ def simulate_paths(model: ModelSpec, config: SimConfig, x0=0.0) -> TrajectoryBat
 
 
 def simulate_tanh(lam, gamma, beta, config: SimConfig) -> TrajectoryBatch:
-    """Paths of dX = beta tanh(beta X) dt + dW + Laplace-jump compound
-    Poisson, started at zero."""
+    """Euler paths of dX = beta tanh(beta X) dt + dW + Laplace-jump compound
+    Poisson, started at zero: the dt-biased cross-check of
+    ``sample_tanh_exact``."""
     if lam < 0 or not gamma > 0 or not beta > 0:
         raise ValueError("need lam >= 0, gamma > 0, beta > 0")
     dt = config.dt
@@ -403,8 +411,9 @@ def simulate_tanh(lam, gamma, beta, config: SimConfig) -> TrajectoryBatch:
 
 
 def simulate_ou_tanh(alpha, lam, gamma, beta, config: SimConfig) -> TrajectoryBatch:
-    """Paths of dY = -alpha Y dt + dX, driven step-for-step by the
-    tanh-drift jump diffusion increments dX."""
+    """Euler paths of dY = -alpha Y dt + dX, driven step-for-step by the
+    tanh-drift jump diffusion increments dX: the dt-biased cross-check of
+    ``sample_ou_tanh_exact``."""
     if not alpha > 0 or lam < 0 or not gamma > 0 or beta < 0:
         raise ValueError("need alpha > 0, lam >= 0, gamma > 0, beta >= 0")
     dt = config.dt
@@ -455,18 +464,14 @@ def sample_linear_shot_noise_exact(alpha, lam, gamma, m, x0, t, n, seed) -> Exac
     decay = np.exp(-alpha * np.diff(times))
     values = np.empty((n_times, n))
     counts = np.empty(n, dtype=np.int64)
-    for lo in range(0, n, _CHUNK):
-        hi = min(n, lo + _CHUNK)
+    for lo, hi, _, nj, arrivals, mag_u in _exact_chunks(n, seed, lam * t_max, m):
         k = hi - lo
-        g = _path_generator(seed, _ESTIMATOR_STREAM_BASE + lo)
-        nj = g.poisson(lam * t_max, k)
         counts[lo:hi] = nj
-        tot = int(nj.sum())
-        if not tot:
+        if not arrivals.size:
             values[:, lo:hi] = base[:, None]
             continue
-        tau = t_max * g.random(tot)
-        jm = erlang_magnitudes(g.random((tot, m)), gamma)
+        tau = t_max * arrivals
+        jm = erlang_magnitudes(mag_u, gamma)
         # the comparison interval (t_{i-1}, t_i] of each jump; tau <= t_max
         span = np.searchsorted(times, tau) if n_times > 1 else 0
         contrib = jm * np.exp(-alpha * (times[span] - tau))
@@ -478,6 +483,140 @@ def sample_linear_shot_noise_exact(alpha, lam, gamma, m, x0, t, n, seed) -> Exac
             y = y * decay[i - 1] + new[i]
             values[i, lo:hi] = base[i] + y
     return ExactSample(values[0] if np.ndim(t) == 0 else values, counts)
+
+
+def _exact_chunks(n, seed, mean_jumps, d):
+    """The chunks of an exact sampler, each with its jump draws.
+
+    Chunk c holds draws 4096 c ... 4096 c + 4095 and reads the stream
+    ``(seed, 2**63 + 4096 c)``: first the chunk's Poisson(mean_jumps) jump
+    counts, then the arrival uniforms of all its jumps, draw after draw,
+    then d magnitude uniforms per jump.  Yields ``(lo, hi, gen, counts,
+    arrivals, magnitude uniforms)``, ``gen`` going on with the chunk's
+    stream for the sampler's own draws.
+    """
+    for lo in range(0, n, _CHUNK):
+        hi = min(n, lo + _CHUNK)
+        gen = _path_generator(seed, _ESTIMATOR_STREAM_BASE + lo)
+        counts = gen.poisson(mean_jumps, hi - lo)
+        total = int(counts.sum())
+        yield lo, hi, gen, counts, gen.random(total), gen.random((total, d))
+
+
+def sample_tanh_exact(lam, gamma, beta, t, n, seed) -> ExactSample:
+    """Exact samples at time t of dX = beta tanh(beta X) dt + dW +
+    Laplace-jump compound Poisson, started at zero.
+
+    Between jumps the diffusion is the cosh(beta x) Doob h-transform of
+    Brownian motion: from x, a Brownian motion with drift s beta, the sign
+    s = +1 drawn once with probability (1 + tanh(beta x)) / 2.  Each path is
+    advanced from jump to jump by this law, so there is no time step and no
+    discretization bias; the work is O(jumps).  ``_jump_adapted`` gives the
+    stream layout.  ``values`` holds X_t, ``jump_counts`` each path's jumps.
+    """
+    if lam < 0 or not gamma > 0 or not beta > 0:
+        raise ValueError("need lam >= 0, gamma > 0, beta > 0")
+    return _jump_adapted(lam, gamma, beta, t, n, seed)
+
+
+def sample_ou_tanh_exact(alpha, lam, gamma, beta, t, n, seed) -> ExactSample:
+    """Exact samples at time t of dY = -alpha Y dt + dX, X being the
+    tanh-drift jump diffusion of ``sample_tanh_exact``; X and Y start at 0.
+
+    Over an interval of length d between jumps, with X's drift sign s
+    drawn as there, Y_d = Y e^{-alpha d} + s beta (1 - e^{-alpha d}) / alpha + I
+    and X_d = X + s beta d + W, where the Brownian parts (W, I) are jointly
+    Gaussian with Var W = d, Var I = (1 - e^{-2 alpha d}) / (2 alpha) and
+    Cov(W, I) = (1 - e^{-alpha d}) / alpha.  A jump moves X and Y alike.
+    ``values`` holds Y_t, ``jump_counts`` each path's jumps.
+    """
+    if not alpha > 0 or lam < 0 or not gamma > 0 or beta < 0:
+        raise ValueError("need alpha > 0, lam >= 0, gamma > 0, beta >= 0")
+    return _jump_adapted(lam, gamma, beta, t, n, seed, alpha)
+
+
+def _jump_adapted(lam, gamma, beta, t, n, seed, alpha=None):
+    """The jump-adapted sampler of X_t, or of Y_t when ``alpha`` is given.
+
+    After its jumps (see ``_exact_chunks``) a chunk draws one sign uniform
+    per interval, then one standard normal per interval for X, or two for
+    Y (per interval, W's and then I's).  A path of N jumps has N + 1
+    intervals, and intervals are ordered path after path, each path's in
+    time order.  A path's jump times are its N arrival uniforms, sorted,
+    times t, and its magnitudes follow them in draw order.  The chunk's
+    paths are advanced in blocks of whole paths, each of at most about
+    ``_CELLS`` grid cells (see ``_advance``), which bounds the memory.
+    """
+    if not 0 < t < math.inf:
+        raise ValueError("t must be finite and positive")
+    values = np.empty(n)
+    counts = np.empty(n, dtype=np.int64)
+    for lo, hi, gen, nj, arrivals, mag_u in _exact_chunks(n, seed, lam * t, 1):
+        counts[lo:hi] = nj
+        mags = laplace_magnitudes(mag_u[:, 0], gamma)
+        up = gen.random(hi - lo + len(arrivals))
+        z = gen.standard_normal((len(up), 1 if alpha is None else 2))
+        # a path's jumps and intervals start where the earlier paths' end
+        jump_at = np.concatenate([[0], np.cumsum(nj)])
+        interval_at = jump_at + np.arange(hi - lo + 1)
+        width = max(1, _CELLS // (int(nj.max()) + 1))
+        for b0 in range(0, hi - lo, width):
+            b1 = min(hi - lo, b0 + width)
+            js = slice(jump_at[b0], jump_at[b1])
+            ivs = slice(interval_at[b0], interval_at[b1])
+            values[lo + b0 : lo + b1] = _advance(
+                nj[b0:b1], arrivals[js], mags[js], up[ivs], z[ivs], t, beta, alpha
+            )
+    return ExactSample(values, counts)
+
+
+def _advance(nj, arrivals, mags, up, z, t, beta, alpha):
+    """X_t, or Y_t when ``alpha`` is given, of paths with nj jumps each,
+    from their draws in the order of ``_jump_adapted``.
+
+    Each interval's coefficients are set into a grid of rounds by paths,
+    cell (r, i) holding path i's interval r; a cell past a path's last
+    interval has length zero, no jump and no noise, and leaves the path
+    where it is.  The paths then advance together, one round at a time.
+    """
+    # (path, r) cells: the path's r-th jump, the path's r-th interval
+    rounds = np.arange(nj.max() + 1)
+    jumped = rounds < nj[:, None]
+    lived = rounds <= nj[:, None]
+    # interval r ends at the path's r-th jump in time order, the last at t
+    ends = np.ones(jumped.shape)
+    ends[jumped] = arrivals
+    ends.sort(axis=1)
+    length = np.diff(t * ends, axis=1, prepend=0.0)[lived]
+    jump = np.zeros(jumped.shape)
+    jump[jumped] = mags
+    jump = jump[lived]
+    # one row of coefficients per round; cols[j] is coefficient j by path
+    grid = np.zeros((3 if alpha is None else 6, len(rounds), len(nj)))
+    cols = grid.transpose(0, 2, 1)
+    root = np.sqrt(length)
+    cols[0][lived] = up
+    cols[1][lived] = beta * length
+    cols[2][lived] = root * z[:, 0] + jump
+    if alpha is not None:
+        gap = -np.expm1(-alpha * length)  # 1 - e^{-alpha d}
+        cov = gap / alpha
+        slope = np.divide(cov, root, out=np.zeros_like(root), where=length > 0)
+        # Var(I | W), clipped at the rounding of its cancellation
+        rest = np.maximum(-np.expm1(-2.0 * alpha * length) / (2.0 * alpha) - slope**2, 0.0)
+        grid[3] = 1.0
+        cols[3][lived] = 1.0 - gap
+        cols[4][lived] = beta * cov
+        cols[5][lived] = slope * z[:, 0] + np.sqrt(rest) * z[:, 1] + jump
+    x = np.zeros(len(nj))
+    y = np.zeros(len(nj))
+    for row in grid.transpose(1, 0, 2):
+        sign = np.where(row[0] < 0.5 * (1.0 + np.tanh(beta * x)), 1.0, -1.0)
+        x += sign * row[1] + row[2]
+        if alpha is not None:
+            y *= row[3]
+            y += sign * row[4] + row[5]
+    return x if alpha is None else y
 
 
 # ---------------------------------------------------------------------------

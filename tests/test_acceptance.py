@@ -214,17 +214,16 @@ def test_criterion_7_tanh_jump_diffusion():
     mass = law.mass(1.0)
     crit.check(f"transient mass {mass:.6f} = 1 +- 1e-4", abs(mass - 1.0) <= 1e-4)
 
-    cfg = SimConfig(dt=0.002, t_end=1.0, n_paths=100_000, seed=700, record_stride=500)
-    batch = simulate.simulate_tanh(lam, gamma, beta, cfg)
+    # exact jump-adapted samples at the horizon, no time step
+    sample = simulate.sample_tanh_exact(lam, gamma, beta, 1.0, 100_000, 700)
     xs, cdf = law.cdf_grid(1.0)
-    ks = simulate.ks_distance(batch.final_positions, interp_cdf(xs, cdf))
+    ks = simulate.ks_distance(sample.values, interp_cdf(xs, cdf))
     crit.check(f"transient KS vs MC {ks:.4f} < 0.02 at t=1", ks < 0.02)
 
     olaw = closedform.TiltedOuLaw(alpha, lam, gamma, beta)
-    ocfg = SimConfig(dt=0.01, t_end=20.0 / alpha, n_paths=100_000, seed=701, record_stride=500)
-    obatch = simulate.simulate_ou_tanh(alpha, lam, gamma, beta, ocfg)
+    osample = simulate.sample_ou_tanh_exact(alpha, lam, gamma, beta, 20.0 / alpha, 100_000, 701)
     ys, ycdf = olaw.cdf_grid()
-    oks = simulate.ks_distance(obatch.final_positions, interp_cdf(ys, ycdf))
+    oks = simulate.ks_distance(osample.values, interp_cdf(ys, ycdf))
     crit.check(f"OU-driven stationary KS {oks:.4f} < 0.03 at 1e5 paths", oks < 0.03)
     crit.finish()
 

@@ -299,6 +299,20 @@ def test_tanh_run(tmp_path):
     assert report["metrics"]["transient_ks"] < 0.02
 
 
+def test_tanh_runs_no_euler_path(tmp_path, monkeypatch):
+    # both checks draw from the exact samplers: the Euler engine is not reached
+    def no_engine(*args, **kwargs):
+        raise AssertionError("the Euler engine was called")
+
+    monkeypatch.setattr(simulate, "_engine", no_engine)
+    cfg = _tanh_cfg(t=0.5, sim={"dt": 0.01, "t_end": 0.5, "n_paths": 16384})
+    cfg["stationary_sim"] = {"dt": 0.02, "t_end": 5.0, "n_paths": 16384}
+    out = tmp_path / "out"
+    assert main(["tanh", "--config", _write(tmp_path, "th.json", cfg), "--out", str(out)]) == 0
+    counters = json.loads((out / "report.json").read_text())["counters"]
+    assert counters["paths"] == 2 * 16384 and counters["steps"] == 0
+
+
 def test_tanh_beta_above_gamma_exits_2(tmp_path):
     cfg = _write(tmp_path, "th.json", _tanh_cfg(beta=2.5))
     assert main(["tanh", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -376,6 +390,17 @@ _TRANSIENT_HANGS = [_transient_cfg(alpha=1e-300), _transient_cfg(**{"lambda": 1e
         ("verify-master", _verify_master_cfg(m_values=[4], grid_sizes=[65, 129, 193, 257]), []),
         # a repeated size is not a refinement: three distinct grids
         ("verify-master", _verify_master_cfg(grid_sizes=[513, 513, 1025, 2049]), []),
+        # lambda t_end = 1200 jumps per exact tanh path, past the bound of 1000
+        ("tanh", _bad_sim(_small_tanh_cfg(), "stationary_sim", dt=1.0, t_end=1200.0), []),
+        ("tanh", _tanh_cfg(**{"lambda": 1000.5}), []),
+        # finite but huge: the spans overflow, the stationary grid cannot
+        # resolve the law, the transient atom swallows its grid spacing
+        ("verify-master", _verify_master_cfg(x_lo=-1e308, x_hi=1e308), []),
+        ("verify-master", _verify_master_cfg(x_lo=-1e307, x_hi=1e307), []),
+        ("stationary", _stationary_cfg(grid={"x_lo": 1e-4, "x_hi": 1e308, "n": 2001}), []),
+        ("stationary", _stationary_cfg(gamma=1e300), []),
+        ("wave", _wave_cfg(xi_lo=-1e308, xi_hi=1e308), []),
+        ("transient", _transient_cfg(x0=1e308), []),
     ],
 )
 def test_invalid_config_exits_2_and_writes_nothing(tmp_path, command, cfg, argv):
@@ -491,7 +516,8 @@ def test_report_keys_and_engine_counters(tmp_path):
     counters = report["counters"]
     assert set(counters) == {"paths", "steps", "jumps"}
     assert counters["paths"] == 500 + 400
-    assert counters["steps"] == 500 * 10 + 400 * 40
+    # both runs are exact samplers: no time steps
+    assert counters["steps"] == 0
     # lambda = 1 over horizons 0.5 and 2.0: about 250 + 800 jumps
     assert 900 < counters["jumps"] < 1200
 

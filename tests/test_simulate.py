@@ -13,6 +13,7 @@ from erlangshot import simulate
 
 from erlangshot.closedform import (
     TanhTransientLaw,
+    TiltedOuLaw,
     TransientLaw,
     cumulant,
     gaussian_pair_mixture,
@@ -26,7 +27,8 @@ from erlangshot.master import (
     ZeroDiffusion,
     ZeroDrift,
 )
-from erlangshot.noise import ErlangJumpLaw, erlang_magnitudes, stream_key
+from erlangshot.noise import ErlangJumpLaw, erlang_magnitudes, laplace_magnitudes, stream_key
+from erlangshot.quadrature import cumulative_trapezoid
 from erlangshot.simulate import (
     SimConfig,
     _path_generator,
@@ -42,6 +44,8 @@ from erlangshot.simulate import (
     interp_cdf,
     ks_distance,
     sample_linear_shot_noise_exact,
+    sample_ou_tanh_exact,
+    sample_tanh_exact,
     simulate_ou_tanh,
     simulate_paths,
     simulate_swarm,
@@ -388,6 +392,116 @@ def test_tanh_full_model_vs_closed_form_reduced():
     batch = simulate_tanh(1.0, 2.0, 0.5, cfg)
     xs, cdf = TanhTransientLaw(1.0, 2.0, 0.5).cdf_grid(1.0)
     assert ks_distance(batch.final_positions, interp_cdf(xs, cdf)) < 0.02
+
+
+def _pair_cdf(t, beta):
+    x = np.linspace(-12.0, 12.0, 48001)
+    return interp_cdf(x, np.minimum(cumulative_trapezoid(gaussian_pair_mixture(x, t, beta), x), 1.0))
+
+
+def test_tanh_exact_no_jumps_matches_gaussian_pair():
+    # lam = 0: one interval, the +-beta Gaussian pair exactly; the bound is
+    # the DKW bound at p = 1e-6 for 10**6 samples
+    sample = sample_tanh_exact(0.0, 2.0, 0.5, 1.0, 10**6, 20)
+    assert not sample.jump_counts.any()
+    assert ks_distance(sample.values, _pair_cdf(1.0, 0.5)) < 0.0027
+
+
+def test_ou_tanh_exact_matches_the_tilted_ou_law():
+    # at T = 20 the drift has saturated and the OU state is stationary;
+    # 0.0049 is the DKW bound at p = 1e-6 for 3e5 samples
+    alpha, lam, gamma, beta = 1.0, 1.0, 2.0, 0.5
+    sample = sample_ou_tanh_exact(alpha, lam, gamma, beta, 20.0, 300_000, 21)
+    ys, ycdf = TiltedOuLaw(alpha, lam, gamma, beta).cdf_grid()
+    assert ks_distance(sample.values, interp_cdf(ys, ycdf)) < 0.0049
+
+
+def test_ou_tanh_exact_gaussian_reduction():
+    # lam = 0, beta = 0: the OU transient with variance (1 - e^{-2 alpha T}) / (2 alpha)
+    alpha, t = 1.0, 0.75
+    y = sample_ou_tanh_exact(alpha, 0.0, 2.0, 0.0, t, 100_000, 22).values
+    var = y.var(ddof=1)
+    se = var * math.sqrt(2.0 / (len(y) - 1))
+    assert abs(var + math.expm1(-2 * alpha * t) / (2 * alpha)) < 4 * se
+    assert abs(y.mean()) < 4 * y.std(ddof=1) / math.sqrt(len(y))
+
+
+def test_tanh_exact_symmetry():
+    x = sample_tanh_exact(1.0, 2.0, 0.5, 1.0, 100_000, 23).values
+    assert stats.ks_2samp(x, -x).statistic < 0.02
+
+
+@pytest.mark.parametrize("ou", [False, True])
+def test_exact_tanh_samplers_are_deterministic_per_chunk(ou):
+    def draw(n, seed=24):
+        if ou:
+            return sample_ou_tanh_exact(1.0, 2.0, 2.0, 0.5, 3.0, n, seed)
+        return sample_tanh_exact(2.0, 2.0, 0.5, 1.0, n, seed)
+
+    a, b, wider = draw(4096), draw(4096), draw(5000)
+    assert a.values.tobytes() == b.values.tobytes()
+    assert a.values.tobytes() == wider.values[:4096].tobytes()
+    assert np.array_equal(a.jump_counts, wider.jump_counts[:4096])
+    assert draw(4096, 25).values.tobytes() != a.values.tobytes()
+
+
+@pytest.mark.parametrize("ou", [False, True])
+def test_exact_tanh_samplers_follow_the_stream_layout(ou):
+    # a path at a time, interval by interval, from the documented draws of
+    # chunk streams (seed, 2**63 + 4096 c); 4100 samples span two chunks
+    alpha, lam, gamma, beta, t, n, seed = 0.7, 1.5, 2.0, 0.5, 2.0, 4100, 26
+    if ou:
+        got = sample_ou_tanh_exact(alpha, lam, gamma, beta, t, n, seed)
+    else:
+        got = sample_tanh_exact(lam, gamma, beta, t, n, seed)
+    want = []
+    for lo in range(0, n, 4096):
+        k = min(n, lo + 4096) - lo
+        g = Generator(Philox(key=stream_key(seed, 2**63 + lo)))
+        nj = g.poisson(lam * t, k)
+        arrivals = g.random(nj.sum())
+        mags = laplace_magnitudes(g.random(nj.sum()), gamma)
+        up = g.random(nj.sum() + k)
+        z = g.standard_normal((nj.sum() + k, 2 if ou else 1))
+        first = np.cumsum(nj) - nj
+        for i in range(k):
+            ends = [*np.sort(arrivals[first[i]:first[i] + nj[i]]) * t, t]
+            jumps = [*mags[first[i]:first[i] + nj[i]], 0.0]
+            x = y = begin = 0.0
+            for r, (end, jump) in enumerate(zip(ends, jumps)):
+                j = first[i] + i + r
+                d, begin = end - begin, end
+                sign = 1.0 if up[j] < 0.5 * (1.0 + math.tanh(beta * x)) else -1.0
+                w = math.sqrt(d) * z[j, 0]
+                x += sign * beta * d + w + jump
+                if ou:
+                    cov = -math.expm1(-alpha * d) / alpha
+                    var_i = -math.expm1(-2 * alpha * d) / (2 * alpha)
+                    c = cov / math.sqrt(d) if d > 0 else 0.0
+                    noise = c * z[j, 0] + math.sqrt(max(var_i - c * c, 0.0)) * z[j, 1]
+                    y = y * math.exp(-alpha * d) + sign * beta * cov + noise + jump
+            want.append(y if ou else x)
+    np.testing.assert_allclose(got.values, want, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("ou", [False, True])
+def test_exact_tanh_samplers_take_zero_length_intervals(monkeypatch, ou):
+    # every jump at time 0: each path starts with zero-length intervals,
+    # which must neither divide by zero nor leave the path
+    chunks = simulate._exact_chunks
+
+    def at_zero(*args):
+        for lo, hi, gen, nj, arrivals, mag_u in chunks(*args):
+            yield lo, hi, gen, nj, np.zeros_like(arrivals), mag_u
+
+    monkeypatch.setattr(simulate, "_exact_chunks", at_zero)
+    with np.errstate(divide="raise", invalid="raise"):
+        if ou:
+            sample = sample_ou_tanh_exact(1.0, 3.0, 2.0, 0.5, 1.0, 2000, 27)
+        else:
+            sample = sample_tanh_exact(3.0, 2.0, 0.5, 1.0, 2000, 27)
+    assert sample.jump_counts.max() > 1
+    assert np.all(np.isfinite(sample.values))
 
 
 def test_jump_arrivals_are_per_step_poisson():

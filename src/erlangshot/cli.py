@@ -34,7 +34,6 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import closedform, master, oracles, simulate, specfun
 from .master import (
@@ -215,7 +214,6 @@ def _environment():
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "nproc": nproc,
     }
 
@@ -647,7 +645,7 @@ def _check_transient(cfg):
                 raise ConfigError(f"{what}: its atom x0 e^(-alpha t) = {loc:g} does not "
                                   f"resolve the grid spacing {dz:g}")
             try:
-                dens = law.continuous_density(loc + probe, t)
+                dens = law.continuous_density_z(probe, t)
             except (OverflowError, ValueError) as exc:
                 raise ConfigError(f"{what} cannot be evaluated: {exc}") from exc
             if not np.all(np.isfinite(dens)):

@@ -13,18 +13,17 @@ with absolute tolerance 1e-8 or better; infinite domains are mapped to
 (0, 1].  Both tanh laws invert their characteristic function with one
 trapezoid cosine sum over a uniform frequency grid: on a uniform x grid
 (``density_grid``, ``mass``, ``cdf_grid``) the sum is evaluated by one
-chirp-z transform (Bluestein's algorithm on ``scipy.fft``) in
+chirp-z transform (Bluestein's algorithm on ``numpy.fft``) in
 O((n_x + n_u) log) time and O(n_x + n_u) memory; at scattered points
 (``density``) by the dense sum over the same coefficients.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import fft as sfft
-from scipy.special import gammaln, ive, kv
 
 from .master import GridFunction, GridSpec
 from .noise import SymmetricLaplaceLaw, TiltedJumpLaw
@@ -36,7 +35,16 @@ from .quadrature import (
     gauss_kronrod,
     simpson,
 )
-from .specfun import digamma, erlang_survival, kummer_1f1, kummer_u
+from .specfun import (
+    bessel_ie,
+    bessel_ke,
+    digamma,
+    erlang_survival,
+    kummer_1f1,
+    kummer_u,
+    log_gamma,
+    next_fast_len,
+)
 
 __all__ = [
     "NormalizationError",
@@ -159,7 +167,7 @@ def stationary_ou_m1(alpha, lam, gamma, x):
     x = np.asarray(x, dtype=float)
     pos = x > 0
     safe = np.where(pos, x, 1.0)
-    vals = np.exp(k * np.log(gamma) + (k - 1) * np.log(safe) - gamma * safe - gammaln(k))
+    vals = np.exp(k * np.log(gamma) + (k - 1) * np.log(safe) - gamma * safe - log_gamma(k))
     # x = 0 limit: 0 for k > 1, gamma for k = 1, infinite for k < 1
     lim = 0.0 if k > 1 else (gamma if k == 1 else np.inf)
     out = np.where(pos, vals, np.where(x == 0, lim, 0.0))
@@ -194,7 +202,7 @@ def stationary_ou_m2(alpha, lam, gamma, x):
         - lam / alpha
         - gamma * xp
         + 0.5 * nu * np.log(alpha * gamma * xp / lam)
-        + np.log(ive(nu, z))
+        + np.log(bessel_ie(nu, z))
         + z
     )
     out = np.where(pos, np.exp(logp), 0.0)
@@ -298,7 +306,14 @@ class TransientLaw:
         return float(self.x0 * np.exp(-self.alpha * t))
 
     def continuous_density(self, x, t):
-        """Continuous part at position x and time t > 0 (zero for z < 0).
+        """Continuous part at position x and time t > 0: the density
+        ``continuous_density_z`` at z = x - x0 e^{-alpha t}."""
+        return self.continuous_density_z(np.asarray(x, dtype=float) - self.atom_location(t), t)
+
+    def continuous_density_z(self, z, t):
+        """Continuous part at distance z past the atom and time t > 0 (zero
+        for z < 0).  Taking z itself, not x, keeps it exact however far
+        from 0 the atom lies.
 
         With G = e^{alpha t} - 1, r = lam / alpha and s = gamma G z the
         density is e^{-lam t} (lam gamma / alpha) G e^{-gamma z} 1F1(1 - r; 2; -s).
@@ -312,8 +327,7 @@ class TransientLaw:
         """
         if not t > 0:
             raise ValueError("t must be positive")
-        x = np.asarray(x, dtype=float)
-        z = x - self.atom_location(t)
+        z = np.asarray(z, dtype=float)
         a, lam, g = self.alpha, self.lam, self.gamma
         r = lam / a
         zz = np.where(z > 0, z, 0.0)
@@ -326,7 +340,7 @@ class TransientLaw:
             far |= ~(np.isfinite(hyp) & (hyp > 0))
             log_hyp = np.where(
                 far,
-                (r - 1.0) * log_s - gammaln(1.0 + r) + np.log1p(r * (r - 1.0) / s),
+                (r - 1.0) * log_s - log_gamma(1.0 + r) + np.log1p(r * (r - 1.0) / s),
                 np.log(hyp),
             )
         log_vals = -lam * t + np.log(lam * g / a) + log_grow - g * zz + log_hyp
@@ -344,18 +358,13 @@ class TransientLaw:
         """Atom weight plus quadrature mass of the continuous part."""
         if z_max is None:
             z_max = self.mass_z_max()
-        loc = self.atom_location(t)
-        cont = _quad(
-            lambda z: self.continuous_density(loc + z, t),
-            0.0,
-            z_max,
-            epsabs=1e-10,
-        )
+        cont = _quad(lambda z: self.continuous_density_z(z, t), 0.0, z_max, epsabs=1e-10)
         return self.atom_weight(t) + cont
 
     def density_cdf_grid(self, t, z_max, n=4001):
         """(x, continuous density, right-continuous CDF) tabulated on
-        x = atom_location + [0, z_max]; the CDF integrates that density."""
+        x = atom_location + [0, z_max]; the density is that at each
+        tabulated x, and the CDF integrates it."""
         loc = self.atom_location(t)
         z = np.linspace(0.0, z_max, n)
         dens = self.continuous_density(loc + z, t)
@@ -370,6 +379,9 @@ class TransientLaw:
 
 # ---------------------------------------------------------------------------
 # traveling waves
+
+# below this z the logarithmic series of U(a, 1, z) is its first term
+_WAVE_Z_TINY = 1e-300
 
 
 @dataclass(frozen=True)
@@ -387,15 +399,33 @@ class WaveSolution:
     norm: float
 
     def profile(self, xi):
-        xi = np.asarray(xi, dtype=float)
+        shape = np.shape(xi)
+        xi = np.asarray(xi, dtype=float).ravel()
         b, g, c = self.beta, self.gamma, self.speed
-        if self.m == 1:
-            out = self.norm * np.exp(-g * xi - np.exp(-b * xi) / (b * c))
-        else:
+        # z overflows to inf far left of the front, where the density is 0
+        with np.errstate(over="ignore"):
             z = np.exp(-b * xi) / (b * c)
-            # W_{kappa,0}(z) = e^{-z/2} sqrt(z) U(gamma/beta, 1, z)
-            u = kummer_u(g / b, 1.0, z)
-            out = self.norm * np.exp((b / 2 - g) * xi - z) * np.sqrt(z) * u
+            damp = np.exp((b / 2 - g) * xi - z) if self.m == 2 else None
+        if self.m == 1:
+            out = self.norm * np.exp(-g * xi - z)
+        else:
+            # W_{kappa,0}(z) = e^{-z/2} sqrt(z) U(gamma/beta, 1, z), evaluated
+            # where e^{-z} leaves the density above 0; where z is below
+            # _WAVE_Z_TINY (or underflows), U(a, 1, z) is
+            # -(log z + psi(a) + 2 euler_gamma) / Gamma(a) to double precision
+            # and e^{(b/2 - g) xi - z} sqrt(z) is e^{-g xi} / sqrt(b C)
+            a = g / b
+            out = np.zeros_like(z)
+            mid = (damp > 0) & (z >= _WAVE_Z_TINY)
+            if mid.any():
+                out[mid] = self.norm * damp[mid] * np.sqrt(z[mid]) * kummer_u(a, 1.0, z[mid])
+            tail = z < _WAVE_Z_TINY
+            if tail.any():
+                log_bc = math.log(b * c)
+                log_z = -b * xi[tail] - log_bc
+                u = -(log_z + digamma(a) + 2.0 * np.euler_gamma)
+                out[tail] = self.norm * np.exp(-g * xi[tail] - 0.5 * log_bc - log_gamma(a)) * u
+        out = out.reshape(shape)
         return float(out) if out.ndim == 0 else out
 
     def support_bounds(self, tail=1e-14):
@@ -434,7 +464,7 @@ def gumbel_wave(beta, gamma) -> WaveSolution:
         raise ValueError("beta and gamma must be positive")
     r = gamma / beta
     speed = np.exp(-digamma(r)) / beta
-    norm = beta * np.exp(-r * np.log(beta * speed) - gammaln(r))
+    norm = beta * np.exp(-r * np.log(beta * speed) - log_gamma(r))
     return WaveSolution(1, beta, gamma, float(speed), float(norm))
 
 
@@ -454,7 +484,7 @@ def whittaker_wave(beta, gamma) -> WaveSolution:
     r = gamma / beta
     speed = np.exp(digamma(2 * r) - 2 * digamma(r)) / beta
     norm = beta * np.exp(
-        (0.5 - r) * np.log(beta * speed) + gammaln(2 * r) - 2 * gammaln(r)
+        (0.5 - r) * np.log(beta * speed) + log_gamma(2 * r) - 2 * log_gamma(r)
     )
     return WaveSolution(2, beta, gamma, float(speed), float(norm))
 
@@ -524,10 +554,10 @@ def _cosine_sum_grid(x, u, c):
     du, dx = u[1] - u[0], x[1] - x[0]
     k = np.arange(max(n, m), dtype=float)
     chirp = np.exp(0.5j * du * dx * k**2)
-    size = sfft.next_fast_len(n + m - 1)
-    a = sfft.fft(c * np.exp(1j * du * x[0] * k[:n]) * chirp[:n], size)
+    size = next_fast_len(n + m - 1)
+    a = np.fft.fft(c * np.exp(1j * du * x[0] * k[:n]) * chirp[:n], size)
     kernel = np.concatenate([chirp[n - 1 : 0 : -1], chirp[:m]]).conj()
-    conv = sfft.ifft(a * sfft.fft(kernel, size))[n - 1 : n - 1 + m]
+    conv = np.fft.ifft(a * np.fft.fft(kernel, size))[n - 1 : n - 1 + m]
     return (chirp[:m] * conv).real / np.pi
 
 
@@ -670,31 +700,30 @@ class TiltedOuLaw:
         s = np.asarray(s, dtype=float)
         tiny = s <= 0
         sp = np.where(tiny, 1.0, s)
-        if nu == 0:
-            vals = g * kv(0, g * sp) / np.pi
+        # 2^nu g^{1-nu} s^{-nu} K_nu(g s) / (sqrt(pi) Gamma(1/2 - nu)), with
+        # K = e^{-g s} (e^{g s} K) and the rest in logs, so that neither
+        # s^{-nu} nor K over- or underflows alone
+        log_pref = (
+            nu * math.log(2.0) + (1.0 - nu) * math.log(g) - 0.5 * math.log(math.pi)
+            - log_gamma(0.5 - nu)
+        )
+        vals = np.exp(log_pref - nu * np.log(sp) - g * sp) * bessel_ke(nu, g * sp)
+        if nu >= 0:
             lim = np.inf
         else:
-            pref = 2.0**nu * g ** (1.0 - nu) / (
-                np.sqrt(np.pi) * np.exp(gammaln(0.5 - nu))
-            )
-            vals = pref * sp ** (-nu) * kv(abs(nu), g * sp)
-            if nu > 0:
-                lim = np.inf
-            else:
-                # s^{|nu|} K_{|nu|}(g s) -> 2^{|nu|-1} Gamma(|nu|) g^{-|nu|}
-                a = abs(nu)
-                lim = pref * 2.0 ** (a - 1.0) * np.exp(gammaln(a)) * g ** (-a)
-        out = np.where(tiny, lim, vals)
-        return out
+            # s^{|nu|} K_{|nu|}(g s) -> 2^{|nu|-1} Gamma(|nu|) g^{-|nu|}
+            a = -nu
+            lim = math.exp(log_pref + (a - 1.0) * math.log(2.0) + log_gamma(a) - a * math.log(g))
+        return np.where(tiny, lim, vals)
 
     def jump_component_density(self, y):
         """Symmetric Bessel-K mixture centered at +-beta/alpha (jump part only)."""
         y = np.asarray(y, dtype=float)
         c = self.beta / self.alpha
-        out = 0.5 * (
-            self._bessel_component(np.abs(y - c))
-            + self._bessel_component(np.abs(y + c))
-        )
+        # both distances in one Bessel evaluation, whose loops cost per step
+        # more than per point
+        both = self._bessel_component(np.abs(np.stack([y - c, y + c])))
+        out = 0.5 * (both[0] + both[1])
         return float(out) if out.ndim == 0 else out
 
     def char_fn(self, u):

@@ -18,9 +18,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sfft
 
 from .noise import ErlangJumpLaw, erlang_pdf
+from .specfun import next_fast_len
 
 __all__ = [
     "GridSpec",
@@ -265,8 +265,8 @@ def _causal_convolution(g, kern):
     lengths n), from one zero-padded real FFT product of length at least
     2n - 1, so no wrapped term reaches them."""
     n = g.size
-    size = sfft.next_fast_len(2 * n - 1, real=True)
-    return sfft.irfft(sfft.rfft(g, size) * sfft.rfft(kern, size), size)[:n]
+    size = next_fast_len(2 * n - 1, real=True)
+    return np.fft.irfft(np.fft.rfft(g, size) * np.fft.rfft(kern, size), size)[:n]
 
 
 def _erlang_convolution(P: GridFunction, model: ModelSpec):

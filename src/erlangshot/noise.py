@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.special import gammaln
+
+from .specfun import log_gamma
 
 __all__ = [
     "RngStream",
@@ -196,7 +197,7 @@ def erlang_pdf(law: ErlangJumpLaw, x):
         vals = np.where(x >= 0, g * np.exp(-g * x), 0.0)
     else:
         safe = np.where(x > 0, x, 1.0)
-        logpdf = m * np.log(g) + (m - 1) * np.log(safe) - g * safe - gammaln(m)
+        logpdf = m * np.log(g) + (m - 1) * np.log(safe) - g * safe - log_gamma(m)
         vals = np.where(x > 0, np.exp(logpdf), 0.0)
     return float(vals) if vals.ndim == 0 else vals
 

@@ -1,33 +1,51 @@
 """Special-function kernel used by the closed-form densities.
 
 Every transcendental function the analytic solutions need lives here behind
-a small, validated surface: log-gamma, digamma, modified Bessel I and K,
-the Erlang survival function, Tricomi's confluent function U, the Whittaker
-W function with second index 0, and Kummer's 1F1.  Evaluation is delegated
-to scipy.special where a mature routine exists; each function is pinned to
-an independent oracle (series, quadrature, closed-form identities) in the
-test suite.
+a small, validated surface, each pinned to an independent oracle (series,
+quadrature, closed-form identities) in the test suite.  Only numpy and
+``math`` are used:
 
-All functions are pure and accept scalars or numpy arrays.
+* log-gamma is ``math.lgamma``;
+* digamma is the recurrence psi(x) = psi(x + 1) - 1/x up to x >= 10, then
+  the asymptotic series in Bernoulli numbers;
+* modified Bessel I is its power series up to x = 40 (or nu^2/4), then
+  Hankel's asymptotic series; modified Bessel K is Temme's series for
+  x <= 2, Steed's continued fraction CF2 up to x = 20 and Hankel's series
+  beyond, at an order in [-1/2, 1/2], then forward recurrence in the order;
+* the Erlang survival function is the finite Poisson sum;
+* Tricomi's U is an exp-sinh quadrature of its Laplace integral (with the
+  logarithmic series for b = 1, small z), the Whittaker W with second
+  index 0 reduces to it, and Kummer's 1F1 is its Taylor series, Kummer's
+  transformation and the large-argument expansion;
+* ``next_fast_len`` picks the transform sizes for ``numpy.fft``.
+
+All functions are pure and accept scalars or numpy arrays (orders and the
+parameters of U and 1F1 are scalars).  A Python float argument is
+evaluated in plain ``math``, since a numpy loop over one point costs far
+more than the point.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _sp
 
 __all__ = [
     "Accuracy",
     "log_gamma",
     "digamma",
     "bessel_i",
+    "bessel_ie",
     "bessel_k",
+    "bessel_ke",
     "erlang_survival",
     "kummer_u",
     "whittaker_w0",
     "kummer_1f1",
+    "next_fast_len",
 ]
 
 
@@ -53,28 +71,454 @@ def _require(cond, msg):
         raise ValueError(msg)
 
 
+def _lgamma(x):
+    # log|Gamma(x)| of a float, +inf at the poles 0, -1, -2, ...
+    try:
+        return math.lgamma(x)
+    except ValueError:
+        return math.inf
+
+
+def _is_scalar(x):
+    return isinstance(x, (int, float))
+
+
+def _map_positive(fn, x, name):
+    """fn over the entries of a scalar or an array of reals x > 0."""
+    if _is_scalar(x):
+        _require(x > 0, f"{name} requires x > 0")
+        return fn(float(x))
+    x = np.asarray(x, dtype=float)
+    _require(np.all(x > 0), f"{name} requires x > 0")
+    out = np.array([fn(v) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
+    return float(out) if out.ndim == 0 else out
+
+
 def log_gamma(x):
     """Natural log of the Gamma function for x > 0."""
-    x = np.asarray(x, dtype=float)
-    _require(np.all(x > 0), "log_gamma requires x > 0")
-    out = _sp.gammaln(x)
-    return float(out) if out.ndim == 0 else out
+    return _map_positive(math.lgamma, x, "log_gamma")
+
+
+# B_{2n} / (2n) for n = 1..7: psi(x) ~ log x - 1/(2x) - sum_n B_{2n} / (2n x^{2n}),
+# whose next term is below 5e-17 for x >= 10
+_PSI_TAIL = (1.0 / 12, -1.0 / 120, 1.0 / 252, -1.0 / 240, 1.0 / 132, -691.0 / 32760, 1.0 / 12)
+
+
+def _psi(x):
+    shift = 0.0
+    while x < 10.0:
+        shift += 1.0 / x
+        x += 1.0
+    inv2 = 1.0 / (x * x)
+    tail = 0.0
+    for c in reversed(_PSI_TAIL):
+        tail = (tail + c) * inv2
+    return math.log(x) - 0.5 / x - tail - shift
 
 
 def digamma(x):
     """Digamma psi(x) = d/dx log Gamma(x) for x > 0."""
+    return _map_positive(_psi, x, "digamma")
+
+
+# ---------------------------------------------------------------------------
+# modified Bessel functions
+#
+# Each kernel has a plain-math form for a float and a numpy form for a flat
+# array; the order is a scalar.  The array loops test convergence every
+# _CHECK steps and then drop the converged entries: a step costs a dozen or
+# so numpy calls whatever the array size, and the steps an entry takes past
+# convergence only add terms below its rounding.
+
+_EPS = float(np.finfo(float).eps)
+_FLOAT_MAX = float(np.finfo(float).max)
+_LOG_MAX = math.log(_FLOAT_MAX)
+_CHECK = 4
+_I_SERIES_X = 40.0
+_K_TEMME_X = 2.0
+_K_HANKEL_X = 20.0
+# running sums past _BIG are scaled by an exact power of two; _CHECK steps
+# of the I series multiply a sum by less than 1e100 wherever it is used
+_BIG = 1e200
+_RESCALE = 2.0**-800
+_LOG_RESCALE = 800.0 * math.log(2.0)
+
+# Taylor coefficients of 1/Gamma(1 + z) about z = 0 (DLMF 5.7.1); those
+# left out are below 2e-18
+_RGAMMA = (
+    1.0, 0.5772156649015329, -0.6558780715202539, -0.04200263503409524,
+    0.16653861138229148, -0.04219773455554433, -0.009621971527876973,
+    0.0072189432466631, -0.0011651675918590652, -0.00021524167411495098,
+    0.0001280502823881162, -2.013485478078824e-05, -1.2504934821426706e-06,
+    1.133027231981696e-06, -2.056338416977607e-07, 6.116095104481416e-09,
+    5.002007644469223e-09, -1.18127457048702e-09, 1.0434267116911005e-10,
+    7.782263439905071e-12, -3.696805618642206e-12, 5.100370287454476e-13,
+    -2.0583260535665066e-14, -5.348122539423018e-15, 1.2267786282382608e-15,
+    -1.1812593016974588e-16,
+)
+
+
+def _i_hankel_from(nu):
+    # Hankel's series for I cancels to about e^{nu^2 / (2x)} times its sum,
+    # so the power series runs at least up to nu^2 / 4
+    return max(_I_SERIES_X, 0.25 * nu * nu)
+
+
+def _i_series_scalar(nu, x):
+    # log I_nu(x) = nu log(x/2) - log Gamma(nu + 1) + log sum_k (x^2/4)^k / (k! (nu + 1)_k)
+    q = 0.25 * x * x
+    term = total = 1.0
+    shift = 0.0
+    k = 0
+    while term > _EPS * total:
+        k += 1
+        term *= q / (k * (nu + k))
+        total += term
+        if total > _BIG:
+            term *= _RESCALE
+            total *= _RESCALE
+            shift += _LOG_RESCALE
+    return nu * math.log(0.5 * x) - _lgamma(nu + 1.0) + math.log(total) + shift
+
+
+def _i_series(nu, x):
+    q = 0.25 * x * x
+    out = np.empty_like(x)
+    idx = np.arange(x.size)
+    term = np.ones_like(x)
+    total = np.ones_like(x)
+    shift = np.zeros_like(x)
+    k = 0
+    while idx.size:
+        k += 1
+        term = term * (q / (k * (nu + k)))
+        total = total + term
+        if k % _CHECK:
+            continue
+        big = total > _BIG
+        if big.any():
+            term[big] *= _RESCALE
+            total[big] *= _RESCALE
+            shift[big] += _LOG_RESCALE
+        done = term <= _EPS * total
+        if done.any():
+            out[idx[done]] = np.log(total[done]) + shift[done]
+            keep = ~done
+            idx, q, term, total, shift = idx[keep], q[keep], term[keep], total[keep], shift[keep]
+    return nu * np.log(0.5 * x) - _lgamma(nu + 1.0) + out
+
+
+# Hankel's series sum_k sign^k a_k(nu) / x^k, a_k = prod_{j<=k} (4 nu^2 - (2j - 1)^2) / (8j),
+# with sign -1 for e^{-x} I_nu(x) sqrt(2 pi x) and +1 for e^x K_nu(x) sqrt(2x / pi).
+# Its terms fall until k is about 2x; where it is used (x > 20 for orders up
+# to 3/2, x > max(40, nu^2/4) for I) they fall below the rounding of the sum
+# well before that.
+
+
+def _hankel_scalar(nu, x, sign):
+    mu = 4.0 * nu * nu
+    term = total = 1.0
+    k = 0
+    while abs(term) >= 0.25 * _EPS * abs(total):
+        k += 1
+        term *= sign * (mu - (2 * k - 1) ** 2) / (8.0 * k) / x
+        total += term
+    return total
+
+
+def _hankel(nu, x, sign):
+    mu = 4.0 * nu * nu
+    out = np.empty_like(x)
+    idx = np.arange(x.size)
+    term = np.ones_like(x)
+    total = np.ones_like(x)
+    k = 0
+    while idx.size:
+        k += 1
+        term = term * (sign * (mu - (2 * k - 1) ** 2) / (8.0 * k) / x)
+        total = total + term
+        if k % _CHECK:
+            continue
+        done = np.abs(term) < 0.25 * _EPS * np.abs(total)
+        if done.any():
+            out[idx[done]] = total[done]
+            keep = ~done
+            idx, x, term, total = idx[keep], x[keep], term[keep], total[keep]
+    return out
+
+
+def _temme_gammas(mu):
+    # gam1 = (1/Gamma(1 - mu) - 1/Gamma(1 + mu)) / (2 mu),
+    # gam2 = (1/Gamma(1 - mu) + 1/Gamma(1 + mu)) / 2, 1/Gamma(1 + mu), 1/Gamma(1 - mu),
+    # from the even and odd parts of the Taylor series (no cancellation at small mu)
+    even = odd = 0.0
+    for c in reversed(_RGAMMA[0::2]):
+        even = even * mu * mu + c
+    for c in reversed(_RGAMMA[1::2]):
+        odd = odd * mu * mu + c
+    return -odd, even, even + mu * odd, even - mu * odd
+
+
+def _k_temme_scalar(mu, x):
+    """(K_mu(x), K_{mu+1}(x)) for 0 < x <= 2 and |mu| <= 1/2 (Temme's series)."""
+    gam1, gam2, gampl, gammi = _temme_gammas(mu)
+    fact = math.pi * mu / math.sin(math.pi * mu) if mu else 1.0
+    d = -math.log(0.5 * x)
+    e = mu * d
+    fact2 = math.sinh(e) / e if e else 1.0
+    ff = fact * (gam1 * math.cosh(e) + gam2 * fact2 * d)
+    ee = math.exp(e)
+    p = 0.5 * ee / gampl
+    q = 0.5 / (ee * gammi)
+    c = 1.0
+    dd = 0.25 * x * x
+    total, total1 = ff, p
+    i = 0
+    while True:
+        i += 1
+        ff = (i * ff + p + q) / (i * i - mu * mu)
+        c *= dd / i
+        p /= i - mu
+        q /= i + mu
+        delta = c * ff
+        total += delta
+        total1 += c * (p - i * ff)
+        if abs(delta) < _EPS * abs(total):
+            return total, total1 * 2.0 / x
+
+
+def _k_temme(mu, x):
+    gam1, gam2, gampl, gammi = _temme_gammas(mu)
+    fact = math.pi * mu / math.sin(math.pi * mu) if mu else 1.0
+    d = -np.log(0.5 * x)
+    e = mu * d
+    fact2 = np.where(e == 0.0, 1.0, np.sinh(e) / np.where(e == 0.0, 1.0, e))
+    ff = fact * (gam1 * np.cosh(e) + gam2 * fact2 * d)
+    ee = np.exp(e)
+    p = 0.5 * ee / gampl
+    q = 0.5 / (ee * gammi)
+    c = np.ones_like(x)
+    dd = 0.25 * x * x
+    total, total1 = ff, p
+    k0, k1 = np.empty_like(x), np.empty_like(x)
+    idx = np.arange(x.size)
+    i = 0
+    while idx.size:
+        i += 1
+        ff = (i * ff + p + q) / (i * i - mu * mu)
+        c = c * (dd / i)
+        p = p / (i - mu)
+        q = q / (i + mu)
+        delta = c * ff
+        total = total + delta
+        total1 = total1 + c * (p - i * ff)
+        if i % _CHECK:
+            continue
+        done = np.abs(delta) < _EPS * np.abs(total)
+        if done.any():
+            k0[idx[done]] = total[done]
+            k1[idx[done]] = total1[done]
+            keep = ~done
+            idx, ff, c, p, q, dd, total, total1 = (
+                v[keep] for v in (idx, ff, c, p, q, dd, total, total1))
+    return k0, k1 * 2.0 / x
+
+
+def _k_steed_scalar(mu, x):
+    """(e^x K_mu(x), e^x K_{mu+1}(x)) for x > 2 and |mu| <= 1/2 (Steed's CF2)."""
+    b = 2.0 * (1.0 + x)
+    d = 1.0 / b
+    h = delh = d
+    q1, q2 = 0.0, 1.0
+    a1 = 0.25 - mu * mu
+    q = c = a1
+    a = -a1
+    s = 1.0 + q * delh
+    i = 1
+    while True:
+        i += 1
+        a -= 2 * (i - 1)
+        c = -a * c / i
+        qnew = (q1 - b * q2) / a
+        q1, q2 = q2, qnew
+        q += c * qnew
+        b += 2.0
+        d = 1.0 / (b + a * d)
+        delh = (b * d - 1.0) * delh
+        h += delh
+        dels = q * delh
+        s += dels
+        if abs(dels) < _EPS * abs(s):
+            break
+    kmu = math.sqrt(math.pi / (2.0 * x)) / s
+    return kmu, kmu * (mu + x + 0.5 - a1 * h) / x
+
+
+def _k_steed(mu, x):
+    b = 2.0 * (1.0 + x)
+    d = 1.0 / b
+    h = delh = d
+    q1, q2 = np.zeros_like(x), np.ones_like(x)
+    a1 = 0.25 - mu * mu
+    q = np.full_like(x, a1)
+    c = a1
+    a = -a1
+    s = 1.0 + q * delh
+    hs, ss = np.empty_like(x), np.empty_like(x)
+    idx = np.arange(x.size)
+    i = 1
+    while idx.size:
+        i += 1
+        a -= 2 * (i - 1)
+        c = -a * c / i
+        qnew = (q1 - b * q2) / a
+        q1, q2 = q2, qnew
+        q = q + c * qnew
+        b = b + 2.0
+        d = 1.0 / (b + a * d)
+        delh = (b * d - 1.0) * delh
+        h = h + delh
+        dels = q * delh
+        s = s + dels
+        if i % _CHECK:
+            continue
+        done = np.abs(dels) < _EPS * np.abs(s)
+        if done.any():
+            hs[idx[done]] = h[done]
+            ss[idx[done]] = s[done]
+            keep = ~done
+            idx, b, d, h, delh, q1, q2, q, s = (
+                v[keep] for v in (idx, b, d, h, delh, q1, q2, q, s))
+    kmu = np.sqrt(np.pi / (2.0 * x)) / ss
+    return kmu, kmu * (mu + x + 0.5 - a1 * hs) / x
+
+
+def _k_order_up(mu, n, k0, k1, x):
+    # forward recurrence K_{mu+j+1} = K_{mu+j-1} + 2 (mu + j) / x K_{mu+j},
+    # stable for K, from K_mu and K_{mu+1} to K_{mu+n}; values scaled by e^x
+    # obey it too
+    if n == 0:
+        return k0
+    for j in range(1, n):
+        k0, k1 = k1, k0 + (2.0 * (mu + j) / x) * k1
+    return k1
+
+
+def _k_split(nu):
+    # K is even in the order: |nu| = mu + n with n an integer, |mu| <= 1/2
+    nu = abs(nu)
+    n = int(nu + 0.5)
+    return nu - n, n
+
+
+def _bessel_k_scalar(nu, x, scaled):
+    mu, n = _k_split(nu)
+    if x <= _K_TEMME_X:
+        k0, k1 = _k_temme_scalar(mu, x)
+        # Temme's series gives K itself, the others K scaled by e^x
+        return _k_order_up(mu, n, k0, k1, x) * (math.exp(x) if scaled else 1.0)
+    if x <= _K_HANKEL_X:
+        k0, k1 = _k_steed_scalar(mu, x)
+    else:
+        r = math.sqrt(math.pi / (2.0 * x))
+        k0 = r * _hankel_scalar(mu, x, 1.0)
+        k1 = r * _hankel_scalar(mu + 1.0, x, 1.0) if n else None
+    return _k_order_up(mu, n, k0, k1, x) * (1.0 if scaled else math.exp(-x))
+
+
+def _bessel_k(nu, x, scaled):
+    mu, n = _k_split(nu)
+    k0, k1 = np.empty_like(x), np.empty_like(x)
+    near = x <= _K_TEMME_X
+    far = x > _K_HANKEL_X
+    mid = ~near & ~far
+    if near.any():
+        k0[near], k1[near] = _k_temme(mu, x[near])
+    if mid.any():
+        k0[mid], k1[mid] = _k_steed(mu, x[mid])
+    if far.any():
+        xf = x[far]
+        r = np.sqrt(np.pi / (2.0 * xf))
+        k0[far] = r * _hankel(mu, xf, 1.0)
+        if n:
+            k1[far] = r * _hankel(mu + 1.0, xf, 1.0)
+    with np.errstate(over="ignore"):
+        out = _k_order_up(mu, n, k0, k1, x)
+    # Temme's series gives K itself, the others K scaled by e^x
+    if scaled:
+        out[near] *= np.exp(x[near])
+    else:
+        out[~near] *= np.exp(-x[~near])
+    return out
+
+
+def _bessel_i_scalar(nu, x, scaled):
+    if x <= _i_hankel_from(nu):
+        v = _i_series_scalar(nu, x)
+        return math.exp(v - x) if scaled else (math.exp(v) if v < _LOG_MAX else math.inf)
+    v = _hankel_scalar(nu, x, -1.0) / math.sqrt(2.0 * math.pi * x)
+    if scaled:
+        return v
+    # e^x as (e^{x/2})^2 keeps I finite wherever it is representable
+    half = math.exp(0.5 * x) if x < 2.0 * _LOG_MAX else math.inf
+    return half * (half * v)
+
+
+def _bessel_i(nu, x, scaled):
+    out = np.empty_like(x)
+    series = x <= _i_hankel_from(nu)
+    hankel = ~series
+    with np.errstate(over="ignore"):
+        if series.any():
+            xs = x[series]
+            v = _i_series(nu, xs)
+            out[series] = np.exp(v - xs) if scaled else np.exp(v)
+        if hankel.any():
+            xh = x[hankel]
+            v = _hankel(nu, xh, -1.0) / np.sqrt(2.0 * np.pi * xh)
+            if not scaled:
+                half = np.exp(0.5 * xh)
+                v = half * (half * v)
+            out[hankel] = v
+    return out
+
+
+def _bessel_i_value(nu, x, scaled):
+    _require(nu >= 0, "bessel_i requires nu >= 0")
+    nu = float(nu)
+    at_zero = 1.0 if nu == 0 else 0.0
+    if _is_scalar(x):
+        _require(x >= 0, "bessel_i requires x >= 0")
+        return _bessel_i_scalar(nu, float(x), scaled) if x > 0 else at_zero
     x = np.asarray(x, dtype=float)
-    _require(np.all(x > 0), "digamma requires x > 0")
-    out = _sp.digamma(x)
+    _require(np.all(x >= 0), "bessel_i requires x >= 0")
+    xf = x.ravel()
+    out = np.full(xf.shape, at_zero)
+    pos = xf > 0
+    if pos.any():
+        out[pos] = _bessel_i(nu, xf[pos], scaled)
+    out = out.reshape(x.shape)
     return float(out) if out.ndim == 0 else out
 
 
 def bessel_i(nu, x):
     """Modified Bessel function of the first kind I_nu(x), nu >= 0, x >= 0."""
-    _require(nu >= 0, "bessel_i requires nu >= 0")
+    return _bessel_i_value(nu, x, False)
+
+
+def bessel_ie(nu, x):
+    """Exponentially scaled e^{-x} I_nu(x), nu >= 0, x >= 0."""
+    return _bessel_i_value(nu, x, True)
+
+
+def _bessel_k_value(nu, x, scaled):
+    nu = float(nu)
+    if _is_scalar(x):
+        _require(x > 0, "bessel_k requires x > 0")
+        return _bessel_k_scalar(nu, float(x), scaled)
     x = np.asarray(x, dtype=float)
-    _require(np.all(x >= 0), "bessel_i requires x >= 0")
-    out = _sp.iv(nu, x)
+    _require(np.all(x > 0), "bessel_k requires x > 0")
+    out = _bessel_k(nu, x.ravel(), scaled).reshape(x.shape)
     return float(out) if out.ndim == 0 else out
 
 
@@ -83,24 +527,61 @@ def bessel_k(nu, x):
 
     K is even in the order, so negative nu is folded to |nu|.
     """
-    x = np.asarray(x, dtype=float)
-    _require(np.all(x > 0), "bessel_k requires x > 0")
-    out = _sp.kv(abs(nu), x)
-    return float(out) if out.ndim == 0 else out
+    return _bessel_k_value(nu, x, False)
+
+
+def bessel_ke(nu, x):
+    """Exponentially scaled e^{x} K_nu(x), x > 0; negative nu is folded to |nu|."""
+    return _bessel_k_value(nu, x, True)
 
 
 def erlang_survival(m, gamma, x):
     """Upper tail mass of the Erlang(m, gamma) law at x >= 0.
 
     Equals the regularized upper incomplete gamma function Q(m, gamma*x),
-    i.e. the probability that an Erlang(m, gamma) jump exceeds x.
+    i.e. the probability that an Erlang(m, gamma) jump exceeds x, and is
+    evaluated as the Poisson sum e^{-y} sum_{k<m} y^k / k! at y = gamma*x.
     """
     _require(int(m) == m and m >= 1, "erlang_survival requires integer m >= 1")
     _require(gamma > 0, "erlang_survival requires gamma > 0")
+    if _is_scalar(x):
+        _require(x >= 0, "erlang_survival requires x >= 0")
+        # y = inf gives 0, not 0 * inf
+        y = min(float(gamma) * float(x), _FLOAT_MAX)
+        term = total = math.exp(-y)
+        for k in range(1, int(m)):
+            term *= y / k
+            total += term
+        return total
     x = np.asarray(x, dtype=float)
     _require(np.all(x >= 0), "erlang_survival requires x >= 0")
-    out = _sp.gammaincc(float(m), gamma * x)
-    return float(out) if out.ndim == 0 else out
+    y = np.minimum(gamma * x, _FLOAT_MAX)
+    term = total = np.exp(-y)
+    for k in range(1, int(m)):
+        term = term * (y / k)
+        total = total + term
+    return float(total) if total.ndim == 0 else total
+
+
+@functools.lru_cache(maxsize=256)
+def next_fast_len(n, real=False):
+    """Smallest size >= n whose prime factors are at most 5 for a real
+    transform or 11 for a complex one: sizes numpy's pocketfft does fast.
+
+    Found by scanning up from n, which for a real transform of a few
+    thousand points tries a few hundred candidates; the master-equation
+    stencils ask for the same few sizes over and over, so answers are
+    cached."""
+    primes = (2, 3, 5) if real else (2, 3, 5, 7, 11)
+    size = n
+    while True:
+        rest = size
+        for p in primes:
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return size
+        size += 1
 
 
 _DE_STEP = 0.02
@@ -108,19 +589,23 @@ _DE_STEP = 0.02
 
 def _kummer_u_log_series(a, z):
     # U(a, 1, z) = -(1/Gamma(a)) sum_k (a)_k z^k/(k!)^2
-    #              * [log z + psi(a+k) - 2 psi(k+1)], accurate for z <= 1/2
+    #              * [log z + psi(a+k) - 2 psi(k+1)], accurate for z <= 1/2;
+    # psi(a+k) and psi(k+1) advance by psi(x+1) = psi(x) + 1/x
     z = np.asarray(z, dtype=float)
     log_z = np.log(z)
     coeff = np.ones_like(z)
     total = np.zeros_like(z)
+    psi_a, psi_1 = _psi(a), -np.euler_gamma
     for k in range(0, 200):
-        bracket = log_z + _sp.digamma(a + k) - 2.0 * _sp.digamma(k + 1.0)
+        bracket = log_z + psi_a - 2.0 * psi_1
         term = coeff * bracket
         total += term
         if np.all(np.abs(term) <= 1e-18 * np.maximum(np.abs(total), 1e-300)):
             break
         coeff = coeff * (a + k) * z / (k + 1.0) ** 2
-    return -total * np.exp(-_sp.gammaln(a))
+        psi_a += 1.0 / (a + k)
+        psi_1 += 1.0 / (k + 1.0)
+    return -total * math.exp(-math.lgamma(a))
 
 
 def kummer_u(a, b, z):
@@ -174,7 +659,7 @@ def kummer_u(a, b, z):
             out[lo:hi] = np.exp(
                 peak + np.log(np.exp(log_terms - peak[:, None]).sum(axis=1))
             )
-    out = (out * h * np.exp(-_sp.gammaln(a))).reshape(np.shape(z))
+    out = (out * h * math.exp(-math.lgamma(a))).reshape(np.shape(z))
     if not np.all(np.isfinite(out)):
         raise ValueError(f"kummer_u({a}, {b}, ...) did not evaluate to a finite value")
     return float(out) if out.ndim == 0 else out
@@ -242,7 +727,7 @@ def _kummer_asymptotic_neg(a, b, s):
     # for s -> +inf on a 1-d array, each entry summed to its smallest term.
     # s^{-a} is the C library pow, entry by entry: numpy's vectorised power
     # can differ from it in the last bit.
-    pref = np.exp(_sp.gammaln(b) - _sp.gammaln(b - a)) * np.array(
+    pref = np.exp(_lgamma(b) - _lgamma(b - a)) * np.array(
         [si ** (-a) for si in s.tolist()]
     )
     out = np.empty_like(s)

@@ -285,6 +285,23 @@ def test_whittaker_wave_mass_and_mean():
         assert mean == pytest.approx(0.0, abs=1e-5)
 
 
+def test_whittaker_wave_with_a_slow_right_tail():
+    # gamma / beta = 0.01: the support reaches xi = 4000, far past where
+    # z = e^{-beta xi} / (beta C) underflows; there U(a, 1, z) is the
+    # leading term of its logarithmic series, which meets the series at the
+    # switch z = 1e-300
+    sol = whittaker_wave(1.0, 0.01)
+    mass, mean = sol.mass_and_mean()
+    assert mass == pytest.approx(1.0, abs=1e-5)
+    assert mean == pytest.approx(0.0, abs=1e-5)
+    xi0 = -(math.log(1e-300) + math.log(sol.beta * sol.speed)) / sol.beta
+    xi = xi0 + np.arange(-4, 5) * 1e-12
+    z = np.exp(-sol.beta * xi) / (sol.beta * sol.speed)
+    assert np.any(z < 1e-300) and np.any(z >= 1e-300)
+    dens = sol.profile(xi)
+    assert np.max(np.abs(dens / dens[4] - 1.0)) < 1e-12
+
+
 def test_wave_profiles_nonnegative():
     xi = np.linspace(-6.0, 30.0, 500)
     assert np.all(gumbel_wave(1.0, 1.0).profile(xi) >= 0)

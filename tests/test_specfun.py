@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import gammaln
 
 from erlangshot import oracles, specfun
 from erlangshot.specfun import (
@@ -249,6 +248,11 @@ def test_kummer_1f1_overflow_error():
         kummer_1f1(2.0, 1.0, 30.0, acc=Accuracy(max_terms=5))
 
 
+def _lgamma(x):
+    # log|Gamma| from the primitive specfun uses, +inf at the poles
+    return math.lgamma(x) if x > 0 or x != int(x) else math.inf
+
+
 def _kummer_1f1_scalar_ref(a, b, z, acc=Accuracy()):
     # the one-point evaluation kummer_1f1 performed before it took arrays,
     # kept as the loop reference: the array route must equal it bit for bit
@@ -271,7 +275,7 @@ def _kummer_1f1_scalar_ref(a, b, z, acc=Accuracy()):
         raise OverflowError
 
     def asymptotic(a, s):
-        pref = np.exp(gammaln(b) - gammaln(b - a)) * s ** (-a)
+        pref = np.exp(_lgamma(b) - _lgamma(b - a)) * s ** (-a)
         term = total = prev = 1.0
         for k in range(1, 60):
             term *= (a + k - 1) * (a - b + k) / (k * s)

@@ -645,7 +645,7 @@ def _check_transient(cfg):
                 raise ConfigError(f"{what}: its atom x0 e^(-alpha t) = {loc:g} does not "
                                   f"resolve the grid spacing {dz:g}")
             try:
-                dens = law.continuous_density_z(probe, t)
+                dens = law.continuous_density(probe, t, from_atom=True)
             except (OverflowError, ValueError) as exc:
                 raise ConfigError(f"{what} cannot be evaluated: {exc}") from exc
             if not np.all(np.isfinite(dens)):

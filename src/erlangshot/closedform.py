@@ -305,15 +305,11 @@ class TransientLaw:
     def atom_location(self, t):
         return float(self.x0 * np.exp(-self.alpha * t))
 
-    def continuous_density(self, x, t):
-        """Continuous part at position x and time t > 0: the density
-        ``continuous_density_z`` at z = x - x0 e^{-alpha t}."""
-        return self.continuous_density_z(np.asarray(x, dtype=float) - self.atom_location(t), t)
-
-    def continuous_density_z(self, z, t):
-        """Continuous part at distance z past the atom and time t > 0 (zero
-        for z < 0).  Taking z itself, not x, keeps it exact however far
-        from 0 the atom lies.
+    def continuous_density(self, x, t, *, from_atom=False):
+        """Continuous part at position x and time t > 0: the density at
+        distance z = x - x0 e^{-alpha t} past the atom (zero for z < 0).
+        With ``from_atom`` the first argument is z itself; taking z, not x,
+        keeps it exact however far from 0 the atom lies.
 
         With G = e^{alpha t} - 1, r = lam / alpha and s = gamma G z the
         density is e^{-lam t} (lam gamma / alpha) G e^{-gamma z} 1F1(1 - r; 2; -s).
@@ -327,7 +323,9 @@ class TransientLaw:
         """
         if not t > 0:
             raise ValueError("t must be positive")
-        z = np.asarray(z, dtype=float)
+        z = np.asarray(x, dtype=float)
+        if not from_atom:
+            z = z - self.atom_location(t)
         a, lam, g = self.alpha, self.lam, self.gamma
         r = lam / a
         zz = np.where(z > 0, z, 0.0)
@@ -358,16 +356,17 @@ class TransientLaw:
         """Atom weight plus quadrature mass of the continuous part."""
         if z_max is None:
             z_max = self.mass_z_max()
-        cont = _quad(lambda z: self.continuous_density_z(z, t), 0.0, z_max, epsabs=1e-10)
+        cont = _quad(lambda z: self.continuous_density(z, t, from_atom=True), 0.0, z_max,
+                     epsabs=1e-10)
         return self.atom_weight(t) + cont
 
     def density_cdf_grid(self, t, z_max, n=4001):
         """(x, continuous density, right-continuous CDF) tabulated on
-        x = atom_location + [0, z_max]; the density is that at each
-        tabulated x, and the CDF integrates it."""
+        x = atom_location + z for z uniform on [0, z_max]; the density is
+        taken at each z, and the CDF integrates it in z."""
         loc = self.atom_location(t)
         z = np.linspace(0.0, z_max, n)
-        dens = self.continuous_density(loc + z, t)
+        dens = self.continuous_density(z, t, from_atom=True)
         cum = cumulative_trapezoid(dens, z)
         return loc + z, dens, self.atom_weight(t) + cum
 

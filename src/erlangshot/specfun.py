@@ -8,10 +8,11 @@ quadrature, closed-form identities) in the test suite.  Only numpy and
 * log-gamma is ``math.lgamma``;
 * digamma is the recurrence psi(x) = psi(x + 1) - 1/x up to x >= 10, then
   the asymptotic series in Bernoulli numbers;
-* modified Bessel I is its power series up to x = 40 (or nu^2/4), then
-  Hankel's asymptotic series; modified Bessel K is Temme's series for
-  x <= 2, Steed's continued fraction CF2 up to x = 20 and Hankel's series
-  beyond, at an order in [-1/2, 1/2], then forward recurrence in the order;
+* modified Bessel I (order above -1, or an integer) is its power series up
+  to x = 40 (or nu^2/4), then Hankel's asymptotic series; modified Bessel
+  K is Temme's series for x <= 2, Steed's continued fraction CF2 up to
+  x = 20 and Hankel's series beyond, at an order in [-1/2, 1/2], then
+  forward recurrence in the order;
 * the Erlang survival function is the finite Poisson sum;
 * Tricomi's U is an exp-sinh quadrature of its Laplace integral (with the
   logarithmic series for b = 1, small z), the Whittaker W with second
@@ -484,9 +485,14 @@ def _bessel_i(nu, x, scaled):
 
 
 def _bessel_i_value(nu, x, scaled):
-    _require(nu >= 0, "bessel_i requires nu >= 0")
     nu = float(nu)
-    at_zero = 1.0 if nu == 0 else 0.0
+    if nu < 0 and nu.is_integer():
+        nu = -nu  # I_{-n} = I_n
+    # above -1 every term of the power series is positive, and Hankel's
+    # series depends on nu^2 only: I_{-nu} - I_nu = (2/pi) sin(pi nu) K_nu is
+    # below e^{-2x} relative to I_nu, under the rounding where it is used
+    _require(nu > -1, "bessel_i requires nu > -1 or an integer nu")
+    at_zero = 1.0 if nu == 0 else (0.0 if nu > 0 else math.inf)
     if _is_scalar(x):
         _require(x >= 0, "bessel_i requires x >= 0")
         return _bessel_i_scalar(nu, float(x), scaled) if x > 0 else at_zero
@@ -502,12 +508,15 @@ def _bessel_i_value(nu, x, scaled):
 
 
 def bessel_i(nu, x):
-    """Modified Bessel function of the first kind I_nu(x), nu >= 0, x >= 0."""
+    """Modified Bessel function of the first kind I_nu(x), x >= 0.
+
+    The order is nu > -1 or an integer (I_{-n} = I_n).
+    """
     return _bessel_i_value(nu, x, False)
 
 
 def bessel_ie(nu, x):
-    """Exponentially scaled e^{-x} I_nu(x), nu >= 0, x >= 0."""
+    """Exponentially scaled e^{-x} I_nu(x), x >= 0; nu > -1 or an integer."""
     return _bessel_i_value(nu, x, True)
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import erlangshot
-from erlangshot import cli, simulate
+from erlangshot import cli, closedform, simulate
 from erlangshot.cli import main, parse_config, write_csv
 from erlangshot.simulate import sample_linear_shot_noise_exact
 
@@ -441,6 +441,13 @@ def test_transient_with_a_far_atom_runs(tmp_path, x0):
     assert main(["transient", "--config", _write(tmp_path, "t.json", cfg), "--out", str(out)]) == 0
     metrics = json.loads((out / "report.json").read_text())["metrics"]
     assert metrics["mass_t1"] == pytest.approx(1.0, abs=1e-6)
+    # the tabulated density, which the CDF and ks_t1 integrate, is taken at
+    # each distance z past the atom, not at x - atom: near an atom at 6e13
+    # that is z rounded to the doubles' spacing of 0.008
+    law = closedform.TransientLaw(1.0, 2.0, 1.0, x0)
+    z = np.linspace(0.0, cli._transient_z_max(1.0, 2.0, 1.0), 4001)
+    dens = np.loadtxt(out / "density_t1.csv", delimiter=",", skiprows=1)[:, 1]
+    assert np.array_equal(dens, law.continuous_density(z, 0.5, from_atom=True))
 
 
 def test_wave_m2_far_tails_run_without_traceback(tmp_path):

@@ -230,11 +230,15 @@ def test_transient_density_is_one_kummer_call_per_grid(monkeypatch):
 
 
 def test_transient_density_cdf_grid_is_one_evaluation():
-    # density_cdf_grid tabulates the density once and integrates it; its
-    # grid and CDF are those of cdf_grid
+    # density_cdf_grid tabulates the density once, at each distance z past
+    # the atom, and integrates it; its grid and CDF are those of cdf_grid
     law = TransientLaw(1.0, 1.7, 1.3, 0.2)
     x, dens, cdf = law.density_cdf_grid(0.9, 30.0, 2001)
-    assert np.array_equal(dens, law.continuous_density(x, 0.9))
+    z = np.linspace(0.0, 30.0, 2001)
+    assert np.array_equal(x, law.atom_location(0.9) + z)
+    assert np.array_equal(dens, law.continuous_density(z, 0.9, from_atom=True))
+    # the density at each tabulated x, to the rounding of x
+    assert np.max(np.abs(dens / law.continuous_density(x, 0.9) - 1.0)) < 1e-13
     xs, cdf2 = law.cdf_grid(0.9, 30.0, 2001)
     assert np.array_equal(x, xs) and np.array_equal(cdf, cdf2)
     assert cdf[0] == law.atom_weight(0.9)

@@ -24,6 +24,9 @@ from erlangshot.specfun import (
 
 _EPS = np.finfo(float).eps
 _NU = np.linspace(0.0, 20.0, 41)
+# I takes orders above -1 (the m = 2 stationary law at lambda < alpha) and
+# negative integers; K is even in the order
+_NU_NEG = np.array([-3.0, -1.0, -0.999, -0.5, -0.25, -1e-3, -1e-12])
 # 1e-3 .. 700, plus the route switches: Temme/CF2 at 2, CF2/Hankel at 20,
 # series/Hankel for I at 40 and at nu^2/4
 _X = np.concatenate([np.geomspace(1e-3, 700.0, 300), [2.0, 20.0, 40.0, 100.0],
@@ -67,7 +70,7 @@ def test_digamma_matches_scipy():
 
 @pytest.mark.parametrize("fn,ref", _BESSEL, ids=["I", "Ie", "K", "Ke"])
 def test_bessel_matches_scipy(fn, ref):
-    for nu in _NU:
+    for nu in np.concatenate([_NU_NEG, _NU]):
         want = ref(nu, _X)
         got = fn(nu, _X)
         # scipy's kv flushes to 0 at x = 700, where K_nu is still ~5e-306
@@ -79,7 +82,7 @@ def test_bessel_matches_scipy(fn, ref):
 @pytest.mark.parametrize("fn", [bessel_i, bessel_ie, bessel_k, bessel_ke])
 def test_bessel_scalar_route_equals_array_route(fn):
     x = _X[::5]
-    for nu in _NU[::3]:
+    for nu in np.concatenate([_NU_NEG, _NU[::3]]):
         got, one = fn(nu, x), _scalar_route(fn, nu, x)
         assert np.max(np.abs(one / got - 1.0)) < 1e-14, nu
         assert type(fn(nu, 3.0)) is float
@@ -88,6 +91,12 @@ def test_bessel_scalar_route_equals_array_route(fn):
 def test_bessel_at_zero_and_in_shape():
     assert bessel_i(0.0, 0.0) == bessel_ie(0.0, 0.0) == 1.0
     assert bessel_i(2.5, np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
+    assert bessel_i(-0.5, 0.0) == bessel_ie(-0.5, 0.0) == math.inf
+    assert bessel_i(-0.5, np.zeros(2)).tolist() == [math.inf, math.inf]
+    assert bessel_i(-2.0, 0.0) == 0.0
+    for nu in (-1.5, -1.0000001):
+        with pytest.raises(ValueError):
+            bessel_ie(nu, 1.0)
     square = np.linspace(0.5, 50.0, 16).reshape(4, 4)
     for fn in (bessel_i, bessel_ie, bessel_k, bessel_ke):
         assert np.array_equal(fn(1.3, square), fn(1.3, square.ravel()).reshape(4, 4))
@@ -104,11 +113,13 @@ def test_erlang_survival_matches_gammaincc():
     assert erlang_survival(3, 1.0, np.inf) == 0.0
 
 
+@pytest.mark.parametrize("lam", [2.0, 0.5])
 @pytest.mark.parametrize("n", [2001, 8001])
-def test_stationary_ou_m2_on_the_cli_grids(n):
+def test_stationary_ou_m2_on_the_cli_grids(n, lam):
     # the m = 2 law on the stationary command's grids, against the
-    # exponentially scaled Bessel I of scipy
-    alpha, lam, gamma = 1.0, 2.0, 1.0
+    # exponentially scaled Bessel I of scipy; lambda < alpha takes a
+    # negative order
+    alpha, gamma = 1.0, 1.0
     x = np.linspace(1e-4, 40.0, n)
     nu, z = lam / alpha - 1.0, 2.0 * np.sqrt(gamma * lam * x / alpha)
     want = np.exp(np.log(gamma) - lam / alpha - gamma * x

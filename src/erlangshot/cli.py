@@ -105,14 +105,17 @@ def _attr(key):
     return key + "_" if keyword.iskeyword(key) else key
 
 
-# SimConfig checks the ranges of these fields itself
+# schema 1 keeps the n_workers key, range-checked, though no run reads it
+_WORKERS = _Field("n_workers", int, 1, (lambda v: 1 <= v <= 64, "in 1..64"))
+
+# SimConfig checks the ranges of the other fields itself
 _SIM = _Table((
     _Field("dt", float),
     _Field("t_end", float),
     _Field("n_paths", int),
     _Field("record_stride", int, 1),
-    _Field("n_workers", int, 1),
-), SimConfig)
+    _WORKERS,
+), lambda n_workers, **sim: SimConfig(**sim))
 
 _DRIFT = {
     "zero": _Table((), ZeroDrift),
@@ -297,8 +300,8 @@ _SWARM = _Table((
     _Field("dt", float, 0.002),
     _Field("t_end", float, 14.0),
     _Field("record_stride", int, 50),
-    _Field("n_workers", int, 1),
-), lambda n_agents, **sim: SimConfig(n_paths=n_agents, **sim))
+    _WORKERS,
+), lambda n_agents, n_workers, **sim: SimConfig(n_paths=n_agents, **sim))
 
 _WAVE = _record(
     "WaveConfig",
@@ -509,27 +512,46 @@ _STATIONARY = _record(
 )
 
 
+# boundary value of the law below which the residual grid may end there
+_RESIDUAL_EDGE = 1e-13
+
+
+def _stationary_density(cfg):
+    return closedform.stationary_ou_m1 if cfg.m == 1 else closedform.stationary_ou_m2
+
+
+def _residual_x_lo(cfg):
+    """Left edge of the residual grid: the density decays only like
+    x^{lam/alpha - 1} toward the origin, so the edge is probed down until
+    the law clears ``_RESIDUAL_EDGE`` there, or is None past 1e-300."""
+    density, x_lo = _stationary_density(cfg), 1e-4
+    while density(cfg.alpha, cfg.lambda_, cfg.gamma, x_lo) > _RESIDUAL_EDGE:
+        if x_lo <= 1e-300:
+            return None
+        x_lo *= 1e-2
+    return x_lo
+
+
 def _check_stationary(cfg):
     # the law decays like e^{-gamma x}: a coarser grid cannot represent it
     h = _check_spacing(cfg.grid.x_lo, cfg.grid.x_hi, cfg.grid.n, "grid")
     if h * cfg.gamma > 1.0:
         raise ConfigError(f"grid spacing {h:g} exceeds the Erlang scale 1/gamma = "
                           f"{1.0 / cfg.gamma:g}")
+    if _residual_x_lo(cfg) is None:
+        raise ConfigError(
+            f"the stationary law stays above {_RESIDUAL_EDGE:g} down to x = 1e-300 "
+            "(lambda / alpha is at or barely above 1): its residual needs a vanishing "
+            "boundary value"
+        )
 
 
 def _stationary_residual(cfg):
-    """Differential-form residual of the analytic law on its own grid.
-
-    The density decays only like x^{lam/alpha - 1} toward the origin, so
-    the left edge is probed down until the boundary value clears the decay
-    gate of the residual machinery.
-    """
+    """Differential-form residual of the analytic law on its own grid."""
     m, alpha, lam, gamma = cfg.m, cfg.alpha, cfg.lambda_, cfg.gamma
-    density = closedform.stationary_ou_m1 if m == 1 else closedform.stationary_ou_m2
-    x_lo, x_hi = 1e-4, cfg.grid.x_hi
-    while x_lo > 1e-300 and density(alpha, lam, gamma, x_lo) > 1e-13:
-        x_lo *= 1e-2
-    while density(alpha, lam, gamma, x_hi) > 1e-13:
+    density = _stationary_density(cfg)
+    x_lo, x_hi = _residual_x_lo(cfg), cfg.grid.x_hi
+    while density(alpha, lam, gamma, x_hi) > _RESIDUAL_EDGE:
         x_hi += 10.0 / gamma
     spec = GridSpec(x_lo, x_hi, 4001)
     gf = GridFunction(spec, density(alpha, lam, gamma, spec.nodes()))
@@ -710,12 +732,19 @@ def _check_tanh(cfg):
             _check_sample_jumps(cfg.lambda_ * sim.t_end)
 
 
+def _normalized_cdf(dens, x):
+    """Trapezoid CDF of a tabulated density, scaled to end at one."""
+    cum = cumulative_trapezoid(dens, x)
+    return cum / cum[-1]
+
+
 def _run_tanh(cfg, seed, report):
     alpha, lam, gamma, beta, t = cfg.alpha, cfg.lambda_, cfg.gamma, cfg.beta, cfg.t
-    law = closedform.TanhTransientLaw(lam, gamma, beta)
-    mass = law.mass(t)
-    xs, cdf = law.cdf_grid(t)
-    report.write_csv("tanh_transient_density.csv", ["x", "density"], law.density_grid(t))
+    # each law's chirp-z sum is evaluated once; mass and CDF come from its grid
+    xs, dens = closedform.TanhTransientLaw(lam, gamma, beta).density_grid(t)
+    mass = float(simpson(dens, xs))
+    cdf = _normalized_cdf(dens, xs)
+    report.write_csv("tanh_transient_density.csv", ["x", "density"], [xs, dens])
     # exact jump-adapted draws of the state at the horizon; dt, record_stride
     # and n_workers do not enter
     sample = simulate.sample_tanh_exact(lam, gamma, beta, t, cfg.sim.n_paths, seed)
@@ -729,23 +758,22 @@ def _run_tanh(cfg, seed, report):
     if cfg.stationary_sim is not None:
         ssim = cfg.stationary_sim
         olaw = closedform.TiltedOuLaw(alpha, lam, gamma, beta)
-        ys, ycdf = olaw.cdf_grid()
-        report.write_csv("ou_stationary_density.csv", ["y", "density"], olaw.density_grid())
+        ys, ydens = olaw.density_grid()
+        report.write_csv("ou_stationary_density.csv", ["y", "density"], [ys, ydens])
         osample = simulate.sample_ou_tanh_exact(
             alpha, lam, gamma, beta, ssim.t_end, ssim.n_paths, _derived_seed(seed, 1)
         )
         report.count_exact(osample)
+        ycdf = _normalized_cdf(ydens, ys)
         sks = simulate.ks_distance(osample.values, interp_cdf(ys, ycdf))
         report.metric("stationary_ks", sks)
         report.flag("stationary_ks_below_0.03", sks < 0.03)
         # informational: distance to the bare Bessel-K mixture (jump part only)
         jd = olaw.jump_component_density(ys)
         jd = np.where(np.isfinite(jd), jd, 0.0)
-        jcdf = cumulative_trapezoid(jd, ys)
-        jcdf /= jcdf[-1]
         report.metric(
             "stationary_ks_jump_only",
-            simulate.ks_distance(osample.values, interp_cdf(ys, jcdf)),
+            simulate.ks_distance(osample.values, interp_cdf(ys, _normalized_cdf(jd, ys))),
         )
 
 

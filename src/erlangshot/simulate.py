@@ -1,18 +1,15 @@
 """Monte Carlo engine: jump-diffusion paths, exact linear shot-noise
 samples, and the mean-field swarm.
 
-Path simulation is Euler-Maruyama with a fixed in-step order (drift, then
-diffusion, then jumps).  Randomness is keyed per tile of 64 paths: tile t
-(paths 64 t ... 64 t + 63) draws from the Philox key ``(seed, t)``, and the
-third Philox counter word selects what it draws.  Word 0 yields the tile's
-64 total jump counts N ~ Poisson(rate * t_end), then their arrival uniforms
-binned to steps, then their magnitude uniforms; word g + 1 yields the
-Gaussian normals of step segment g, 64 steps by 64 paths.  Every tile is
-drawn in full, so a path's draws depend on its seed and index alone and
-results are reproducible and independent of how paths are partitioned
-across workers.  One engine serves every path simulator.  Work on jumps is
-O(jumps) rather than O(steps), and increments are built one step block at
-a time, so memory does not grow with the number of steps.
+Path simulation is an Euler-Maruyama reference with a fixed in-step order
+(drift, then diffusion, then jumps), kept as the dt-biased cross-check of
+the exact samplers below; no command of the CLI runs it.  One function,
+``_euler``, serves every path simulator.  It draws from the one stream
+``(seed, 0)``: every path's total jump count, then the jumps' arrival and
+magnitude uniforms, then the Gaussian normals step after step.  Work on
+jumps is O(jumps) rather than O(steps), and increments are built a
+bounded block of steps at a time, so memory does not grow with the number
+of steps.  A path's draws depend on the seed and on the batch's shape.
 
 The interacting swarm couples pure jump agents through the empirical
 barycenter entering their Poisson rates; state-dependent rates are
@@ -32,10 +29,9 @@ the last time), with no time steps and no discretization bias.  The
 tanh-drift jump diffusion and its OU-driven companion are sampled exactly
 too: ``sample_tanh_exact`` and ``sample_ou_tanh_exact`` advance each path
 from jump to jump, the diffusion between jumps being a Brownian motion
-with drift +beta or -beta, its sign drawn once per interval.  Euler paths
-of these models remain as a bias check.  Every Erlang jump size, in the
-engine, the exact sampler and the swarm, comes from
-``noise.erlang_magnitudes``.
+with drift +beta or -beta, its sign drawn once per interval.  Every Erlang
+jump size, in the Euler reference, the exact sampler and the swarm, comes
+from ``noise.erlang_magnitudes``.
 
 Estimators (wave speed, normalized histograms, Kolmogorov-Smirnov
 distance) live here as well.
@@ -44,9 +40,7 @@ distance) live here as well.
 from __future__ import annotations
 
 import math
-import threading
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -74,13 +68,8 @@ __all__ = [
     "interp_cdf",
 ]
 
-_CHUNK = 4096
-# bytes of a chunk's step-block increment buffer: a block spans
-# _BLOCK_BYTES // (8 * paths in chunk) steps, rounded down to whole segments
-# of _SEG steps and at least one segment
-_BLOCK_BYTES = 16 * 2**20
-_TILE = 64  # paths per tile: the paths that share one Philox key
-_SEG = 64  # steps per segment: one normal draw of a tile
+_CHUNK = 4096  # draws per stream of the exact samplers
+_EULER_CELLS = 2**17  # (step, path) increments per block of the Euler reference
 _ESTIMATOR_STREAM_BASE = 2**63
 _CELLS = 2**18  # (round, path) cells per block of the jump-adapted sampler
 
@@ -92,14 +81,14 @@ class ThinningError(RuntimeError):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Step size, horizon, path count, seed, and recording stride."""
+    """Step size, horizon, path count, seed, and recording stride of a
+    simulation, which runs in one thread."""
 
     dt: float
     t_end: float
     n_paths: int
     seed: int = 0
     record_stride: int = 1
-    n_workers: int = 1
 
     def __post_init__(self):
         if not 0 < self.dt < math.inf:
@@ -113,8 +102,6 @@ class SimConfig:
             raise ValueError("n_paths must be >= 1")
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
-        if not 1 <= self.n_workers <= 64:
-            raise ValueError("n_workers must be in 1..64")
 
     @property
     def n_steps(self):
@@ -208,163 +195,61 @@ def _path_generator(seed, index):
     return Generator(Philox(key=stream_key(seed, index)))
 
 
-class _TileStreams:
-    """Tile streams served by one re-keyed bit generator.
+def _euler(step, state0, sigma, jumps, rate, config) -> TrajectoryBatch:
+    """The Euler-Maruyama reference behind every path simulator.
 
-    ``restart(t, word)`` resets the generator to the start of the stream
-    with key ``stream_key(seed, t)`` and Philox counter word 2 at ``word``;
-    its draws equal those of ``Generator(Philox(key=stream_key(seed, t),
-    counter=[0, 0, word, 0]))`` without constructing a bit generator, whose
-    seeding reads OS entropy every time.  One instance per chunk: it is not
-    safe to share across threads.
-    """
-
-    def __init__(self, seed):
-        self.seed = seed
-        self._bits = Philox(key=0)
-        self._gen = Generator(self._bits)
-        self._fresh = self._bits.state  # zero counter, empty output buffer
-        self._key = self._fresh["state"]["key"]
-        self._counter = self._fresh["state"]["counter"]
-
-    def restart(self, tile, word):
-        key = stream_key(self.seed, tile)
-        self._key[0] = key & 0xFFFFFFFFFFFFFFFF
-        self._key[1] = key >> 64
-        self._counter[2] = word
-        self._bits.state = self._fresh
-        return self._gen
-
-
-def _run_chunks(n_paths, n_workers, worker):
-    """Run ``worker(lo, hi)`` over fixed-size chunks, optionally threaded.
-
-    Chunk boundaries are independent of the worker count, and each chunk
-    writes to disjoint output slices, so results are bit-identical for any
-    n_workers.  No more threads start than there are chunks.
-    """
-    spans = [(lo, min(lo + _CHUNK, n_paths)) for lo in range(0, n_paths, _CHUNK)]
-    n_threads = min(n_workers, len(spans))
-    if n_threads == 1:
-        for lo, hi in spans:
-            worker(lo, hi)
-    else:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            list(pool.map(lambda s: worker(*s), spans))
-
-
-def _engine(step, state0, sigma, jumps, rate, config) -> TrajectoryBatch:
-    """The Euler-Maruyama path engine.
-
-    ``step(state, incr)`` advances a chunk by one step in place: ``state``
-    has one row per variable (started at ``state0``) and one column per
-    path, its last row is the recorded observable, and ``incr`` holds the
-    step's diffusion-plus-jump increment of every path.  ``jumps`` is
-    ``(d, magnitudes)``: ``magnitudes(u)`` maps an (n, d) array of
+    ``step(state, incr)`` advances every path by one step in place:
+    ``state`` has one row per variable (started at ``state0``) and one
+    column per path, its last row is the recorded observable, and ``incr``
+    holds the step's diffusion-plus-jump increment of every path.  ``jumps``
+    is ``(d, magnitudes)``: ``magnitudes(u)`` maps an (n, d) array of
     uniforms to n jump sizes.  ``rate`` is the constant jump rate.
 
-    Randomness is keyed per tile of ``_TILE`` = 64 paths: tile t holds
-    paths 64 t ... 64 t + 63 and draws from the Philox key
-    ``stream_key(seed, t)``.  With counter word 2 at 0 the tile's stream
-    yields its 64 jump counts N_i ~ Poisson(rate * t_end), then the arrival
-    uniforms of all their jumps, path after path, binned to steps, then
-    their d magnitude uniforms each.  Given N_i, uniform arrivals binned to
-    steps are multinomial, so the per-step counts are independent
-    Poisson(rate * dt) as in per-step sampling, at O(jumps) cost.  With
-    counter word 2 at g + 1 (sigma > 0) it yields the normals of step
-    segment g, steps ``_SEG`` g ... ``_SEG`` (g + 1) - 1: one (``_SEG``, 64)
-    draw, step-major, cut short at the last step.  Every tile is drawn in
-    full and columns past ``n_paths`` are discarded, so a path's draws are
-    a function of ``(seed, index)`` alone, whatever the batch, chunk or
-    worker count.
-
-    Increments are built one step block of whole segments at a time, so
-    each thread holds one ``_BLOCK_BYTES`` buffer, reused by its chunks,
-    plus a chunk's jumps whatever ``n_steps``; results do not depend on
-    the block length.
+    The one stream ``stream_key(seed, 0)`` yields each path's jump count
+    N_i ~ Poisson(rate * n_steps * dt), then the arrival uniforms of all
+    the jumps, path after path, binned to steps, then their d magnitude
+    uniforms each; given N_i, the per-step counts are independent
+    Poisson(rate * dt), at O(jumps) cost.  Then, when sigma > 0, it yields
+    one normal per step and path, step after step, drawn k = max(1,
+    ``_EULER_CELLS`` // n_paths) steps at a time: memory is bounded
+    whatever the number of steps, and the result does not depend on k.
     """
-    n_steps, dt = config.n_steps, config.dt
+    n_steps, n_paths, dt = config.n_steps, config.n_paths, config.dt
     rec = config.record_steps()
-    rec_pos = {s: i for i, s in enumerate(rec)}
-    out = np.empty((config.n_paths, len(rec)))
-    counts = np.zeros(config.n_paths, dtype=np.int64)
-    mean_jumps = rate * n_steps * dt
-    scale = sigma * math.sqrt(dt)
-    # one increment buffer per thread, reused by its chunks: a fresh one per
-    # chunk page-faults all of its _BLOCK_BYTES again
-    local = threading.local()
-
-    def worker(lo, hi):
-        k = hi - lo
-        block = min(n_steps, max(1, _BLOCK_BYTES // (8 * k * _SEG)) * _SEG)
-        n_blocks = -(-n_steps // block)
-        incr = getattr(local, "incr", None)
-        if incr is None or incr.size < block * k:
-            incr = local.incr = np.empty(block * k)
-        incr = incr[: block * k].reshape(block, k)
-        # chunks start on a tile boundary; the last tile may run past hi
-        tiles = range(lo // _TILE, -(-hi // _TILE))
-        streams = _TileStreams(config.seed)
-        drawn = []
-        for t in tiles:
-            gen = streams.restart(t, 0)
-            n = gen.poisson(mean_jumps, _TILE)
-            total = int(n.sum())
-            drawn.append((n, gen.random(total), gen.random((total, jumps[0]))))
-        counts[lo:hi], cells, sizes, edges = _jump_table(
-            drawn, k, jumps[1], n_steps, block, n_blocks
-        )
-        normals = np.empty((_SEG, _TILE))
-        state = np.repeat(np.asarray(state0, dtype=float)[:, None], k, axis=1)
-        out[lo:hi, 0] = state[-1]
-        for b in range(n_blocks):
-            b0 = b * block
-            nb = min(block, n_steps - b0)
-            buf = incr[:nb]
-            if scale > 0:
-                for s0 in range(b0, b0 + nb, _SEG):
-                    seg = normals[: min(_SEG, n_steps - s0)]
-                    rows = slice(s0 - b0, s0 - b0 + len(seg))
-                    for t in tiles:
-                        streams.restart(t, s0 // _SEG + 1).standard_normal(out=seg)
-                        c0 = t * _TILE - lo
-                        w = min(_TILE, k - c0)
-                        np.multiply(seg[:, :w], scale, out=buf[rows, c0 : c0 + w])
-            else:
-                buf.fill(0.0)
-            jumps_here = slice(edges[b], edges[b + 1])
-            np.add.at(buf.reshape(-1), cells[jumps_here], sizes[jumps_here])
-            for s in range(nb):
-                step(state, buf[s])
-                i = rec_pos.get(b0 + s + 1)
-                if i is not None:
-                    out[lo:hi, i] = state[-1]
-
-    _run_chunks(config.n_paths, config.n_workers, worker)
-    return TrajectoryBatch(rec * dt, out, counts)
-
-
-def _jump_table(drawn, k, magnitudes, n_steps, block, n_blocks):
-    """A chunk's jumps as flat cells of their block's (step, path) buffer.
-
-    ``drawn`` holds, for each tile of the chunk, its 64 jump counts, their
-    arrival uniforms and their magnitude uniforms (see ``_engine``), which
-    ``magnitudes`` maps to jump sizes.  Returns the chunk's k per-path jump
-    counts, then cells and sizes grouped by block, in draw order within a
-    block, and the edges of each block's run.
-    """
-    n_jumps = np.concatenate([n for n, _, _ in drawn])
-    # chunk column of every drawn jump; columns from k on are phantoms
-    cols = np.repeat(np.arange(len(n_jumps)), n_jumps)
-    keep = cols < k
-    arrivals = np.concatenate([a for _, a, _ in drawn])[keep]
-    steps = np.minimum((arrivals * n_steps).astype(np.int64), n_steps - 1)
-    blocks = steps // block
+    out = np.empty((n_paths, len(rec)))
+    gen = _path_generator(config.seed, 0)
+    counts = gen.poisson(rate * n_steps * dt, n_paths)
+    total = int(counts.sum())
+    steps = np.minimum((gen.random(total) * n_steps).astype(np.int64), n_steps - 1)
+    sizes = jumps[1](gen.random((total, jumps[0])))
+    k = max(1, _EULER_CELLS // n_paths)
+    n_blocks = -(-n_steps // k)
+    # each jump's flat (step, path) cell in its block of k steps; jumps are
+    # grouped by block in draw order (a small integer type sorts by radix)
+    cells = (steps % k) * n_paths + np.repeat(np.arange(n_paths), counts)
+    blocks = (steps // k).astype(np.min_scalar_type(n_blocks))
     order = np.argsort(blocks, kind="stable")
     edges = np.searchsorted(blocks[order], np.arange(n_blocks + 1))
-    cells = ((steps % block) * k + cols[keep])[order]
-    sizes = magnitudes(np.concatenate([u for _, _, u in drawn])[keep])[order]
-    return n_jumps[:k], cells, sizes, edges
+    cells, sizes = cells[order], sizes[order]
+    buf = np.empty((min(k, n_steps), n_paths))
+    state = np.repeat(np.asarray(state0, dtype=float)[:, None], n_paths, axis=1)
+    out[:, 0] = state[-1]
+    col = 0
+    for b, b0 in enumerate(range(0, n_steps, k)):
+        incr = buf[: min(k, n_steps - b0)]
+        if sigma > 0:
+            gen.standard_normal(out=incr)
+            incr *= sigma * math.sqrt(dt)
+        else:
+            incr.fill(0.0)
+        here = slice(edges[b], edges[b + 1])
+        np.add.at(incr.reshape(-1), cells[here], sizes[here])
+        for s, row in enumerate(incr, start=b0 + 1):
+            step(state, row)
+            if s == rec[col + 1]:
+                col += 1
+                out[:, col] = state[-1]
+    return TrajectoryBatch(rec * dt, out, counts)
 
 
 def _erlang_jumps(law):
@@ -391,7 +276,7 @@ def simulate_paths(model: ModelSpec, config: SimConfig, x0=0.0) -> TrajectoryBat
         x += drift(x) * dt
         x += incr
 
-    return _engine(step, [x0], sigma, _erlang_jumps(model.jumps), model.rate.lam, config)
+    return _euler(step, [x0], sigma, _erlang_jumps(model.jumps), model.rate.lam, config)
 
 
 def simulate_tanh(lam, gamma, beta, config: SimConfig) -> TrajectoryBatch:
@@ -407,7 +292,7 @@ def simulate_tanh(lam, gamma, beta, config: SimConfig) -> TrajectoryBatch:
         x += beta * np.tanh(beta * x) * dt
         x += incr
 
-    return _engine(step, [0.0], 1.0, _laplace_jumps(gamma), lam, config)
+    return _euler(step, [0.0], 1.0, _laplace_jumps(gamma), lam, config)
 
 
 def simulate_ou_tanh(alpha, lam, gamma, beta, config: SimConfig) -> TrajectoryBatch:
@@ -425,7 +310,7 @@ def simulate_ou_tanh(alpha, lam, gamma, beta, config: SimConfig) -> TrajectoryBa
         y += dx
         x += dx
 
-    return _engine(step, [0.0, 0.0], 1.0, _laplace_jumps(gamma), lam, config)
+    return _euler(step, [0.0, 0.0], 1.0, _laplace_jumps(gamma), lam, config)
 
 
 def sample_linear_shot_noise_exact(alpha, lam, gamma, m, x0, t, n, seed) -> ExactSample:

@@ -1,6 +1,7 @@
 """CLI contract: config validation, exit codes, artifacts, reproducibility."""
 
 import copy
+import importlib.util
 import itertools
 import json
 import os
@@ -300,17 +301,61 @@ def test_tanh_run(tmp_path):
 
 
 def test_tanh_runs_no_euler_path(tmp_path, monkeypatch):
-    # both checks draw from the exact samplers: the Euler engine is not reached
-    def no_engine(*args, **kwargs):
-        raise AssertionError("the Euler engine was called")
+    # tanh, stationary, transient and the wave swarm draw from exact samplers
+    # or the swarm: no Euler path simulator is reached
+    def no_euler(*args, **kwargs):
+        raise AssertionError("an Euler path simulator was called")
 
-    monkeypatch.setattr(simulate, "_engine", no_engine)
+    for name in ("simulate_paths", "simulate_tanh", "simulate_ou_tanh"):
+        monkeypatch.setattr(simulate, name, no_euler)
     cfg = _tanh_cfg(t=0.5, sim={"dt": 0.01, "t_end": 0.5, "n_paths": 16384})
     cfg["stationary_sim"] = {"dt": 0.02, "t_end": 5.0, "n_paths": 16384}
     out = tmp_path / "out"
     assert main(["tanh", "--config", _write(tmp_path, "th.json", cfg), "--out", str(out)]) == 0
     counters = json.loads((out / "report.json").read_text())["counters"]
     assert counters["paths"] == 2 * 16384 and counters["steps"] == 0
+    sim = {"dt": 0.05, "t_end": 5.0, "n_paths": 2000, "record_stride": 10}
+    grid = {"x_lo": 1e-4, "x_hi": 40.0, "n": 401}
+    swarm = {"n_agents": 50, "t_end": 1.0, "record_stride": 10}
+    for command, cfg in (
+        ("stationary", _stationary_cfg(sim=sim, grid=grid)),
+        ("transient", _transient_cfg(n_samples=2000)),
+        ("wave", _wave_cfg(m_values=[1], swarm=swarm)),
+    ):
+        out = tmp_path / command
+        path = _write(tmp_path, f"{command}.json", cfg)
+        assert main([command, "--config", path, "--out", str(out)]) in (0, 1)
+        assert (out / "report.json").exists()
+
+
+def test_tanh_computes_each_density_grid_once(tmp_path, monkeypatch):
+    # one chirp-z cosine sum per law: the mass and the CDF come from the
+    # tabulated density, not from fresh evaluations
+    calls = []
+    real = closedform._cosine_sum_grid
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return real(*args)
+
+    monkeypatch.setattr(closedform, "_cosine_sum_grid", counted)
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, "th.json", _small_tanh_cfg())
+    assert main(["tanh", "--config", cfg, "--out", str(out)]) in (0, 1)
+    assert len(calls) == 2
+
+
+def test_tracer_bindings_resolve():
+    # the benchmark's tracer replaces each of these owner attributes; one
+    # that is renamed or removed would make a traced run raise KeyError
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    targets = tracer._targets()
+    assert targets
+    for owner, attr, _, _ in targets:
+        assert attr in owner.__dict__, f"{owner.__name__}.{attr}"
 
 
 def test_tanh_beta_above_gamma_exits_2(tmp_path):
@@ -401,6 +446,17 @@ _TRANSIENT_HANGS = [_transient_cfg(alpha=1e-300), _transient_cfg(**{"lambda": 1e
         ("stationary", _stationary_cfg(gamma=1e300), []),
         ("wave", _wave_cfg(xi_lo=-1e308, xi_hi=1e308), []),
         ("transient", _transient_cfg(x0=1e308), []),
+        # lambda / alpha at or barely above 1: the law stays above the
+        # residual's boundary gate down to x = 1e-300
+        *(("stationary", _stationary_cfg(m=m, **{"lambda": lam}), [])
+          for m in (1, 2) for lam in (0.5, 1.0, 1.02)),
+        # schema 1 keeps n_workers, range-checked though no run reads it
+        *((command, _bad_sim(cfg, block, n_workers=n), [])
+          for command, cfg, block in (
+              ("stationary", _stationary_cfg(), "sim"),
+              ("tanh", _small_tanh_cfg(), "stationary_sim"),
+              ("wave", _wave_cfg(swarm={"n_agents": 10}), "swarm"))
+          for n in (0, 65)),
     ],
 )
 def test_invalid_config_exits_2_and_writes_nothing(tmp_path, command, cfg, argv):

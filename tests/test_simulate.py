@@ -2,7 +2,6 @@
 
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,9 +31,6 @@ from erlangshot.quadrature import cumulative_trapezoid
 from erlangshot.simulate import (
     SimConfig,
     _path_generator,
-    _SEG,
-    _TILE,
-    _TileStreams,
     _AGENT_BLOCK,
     _pick_weighted,
     SwarmSeries,
@@ -337,48 +333,6 @@ def test_ks_distance_examples():
     assert ks_distance(u, lambda x: np.clip(x - 2.0, 0, 1)) == pytest.approx(1.0)
 
 
-def test_worker_count_does_not_change_results():
-    model = _ou_model(m=2, lam=1.5)
-    outs = []
-    for w in (1, 2, 8):
-        cfg = SimConfig(dt=0.01, t_end=2.0, n_paths=9000, seed=12, record_stride=20, n_workers=w)
-        outs.append(simulate_paths(model, cfg))
-    for other in outs[1:]:
-        assert outs[0].paths.tobytes() == other.paths.tobytes()
-        assert np.array_equal(outs[0].jump_counts, other.jump_counts)
-
-
-def test_gaussian_paths_do_not_depend_on_workers_or_batch():
-    # sigma = 1: 4196 paths span a chunk and end mid-tile, so the second
-    # chunk's last tile has phantom columns; 150 steps end mid-segment
-    cfg = SimConfig(dt=0.01, t_end=1.5, n_paths=4196, seed=22, record_stride=10)
-    runs = [
-        simulate_ou_tanh(1.0, 3.0, 2.0, 0.5, replace(cfg, n_workers=w))
-        for w in (1, 2, 8)
-    ]
-    for other in runs[1:]:
-        assert runs[0].paths.tobytes() == other.paths.tobytes()
-        assert np.array_equal(runs[0].jump_counts, other.jump_counts)
-    wider = simulate_ou_tanh(1.0, 3.0, 2.0, 0.5, replace(cfg, n_paths=4500))
-    assert runs[0].paths.tobytes() == wider.paths[:4196].tobytes()
-    assert np.array_equal(runs[0].jump_counts, wider.jump_counts[:4196])
-
-
-def test_thread_pool_is_capped_at_the_chunk_count(monkeypatch):
-    # 8 workers on 4097 paths, two chunks, start two threads; one chunk none
-    sizes = []
-    real = simulate.ThreadPoolExecutor
-
-    def counted(max_workers):
-        sizes.append(max_workers)
-        return real(max_workers=max_workers)
-
-    monkeypatch.setattr(simulate, "ThreadPoolExecutor", counted)
-    for n_paths in (4097, 4096):
-        simulate_paths(_ou_model(), SimConfig(dt=0.1, t_end=1.0, n_paths=n_paths, n_workers=8))
-    assert sizes == [2]
-
-
 def test_same_seed_reproduces_swarm():
     cfg = SimConfig(dt=0.01, t_end=1.0, n_paths=1, seed=13, record_stride=10)
     a = simulate_swarm(200, 2, 1.0, 1.0, cfg)
@@ -517,45 +471,36 @@ def test_jump_arrivals_are_per_step_poisson():
     assert stats.kstest((steps + 0.5) / hit.shape[1], "uniform").pvalue > 0.001
 
 
-@pytest.mark.parametrize(
-    "seed,index",
-    [(0, 0), (7, 1), (2**64 - 1, 3), (5, 2**32), (11, 2**32 + 7), (2**40, 2**64 - 1)],
-)
-def test_paths_follow_the_tile_stream_layout(seed, index):
-    # known answer: with zero drift and no jumps, path i after s + 1 steps
-    # is the running sum of sigma sqrt(dt) times entry [s mod _SEG, i mod 64]
-    # of the normals of tile i // 64 under counter word 2 = s // _SEG + 1;
-    # 150 steps end mid-segment and 150 paths end mid-tile
-    sigma, dt, n_paths = 0.7, 0.01, 150
+@pytest.mark.parametrize("seed", [0, 5, 7, 11, 2**40, 2**64 - 1])
+def test_paths_follow_the_stream_layout(seed):
+    # known answer, redrawn from the one stream (seed, 0): the jump counts,
+    # their arrival uniforms binned to steps, their magnitude uniforms, then
+    # one normal per step and path, step after step; with zero drift, path
+    # i's step s adds sigma sqrt(dt) times normal [s, i], then its jumps
+    # binned to step s in draw order
+    lam, sigma, dt, n_paths = 2.0, 0.7, 0.01, 150
     model = ModelSpec(
-        ZeroDrift(), ConstantDiffusion(sigma), ConstantRate(0.0), ErlangJumpLaw(1, 1.0)
+        ZeroDrift(), ConstantDiffusion(sigma), ConstantRate(lam), ErlangJumpLaw(2, 1.5)
     )
     batch = simulate_paths(model, SimConfig(dt=dt, t_end=1.5, n_paths=n_paths, seed=seed))
     n_steps = batch.paths.shape[1] - 1
-
-    def tile_normals(tile):
-        key = stream_key(seed, tile)
-        segs = [
-            Generator(Philox(key=key, counter=[0, 0, g + 1, 0])).standard_normal((_SEG, _TILE))
-            for g in range(-(-n_steps // _SEG))
-        ]
-        return np.concatenate(segs)[:n_steps]
-
-    for tile in range(-(-n_paths // _TILE)):
-        normals = tile_normals(tile)
-        for i in range(tile * _TILE, min(n_paths, (tile + 1) * _TILE)):
-            want = np.zeros(n_steps + 1)
-            for s in range(n_steps):
-                want[s + 1] = want[s] + sigma * math.sqrt(dt) * normals[s, i % _TILE]
-            assert batch.paths[i].tobytes() == want.tobytes()
-    # the engine's re-keyed generator reaches the extreme tiles the same way;
-    # an earlier stream must not leak into a restart
-    streams = _TileStreams(seed)
-    streams.restart(99, 5).standard_normal(3)
-    for word in (0, 1, 7):
-        got = streams.restart(index // _TILE, word).standard_normal(8)
-        ref = Generator(Philox(key=stream_key(seed, index // _TILE), counter=[0, 0, word, 0]))
-        assert got.tobytes() == ref.standard_normal(8).tobytes()
+    g = Generator(Philox(key=stream_key(seed, 0)))
+    counts = g.poisson(lam * n_steps * dt, n_paths)
+    arrivals = g.random(counts.sum())
+    sizes = erlang_magnitudes(g.random((counts.sum(), 2)), 1.5)
+    normals = g.standard_normal((n_steps, n_paths))
+    assert np.array_equal(batch.jump_counts, counts) and counts.sum() > 300
+    first = np.cumsum(counts) - counts
+    for i in range(n_paths):
+        mine = range(first[i], first[i] + counts[i])
+        x = [0.0]
+        for s in range(n_steps):
+            incr = sigma * math.sqrt(dt) * normals[s, i]
+            for j in mine:
+                if min(int(arrivals[j] * n_steps), n_steps - 1) == s:
+                    incr += sizes[j]
+            x.append(x[-1] + incr)
+        assert batch.paths[i].tobytes() == np.array(x).tobytes()
 
 
 def test_stream_keys_reject_out_of_range():
@@ -563,16 +508,14 @@ def test_stream_keys_reject_out_of_range():
     for seed, index in ((2**64, 0), (-1, 0), (0, 2**64), (0, -1)):
         with pytest.raises(ValueError):
             _path_generator(seed, index)
-        with pytest.raises(ValueError):
-            _TileStreams(seed).restart(index, 0)
 
 
 def test_results_do_not_depend_on_step_block_length(monkeypatch):
-    # 7-step blocks: each path's normals continue across 29 blocks, and
-    # jumps land in the block that holds their step
+    # 7-step blocks: the normals continue across 29 blocks, and jumps land
+    # in the block that holds their step
     cfg = SimConfig(dt=0.01, t_end=2.0, n_paths=300, seed=17, record_stride=10)
     whole = simulate_ou_tanh(1.0, 3.0, 2.0, 0.5, cfg)
-    monkeypatch.setattr(simulate, "_BLOCK_BYTES", 8 * 300 * 7)
+    monkeypatch.setattr(simulate, "_EULER_CELLS", 300 * 7)
     blocked = simulate_ou_tanh(1.0, 3.0, 2.0, 0.5, cfg)
     assert whole.paths.tobytes() == blocked.paths.tobytes()
     assert np.array_equal(whole.jump_counts, blocked.jump_counts)
@@ -602,21 +545,6 @@ def test_tanh_paths_unchanged_by_the_shared_laplace_sampler(monkeypatch):
 
     monkeypatch.setattr(simulate, "laplace_magnitudes", inline)
     assert simulate_tanh(2.0, 2.0, 0.5, cfg).paths.tobytes() == batch.paths.tobytes()
-
-
-def test_path_does_not_depend_on_its_batch():
-    # a path's stream is keyed by its index alone, whatever the chunk size,
-    # block length or the number of jumps its chunk-mates draw
-    mean = 20.0 * 2.0
-    grew = False
-    for seed in range(5):
-        one = SimConfig(dt=0.01, t_end=2.0, n_paths=1, seed=seed, record_stride=10)
-        many = SimConfig(dt=0.01, t_end=2.0, n_paths=40, seed=seed, record_stride=10)
-        alone = simulate_ou_tanh(1.0, 20.0, 2.0, 0.5, one)
-        batch = simulate_ou_tanh(1.0, 20.0, 2.0, 0.5, many)
-        assert alone.paths[0].tobytes() == batch.paths[0].tobytes()
-        grew |= alone.jump_counts[0] > mean + 1  # overflowed the first estimate
-    assert grew
 
 
 def test_weighted_picker_stays_in_range_and_matches_weights():

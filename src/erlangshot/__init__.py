@@ -15,11 +15,9 @@ from .closedform import (
     gumbel_wave,
     laplace_transform_linear,
     mellin_moment,
-    ou_tanh_stationary,
     stationary_m1,
     stationary_ou_m1,
     stationary_ou_m2,
-    tanh_transient,
     whittaker_wave,
 )
 from .master import (
@@ -44,13 +42,9 @@ from .master import (
 )
 from .noise import (
     ErlangJumpLaw,
-    RngStream,
     SymmetricLaplaceLaw,
     TiltedJumpLaw,
     erlang_pdf,
-    erlang_sample,
-    laplace_sample,
-    tilted_sample,
 )
 from .simulate import (
     EmpiricalDensity,
@@ -71,7 +65,6 @@ from .simulate import (
     simulate_tanh,
 )
 from .specfun import (
-    Accuracy,
     bessel_i,
     bessel_k,
     digamma,

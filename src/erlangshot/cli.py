@@ -522,22 +522,35 @@ def _stationary_density(cfg):
 
 def _residual_x_lo(cfg):
     """Left edge of the residual grid: the density decays only like
-    x^{lam/alpha - 1} toward the origin, so the edge is probed down until
-    the law clears ``_RESIDUAL_EDGE`` there, or is None past 1e-300."""
-    density, x_lo = _stationary_density(cfg), 1e-4
-    while density(cfg.alpha, cfg.lambda_, cfg.gamma, x_lo) > _RESIDUAL_EDGE:
-        if x_lo <= 1e-300:
-            return None
-        x_lo *= 1e-2
-    return x_lo
+    x^{lam/alpha - 1} toward the origin, so the edge is the first of 1e-4,
+    1e-6, ... where the law clears ``_RESIDUAL_EDGE``, or None past 1e-300.
+    The ladder is evaluated in one call."""
+    ladder = [1e-4]
+    while ladder[-1] > 1e-300:
+        ladder.append(ladder[-1] * 1e-2)
+    # the law may underflow to 0 deep in the ladder; only the comparison counts
+    with np.errstate(all="ignore"):
+        dens = _stationary_density(cfg)(cfg.alpha, cfg.lambda_, cfg.gamma, np.array(ladder))
+    cleared = np.flatnonzero(~(dens > _RESIDUAL_EDGE))
+    return ladder[cleared[0]] if cleared.size else None
 
 
 def _check_stationary(cfg):
+    # each exact path draws Poisson(lambda * t_end) jumps, 4096 paths at a time
+    _check_sample_jumps(cfg.lambda_ * cfg.sim.t_end)
     # the law decays like e^{-gamma x}: a coarser grid cannot represent it
     h = _check_spacing(cfg.grid.x_lo, cfg.grid.x_hi, cfg.grid.n, "grid")
     if h * cfg.gamma > 1.0:
         raise ConfigError(f"grid spacing {h:g} exceeds the Erlang scale 1/gamma = "
                           f"{1.0 / cfg.gamma:g}")
+    # a law whose mean lies off the grid has its mass below x_lo or past
+    # x_hi (lambda / alpha or 1 / gamma tiny or huge): the grid can neither
+    # tabulate it nor hold the sample it is compared with
+    with np.errstate(over="ignore", under="ignore"):
+        mean = np.float64(cfg.lambda_) * cfg.m / cfg.alpha / cfg.gamma
+    if not cfg.grid.x_lo <= mean <= cfg.grid.x_hi:
+        raise ConfigError(f"the stationary mean lambda m / (alpha gamma) = {mean:g} lies "
+                          f"off the grid [{cfg.grid.x_lo:g}, {cfg.grid.x_hi:g}]")
     if _residual_x_lo(cfg) is None:
         raise ConfigError(
             f"the stationary law stays above {_RESIDUAL_EDGE:g} down to x = 1e-300 "
@@ -783,7 +796,8 @@ def _run_tanh(cfg, seed, report):
 
 _VERIFY_SPECFUN = _record("VerifySpecfunConfig", _Field("n_samples", int, 120, _at_least(100)))
 
-# parameter tuples per oracle call, so memory does not grow with n_samples
+# parameter tuples per function and oracle call, so memory does not grow
+# with n_samples
 _SPECFUN_BATCH = 4096
 
 
@@ -793,14 +807,16 @@ def _run_verify_specfun(cfg, seed, report):
 
     def sweep(name, tol, sampler, impl, ref, relative=False, ulp_floor=False):
         # all n tuples are drawn first, in the order of the one-at-a-time
-        # loop; ref takes parameter arrays and evaluates a batch per call
-        draws = [sampler(rng) for _ in range(n)]
-        got = np.array([impl(*args) for args in draws], dtype=float)
-        cols = [np.array(c) for c in zip(*draws)]
-        want = np.concatenate([
-            np.atleast_1d(ref(*(c[i : i + _SPECFUN_BATCH] for c in cols)))
-            for i in range(0, n, _SPECFUN_BATCH)
-        ])
+        # loop; impl and ref take parameter columns and evaluate a batch per call
+        cols = [np.array(c) for c in zip(*(sampler(rng) for _ in range(n)))]
+
+        def batched(fn):
+            return np.concatenate([
+                np.atleast_1d(fn(*(c[i : i + _SPECFUN_BATCH] for c in cols)))
+                for i in range(0, n, _SPECFUN_BATCH)
+            ])
+
+        got, want = batched(impl), batched(ref)
         err = np.abs(got - want)
         if relative:
             err /= np.maximum(np.abs(want), 1e-300)
@@ -810,6 +826,8 @@ def _run_verify_specfun(cfg, seed, report):
         report.flag(f"{name}_within_tol", np.all(err <= bound))
 
     def elementwise(fn):
+        # fn once per draw: the scalar parameters of U, W and 1F1 pick their
+        # route, and the oracles below are scalar code
         return np.vectorize(fn, otypes=[float])
 
     sweep(
@@ -840,17 +858,17 @@ def _run_verify_specfun(cfg, seed, report):
     sweep(
         "kummer_u", 1e-8,
         lambda r: (r.uniform(0.2, 4.0), r.uniform(0.5, 3.0), 10 ** r.uniform(-1.3, np.log10(50))),
-        specfun.kummer_u, oracles.kummer_u_ref, relative=True,
+        elementwise(specfun.kummer_u), oracles.kummer_u_ref, relative=True,
     )
     sweep(
         "whittaker_w0", 1e-8,
         lambda r: (r.uniform(-3.0, 0.3), 10 ** r.uniform(-1.0, 1.5)),
-        specfun.whittaker_w0, oracles.whittaker_w0_ref, relative=True,
+        elementwise(specfun.whittaker_w0), oracles.whittaker_w0_ref, relative=True,
     )
     sweep(
         "kummer_1f1", 1e-10,
         lambda r: (-float(r.integers(0, 9)), r.uniform(0.5, 4.0), r.uniform(-30.0, 30.0)),
-        specfun.kummer_1f1,
+        elementwise(specfun.kummer_1f1),
         elementwise(lambda a, b, z: oracles.kummer_1f1_poly_ref(int(-a), b, z)),
     )
 

@@ -61,8 +61,6 @@ __all__ = [
     "gumbel_wave",
     "whittaker_wave",
     "mellin_moment",
-    "tanh_transient",
-    "ou_tanh_stationary",
     "gaussian_pair_mixture",
 ]
 
@@ -651,11 +649,6 @@ class TanhTransientLaw:
         return x, cum / cum[-1]
 
 
-def tanh_transient(x, t, lam, gamma, beta):
-    """Density of the tanh-drift jump diffusion at (x, t), started at 0."""
-    return TanhTransientLaw(lam, gamma, beta).density(x, t)
-
-
 @dataclass(frozen=True)
 class TiltedOuLaw:
     """Invariant law of the OU process driven by tanh-drift jump-diffusion
@@ -767,12 +760,3 @@ class TiltedOuLaw:
         y, dens = self.density_grid(n)
         cum = cumulative_trapezoid(dens, y)
         return y, cum / cum[-1]
-
-
-def ou_tanh_stationary(y, law: TiltedOuLaw):
-    """Bessel-K mixture 1/2 [P^(-beta) + P^(+beta)] of the invariant law.
-
-    This is the jump-driven part of the invariant measure; see
-    TiltedOuLaw.density for the full law including the Brownian factor.
-    """
-    return law.jump_component_density(y)

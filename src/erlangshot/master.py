@@ -360,32 +360,19 @@ def stationary_residual(P: GridFunction, model: ModelSpec) -> float:
 
 
 def wave_residual(P: GridFunction, beta, gamma, m, speed) -> float:
-    """Max-norm residual of the co-moving traveling-wave ODE.
+    """Max-norm residual of the co-moving traveling-wave equation.
 
-    With rate lambda(xi) = exp(-beta xi) the profile must satisfy, in the
-    frame moving at ``speed``,
+    In the frame moving at ``speed`` the wave is a stationary density of
+    the dynamics with drift -speed, no diffusion, rate lambda(xi) =
+    exp(-beta xi) and Erlang(m, gamma) jumps, so this is that model's
+    ``stationary_residual``, the differential form
 
-        m=1:  -speed (gamma + d/dxi) dP/dxi + d/dxi (lambda P) = 0
-        m=2:  -speed (gamma + d/dxi)^2 P + (2 gamma + d/dxi)(lambda P) = 0
+        (d/dxi + gamma)^m (speed dP/dxi) + [gamma^m - (d/dxi + gamma)^m](lambda P) = 0.
     """
-    if m not in (1, 2):
-        raise ValueError("wave residual is defined for m in {1, 2}")
-    _check_decay(P.values)
-    spec = P.spec
-    h = spec.h
-    xi = spec.nodes()
-    lamP = np.exp(-beta * xi) * P.values
-    if m == 1:
-        res = -speed * apply_shift_operator(_d1(P.values, h), h, gamma, 1) + _d1(
-            lamP, h
-        )
-        k = 4
-    else:
-        res = -speed * apply_shift_operator(P.values, h, gamma, 2) + (
-            2.0 * gamma * lamP + _d1(lamP, h)
-        )
-        k = 4
-    return float(np.max(np.abs(res[k:-k])))
+    model = ModelSpec(
+        ConstantDrift(-speed), ZeroDiffusion(), ExpDecayCentered(beta), ErlangJumpLaw(m, gamma)
+    )
+    return stationary_residual(P, model)
 
 
 def fit_convergence_order(hs, errors, n_finest=3):

@@ -1,18 +1,19 @@
 """Jump-size laws of compound Poisson noise and their samplers.
 
-Provides the one-sided Erlang jump law, the symmetric Laplace law, the
-cosh-tilted Laplace law with its mass factor, and exact samplers for each.
-Sampling is inverse-CDF throughout (monotone in the underlying uniforms) so
-that sample sequences are reproducible and easy to audit.
+Provides the one-sided Erlang jump law, the symmetric Laplace law and the
+cosh-tilted Laplace law with its mass factor, and the inverse-CDF maps from
+uniforms to Erlang and Laplace jump sizes that every sampler of the package
+uses (monotone in the underlying uniforms, so that sample sequences are
+reproducible and easy to audit).
 
 Randomness comes from counter-based Philox4x64-10 streams keyed by
-``(seed, stream_id)``; distinct stream ids give statistically independent
-streams for the same seed.
+``(seed, stream_id)`` (``stream``); distinct stream ids give statistically
+independent streams for the same seed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -20,17 +21,14 @@ from numpy.random import Generator, Philox
 from .specfun import log_gamma
 
 __all__ = [
-    "RngStream",
     "stream_key",
+    "stream",
     "ErlangJumpLaw",
     "SymmetricLaplaceLaw",
     "TiltedJumpLaw",
     "erlang_pdf",
     "erlang_magnitudes",
-    "erlang_sample",
     "laplace_magnitudes",
-    "laplace_sample",
-    "tilted_sample",
 ]
 
 
@@ -47,37 +45,11 @@ def stream_key(seed, stream_id):
     return (stream_id << 64) | seed
 
 
-@dataclass
-class RngStream:
-    """Deterministic random stream keyed by (seed, stream_id).
-
-    Backed by numpy's Philox4x64-10 counter-based generator with the
-    128-bit key ``(stream_id << 64) | seed``.  The pair fully determines
-    the sample sequence; streams with different ids are independent.
-    """
-
-    seed: int
-    stream_id: int = 0
-    _gen: Generator = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._gen = Generator(Philox(key=stream_key(self.seed, self.stream_id)))
-
-    @property
-    def generator(self) -> Generator:
-        return self._gen
-
-    def uniform(self, size=None):
-        """Uniform draws on [0, 1)."""
-        return self._gen.random(size)
-
-    def exponential(self, rate, size=None):
-        """Exponential draws of the given rate via inverse CDF."""
-        u = self._gen.random(size)
-        return -np.log1p(-u) / rate
-
-    def poisson(self, mean, size=None):
-        return self._gen.poisson(mean, size)
+def stream(seed, stream_id):
+    """Generator of stream (seed, stream_id): numpy's Philox4x64-10 keyed by
+    ``stream_key(seed, stream_id)``.  The pair fully determines the sample
+    sequence; streams with different ids are independent."""
+    return Generator(Philox(key=stream_key(seed, stream_id)))
 
 
 @dataclass(frozen=True)
@@ -163,21 +135,6 @@ class TiltedJumpLaw:
         out = 0.25 * g * (np.exp(-(g - b) * x) + np.exp(-(g + b) * x)) / self.mass
         return float(out) if out.ndim == 0 else out
 
-    def mixture_weights_and_rates(self):
-        """Four-branch decomposition over (sign, rate).
-
-        The tilted kernel splits into symmetric two-sided exponentials of
-        rates gamma -+ beta; returns ``(weights, rates, signs)`` with the
-        four normalized branch weights.
-        """
-        g, b = self.base.gamma, self.beta
-        w_slow = g / (4.0 * (g - b)) / self.mass
-        w_fast = g / (4.0 * (g + b)) / self.mass
-        weights = np.array([w_slow, w_fast, w_slow, w_fast])
-        rates = np.array([g - b, g + b, g - b, g + b])
-        signs = np.array([1.0, 1.0, -1.0, -1.0])
-        return weights, rates, signs
-
     def char_fn(self, u):
         """Characteristic function of the normalized tilted law (real, even)."""
         u = np.asarray(u, dtype=float)
@@ -218,41 +175,8 @@ def erlang_magnitudes(u, gamma):
     return total
 
 
-def erlang_sample(law: ErlangJumpLaw, rng: RngStream, size=None):
-    """Draw Erlang(m, gamma) samples as sums of m inverse-CDF exponentials."""
-    if size is None:
-        return float(erlang_magnitudes(rng.uniform((1, law.m)), law.gamma)[0])
-    return erlang_magnitudes(rng.uniform((size, law.m)), law.gamma)
-
-
 def laplace_magnitudes(u, gamma):
     """Symmetric Laplace(gamma) jump sizes from uniforms u by inverting the
     CDF: log(2u) / gamma below u = 1/2 and -log(2(1 - u)) / gamma from it
     on.  Every Laplace sampler of the package goes through here."""
     return np.where(u < 0.5, np.log(2 * u), -np.log(2 * (1 - u))) / gamma
-
-
-def laplace_sample(law: SymmetricLaplaceLaw, rng: RngStream, size=None):
-    """Draw from the two-sided exponential by inverting its CDF."""
-    out = laplace_magnitudes(rng.uniform(size), law.gamma)
-    return float(out) if out.ndim == 0 else out
-
-
-def tilted_sample(law: TiltedJumpLaw, rng: RngStream, size=None):
-    """Draw from the normalized cosh-tilted law.
-
-    Uses the exact four-branch mixture of one-sided exponentials on each
-    half line with rates gamma -+ beta; branch choice and magnitude both
-    come from inverse-CDF uniforms.
-    """
-    weights, rates, signs = law.mixture_weights_and_rates()
-    edges = np.cumsum(weights)
-    scalar = size is None
-    n = 1 if scalar else int(size)
-    u_branch = rng.uniform(n)
-    u_mag = rng.uniform(n)
-    idx = np.searchsorted(edges, u_branch, side="right")
-    idx = np.minimum(idx, 3)
-    mag = -np.log1p(-u_mag) / rates[idx]
-    out = signs[idx] * mag
-    return float(out[0]) if scalar else out

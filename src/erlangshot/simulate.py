@@ -43,10 +43,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from .master import ConstantRate, ModelSpec
-from .noise import erlang_magnitudes, laplace_magnitudes, stream_key
+from .noise import erlang_magnitudes, laplace_magnitudes, stream
 
 __all__ = [
     "SimConfig",
@@ -191,10 +190,6 @@ class EmpiricalDensity:
             raise ValueError("masses must be nonnegative and sum to one")
 
 
-def _path_generator(seed, index):
-    return Generator(Philox(key=stream_key(seed, index)))
-
-
 def _euler(step, state0, sigma, jumps, rate, config) -> TrajectoryBatch:
     """The Euler-Maruyama reference behind every path simulator.
 
@@ -205,7 +200,7 @@ def _euler(step, state0, sigma, jumps, rate, config) -> TrajectoryBatch:
     is ``(d, magnitudes)``: ``magnitudes(u)`` maps an (n, d) array of
     uniforms to n jump sizes.  ``rate`` is the constant jump rate.
 
-    The one stream ``stream_key(seed, 0)`` yields each path's jump count
+    The one stream ``(seed, 0)`` yields each path's jump count
     N_i ~ Poisson(rate * n_steps * dt), then the arrival uniforms of all
     the jumps, path after path, binned to steps, then their d magnitude
     uniforms each; given N_i, the per-step counts are independent
@@ -217,7 +212,7 @@ def _euler(step, state0, sigma, jumps, rate, config) -> TrajectoryBatch:
     n_steps, n_paths, dt = config.n_steps, config.n_paths, config.dt
     rec = config.record_steps()
     out = np.empty((n_paths, len(rec)))
-    gen = _path_generator(config.seed, 0)
+    gen = stream(config.seed, 0)
     counts = gen.poisson(rate * n_steps * dt, n_paths)
     total = int(counts.sum())
     steps = np.minimum((gen.random(total) * n_steps).astype(np.int64), n_steps - 1)
@@ -382,7 +377,7 @@ def _exact_chunks(n, seed, mean_jumps, d):
     """
     for lo in range(0, n, _CHUNK):
         hi = min(n, lo + _CHUNK)
-        gen = _path_generator(seed, _ESTIMATOR_STREAM_BASE + lo)
+        gen = stream(seed, _ESTIMATOR_STREAM_BASE + lo)
         counts = gen.poisson(mean_jumps, hi - lo)
         total = int(counts.sum())
         yield lo, hi, gen, counts, gen.random(total), gen.random((total, d))
@@ -593,7 +588,7 @@ def simulate_swarm(n_agents, m, gamma, beta, config: SimConfig) -> SwarmSeries:
     if not gamma > 0 or not beta > 0:
         raise ValueError("gamma and beta must be positive")
 
-    gen = _path_generator(config.seed, 0)
+    gen = stream(config.seed, 0)
     n_blocks = -(-n_agents // _AGENT_BLOCK)
     x = np.zeros(n_agents)
     # weights padded with zeros to whole blocks; w2d is a view of w

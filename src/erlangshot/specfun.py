@@ -20,22 +20,22 @@ quadrature, closed-form identities) in the test suite.  Only numpy and
   transformation and the large-argument expansion;
 * ``next_fast_len`` picks the transform sizes for ``numpy.fft``.
 
-All functions are pure and accept scalars or numpy arrays (orders and the
-parameters of U and 1F1 are scalars).  A Python float argument is
-evaluated in plain ``math``, since a numpy loop over one point costs far
-more than the point.
+All functions are pure and accept scalars or numpy arrays, and a Python
+float in gives a float out.  The Bessel orders, and the shape m and rate of
+the Erlang survival function, broadcast against x entry by entry; the
+parameters of U and 1F1 are scalars.  There is no separate plain-math
+Bessel route: a float goes through the same numpy loops as an array, so
+callers with many points, or many orders, pass them in one call.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "Accuracy",
     "log_gamma",
     "digamma",
     "bessel_i",
@@ -48,23 +48,6 @@ __all__ = [
     "kummer_1f1",
     "next_fast_len",
 ]
-
-
-@dataclass(frozen=True)
-class Accuracy:
-    """Tolerance knobs for series evaluation."""
-
-    abs_tol: float = 1e-10
-    max_terms: int = 500
-
-    def __post_init__(self):
-        if not self.abs_tol > 0:
-            raise ValueError("abs_tol must be positive")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be >= 1")
-
-
-_DEFAULT_ACC = Accuracy()
 
 
 def _require(cond, msg):
@@ -125,15 +108,18 @@ def digamma(x):
 # ---------------------------------------------------------------------------
 # modified Bessel functions
 #
-# Each kernel has a plain-math form for a float and a numpy form for a flat
-# array; the order is a scalar.  The array loops test convergence every
-# _CHECK steps and then drop the converged entries: a step costs a dozen or
-# so numpy calls whatever the array size, and the steps an entry takes past
-# convergence only add terms below its rounding.
+# Each kernel is one numpy loop over a flat array of arguments and an order
+# per entry, or one scalar order shared by all entries (_flat), whose
+# arithmetic is then done once per step instead of once per entry.  The
+# loops test convergence every _CHECK steps and then drop the converged
+# entries (_take): a step costs a dozen or so numpy calls whatever the
+# array size, and the steps an entry takes past convergence only add terms
+# below its rounding.  Terms of the order alone are taken in plain math once
+# per distinct order (_per_order).  So an entry's value does not depend on
+# the other entries or on how many orders a call holds.
 
 _EPS = float(np.finfo(float).eps)
 _FLOAT_MAX = float(np.finfo(float).max)
-_LOG_MAX = math.log(_FLOAT_MAX)
 _CHECK = 4
 _I_SERIES_X = 40.0
 _K_TEMME_X = 2.0
@@ -159,40 +145,34 @@ _RGAMMA = (
 )
 
 
-def _i_hankel_from(nu):
-    # Hankel's series for I cancels to about e^{nu^2 / (2x)} times its sum,
-    # so the power series runs at least up to nu^2 / 4
-    return max(_I_SERIES_X, 0.25 * nu * nu)
+def _take(v, sel):
+    """The entries sel of a kernel variable; a shared scalar order stays."""
+    return v[sel] if np.ndim(v) else v
 
 
-def _i_series_scalar(nu, x):
-    # log I_nu(x) = nu log(x/2) - log Gamma(nu + 1) + log sum_k (x^2/4)^k / (k! (nu + 1)_k)
-    q = 0.25 * x * x
-    term = total = 1.0
-    shift = 0.0
-    k = 0
-    while term > _EPS * total:
-        k += 1
-        term *= q / (k * (nu + k))
-        total += term
-        if total > _BIG:
-            term *= _RESCALE
-            total *= _RESCALE
-            shift += _LOG_RESCALE
-    return nu * math.log(0.5 * x) - _lgamma(nu + 1.0) + math.log(total) + shift
+def _per_order(fn, nu):
+    """fn, a plain-math function of one order returning a float or a tuple
+    of floats, at a shared order or at every entry of nu (one row per
+    entry), evaluated once per distinct order."""
+    if np.ndim(nu) == 0:
+        return fn(float(nu))
+    orders, where = np.unique(nu, return_inverse=True)
+    return np.array([fn(v) for v in orders.tolist()], dtype=float)[where]
 
 
 def _i_series(nu, x):
+    # log I_nu(x) = nu log(x/2) - log Gamma(nu + 1) + log sum_k (x^2/4)^k / (k! (nu + 1)_k)
+    lg = _per_order(lambda v: _lgamma(v + 1.0), nu)
     q = 0.25 * x * x
     out = np.empty_like(x)
     idx = np.arange(x.size)
     term = np.ones_like(x)
     total = np.ones_like(x)
     shift = np.zeros_like(x)
-    k = 0
+    k, nuk = 0, nu
     while idx.size:
         k += 1
-        term = term * (q / (k * (nu + k)))
+        term = term * (q / (k * (nuk + k)))
         total = total + term
         if k % _CHECK:
             continue
@@ -205,8 +185,9 @@ def _i_series(nu, x):
         if done.any():
             out[idx[done]] = np.log(total[done]) + shift[done]
             keep = ~done
-            idx, q, term, total, shift = idx[keep], q[keep], term[keep], total[keep], shift[keep]
-    return nu * np.log(0.5 * x) - _lgamma(nu + 1.0) + out
+            idx, q, term, total, shift = (v[keep] for v in (idx, q, term, total, shift))
+            nuk = _take(nuk, keep)
+    return nu * np.log(0.5 * x) - lg + out
 
 
 # Hankel's series sum_k sign^k a_k(nu) / x^k, a_k = prod_{j<=k} (4 nu^2 - (2j - 1)^2) / (8j),
@@ -214,17 +195,6 @@ def _i_series(nu, x):
 # Its terms fall until k is about 2x; where it is used (x > 20 for orders up
 # to 3/2, x > max(40, nu^2/4) for I) they fall below the rounding of the sum
 # well before that.
-
-
-def _hankel_scalar(nu, x, sign):
-    mu = 4.0 * nu * nu
-    term = total = 1.0
-    k = 0
-    while abs(term) >= 0.25 * _EPS * abs(total):
-        k += 1
-        term *= sign * (mu - (2 * k - 1) ** 2) / (8.0 * k) / x
-        total += term
-    return total
 
 
 def _hankel(nu, x, sign):
@@ -244,53 +214,28 @@ def _hankel(nu, x, sign):
         if done.any():
             out[idx[done]] = total[done]
             keep = ~done
-            idx, x, term, total = idx[keep], x[keep], term[keep], total[keep]
+            idx, x, term, total = (v[keep] for v in (idx, x, term, total))
+            mu = _take(mu, keep)
     return out
 
 
-def _temme_gammas(mu):
+def _temme_terms(mu):
     # gam1 = (1/Gamma(1 - mu) - 1/Gamma(1 + mu)) / (2 mu),
-    # gam2 = (1/Gamma(1 - mu) + 1/Gamma(1 + mu)) / 2, 1/Gamma(1 + mu), 1/Gamma(1 - mu),
-    # from the even and odd parts of the Taylor series (no cancellation at small mu)
+    # gam2 = (1/Gamma(1 - mu) + 1/Gamma(1 + mu)) / 2, 1/Gamma(1 + mu), 1/Gamma(1 - mu)
+    # from the even and odd parts of the Taylor series (no cancellation at
+    # small mu), and pi mu / sin(pi mu)
     even = odd = 0.0
     for c in reversed(_RGAMMA[0::2]):
         even = even * mu * mu + c
     for c in reversed(_RGAMMA[1::2]):
         odd = odd * mu * mu + c
-    return -odd, even, even + mu * odd, even - mu * odd
-
-
-def _k_temme_scalar(mu, x):
-    """(K_mu(x), K_{mu+1}(x)) for 0 < x <= 2 and |mu| <= 1/2 (Temme's series)."""
-    gam1, gam2, gampl, gammi = _temme_gammas(mu)
     fact = math.pi * mu / math.sin(math.pi * mu) if mu else 1.0
-    d = -math.log(0.5 * x)
-    e = mu * d
-    fact2 = math.sinh(e) / e if e else 1.0
-    ff = fact * (gam1 * math.cosh(e) + gam2 * fact2 * d)
-    ee = math.exp(e)
-    p = 0.5 * ee / gampl
-    q = 0.5 / (ee * gammi)
-    c = 1.0
-    dd = 0.25 * x * x
-    total, total1 = ff, p
-    i = 0
-    while True:
-        i += 1
-        ff = (i * ff + p + q) / (i * i - mu * mu)
-        c *= dd / i
-        p /= i - mu
-        q /= i + mu
-        delta = c * ff
-        total += delta
-        total1 += c * (p - i * ff)
-        if abs(delta) < _EPS * abs(total):
-            return total, total1 * 2.0 / x
+    return -odd, even, even + mu * odd, even - mu * odd, fact
 
 
 def _k_temme(mu, x):
-    gam1, gam2, gampl, gammi = _temme_gammas(mu)
-    fact = math.pi * mu / math.sin(math.pi * mu) if mu else 1.0
+    """(K_mu(x), K_{mu+1}(x)) for 0 < x <= 2 and |mu| <= 1/2 (Temme's series)."""
+    gam1, gam2, gampl, gammi, fact = np.transpose(_per_order(_temme_terms, mu))
     d = -np.log(0.5 * x)
     e = mu * d
     fact2 = np.where(e == 0.0, 1.0, np.sinh(e) / np.where(e == 0.0, 1.0, e))
@@ -322,47 +267,18 @@ def _k_temme(mu, x):
             keep = ~done
             idx, ff, c, p, q, dd, total, total1 = (
                 v[keep] for v in (idx, ff, c, p, q, dd, total, total1))
+            mu = _take(mu, keep)
     return k0, k1 * 2.0 / x
 
 
-def _k_steed_scalar(mu, x):
-    """(e^x K_mu(x), e^x K_{mu+1}(x)) for x > 2 and |mu| <= 1/2 (Steed's CF2)."""
-    b = 2.0 * (1.0 + x)
-    d = 1.0 / b
-    h = delh = d
-    q1, q2 = 0.0, 1.0
-    a1 = 0.25 - mu * mu
-    q = c = a1
-    a = -a1
-    s = 1.0 + q * delh
-    i = 1
-    while True:
-        i += 1
-        a -= 2 * (i - 1)
-        c = -a * c / i
-        qnew = (q1 - b * q2) / a
-        q1, q2 = q2, qnew
-        q += c * qnew
-        b += 2.0
-        d = 1.0 / (b + a * d)
-        delh = (b * d - 1.0) * delh
-        h += delh
-        dels = q * delh
-        s += dels
-        if abs(dels) < _EPS * abs(s):
-            break
-    kmu = math.sqrt(math.pi / (2.0 * x)) / s
-    return kmu, kmu * (mu + x + 0.5 - a1 * h) / x
-
-
 def _k_steed(mu, x):
+    """(e^x K_mu(x), e^x K_{mu+1}(x)) for x > 2 and |mu| <= 1/2 (Steed's CF2)."""
     b = 2.0 * (1.0 + x)
     d = 1.0 / b
     h = delh = d
     q1, q2 = np.zeros_like(x), np.ones_like(x)
     a1 = 0.25 - mu * mu
-    q = np.full_like(x, a1)
-    c = a1
+    q = c = a1
     a = -a1
     s = 1.0 + q * delh
     hs, ss = np.empty_like(x), np.empty_like(x)
@@ -370,7 +286,7 @@ def _k_steed(mu, x):
     i = 1
     while idx.size:
         i += 1
-        a -= 2 * (i - 1)
+        a = a - 2 * (i - 1)
         c = -a * c / i
         qnew = (q1 - b * q2) / a
         q1, q2 = q2, qnew
@@ -390,59 +306,39 @@ def _k_steed(mu, x):
             keep = ~done
             idx, b, d, h, delh, q1, q2, q, s = (
                 v[keep] for v in (idx, b, d, h, delh, q1, q2, q, s))
+            a, c = _take(a, keep), _take(c, keep)
     kmu = np.sqrt(np.pi / (2.0 * x)) / ss
     return kmu, kmu * (mu + x + 0.5 - a1 * hs) / x
 
 
 def _k_order_up(mu, n, k0, k1, x):
     # forward recurrence K_{mu+j+1} = K_{mu+j-1} + 2 (mu + j) / x K_{mu+j},
-    # stable for K, from K_mu and K_{mu+1} to K_{mu+n}; values scaled by e^x
-    # obey it too
-    if n == 0:
-        return k0
-    for j in range(1, n):
-        k0, k1 = k1, k0 + (2.0 * (mu + j) / x) * k1
-    return k1
-
-
-def _k_split(nu):
-    # K is even in the order: |nu| = mu + n with n an integer, |mu| <= 1/2
-    nu = abs(nu)
-    n = int(nu + 0.5)
-    return nu - n, n
-
-
-def _bessel_k_scalar(nu, x, scaled):
-    mu, n = _k_split(nu)
-    if x <= _K_TEMME_X:
-        k0, k1 = _k_temme_scalar(mu, x)
-        # Temme's series gives K itself, the others K scaled by e^x
-        return _k_order_up(mu, n, k0, k1, x) * (math.exp(x) if scaled else 1.0)
-    if x <= _K_HANKEL_X:
-        k0, k1 = _k_steed_scalar(mu, x)
-    else:
-        r = math.sqrt(math.pi / (2.0 * x))
-        k0 = r * _hankel_scalar(mu, x, 1.0)
-        k1 = r * _hankel_scalar(mu + 1.0, x, 1.0) if n else None
-    return _k_order_up(mu, n, k0, k1, x) * (1.0 if scaled else math.exp(-x))
+    # stable for K, from K_mu and K_{mu+1} to K_{mu+n}, each entry at its
+    # own n; values scaled by e^x obey it too
+    for j in range(1, int(np.max(n, initial=0))):
+        live = j < n
+        k0, k1 = np.where(live, k1, k0), np.where(live, k0 + (2.0 * (mu + j) / x) * k1, k1)
+    return np.where(n == 0, k0, k1)
 
 
 def _bessel_k(nu, x, scaled):
-    mu, n = _k_split(nu)
-    k0, k1 = np.empty_like(x), np.empty_like(x)
+    # K is even in the order: |nu| = mu + n with n an integer, |mu| <= 1/2
+    nu = np.abs(nu)
+    n = (nu + 0.5).astype(np.int64)
+    mu = nu - n
+    k0, k1 = np.empty_like(x), np.zeros_like(x)
     near = x <= _K_TEMME_X
     far = x > _K_HANKEL_X
     mid = ~near & ~far
     if near.any():
-        k0[near], k1[near] = _k_temme(mu, x[near])
+        k0[near], k1[near] = _k_temme(_take(mu, near), x[near])
     if mid.any():
-        k0[mid], k1[mid] = _k_steed(mu, x[mid])
+        k0[mid], k1[mid] = _k_steed(_take(mu, mid), x[mid])
     if far.any():
-        xf = x[far]
-        r = np.sqrt(np.pi / (2.0 * xf))
-        k0[far] = r * _hankel(mu, xf, 1.0)
-        if n:
-            k1[far] = r * _hankel(mu + 1.0, xf, 1.0)
+        k0[far] = np.sqrt(np.pi / (2.0 * x[far])) * _hankel(_take(mu, far), x[far], 1.0)
+        up = far & (n > 0)
+        if up.any():
+            k1[up] = np.sqrt(np.pi / (2.0 * x[up])) * _hankel(_take(mu, up) + 1.0, x[up], 1.0)
     with np.errstate(over="ignore"):
         out = _k_order_up(mu, n, k0, k1, x)
     # Temme's series gives K itself, the others K scaled by e^x
@@ -453,94 +349,96 @@ def _bessel_k(nu, x, scaled):
     return out
 
 
-def _bessel_i_scalar(nu, x, scaled):
-    if x <= _i_hankel_from(nu):
-        v = _i_series_scalar(nu, x)
-        return math.exp(v - x) if scaled else (math.exp(v) if v < _LOG_MAX else math.inf)
-    v = _hankel_scalar(nu, x, -1.0) / math.sqrt(2.0 * math.pi * x)
-    if scaled:
-        return v
-    # e^x as (e^{x/2})^2 keeps I finite wherever it is representable
-    half = math.exp(0.5 * x) if x < 2.0 * _LOG_MAX else math.inf
-    return half * (half * v)
-
-
 def _bessel_i(nu, x, scaled):
     out = np.empty_like(x)
-    series = x <= _i_hankel_from(nu)
+    # Hankel's series for I cancels to about e^{nu^2 / (2x)} times its sum,
+    # so the power series runs at least up to nu^2 / 4
+    series = x <= np.maximum(_I_SERIES_X, 0.25 * nu * nu)
     hankel = ~series
     with np.errstate(over="ignore"):
         if series.any():
             xs = x[series]
-            v = _i_series(nu, xs)
+            v = _i_series(_take(nu, series), xs)
             out[series] = np.exp(v - xs) if scaled else np.exp(v)
         if hankel.any():
             xh = x[hankel]
-            v = _hankel(nu, xh, -1.0) / np.sqrt(2.0 * np.pi * xh)
+            v = _hankel(_take(nu, hankel), xh, -1.0) / np.sqrt(2.0 * np.pi * xh)
             if not scaled:
+                # e^x as (e^{x/2})^2 keeps I finite wherever it is representable
                 half = np.exp(0.5 * xh)
                 v = half * (half * v)
             out[hankel] = v
     return out
 
 
+def _flat(nu, x):
+    """x flat, nu as one scalar order shared by all entries or flat with an
+    order per entry, and the shape the two broadcast to."""
+    nu, x = np.asarray(nu, dtype=float), np.asarray(x, dtype=float)
+    shape = np.broadcast_shapes(nu.shape, x.shape)
+    x = np.broadcast_to(x, shape).ravel()
+    if nu.ndim:
+        nu = np.broadcast_to(nu, shape).ravel()
+        if nu.size and np.all(nu == nu[0]):
+            nu = nu[0]
+    return nu, x, shape
+
+
+def _shaped(out, shape):
+    out = out.reshape(shape)
+    return float(out) if out.ndim == 0 else out
+
+
 def _bessel_i_value(nu, x, scaled):
-    nu = float(nu)
-    if nu < 0 and nu.is_integer():
-        nu = -nu  # I_{-n} = I_n
+    nu, x, shape = _flat(nu, x)
+    nu = np.where((nu < 0) & (np.mod(nu, 1.0) == 0.0), -nu, nu)  # I_{-n} = I_n
     # above -1 every term of the power series is positive, and Hankel's
     # series depends on nu^2 only: I_{-nu} - I_nu = (2/pi) sin(pi nu) K_nu is
     # below e^{-2x} relative to I_nu, under the rounding where it is used
-    _require(nu > -1, "bessel_i requires nu > -1 or an integer nu")
-    at_zero = 1.0 if nu == 0 else (0.0 if nu > 0 else math.inf)
-    if _is_scalar(x):
-        _require(x >= 0, "bessel_i requires x >= 0")
-        return _bessel_i_scalar(nu, float(x), scaled) if x > 0 else at_zero
-    x = np.asarray(x, dtype=float)
+    _require(np.all(nu > -1), "bessel_i requires nu > -1 or an integer nu")
     _require(np.all(x >= 0), "bessel_i requires x >= 0")
-    xf = x.ravel()
-    out = np.full(xf.shape, at_zero)
-    pos = xf > 0
+    at_zero = np.where(nu == 0, 1.0, np.where(nu > 0, 0.0, math.inf))
+    out = np.broadcast_to(at_zero, x.shape).copy()
+    pos = x > 0
     if pos.any():
-        out[pos] = _bessel_i(nu, xf[pos], scaled)
-    out = out.reshape(x.shape)
-    return float(out) if out.ndim == 0 else out
+        out[pos] = _bessel_i(_take(nu, pos), x[pos], scaled)
+    return _shaped(out, shape)
 
 
 def bessel_i(nu, x):
     """Modified Bessel function of the first kind I_nu(x), x >= 0.
 
-    The order is nu > -1 or an integer (I_{-n} = I_n).
+    The order is nu > -1 or an integer (I_{-n} = I_n); nu and x broadcast
+    against each other, an order per entry.
     """
     return _bessel_i_value(nu, x, False)
 
 
 def bessel_ie(nu, x):
-    """Exponentially scaled e^{-x} I_nu(x), x >= 0; nu > -1 or an integer."""
+    """Exponentially scaled e^{-x} I_nu(x), x >= 0; nu > -1 or an integer,
+    broadcast against x."""
     return _bessel_i_value(nu, x, True)
 
 
 def _bessel_k_value(nu, x, scaled):
-    nu = float(nu)
-    if _is_scalar(x):
-        _require(x > 0, "bessel_k requires x > 0")
-        return _bessel_k_scalar(nu, float(x), scaled)
-    x = np.asarray(x, dtype=float)
+    nu, x, shape = _flat(nu, x)
+    _require(np.all(np.isfinite(nu)), "bessel_k requires a finite order")
     _require(np.all(x > 0), "bessel_k requires x > 0")
-    out = _bessel_k(nu, x.ravel(), scaled).reshape(x.shape)
-    return float(out) if out.ndim == 0 else out
+    return _shaped(_bessel_k(nu, x, scaled), shape)
 
 
 def bessel_k(nu, x):
     """Modified Bessel function of the second kind K_nu(x), x > 0.
 
-    K is even in the order, so negative nu is folded to |nu|.
+    K is even in the order, so negative nu is folded to |nu|; nu and x
+    broadcast against each other, an order per entry.
     """
     return _bessel_k_value(nu, x, False)
 
 
 def bessel_ke(nu, x):
-    """Exponentially scaled e^{x} K_nu(x), x > 0; negative nu is folded to |nu|."""
+    """Exponentially scaled e^{x} K_nu(x), x > 0; negative nu is folded to
+    |nu|, and nu broadcasts against x."""
     return _bessel_k_value(nu, x, True)
 
 
@@ -550,25 +448,19 @@ def erlang_survival(m, gamma, x):
     Equals the regularized upper incomplete gamma function Q(m, gamma*x),
     i.e. the probability that an Erlang(m, gamma) jump exceeds x, and is
     evaluated as the Poisson sum e^{-y} sum_{k<m} y^k / k! at y = gamma*x.
+    m, gamma and x broadcast against each other, entry by entry.
     """
-    _require(int(m) == m and m >= 1, "erlang_survival requires integer m >= 1")
-    _require(gamma > 0, "erlang_survival requires gamma > 0")
-    if _is_scalar(x):
-        _require(x >= 0, "erlang_survival requires x >= 0")
-        # y = inf gives 0, not 0 * inf
-        y = min(float(gamma) * float(x), _FLOAT_MAX)
-        term = total = math.exp(-y)
-        for k in range(1, int(m)):
-            term *= y / k
-            total += term
-        return total
+    m, gamma = np.asarray(m), np.asarray(gamma, dtype=float)
+    _require(np.all((np.mod(m, 1) == 0) & (m >= 1)), "erlang_survival requires integer m >= 1")
+    _require(np.all(gamma > 0), "erlang_survival requires gamma > 0")
     x = np.asarray(x, dtype=float)
     _require(np.all(x >= 0), "erlang_survival requires x >= 0")
-    y = np.minimum(gamma * x, _FLOAT_MAX)
+    # y = inf gives 0, not 0 * inf
+    m, y = np.broadcast_arrays(m, np.minimum(gamma * x, _FLOAT_MAX))
     term = total = np.exp(-y)
-    for k in range(1, int(m)):
+    for k in range(1, int(m.max(initial=1))):
         term = term * (y / k)
-        total = total + term
+        total = total + np.where(k < m, term, 0.0)
     return float(total) if total.ndim == 0 else total
 
 
@@ -701,7 +593,14 @@ def _kummer_polynomial(a, b, z):
     return total
 
 
-def _kummer_series(a, b, z, acc):
+# the Taylor series of 1F1 stops at its first term below _SERIES_TOL times
+# max(1, |sum|), within _MAX_TERMS terms; _MAX_TERMS also bounds the degree
+# of a terminating polynomial
+_SERIES_TOL = 1e-10
+_MAX_TERMS = 500
+
+
+def _kummer_series(a, b, z):
     # plain Taylor series on a 1-d array; callers guarantee z > 0 and b > 0.
     # Each entry stops at its own first term below tolerance, as a scalar
     # evaluation would, so an entry's value does not depend on the others.
@@ -711,10 +610,10 @@ def _kummer_series(a, b, z, acc):
     total = np.ones_like(z)
     # an overflowing series is reported below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, acc.max_terms + 1):
+        for k in range(1, _MAX_TERMS + 1):
             term = term * ((a + k - 1) / (b + k - 1) * z / k)
             total = total + term
-            done = np.abs(term) <= acc.abs_tol * np.maximum(1.0, np.abs(total))
+            done = np.abs(term) <= _SERIES_TOL * np.maximum(1.0, np.abs(total))
             if done.any():
                 out[idx[done]] = total[done]
                 keep = ~done
@@ -723,7 +622,7 @@ def _kummer_series(a, b, z, acc):
                     break
         else:
             raise OverflowError(
-                f"kummer_1f1 series did not converge within {acc.max_terms} terms "
+                f"kummer_1f1 series did not converge within {_MAX_TERMS} terms "
                 f"(z={z.max()})"
             )
     if not np.all(np.isfinite(out)):
@@ -760,7 +659,7 @@ def _kummer_asymptotic_neg(a, b, s):
     return pref * out
 
 
-def kummer_1f1(a, b, z, acc: Accuracy = _DEFAULT_ACC):
+def kummer_1f1(a, b, z):
     """Kummer confluent hypergeometric function 1F1(a; b; z), b > 0.
 
     ``a`` and ``b`` are scalars, ``z`` a scalar or an array; every entry of
@@ -771,8 +670,8 @@ def kummer_1f1(a, b, z, acc: Accuracy = _DEFAULT_ACC):
     very large |z| falls back to the standard asymptotic expansion.
 
     Raises OverflowError when the series fails to converge within
-    ``acc.max_terms`` terms or overflows, and when a terminating
-    polynomial's degree -a exceeds ``acc.max_terms``.
+    500 terms or overflows, and when a terminating polynomial's degree -a
+    exceeds 500.
     """
     _require(b > 0, "kummer_1f1 requires b > 0")
     z = np.asarray(z, dtype=float)
@@ -780,9 +679,9 @@ def kummer_1f1(a, b, z, acc: Accuracy = _DEFAULT_ACC):
     if a == 0.0:
         return 1.0 if scalar else np.ones(z.shape)
     if a == int(a) and a < 0:
-        if -a > acc.max_terms:
+        if -a > _MAX_TERMS:
             raise OverflowError(
-                f"kummer_1f1 polynomial of degree {-a:g} exceeds {acc.max_terms} terms"
+                f"kummer_1f1 polynomial of degree {-a:g} exceeds {_MAX_TERMS} terms"
             )
         out = _kummer_polynomial(a, b, float(z) if scalar else z)
         return float(out) if scalar else out
@@ -795,16 +694,16 @@ def kummer_1f1(a, b, z, acc: Accuracy = _DEFAULT_ACC):
     near = zf <= 40.0
     sel = pos & near
     if sel.any():
-        out[sel] = _kummer_series(a, b, zf[sel], acc)
+        out[sel] = _kummer_series(a, b, zf[sel])
     sel = pos & ~near
     if sel.any():
         # reduce to a decaying-argument evaluation: 1F1(a;b;z) = e^z 1F1(b-a;b;-z)
-        out[sel] = np.exp(zf[sel]) * kummer_1f1(b - a, b, s[sel], acc)
+        out[sel] = np.exp(zf[sel]) * kummer_1f1(b - a, b, s[sel])
     near = s <= 40.0
     sel = neg & near
     if sel.any():
         # z < 0: Kummer transform gives a stable positive-term series for b > a
-        out[sel] = np.exp(zf[sel]) * _kummer_series(b - a, b, s[sel], acc)
+        out[sel] = np.exp(zf[sel]) * _kummer_series(b - a, b, s[sel])
     sel = neg & ~near
     if sel.any():
         out[sel] = _kummer_asymptotic_neg(a, b, s[sel])

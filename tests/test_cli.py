@@ -1,10 +1,14 @@
 """CLI contract: config validation, exit codes, artifacts, reproducibility."""
 
+import collections
 import copy
+import importlib
 import importlib.util
 import itertools
 import json
+import math
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +17,7 @@ import numpy as np
 import pytest
 
 import erlangshot
-from erlangshot import cli, closedform, simulate
+from erlangshot import cli, closedform, simulate, specfun
 from erlangshot.cli import main, parse_config, write_csv
 from erlangshot.simulate import sample_linear_shot_noise_exact
 
@@ -358,6 +362,16 @@ def test_tracer_bindings_resolve():
         assert attr in owner.__dict__, f"{owner.__name__}.{attr}"
 
 
+def test_every_public_name_resolves():
+    # a deleted function left in __all__ breaks `from module import *`
+    modules = [erlangshot] + [importlib.import_module(f"erlangshot.{info.name}")
+                              for info in pkgutil.iter_modules(erlangshot.__path__)]
+    assert len(modules) > 5
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
 def test_tanh_beta_above_gamma_exits_2(tmp_path):
     cfg = _write(tmp_path, "th.json", _tanh_cfg(beta=2.5))
     assert main(["tanh", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -370,6 +384,22 @@ def test_verify_specfun_run(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert all(report["flags"].values())
     assert report["metrics"]["max_err_kummer_u"] < 1e-8
+
+
+def test_verify_specfun_calls_the_array_kernels_once_per_batch(tmp_path, monkeypatch):
+    # Bessel I, K and the Erlang survival function take whole parameter
+    # columns, _SPECFUN_BATCH draws at a time, not one call per draw
+    calls = collections.Counter()
+    for name in ("bessel_i", "bessel_k", "erlang_survival"):
+        def counted(*args, _fn=getattr(specfun, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(specfun, name, counted)
+    n = 300
+    cfg = _write(tmp_path, "sf.json", {"schema_version": 1, "n_samples": n, "seed": 5})
+    assert main(["verify-specfun", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert set(calls) == {"bessel_i", "bessel_k", "erlang_survival"}
+    assert max(calls.values()) <= math.ceil(n / cli._SPECFUN_BATCH)
 
 
 def test_seed_override(tmp_path):
@@ -457,6 +487,12 @@ _TRANSIENT_HANGS = [_transient_cfg(alpha=1e-300), _transient_cfg(**{"lambda": 1e
               ("tanh", _small_tanh_cfg(), "stationary_sim"),
               ("wave", _wave_cfg(swarm={"n_agents": 10}), "swarm"))
           for n in (0, 65)),
+        # one rate at a time at 1e-300 or 1e300: the mean lambda m / (alpha
+        # gamma) lies off the grid, or lambda t_end passes 1000 jumps per path
+        *(("stationary", _stationary_cfg(m=m, **{key: v}), [])
+          for m in (1, 2) for key in ("alpha", "lambda", "gamma") for v in (1e-300, 1e300)),
+        # 1.5e11 jumps per path: rejected before the sampler allocates them
+        ("stationary", _stationary_cfg(alpha=1e-10, **{"lambda": 1e10}), []),
     ],
 )
 def test_invalid_config_exits_2_and_writes_nothing(tmp_path, command, cfg, argv):

@@ -20,11 +20,9 @@ from erlangshot.closedform import (
     gumbel_wave,
     laplace_transform_linear,
     mellin_moment,
-    ou_tanh_stationary,
     stationary_m1,
     stationary_ou_m1,
     stationary_ou_m2,
-    tanh_transient,
     whittaker_wave,
 )
 from erlangshot.master import GridSpec
@@ -370,7 +368,7 @@ def test_tanh_transient_requires_integrable_tilt():
     with pytest.raises(ValueError):
         TanhTransientLaw(1.0, 2.0, 2.5)
     with pytest.raises(ValueError):
-        tanh_transient(0.0, 1.0, 1.0, 1.0, 1.0)
+        TanhTransientLaw(1.0, 1.0, 1.0)
 
 
 def test_tanh_transient_ks_vs_reduced_mc():
@@ -434,7 +432,7 @@ def test_ou_tanh_stationary_symmetric():
     law = TiltedOuLaw(1.0, 1.0, 2.0, 0.5)
     y = np.linspace(0.1, 6.0, 50)
     np.testing.assert_allclose(
-        ou_tanh_stationary(y, law), ou_tanh_stationary(-y, law), rtol=1e-12
+        law.jump_component_density(y), law.jump_component_density(-y), rtol=1e-12
     )
     np.testing.assert_allclose(law.density(y), law.density(-y), rtol=0, atol=1e-13)
 
@@ -444,7 +442,7 @@ def test_ou_tanh_jump_component_mass():
     law = TiltedOuLaw(1.0, 1.0, 2.0, 0.5)
     c = law.beta / law.alpha
     mass, _ = integrate.quad(
-        lambda y: ou_tanh_stationary(y, law), -40.0, 40.0,
+        lambda y: law.jump_component_density(y), -40.0, 40.0,
         points=[-c, c], limit=400,
     )
     assert mass == pytest.approx(1.0, abs=1e-5)
@@ -456,10 +454,10 @@ def test_ou_tanh_log_singularity_at_centers():
     law = TiltedOuLaw(1.0, 1.0, 2.0, 0.5)
     assert law.nu == 0.0
     c = law.beta / law.alpha
-    assert np.isinf(ou_tanh_stationary(c, law))
-    assert np.isfinite(ou_tanh_stationary(c + 0.3, law))
+    assert np.isinf(law.jump_component_density(c))
+    assert np.isfinite(law.jump_component_density(c + 0.3))
     eps = np.array([1e-3, 1e-5, 1e-7])
-    vals = ou_tanh_stationary(c + eps, law)
+    vals = law.jump_component_density(c + eps)
     # K_0(g s) ~ -log(s) growth: successive differences approach
     # (gamma/(2 pi)) log(100) for decade steps of 100
     diffs = np.diff(vals)
@@ -503,7 +501,7 @@ def test_densities_nonnegative_everywhere():
     assert np.all(tl.density(xs, 0.7) > -1e-12)
     olaw = TiltedOuLaw(1.0, 1.5, 2.0, 0.5)
     assert np.all(olaw.density(xs) > -1e-12)
-    finite = ou_tanh_stationary(xs, olaw)
+    finite = olaw.jump_component_density(xs)
     assert np.all(finite[np.isfinite(finite)] >= 0)
 
 

@@ -252,10 +252,6 @@ def test_model_validation():
         ConstantRate(-0.5)
     with pytest.raises(ValueError):
         ConstantDiffusion(-0.1)
-    with pytest.raises(ValueError):
-        wave_residual(
-            GridFunction(GridSpec(0, 1, 9), np.zeros(9)), 1.0, 1.0, 3, 1.0
-        )
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 257, 1000])

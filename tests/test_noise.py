@@ -1,4 +1,4 @@
-"""Jump laws, samplers, and compound Poisson increments."""
+"""Jump laws, the jump-size maps, streams, and compound Poisson counts."""
 
 import functools
 import math
@@ -9,15 +9,12 @@ from scipy import integrate, stats
 
 from erlangshot.noise import (
     ErlangJumpLaw,
-    RngStream,
     SymmetricLaplaceLaw,
     TiltedJumpLaw,
     erlang_magnitudes,
     erlang_pdf,
-    erlang_sample,
     laplace_magnitudes,
-    laplace_sample,
-    tilted_sample,
+    stream,
 )
 from erlangshot.simulate import ks_distance
 from erlangshot.specfun import erlang_survival
@@ -64,16 +61,14 @@ def test_erlang_magnitudes_equal_row_sum_bitwise(m):
 
 
 def test_erlang_sample_moments():
-    law = ErlangJumpLaw(2, 3.0)
-    s = erlang_sample(law, RngStream(7, 0), size=100_000)
+    s = erlang_magnitudes(stream(7, 0).random((100_000, 2)), 3.0)
     assert np.all(s >= 0)
     se = s.std(ddof=1) / math.sqrt(len(s))
     assert abs(s.mean() - 2.0 / 3.0) < 4 * se
 
 
 def test_erlang_sample_ks():
-    law = ErlangJumpLaw(3, 1.0)
-    s = erlang_sample(law, RngStream(8, 1), size=100_000)
+    s = erlang_magnitudes(stream(8, 1).random((100_000, 3)), 1.0)
     d = ks_distance(s, lambda x: 1.0 - erlang_survival(3, 1.0, np.maximum(x, 0.0)))
     assert d < 0.01
 
@@ -81,15 +76,15 @@ def test_erlang_sample_ks():
 def test_erlang_sum_decomposition():
     # Erlang(m) equals the sum of m Erlang(1) draws in distribution
     m, g, n = 3, 1.4, 100_000
-    a = erlang_sample(ErlangJumpLaw(m, g), RngStream(9, 0), size=n)
-    b = sum(erlang_sample(ErlangJumpLaw(1, g), RngStream(9, k + 1), size=n) for k in range(m))
+    a = erlang_magnitudes(stream(9, 0).random((n, m)), g)
+    b = sum(erlang_magnitudes(stream(9, k + 1).random((n, 1)), g) for k in range(m))
     d = stats.ks_2samp(a, b).statistic
     assert d < 0.02
 
 
 def test_laplace_magnitudes_equal_both_former_inverse_cdfs_bitwise():
-    # the shared sampler reproduces the engine's expression and laplace_sample's
-    # former one bit for bit, at u = 1/2 and next to both ends of [0, 1)
+    # the shared sampler reproduces the engine's expression and the former
+    # laplace_sample's bit for bit, at u = 1/2 and next to both ends of [0, 1)
     u = np.random.default_rng(4).random(50_000)
     u[:7] = [0.5, 5e-324, 1e-300, 1e-17, 1.0 - 2.0**-53, 1.0 - 1e-12, 0.5 - 2.0**-54]
     for gamma in (1.0, 0.37, 2.9):
@@ -101,15 +96,11 @@ def test_laplace_magnitudes_equal_both_former_inverse_cdfs_bitwise():
         assert np.array_equal(got.view(np.int64), sampler.view(np.int64))
         assert got[0] == 0.0 and np.all(np.isfinite(got))
         assert np.all(np.diff(got[np.argsort(u)]) >= 0)  # monotone in u
-    law = SymmetricLaplaceLaw(1.7)
-    drawn = laplace_sample(law, RngStream(10, 0), size=1000)
-    assert drawn.tobytes() == laplace_magnitudes(RngStream(10, 0).uniform(1000), 1.7).tobytes()
-    assert isinstance(laplace_sample(law, RngStream(10, 0)), float)
 
 
 def test_laplace_sample_moments_and_ks():
     law = SymmetricLaplaceLaw(1.7)
-    s = laplace_sample(law, RngStream(10, 0), size=100_000)
+    s = laplace_magnitudes(stream(10, 0).random(100_000), 1.7)
     se = s.std(ddof=1) / math.sqrt(len(s))
     assert abs(s.mean()) < 4 * se
     a = np.abs(s)
@@ -141,32 +132,20 @@ def test_tilted_pdf_unit_mass():
 
 
 def test_tilted_beta_zero_matches_laplace():
+    # no tilt: unit mass, the Laplace density and its characteristic function
     lap = SymmetricLaplaceLaw(1.3)
     tilted = TiltedJumpLaw(lap, 0.0)
-    a = tilted_sample(tilted, RngStream(11, 0), size=100_000)
-    b = laplace_sample(lap, RngStream(11, 1), size=100_000)
-    assert stats.ks_2samp(a, b).statistic < 0.02
-
-
-def test_tilted_symmetry_and_ks():
-    law = TiltedJumpLaw(SymmetricLaplaceLaw(2.0), 1.0)
-    s = tilted_sample(law, RngStream(12, 0), size=100_000)
-    right = np.count_nonzero(s > 0)
-    # symmetric law: right/left split is binomial(n, 1/2)
-    assert abs(right - len(s) / 2) < 4 * math.sqrt(len(s) / 4)
-    # numeric CDF built by quadrature of the normalized tilted density
-    xs = np.linspace(-15, 15, 4001)
-    dens = law.pdf(xs)
-    cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2 * (xs[1] - xs[0]))])
-    cdf /= cdf[-1]
-    assert ks_distance(s, lambda x: np.interp(x, xs, cdf)) < 0.01
+    x = np.linspace(-12.0, 12.0, 241)
+    assert tilted.mass == 1.0
+    np.testing.assert_allclose(tilted.pdf(x), lap.pdf(x), rtol=1e-15, atol=0)
+    u = np.linspace(0.0, 20.0, 81)
+    np.testing.assert_allclose(tilted.char_fn(u), 1.3**2 / (1.3**2 + u**2), rtol=1e-15, atol=0)
 
 
 def test_compound_poisson_count_distribution():
     # jump counts against the Poisson pmf by chi-square
     lam, dt, n = 3.0, 0.7, 50_000
-    rng = RngStream(14, 0)
-    counts = rng.poisson(lam * dt, n)
+    counts = stream(14, 0).poisson(lam * dt, n)
     kmax = int(counts.max())
     observed = np.bincount(counts, minlength=kmax + 1).astype(float)
     expected = n * stats.poisson.pmf(np.arange(kmax + 1), lam * dt)
@@ -182,23 +161,24 @@ def test_compound_poisson_count_distribution():
 
 
 def test_stream_determinism():
-    a = RngStream(21, 5).uniform(64)
-    b = RngStream(21, 5).uniform(64)
+    a = stream(21, 5).random(64)
+    b = stream(21, 5).random(64)
     assert a.tobytes() == b.tobytes()
-    c = RngStream(21, 6).uniform(64)
+    c = stream(21, 6).random(64)
     assert a.tobytes() != c.tobytes()
 
 
 def test_stream_frozen_vectors():
     # pins the generator choice: Philox4x64-10 keyed by (stream_id << 64) | seed
-    u = RngStream(42, 7).uniform(5)
+    u = stream(42, 7).random(5)
     np.testing.assert_allclose(
         u,
         [0.649420079613736, 0.8848813535936771, 0.5537339411764371,
          0.9529724189339113, 0.41318058559510695],
         rtol=0, atol=0,
     )
-    e = RngStream(42, 7).exponential(2.0, 3)
+    # the inverse-CDF exponentials of the stream's first three uniforms
+    e = erlang_magnitudes(stream(42, 7).random((3, 1)), 2.0)
     np.testing.assert_allclose(
         e,
         [0.5240832901396282, 1.0808959872913102, 0.403419980188265],
@@ -208,6 +188,6 @@ def test_stream_frozen_vectors():
 
 def test_stream_validation():
     with pytest.raises(ValueError):
-        RngStream(-1, 0)
+        stream(-1, 0)
     with pytest.raises(ValueError):
-        RngStream(0, 2**64)
+        stream(0, 2**64)

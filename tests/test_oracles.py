@@ -23,6 +23,8 @@ SAMPLERS = {
     "kummer_1f1": lambda r: (-float(r.integers(0, 9)), r.uniform(0.5, 4.0), r.uniform(-30.0, 30.0)),
 }
 BATCHED = ("bessel_k", "erlang_survival", "kummer_u", "whittaker_w0")
+# specfun functions the sweep calls on whole parameter columns
+ARRAY_KERNELS = ("log_gamma", "digamma", "bessel_i", "bessel_k", "erlang_survival")
 
 
 # QUADPACK versions of the quadrature oracles, one integral per call
@@ -151,7 +153,11 @@ def test_batched_sweep_draws_the_one_at_a_time_tuples(tmp_path, monkeypatch):
     rng = np.random.default_rng(seed)
     expected = {name: [sampler(rng) for _ in range(n)] for name, sampler in SAMPLERS.items()}
     for name, tuples in expected.items():
-        assert seen[name] == tuples, name
+        calls = seen[name]
+        if name in ARRAY_KERNELS:
+            assert [len(cols[0]) for cols in calls] == [32, 32, 32, 4], name
+            calls = [tuple(row) for cols in calls for row in zip(*cols)]
+        assert calls == tuples, name
     for name in BATCHED:
         assert [len(cols[0]) for cols in batches[name]] == [32, 32, 32, 4]
         rows = [tuple(row) for cols in batches[name] for row in zip(*cols)]

@@ -26,11 +26,10 @@ from erlangshot.master import (
     ZeroDiffusion,
     ZeroDrift,
 )
-from erlangshot.noise import ErlangJumpLaw, erlang_magnitudes, laplace_magnitudes, stream_key
+from erlangshot.noise import ErlangJumpLaw, erlang_magnitudes, laplace_magnitudes, stream, stream_key
 from erlangshot.quadrature import cumulative_trapezoid
 from erlangshot.simulate import (
     SimConfig,
-    _path_generator,
     _AGENT_BLOCK,
     _pick_weighted,
     SwarmSeries,
@@ -507,7 +506,7 @@ def test_stream_keys_reject_out_of_range():
     # seed 2**64 with path 0 would otherwise alias seed 0 with path 1
     for seed, index in ((2**64, 0), (-1, 0), (0, 2**64), (0, -1)):
         with pytest.raises(ValueError):
-            _path_generator(seed, index)
+            stream(seed, index)
 
 
 def test_results_do_not_depend_on_step_block_length(monkeypatch):

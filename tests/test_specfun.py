@@ -7,7 +7,6 @@ import pytest
 
 from erlangshot import oracles, specfun
 from erlangshot.specfun import (
-    Accuracy,
     bessel_i,
     bessel_k,
     digamma,
@@ -244,8 +243,11 @@ def test_kummer_1f1_asymptotic_matches_polynomial_route():
 
 
 def test_kummer_1f1_overflow_error():
-    with pytest.raises(OverflowError):
-        kummer_1f1(2.0, 1.0, 30.0, acc=Accuracy(max_terms=5))
+    # terms grow like (a z / b)^k / k! with a z / b = 500: the 500th term is
+    # still the largest, about 1e215, so the series neither converges nor
+    # overflows within its 500 terms
+    with pytest.raises(OverflowError, match="did not converge within 500 terms"):
+        kummer_1f1(1.25e9, 1e8, 40.0)
 
 
 def _lgamma(x):
@@ -253,7 +255,7 @@ def _lgamma(x):
     return math.lgamma(x) if x > 0 or x != int(x) else math.inf
 
 
-def _kummer_1f1_scalar_ref(a, b, z, acc=Accuracy()):
+def _kummer_1f1_scalar_ref(a, b, z, abs_tol=1e-10, max_terms=500):
     # the one-point evaluation kummer_1f1 performed before it took arrays,
     # kept as the loop reference: the array route must equal it bit for bit
     if a == 0.0 or z == 0.0:
@@ -267,10 +269,10 @@ def _kummer_1f1_scalar_ref(a, b, z, acc=Accuracy()):
 
     def series(a, z):
         term = total = 1.0
-        for k in range(1, acc.max_terms + 1):
+        for k in range(1, max_terms + 1):
             term *= (a + k - 1) / (b + k - 1) * z / k
             total += term
-            if abs(term) <= acc.abs_tol * max(1.0, abs(total)):
+            if abs(term) <= abs_tol * max(1.0, abs(total)):
                 return total
         raise OverflowError
 
@@ -290,7 +292,7 @@ def _kummer_1f1_scalar_ref(a, b, z, acc=Accuracy()):
     if z > 0:
         if z <= 40.0:
             return series(a, z)
-        return float(np.exp(z) * _kummer_1f1_scalar_ref(b - a, b, -z, acc))
+        return float(np.exp(z) * _kummer_1f1_scalar_ref(b - a, b, -z))
     if -z <= 40.0:
         return float(np.exp(z) * series(b - a, -z))
     return float(asymptotic(a, -z))
@@ -337,21 +339,12 @@ def test_kummer_1f1_polynomial_degree_bounded_by_max_terms():
     assert kummer_1f1(-500.0, 2.0, -1e-3) == pytest.approx(
         oracles.kummer_1f1_poly_ref(500, 2.0, -1e-3), rel=1e-12
     )
-    with pytest.raises(OverflowError):
-        kummer_1f1(-6.0, 2.0, -1.0, acc=Accuracy(max_terms=5))
 
 
 def test_kummer_1f1_series_overflow_is_an_error():
     # the series overflows to inf instead of converging: an error, not inf
     with pytest.raises(OverflowError):
         kummer_1f1(-1e10 + 0.5, 2.0, -1.0)
-
-
-def test_accuracy_validation():
-    with pytest.raises(ValueError):
-        Accuracy(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        Accuracy(max_terms=0)
 
 
 def test_purity_bit_identical():

@@ -81,11 +81,31 @@ def test_bessel_matches_scipy(fn, ref):
 
 @pytest.mark.parametrize("fn", [bessel_i, bessel_ie, bessel_k, bessel_ke])
 def test_bessel_scalar_route_equals_array_route(fn):
+    # a float goes through the array loops: it gives a float, equal bit
+    # for bit to the entry of an array call
     x = _X[::5]
     for nu in np.concatenate([_NU_NEG, _NU[::3]]):
         got, one = fn(nu, x), _scalar_route(fn, nu, x)
-        assert np.max(np.abs(one / got - 1.0)) < 1e-14, nu
+        assert np.array_equal(one, got), nu
         assert type(fn(nu, 3.0)) is float
+        assert fn(nu, 3.0) == fn(nu, np.array([3.0]))[0]
+
+
+@pytest.mark.parametrize("fn", [bessel_i, bessel_ie, bessel_k, bessel_ke])
+def test_bessel_per_entry_orders_equal_per_order_calls(fn):
+    # one call with an order per entry, over every route switch, gives each
+    # entry the bits of a call at that entry's order alone
+    orders = np.concatenate([_NU_NEG, _NU])
+    nu, x = np.repeat(orders, _X.size), np.tile(_X, orders.size)
+    rng = np.random.default_rng(3)
+    perm = rng.permutation(nu.size)
+    got = fn(nu[perm], x[perm])
+    want = np.concatenate([fn(v, _X) for v in orders])[perm]
+    assert np.array_equal(got, want)
+    # orders and arguments broadcast against each other
+    column = fn(orders[:, None], _X[None, :])
+    assert column.shape == (orders.size, _X.size)
+    assert np.array_equal(column.ravel(), np.concatenate([fn(v, _X) for v in orders]))
 
 
 def test_bessel_at_zero_and_in_shape():
@@ -109,8 +129,14 @@ def test_erlang_survival_matches_gammaincc():
     for m in range(1, 9):
         want = sp.gammaincc(m, 1.3 * x)
         assert np.max(np.abs(erlang_survival(m, 1.3, x) - want)) <= 1e-15
-        assert np.max(np.abs(_scalar_route(erlang_survival, m, 1.3, x) - want)) <= 1e-15
+        assert np.array_equal(_scalar_route(erlang_survival, m, 1.3, x), erlang_survival(m, 1.3, x))
     assert erlang_survival(3, 1.0, np.inf) == 0.0
+    assert type(erlang_survival(3, 1.3, 2.0)) is float
+    # m and gamma per entry, as the verify-specfun sweep passes its columns
+    ms, gs = np.repeat(np.arange(1, 9), x.size), np.tile(1.3 * x / x.max() + 0.2, 8)
+    got = erlang_survival(ms, gs, np.tile(x, 8))
+    want = [erlang_survival(int(m), float(g), float(v)) for m, g, v in zip(ms, gs, np.tile(x, 8))]
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("lam", [2.0, 0.5])

@@ -16,7 +16,10 @@ Invocation:
     erlangshot <subcommand> --config cfg.json --out outdir [--seed N]
 with subcommand one of wave, verify-master, stationary, transient, tanh,
 verify-specfun.  Reals in CSVs carry 17 significant digits so re-running
-with the same config and seed reproduces byte-identical CSV bodies.
+with the same config and seed reproduces byte-identical CSV bodies.  The
+CSV writer is vectorised (``csvformat.format_rows``) yet byte-identical to
+``format(v, ".17g")`` for every float64, and it formats and writes a block
+of rows at a time, so its memory is bounded whatever the row count.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from . import closedform, master, oracles, simulate, specfun
+from .csvformat import format_rows
 from .master import (
     ConstantDiffusion,
     ConstantDrift,
@@ -95,10 +99,13 @@ _SEED = _Field("seed", int, 0, (lambda v: 0 <= v < 2**64, "in [0, 2**64)"))
 _SCHEMA = _Field("schema_version", int, check=_one_of(SCHEMA_VERSION))
 
 
-def _record(name, *fields):
-    """Table of a command's top-level config, parsed to a namedtuple."""
+def _record(name, *fields, derived=()):
+    """Table of a command's top-level config, parsed to a namedtuple; the
+    ``derived`` attributes are None after parsing and set by the command's
+    check from the values it computes anyway."""
     fields = (_SCHEMA, *fields, _SEED)
-    return _Table(fields, namedtuple(name, [_attr(f.name) for f in fields]))
+    attrs = [_attr(f.name) for f in fields] + list(derived)
+    return _Table(fields, namedtuple(name, attrs, defaults=(None,) * len(derived)))
 
 
 def _attr(key):
@@ -198,14 +205,27 @@ def _derived_seed(seed, offset):
     return (seed + offset) % 2**64
 
 
+# rows formatted and written at a time by write_csv
+_CSV_BLOCK_ROWS = 4096
+
+
 def write_csv(path, header, columns):
     """Write equal-length columns as CSV, every value as a float with 17
-    significant digits, formatted by one printf-style call over the table."""
-    table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
-    n, k = table.shape
-    row = ",".join(["%.17g"] * k) + "\n"
-    body = row * n % tuple(table.ravel().tolist())
-    Path(path).write_text(",".join(header) + "\n" + body)
+    significant digits: the bytes of ``format(float(v), ".17g")``, from the
+    vectorised ``csvformat.format_rows``.  Rows are converted and written
+    ``_CSV_BLOCK_ROWS`` at a time, so memory does not grow with the table."""
+    cols = [np.asarray(c) for c in columns]
+    n = len(cols[0])
+    if any(c.shape != (n,) for c in cols):
+        raise ValueError("CSV columns must be one-dimensional and of equal length")
+    block = np.empty((min(n, _CSV_BLOCK_ROWS), len(cols)))
+    with open(path, "wb") as f:
+        f.write((",".join(header) + "\n").encode())
+        for start in range(0, n, _CSV_BLOCK_ROWS):
+            rows = block[: min(n - start, _CSV_BLOCK_ROWS)]
+            for j, c in enumerate(cols):
+                rows[:, j] = c[start : start + len(rows)]
+            f.write(format_rows(rows))
 
 
 def _environment():
@@ -509,35 +529,67 @@ _STATIONARY = _record(
     ), GridSpec)),
     _Field("sim", _SIM),
     _Field("n_bins", int, 80, _at_least(5)),
+    derived=("residual_grid",),
 )
 
 
 # boundary value of the law below which the residual grid may end there
 _RESIDUAL_EDGE = 1e-13
+# points of the right-edge ladder evaluated per call
+_EDGE_LADDER = 32
+# fewest expected jumps over the whole exact sample, n_paths lambda t_end:
+# with fewer, no path may jump (at 20 that has chance e^-20) and the sample
+# has no spread to histogram
+_MIN_SAMPLE_JUMPS = 20.0
 
 
 def _stationary_density(cfg):
     return closedform.stationary_ou_m1 if cfg.m == 1 else closedform.stationary_ou_m2
 
 
-def _residual_x_lo(cfg):
-    """Left edge of the residual grid: the density decays only like
-    x^{lam/alpha - 1} toward the origin, so the edge is the first of 1e-4,
-    1e-6, ... where the law clears ``_RESIDUAL_EDGE``, or None past 1e-300.
-    The ladder is evaluated in one call."""
-    ladder = [1e-4]
-    while ladder[-1] > 1e-300:
-        ladder.append(ladder[-1] * 1e-2)
-    # the law may underflow to 0 deep in the ladder; only the comparison counts
+def _first_cleared(cfg, ladder):
+    """The first point of ``ladder`` where the law clears ``_RESIDUAL_EDGE``,
+    or None; the ladder is evaluated in one call."""
+    # the law may underflow to 0 deep in a ladder; only the comparison counts
     with np.errstate(all="ignore"):
         dens = _stationary_density(cfg)(cfg.alpha, cfg.lambda_, cfg.gamma, np.array(ladder))
     cleared = np.flatnonzero(~(dens > _RESIDUAL_EDGE))
     return ladder[cleared[0]] if cleared.size else None
 
 
+def _residual_x_lo(cfg):
+    """Left edge of the residual grid: the density decays only like
+    x^{lam/alpha - 1} toward the origin, so the edge is the first of 1e-4,
+    1e-6, ... where the law clears ``_RESIDUAL_EDGE``, or None past 1e-300."""
+    ladder = [1e-4]
+    while ladder[-1] > 1e-300:
+        ladder.append(ladder[-1] * 1e-2)
+    return _first_cleared(cfg, ladder)
+
+
+def _residual_x_hi(cfg):
+    """Right edge of the residual grid: the first of x_hi, x_hi + 10/gamma,
+    ... (each point the previous plus 10/gamma) where the law clears
+    ``_RESIDUAL_EDGE``, ``_EDGE_LADDER`` points per call."""
+    step = 10.0 / cfg.gamma
+    x = cfg.grid.x_hi
+    while True:
+        ladder = [x]
+        for _ in range(_EDGE_LADDER - 1):
+            ladder.append(ladder[-1] + step)
+        edge = _first_cleared(cfg, ladder)
+        if edge is not None:
+            return edge
+        x = ladder[-1] + step
+
+
 def _check_stationary(cfg):
     # each exact path draws Poisson(lambda * t_end) jumps, 4096 paths at a time
     _check_sample_jumps(cfg.lambda_ * cfg.sim.t_end)
+    jumps = cfg.sim.n_paths * cfg.lambda_ * cfg.sim.t_end
+    if not jumps >= _MIN_SAMPLE_JUMPS:
+        raise ConfigError(f"n_paths * lambda * t_end = {jumps:g} expected jumps over the "
+                          f"sample is below {_MIN_SAMPLE_JUMPS:g}: the sample may not jump")
     # the law decays like e^{-gamma x}: a coarser grid cannot represent it
     h = _check_spacing(cfg.grid.x_lo, cfg.grid.x_hi, cfg.grid.n, "grid")
     if h * cfg.gamma > 1.0:
@@ -551,23 +603,22 @@ def _check_stationary(cfg):
     if not cfg.grid.x_lo <= mean <= cfg.grid.x_hi:
         raise ConfigError(f"the stationary mean lambda m / (alpha gamma) = {mean:g} lies "
                           f"off the grid [{cfg.grid.x_lo:g}, {cfg.grid.x_hi:g}]")
-    if _residual_x_lo(cfg) is None:
+    x_lo = _residual_x_lo(cfg)
+    if x_lo is None:
         raise ConfigError(
             f"the stationary law stays above {_RESIDUAL_EDGE:g} down to x = 1e-300 "
             "(lambda / alpha is at or barely above 1): its residual needs a vanishing "
             "boundary value"
         )
+    return cfg._replace(residual_grid=GridSpec(x_lo, _residual_x_hi(cfg), 4001))
 
 
 def _stationary_residual(cfg):
-    """Differential-form residual of the analytic law on its own grid."""
+    """Differential-form residual of the analytic law on its own grid, set
+    by the config check."""
     m, alpha, lam, gamma = cfg.m, cfg.alpha, cfg.lambda_, cfg.gamma
-    density = _stationary_density(cfg)
-    x_lo, x_hi = _residual_x_lo(cfg), cfg.grid.x_hi
-    while density(alpha, lam, gamma, x_hi) > _RESIDUAL_EDGE:
-        x_hi += 10.0 / gamma
-    spec = GridSpec(x_lo, x_hi, 4001)
-    gf = GridFunction(spec, density(alpha, lam, gamma, spec.nodes()))
+    spec = cfg.residual_grid
+    gf = GridFunction(spec, _stationary_density(cfg)(alpha, lam, gamma, spec.nodes()))
     model = ModelSpec(
         LinearRestoring(alpha), ZeroDiffusion(), ConstantRate(lam), ErlangJumpLaw(m, gamma)
     )
@@ -894,7 +945,8 @@ def parse_config(command, cfg):
     table, check, _ = _COMMANDS[command]
     record = _parse(table, cfg, f"{command} config")
     if check is not None:
-        check(record)
+        # a check returns the record with its derived attributes set, or None
+        record = check(record) or record
     return record
 
 

@@ -11,13 +11,16 @@ import os
 import pkgutil
 import subprocess
 import sys
+import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import erlangshot
-from erlangshot import cli, closedform, simulate, specfun
+from erlangshot import cli, closedform, csvformat, simulate, specfun
 from erlangshot.cli import main, parse_config, write_csv
 from erlangshot.simulate import sample_linear_shot_noise_exact
 
@@ -493,6 +496,9 @@ _TRANSIENT_HANGS = [_transient_cfg(alpha=1e-300), _transient_cfg(**{"lambda": 1e
           for m in (1, 2) for key in ("alpha", "lambda", "gamma") for v in (1e-300, 1e300)),
         # 1.5e11 jumps per path: rejected before the sampler allocates them
         ("stationary", _stationary_cfg(alpha=1e-10, **{"lambda": 1e10}), []),
+        # n_paths lambda t_end = 9e-296 expected jumps: no path jumps, and the
+        # sample, all zeros, has no histogram (this once failed after --out)
+        ("stationary", _stationary_cfg(alpha=1e-300, **{"lambda": 2e-300}), []),
     ],
 )
 def test_invalid_config_exits_2_and_writes_nothing(tmp_path, command, cfg, argv):
@@ -696,6 +702,108 @@ def test_write_csv_matches_per_value_format(tmp_path):
 
     write_csv(path, ["x"], [np.array([])])
     assert path.read_bytes() == b"x\n"
+
+
+def _format_sweep_values():
+    """Over 2e5 doubles that stress a %.17g formatter."""
+    rng = np.random.default_rng(16)
+    powers = np.array([float(f"1e{p}") for p in range(-300, 301)])
+    switches = np.array([1e-5, 1e-4, 1e16, 1e17])
+    # exact ties: M 2^-d with M odd and M 5^d of 18 digits has 18 significant
+    # digits ending in 5; and odd multiples of 2^-25 ... 2^-80
+    ties = []
+    for d in range(2, 26):
+        lo, hi = -(-10**17 // 5**d), min(10**18 // 5**d, 2**53)
+        ties.append((rng.integers(lo // 2, hi // 2, 200) * 2 + 1) * 2.0**-d)
+    assert all(_is_17_digit_tie(v) for t in ties for v in t[:5])
+    odd = np.arange(1, 2**7, 2)
+    ties += [odd * 2.0**-e for e in range(25, 81)]
+    ties = np.concatenate(ties)
+    integers = np.concatenate([rng.integers(0, 2**63, 20000, dtype=np.int64).astype(float),
+                               2.0 ** np.arange(64), 2.0 ** np.arange(64) - 1])
+    values = np.concatenate([
+        rng.integers(0, 2**64, 120000, dtype=np.uint64).view(np.float64),  # both signs
+        [0.0, -0.0, np.inf, -np.inf, np.nan, np.copysign(np.nan, -1.0)],
+        rng.integers(1, 2**52, 2000, dtype=np.uint64).view(np.float64),  # subnormals
+        powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+        switches, np.nextafter(switches, 0.0), np.nextafter(switches, np.inf),
+        ties, np.nextafter(ties, 0.0), np.nextafter(ties, np.inf),
+        integers,
+        rng.standard_normal(20000) * 10.0 ** rng.integers(-40, 40, 20000),
+    ])
+    return np.concatenate([values, -values[values.size // 2:]])
+
+
+def test_write_csv_is_byte_identical_to_format_on_a_sweep(tmp_path):
+    # the vectorised writer against format(float(v), ".17g") cell by cell, on
+    # 1-, 2- and 3-column tables of one shuffled sweep (blocks of rows included)
+    values = _format_sweep_values()
+    assert values.size >= 200000
+    parts = np.array_split(np.random.default_rng(7).permutation(values), 3)
+    for n_cols, part in enumerate(parts, start=1):
+        cols = [part[j : part.size - part.size % n_cols : n_cols] for j in range(n_cols)]
+        path = tmp_path / f"sweep{n_cols}.csv"
+        write_csv(path, [f"c{j}" for j in range(n_cols)], cols)
+        lines = [",".join(f"c{j}" for j in range(n_cols))]
+        lines += [",".join(format(float(v), ".17g") for v in row) for row in zip(*cols)]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def _is_17_digit_tie(v):
+    """Whether the exact decimal value of v has 18 significant digits, the
+    last a 5: rounding it to 17 digits is a tie."""
+    digits = Decimal(v).as_tuple().digits
+    return len(digits) == 18 and digits[-1] == 5
+
+
+def test_power_of_ten_tables_match_exact_fractions():
+    # hi is 10^p correctly rounded, lo the remainder correctly rounded, and
+    # _AT_LEAST the smallest double not below 10^p
+    for i, (hi, lo, at) in enumerate(zip(csvformat._HI, csvformat._LO, csvformat._AT_LEAST)):
+        exact = Fraction(10) ** (csvformat._P_MIN + i)
+        assert float(exact) == hi
+        assert float(exact - Fraction(float(hi))) == lo
+        assert Fraction(float(at)) >= exact > Fraction(float(np.nextafter(at, 0.0)))
+
+
+def test_write_csv_memory_does_not_grow_with_rows(tmp_path):
+    # rows are formatted and written a block at a time: at 10^6 rows x 2 the
+    # traced peak stays under a bound fixed whatever the row count (a whole
+    # table of %.17g text would be about 40 MB)
+    x = np.linspace(-12.0, 38.0, 1_000_000)
+    cols = [x, np.exp(-np.abs(x))]
+    tracemalloc.start()
+    try:
+        write_csv(tmp_path / "big.csv", ["x", "y"], cols)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    with open(tmp_path / "big.csv", "rb") as f:
+        assert sum(1 for _ in f) == 1_000_001
+
+
+def test_stationary_residual_edges_come_from_one_call_each(monkeypatch):
+    # at grid x_hi = 12 the law is about 1e-4, so the right edge of the
+    # residual grid lies further out: the first of 12, 22, 32, ... (each the
+    # previous plus 10 / gamma) where it clears 1e-13, as one point-by-point
+    # probe finds it; validation evaluates the law once per edge
+    cfg = _stationary_cfg(grid={"x_lo": 1e-4, "x_hi": 12.0, "n": 2001})
+    real = closedform.stationary_ou_m2
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(closedform, "stationary_ou_m2", counted)
+    spec = parse_config("stationary", cfg).residual_grid
+    assert len(calls) == 2
+    x_hi = 12.0
+    while real(1.0, 2.0, 1.0, x_hi) > 1e-13:
+        x_hi += 10.0
+    assert x_hi > 12.0
+    assert (spec.x_hi, spec.n) == (x_hi, 4001)
 
 
 # one small valid config per command; every block and tag a table names is present

@@ -274,14 +274,13 @@ class RunReport:
         self.counters.update(paths=len(sample), steps=0, jumps=int(sample.jump_counts.sum()))
 
     def count_swarm(self, sim, series):
-        """Add a swarm run's counters: agents, agent-steps (sub-steps
-        included), thinning proposals, accepted jumps, majorant retries."""
+        """Add a swarm run's counters: agents, agent-steps, thinning
+        proposals, accepted jumps."""
         self.counters.update(
             agents=series.n_agents,
-            agent_steps=series.n_agents * (sim.n_steps + series.majorant_retries),
+            agent_steps=series.n_agents * sim.n_steps,
             proposals=series.proposals,
             jumps=series.jumps,
-            majorant_retries=series.majorant_retries,
         )
 
     def flag(self, name, ok):
@@ -529,7 +528,8 @@ _STATIONARY = _record(
     ), GridSpec)),
     _Field("sim", _SIM),
     _Field("n_bins", int, 80, _at_least(5)),
-    derived=("residual_grid",),
+    # m1_density: the m = 1 law on the grid (None for m = 2)
+    derived=("residual_grid", "m1_density"),
 )
 
 
@@ -610,7 +610,18 @@ def _check_stationary(cfg):
             "(lambda / alpha is at or barely above 1): its residual needs a vanishing "
             "boundary value"
         )
-    return cfg._replace(residual_grid=GridSpec(x_lo, _residual_x_hi(cfg), 4001))
+    m1_density = None
+    if cfg.m == 1:
+        # normalized on the grid here, so a grid that truncates the mass exits 2
+        alpha, lam = cfg.alpha, cfg.lambda_
+        try:
+            m1_density = closedform.stationary_m1(
+                lambda s: alpha * s, lambda s: lam, cfg.gamma, cfg.grid
+            ).values
+        except closedform.NormalizationError as exc:
+            raise ConfigError(f"stationary law on the grid: {exc}") from exc
+    return cfg._replace(residual_grid=GridSpec(x_lo, _residual_x_hi(cfg), 4001),
+                        m1_density=m1_density)
 
 
 def _stationary_residual(cfg):
@@ -628,12 +639,7 @@ def _stationary_residual(cfg):
 def _run_stationary(cfg, seed, report):
     m, alpha, lam, gamma, grid, sim = cfg.m, cfg.alpha, cfg.lambda_, cfg.gamma, cfg.grid, cfg.sim
     x = grid.nodes()
-    if m == 1:
-        dens = closedform.stationary_m1(
-            lambda s: alpha * s, lambda s: np.full_like(np.asarray(s, float), lam), gamma, grid
-        ).values
-    else:
-        dens = closedform.stationary_ou_m2(alpha, lam, gamma, x)
+    dens = cfg.m1_density if m == 1 else closedform.stationary_ou_m2(alpha, lam, gamma, x)
     report.write_csv("analytic_density.csv", ["x", "density"], [x, dens])
 
     # sigma = 0 and linear drift: the state at t_end is drawn exactly from

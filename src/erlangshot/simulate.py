@@ -12,11 +12,12 @@ bounded block of steps at a time, so memory does not grow with the number
 of steps.  A path's draws depend on the seed and on the batch's shape.
 
 The interacting swarm couples pure jump agents through the empirical
-barycenter entering their Poisson rates; state-dependent rates are
-simulated by thinning against a per-step majorant.  The swarm draws
+barycenter entering their Poisson rates; within a step the barycenter is
+frozen, and each agent's rate is simulated by thinning against its rate
+at the step start, which its own jumps can only lower.  The swarm draws
 from the one stream ``(seed, 0)``: per step one Poisson total of
-proposals, allocated to agents in proportion to their majorant rates by
-a block-sum picker, then, round by round, the acceptance uniforms and the
+proposals, allocated to agents in proportion to their start rates by a
+block-sum picker, then, round by round, the acceptance uniforms and the
 magnitude uniforms of the accepted proposals, so a step's work is
 O(proposals + agents / 32) and its memory is O(agents).
 
@@ -74,8 +75,8 @@ _CELLS = 2**18  # (round, path) cells per block of the jump-adapted sampler
 
 
 class ThinningError(RuntimeError):
-    """Raised when a swarm step is unresolved after 24 halvings: its
-    thinning majorant is not certified or expects too many proposals."""
+    """Raised when a swarm step still expects too many thinning proposals
+    after 24 halvings."""
 
 
 @dataclass(frozen=True)
@@ -152,8 +153,10 @@ class SwarmSeries:
     m: int
     gamma: float
     beta: float
+    # always 0: the swarm has no retries; kept only because the benchmark's
+    # tracer (perfbench/tracer.py) reads it
     majorant_retries: int = 0
-    proposals: int = 0  # thinning proposals of the committed (sub-)steps
+    proposals: int = 0  # thinning proposals of every (sub-)step
     jumps: int = 0  # accepted proposals
 
     def centered_tail_positions(self, fraction=0.5):
@@ -544,29 +547,28 @@ def simulate_swarm(n_agents, m, gamma, beta, config: SimConfig) -> SwarmSeries:
     Each agent jumps at instantaneous rate exp(-beta (x_i - xbar)) with
     Erlang(m, gamma) magnitudes, xbar being the empirical mean position
     (the finite-population stand-in for the mean-field average).  Within a
-    step the barycenter is frozen; events are generated by thinning against
-    the majorant lb_i = exp(-beta (x_i - xbar - Chat dt)), where Chat
-    over-estimates how fast the barycenter can move.  A post-step check
-    certifies the majorant: if the barycenter advanced more than Chat dt,
-    the step is rolled back, Chat is enlarged, the step is retried with a
-    halved sub-step, and the retry count is reported on the result.  A
+    step the barycenter is frozen at its value at the step start, which
+    biases the speed by about -beta C dt / 2.  An agent's own jumps only
+    raise x_i, so its rate at the step start, lb_i = exp(-beta (x_i - xbar)),
+    bounds its rate over the step, and events are generated by thinning
+    against it: a proposal is accepted with probability
+    exp(-beta (x_i - ref)) / w_i, x_i being the agent's current position
+    and w_i = exp(-beta (x_i - ref)) its weight at the step start.  A
     step whose majorant expects more than ``_MAX_PROPOSALS`` proposals per
     agent is split into halves before any draw, which bounds the memory of
-    a step; neither kind of halving may nest more than 24 deep, else
-    ``ThinningError`` is raised.
+    a step; a split nesting more than 24 deep raises ``ThinningError``.
 
     Independent Poisson(lb_i dt) proposal counts have the law of one
     Poisson(sum_i lb_i dt) total allocated multinomially in proportion to
-    lb_i (Lewis & Shedler 1979).  Since lb_i = exp(beta (xbar + Chat dt -
-    ref)) w_i with w_i = exp(-beta (x_i - ref)), the swarm keeps the
-    weights w_i and their sums over blocks of ``_AGENT_BLOCK`` agents, and
-    a (sub-)step costs O(proposals + blocks), not O(agents).  After a
-    committed step only the picked agents' weights and their blocks' sums
-    are refreshed; a rollback restores positions only.  The reference
-    ``ref`` is re-centred at xbar, and every weight recomputed, once
-    beta |xbar - ref| passes ``_RECENTRE``, so weights stay finite however
-    far the wave travels.  The barycenter is advanced by the committed
-    jumps and recomputed from the positions at every recorded step.
+    lb_i (Lewis & Shedler 1979).  Since lb_i = exp(beta (xbar - ref)) w_i,
+    the swarm keeps the weights w_i and their sums over blocks of
+    ``_AGENT_BLOCK`` agents, and a (sub-)step costs O(proposals + blocks),
+    not O(agents).  After a step only the picked agents' weights and their
+    blocks' sums are refreshed.  The reference ``ref`` is re-centred at
+    xbar, and every weight recomputed, once beta |xbar - ref| passes
+    ``_RECENTRE``, so weights stay finite however far the wave travels.
+    The barycenter is advanced by the step's jumps and recomputed from the
+    positions at every recorded step.
 
     All randomness comes from the one stream ``(seed, 0)``.  Per (sub-)step
     it yields one Poisson total K, K allocation uniforms, then, round by
@@ -576,7 +578,7 @@ def simulate_swarm(n_agents, m, gamma, beta, config: SimConfig) -> SwarmSeries:
     agent's own earlier jumps in the step, so the law is that of handling
     each agent's proposals in sequence.  Memory is O(n_agents) plus the
     recorded snapshots; ``proposals`` and ``jumps`` count the proposals
-    and accepted jumps of the committed (sub-)steps.
+    and accepted jumps of every (sub-)step.
 
     Agents start at zero; the barycenter and full position snapshots are
     recorded every ``record_stride`` steps.
@@ -598,60 +600,45 @@ def simulate_swarm(n_agents, m, gamma, beta, config: SimConfig) -> SwarmSeries:
     block_sums = w2d.sum(axis=1)
     cum = np.zeros(n_blocks + 1)  # 0, then the running block sums
     xbar = ref = 0.0
-    chat = 1.0 / beta
-    retries = proposals = jumps = 0
+    proposals = jumps = 0
     log_max_total = math.log(_MAX_PROPOSALS * n_agents)
 
     def advance(dt, depth):
-        """One certified step of length dt; recurses in halves when the step
-        is too coarse or its majorant fails."""
-        nonlocal xbar, chat, retries, proposals, jumps
+        """One step of length dt; recurses in halves when the step is too
+        coarse."""
+        nonlocal xbar, proposals, jumps
         if depth > 24:
             raise ThinningError("swarm step still unresolved after 24 halvings")
         np.cumsum(block_sums, out=cum[1:])
         # log of the majorant's expected proposal total, so no exp overflows
-        log_total = beta * (xbar + chat * dt - ref) + math.log(cum[-1] * dt)
+        log_total = beta * (xbar - ref) + math.log(cum[-1] * dt)
         if log_total > log_max_total:
             # a step this coarse is split, not allocated
             advance(dt / 2.0, depth + 1)
             advance(dt / 2.0, depth + 1)
             return
         n_proposed = int(gen.poisson(math.exp(log_total)))
-        rest = np.sort(_pick_weighted(gen.random(n_proposed), w2d, cum))
-        # only picked agents can move, so only they are saved
-        picked, saved = rest, x[rest]
-        rise = 0.0
-        n_accepted = 0
+        picked = rest = np.sort(_pick_weighted(gen.random(n_proposed), w2d, cum))
+        proposals += n_proposed
         while rest.size:
             # each round takes one proposal of every agent with one left, in
             # increasing agent order; accept with current rate / majorant
-            # = exp(-beta (x_i - ref + Chat dt)) / w_i, w_i being frozen at
-            # the step start; own jumps only raise x_i, so it stays below one
+            # = exp(-beta (x_i - ref)) / w_i, w_i being frozen at the step
+            # start; own jumps only raise x_i, so it stays below one
             first = np.empty(rest.size, dtype=bool)
             first[0] = True
             np.not_equal(rest[1:], rest[:-1], out=first[1:])
             act, rest = rest[first], rest[~first]
-            acc = np.exp(-beta * (x[act] - ref + chat * dt)) / w[act]
+            acc = np.exp(-beta * (x[act] - ref)) / w[act]
             hit = act[gen.random(act.size) <= acc]
             if hit.size:
                 mags = erlang_magnitudes(gen.random((hit.size, m)), gamma)
                 x[hit] += mags
-                rise += mags.sum() / n_agents
-                n_accepted += hit.size
-        if rise <= chat * dt:
-            xbar += rise
-            proposals += n_proposed
-            jumps += n_accepted
-            w[picked] = np.exp(-beta * (x[picked] - ref))
-            blocks = picked // _AGENT_BLOCK
-            block_sums[blocks] = w2d[blocks].sum(axis=1)
-            return
-        # majorant violated: enlarge the overestimate and redo in halves
-        retries += 1
-        chat = max(2.0 * chat, 2.0 * rise / dt)
-        x[picked] = saved
-        advance(dt / 2.0, depth + 1)
-        advance(dt / 2.0, depth + 1)
+                xbar += mags.sum() / n_agents
+                jumps += hit.size
+        w[picked] = np.exp(-beta * (x[picked] - ref))
+        blocks = picked // _AGENT_BLOCK
+        block_sums[blocks] = w2d[blocks].sum(axis=1)
 
     n_steps = config.n_steps
     rec = config.record_steps()
@@ -659,7 +646,6 @@ def simulate_swarm(n_agents, m, gamma, beta, config: SimConfig) -> SwarmSeries:
     times = [0.0]
     bary = [0.0]
     snaps = [x.copy()]
-    refit_every = max(config.record_stride * 10, 50)
     for step in range(1, n_steps + 1):
         advance(config.dt, 0)
         if step in rec_set:
@@ -667,13 +653,6 @@ def simulate_swarm(n_agents, m, gamma, beta, config: SimConfig) -> SwarmSeries:
             times.append(step * config.dt)
             bary.append(xbar)
             snaps.append(x.copy())
-        if step % refit_every == 0 and len(bary) >= 12:
-            tt = np.asarray(times)
-            bb = np.asarray(bary)
-            half = tt >= tt[-1] / 2.0
-            if half.sum() >= 2 and np.ptp(tt[half]) > 0:
-                slope = np.polyfit(tt[half], bb[half], 1)[0]
-                chat = max(1.0 / beta, 2.0 * slope)
         if beta * abs(xbar - ref) > _RECENTRE:
             ref = xbar
             w[:n_agents] = np.exp(-beta * (x - ref))
@@ -687,7 +666,6 @@ def simulate_swarm(n_agents, m, gamma, beta, config: SimConfig) -> SwarmSeries:
         m=m,
         gamma=gamma,
         beta=beta,
-        majorant_retries=retries,
         proposals=proposals,
         jumps=jumps,
     )

@@ -352,17 +352,31 @@ def test_tanh_computes_each_density_grid_once(tmp_path, monkeypatch):
     assert len(calls) == 2
 
 
-def test_tracer_bindings_resolve():
-    # the benchmark's tracer replaces each of these owner attributes; one
-    # that is renamed or removed would make a traced run raise KeyError
+def _tracer():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    targets = tracer._targets()
+    return tracer
+
+
+def test_tracer_bindings_resolve():
+    # the benchmark's tracer replaces each of these owner attributes; one
+    # that is renamed or removed would make a traced run raise KeyError
+    targets = _tracer()._targets()
     assert targets
     for owner, attr, _, _ in targets:
         assert attr in owner.__dict__, f"{owner.__name__}.{attr}"
+
+
+def test_tracer_counts_a_real_swarm_run():
+    # the tracer reads result fields of simulate_swarm; one that vanished
+    # would make a traced run raise AttributeError
+    sim = simulate.SimConfig(dt=0.01, t_end=0.1, n_paths=1, seed=1)
+    series = simulate.simulate_swarm(20, 1, 1.0, 1.0, sim)
+    counts = collections.Counter()
+    _tracer()._count_swarm(counts, series, 20, 1, 1.0, 1.0, sim)
+    assert counts == {"simulate.agent_steps": 20 * 10, "simulate.majorant_retries": 0}
 
 
 def test_every_public_name_resolves():
@@ -499,6 +513,9 @@ _TRANSIENT_HANGS = [_transient_cfg(alpha=1e-300), _transient_cfg(**{"lambda": 1e
         # n_paths lambda t_end = 9e-296 expected jumps: no path jumps, and the
         # sample, all zeros, has no histogram (this once failed after --out)
         ("stationary", _stationary_cfg(alpha=1e-300, **{"lambda": 2e-300}), []),
+        # the m = 1 law is still about 1e-4 at x_hi = 12: the grid truncates
+        # its mass (this once raised NormalizationError after --out)
+        ("stationary", _stationary_cfg(m=1, grid={"x_lo": 1e-4, "x_hi": 12.0, "n": 2001}), []),
     ],
 )
 def test_invalid_config_exits_2_and_writes_nothing(tmp_path, command, cfg, argv):
@@ -677,10 +694,9 @@ def test_report_swarm_counters(tmp_path):
     out = tmp_path / "wave"
     assert main(["wave", "--config", _write(tmp_path, "w.json", cfg), "--out", str(out)]) in (0, 1)
     counters = json.loads((out / "report.json").read_text())["counters"]
-    assert set(counters) == {"agents", "agent_steps", "proposals", "jumps", "majorant_retries"}
+    assert set(counters) == {"agents", "agent_steps", "proposals", "jumps"}
     assert counters["agents"] == 2 * 50
-    # each majorant retry turns one committed step into two half-steps
-    assert counters["agent_steps"] == 2 * 50 * 100 + 50 * counters["majorant_retries"]
+    assert counters["agent_steps"] == 2 * 50 * 100
     assert 0 < counters["jumps"] <= counters["proposals"]
 
 

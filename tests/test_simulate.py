@@ -591,20 +591,29 @@ def test_swarm_weights_recentre_over_long_travel():
 
 
 def test_swarm_splits_a_coarse_step_and_guards_its_depth():
-    # at dt 4 the majorant expects about 4 e^4 ~ 218 proposals per agent,
-    # over the per-step bound: the step is split, and the run completes
-    cfg = SimConfig(dt=4.0, t_end=40.0, n_paths=1, seed=23, record_stride=1)
+    # from the start the majorant expects dt = 128 proposals per agent, over
+    # the per-step bound of 64: the first step is split, and the run completes
+    cfg = SimConfig(dt=128.0, t_end=1280.0, n_paths=1, seed=23, record_stride=1)
     series = simulate_swarm(10, 1, 1.0, 1.0, cfg)
     assert series.jumps > 0
     assert np.all(np.isfinite(series.snapshots))
     np.testing.assert_allclose(
         series.barycenter, series.snapshots.mean(axis=1), rtol=0, atol=1e-12
     )
-    # a step still far too coarse after 24 halvings trips the depth guard,
-    # with no overflow on the way
-    cfg = SimConfig(dt=1e9, t_end=1e9, n_paths=1, seed=23, record_stride=1)
+    # at dt = 64 * 2**25 a sub-step 24 halvings deep still expects 128 per
+    # agent: the depth guard trips, with no overflow on the way
+    dt = 64.0 * 2**25
+    cfg = SimConfig(dt=dt, t_end=dt, n_paths=1, seed=23, record_stride=1)
     with np.errstate(over="raise", invalid="raise"), pytest.raises(ThinningError):
         simulate_swarm(10, 1, 1.0, 1.0, cfg)
+
+
+def test_swarm_follows_the_stream_layout():
+    # from the start every weight is 1 and the barycenter sits at the
+    # reference, so the stream's first draw is the step's proposal total
+    cfg = SimConfig(dt=0.5, t_end=0.5, n_paths=1, seed=3)
+    series = simulate_swarm(1000, 1, 1.0, 1.0, cfg)
+    assert series.proposals == stream(3, 0).poisson(1000 * 0.5)
 
 
 def test_swarm_memory_is_linear_in_agents():

@@ -51,7 +51,6 @@ from .simulate import (
     ExactSample,
     SimConfig,
     SwarmSeries,
-    ThinningError,
     TrajectoryBatch,
     empirical_density,
     estimate_speed,

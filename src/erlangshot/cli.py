@@ -274,8 +274,8 @@ class RunReport:
         self.counters.update(paths=len(sample), steps=0, jumps=int(sample.jump_counts.sum()))
 
     def count_swarm(self, sim, series):
-        """Add a swarm run's counters: agents, agent-steps, thinning
-        proposals, accepted jumps."""
+        """Add a swarm run's counters: agents, agent-steps, exponential
+        clock draws, jumps."""
         self.counters.update(
             agents=series.n_agents,
             agent_steps=series.n_agents * sim.n_steps,
@@ -975,11 +975,7 @@ def run_command(command, config_path, out_dir, seed_override=None, quiet=False):
     (out / "config_echo.json").write_text(json.dumps(echo, indent=2, sort_keys=True) + "\n")
     report = RunReport(command, echo, seed, out)
     echoed = time.perf_counter()
-    try:
-        run(record, seed, report)
-    except simulate.ThinningError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    run(record, seed, report)
     timings = report.timings
     timings["validate"] = validated - start
     # the run's CSV writes are already counted under "write"

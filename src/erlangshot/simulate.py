@@ -12,14 +12,12 @@ bounded block of steps at a time, so memory does not grow with the number
 of steps.  A path's draws depend on the seed and on the batch's shape.
 
 The interacting swarm couples pure jump agents through the empirical
-barycenter entering their Poisson rates; within a step the barycenter is
-frozen, and each agent's rate is simulated by thinning against its rate
-at the step start, which its own jumps can only lower.  The swarm draws
-from the one stream ``(seed, 0)``: per step one Poisson total of
-proposals, allocated to agents in proportion to their start rates by a
-block-sum picker, then, round by round, the acceptance uniforms and the
-magnitude uniforms of the accepted proposals, so a step's work is
-O(proposals + agents / 32) and its memory is O(agents).
+barycenter entering their Poisson rates.  It is simulated exactly, on a
+common clock on which the agents jump independently and the barycenter
+acts only as a time change, in vectorised windows of about one jump per
+agent; the step ``dt`` only sets the record grid.  It draws from the one
+stream ``(seed, 0)``, its work is O(jumps + agents x windows) and its
+memory is O(agents) plus the recorded snapshots.
 
 Where the pathwise solution is explicit (linear drift, no diffusion),
 ``sample_linear_shot_noise_exact`` draws the state from it directly, at one
@@ -54,7 +52,6 @@ __all__ = [
     "SwarmSeries",
     "ExactSample",
     "EmpiricalDensity",
-    "ThinningError",
     "simulate_paths",
     "simulate_tanh",
     "simulate_ou_tanh",
@@ -72,11 +69,6 @@ _CHUNK = 4096  # draws per stream of the exact samplers
 _EULER_CELLS = 2**17  # (step, path) increments per block of the Euler reference
 _ESTIMATOR_STREAM_BASE = 2**63
 _CELLS = 2**18  # (round, path) cells per block of the jump-adapted sampler
-
-
-class ThinningError(RuntimeError):
-    """Raised when a swarm step still expects too many thinning proposals
-    after 24 halvings."""
 
 
 @dataclass(frozen=True)
@@ -156,8 +148,8 @@ class SwarmSeries:
     # always 0: the swarm has no retries; kept only because the benchmark's
     # tracer (perfbench/tracer.py) reads it
     majorant_retries: int = 0
-    proposals: int = 0  # thinning proposals of every (sub-)step
-    jumps: int = 0  # accepted proposals
+    proposals: int = 0  # exponential clock draws: N per window and one per jump
+    jumps: int = 0  # jumps applied up to t_end
 
     def centered_tail_positions(self, fraction=0.5):
         """Pooled barycenter-centered positions over the trailing window."""
@@ -506,162 +498,101 @@ def _advance(nj, arrivals, mags, up, z, t, beta, alpha):
 # interacting swarm
 
 
-_AGENT_BLOCK = 32  # agents per block of the swarm's weighted picker
-_PICK_CHUNK = 4096  # picks resolved per pass, bounding the picker's temporaries
-_MAX_PROPOSALS = 64  # expected per agent and (sub-)step; a step expecting more is split
-_RECENTRE = 32.0  # re-centre the swarm's weights once beta |xbar - ref| passes this
-
-
-def _pick_weighted(u, w2d, cum):
-    """Row-major indices into ``w2d`` drawn with probability proportional
-    to their weights, one per uniform in ``u`` (values in [0, 1)).
-
-    ``w2d`` holds nonnegative weights in rows of ``_AGENT_BLOCK``; ``cum``
-    is 0 followed by the cumulative sums of its row sums.  A uniform
-    scaled to the total picks a row by binary search over ``cum``, then an
-    entry by the running sum inside that row, so the work is
-    O(len(u) * (_AGENT_BLOCK + log(rows))).  Only entries of positive
-    weight are returned: rounding can put a target at or past the end of
-    its row or of ``cum``, and such a target falls back to the last entry
-    of positive weight there.
-    """
-    picks = np.empty(len(u), dtype=np.int64)
-    for lo in range(0, len(u), _PICK_CHUNK):
-        target = u[lo:lo + _PICK_CHUNK] * cum[-1]
-        rows = np.searchsorted(cum, target, side="right") - 1
-        over = rows >= len(w2d)
-        if over.any():
-            rows[over] = np.flatnonzero(np.diff(cum))[-1]
-        w = w2d[rows]
-        cols = (np.cumsum(w, axis=1) <= (target - cum[rows])[:, None]).sum(axis=1)
-        over = cols >= _AGENT_BLOCK
-        if over.any():
-            cols[over] = _AGENT_BLOCK - 1 - np.argmax(w[over, ::-1] > 0, axis=1)
-        picks[lo:lo + _PICK_CHUNK] = rows * _AGENT_BLOCK + cols
-    return picks
+_EVENTS_PER_AGENT = 1.0  # expected jumps per agent in one window of the swarm's clock
 
 
 def simulate_swarm(n_agents, m, gamma, beta, config: SimConfig) -> SwarmSeries:
-    """Pure-jump agents coupled through their barycenter.
+    """Pure-jump agents coupled through their barycenter, simulated exactly.
 
     Each agent jumps at instantaneous rate exp(-beta (x_i - xbar)) with
     Erlang(m, gamma) magnitudes, xbar being the empirical mean position
-    (the finite-population stand-in for the mean-field average).  Within a
-    step the barycenter is frozen at its value at the step start, which
-    biases the speed by about -beta C dt / 2.  An agent's own jumps only
-    raise x_i, so its rate at the step start, lb_i = exp(-beta (x_i - xbar)),
-    bounds its rate over the step, and events are generated by thinning
-    against it: a proposal is accepted with probability
-    exp(-beta (x_i - ref)) / w_i, x_i being the agent's current position
-    and w_i = exp(-beta (x_i - ref)) its weight at the step start.  A
-    step whose majorant expects more than ``_MAX_PROPOSALS`` proposals per
-    agent is split into halves before any draw, which bounds the memory of
-    a step; a split nesting more than 24 deep raises ``ThinningError``.
+    (the finite-population stand-in for the mean-field average), updated
+    at every jump.  The rate factors into a common part
+    A = exp(beta (xbar - ref)) and an individual part
+    g_i = exp(-beta (x_i - ref)).  On the clock Lambda(t) = int A dt the
+    agents are independent pure-jump processes of rates g_i, and xbar
+    enters only through the time change dt = dLambda / A, which is
+    piecewise constant between jumps (Ethier & Kurtz 1986, ch. 6).  So
+    the run has no discretization bias, and ``config.dt`` only sets the
+    grid on which the swarm is recorded.
 
-    Independent Poisson(lb_i dt) proposal counts have the law of one
-    Poisson(sum_i lb_i dt) total allocated multinomially in proportion to
-    lb_i (Lewis & Shedler 1979).  Since lb_i = exp(beta (xbar - ref)) w_i,
-    the swarm keeps the weights w_i and their sums over blocks of
-    ``_AGENT_BLOCK`` agents, and a (sub-)step costs O(proposals + blocks),
-    not O(agents).  After a step only the picked agents' weights and their
-    blocks' sums are refreshed.  The reference ``ref`` is re-centred at
-    xbar, and every weight recomputed, once beta |xbar - ref| passes
-    ``_RECENTRE``, so weights stay finite however far the wave travels.
-    The barycenter is advanced by the step's jumps and recomputed from the
-    positions at every recorded step.
+    The run advances in windows of the clock.  A window sets ``ref`` to
+    the barycenter, takes the width W = ``_EVENTS_PER_AGENT`` * N / sum g_i
+    (about one expected jump per agent) and gives every agent the target
+    Lambda_i = E_i / g_i with E_i ~ Exp(1); a fresh draw per window is
+    exact by memorylessness.  In vectorised rounds, every agent whose
+    target is at most W jumps there, draws its magnitude and gets the next
+    target Lambda_i + E / g_i at its new position.  The window's jumps,
+    sorted by Lambda, give the barycenter before each jump and so the
+    event times t_0 + cumsum(dLambda / A).  At each record time of the
+    window the jumps up to it are applied in order and the positions and
+    their mean recorded; jumps after the last record time are dropped.
 
-    All randomness comes from the one stream ``(seed, 0)``.  Per (sub-)step
-    it yields one Poisson total K, K allocation uniforms, then, round by
-    round, one acceptance uniform per picked agent with a proposal left
-    and m magnitude uniforms per accepted proposal.  Round r handles every
-    picked agent's r-th proposal, in increasing agent order; it sees the
-    agent's own earlier jumps in the step, so the law is that of handling
-    each agent's proposals in sequence.  Memory is O(n_agents) plus the
-    recorded snapshots; ``proposals`` and ``jumps`` count the proposals
-    and accepted jumps of every (sub-)step.
+    All randomness comes from the one stream ``(seed, 0)``.  Per window it
+    yields N standard exponentials for the targets, then, round by round,
+    m magnitude uniforms per jumping agent and one standard exponential
+    per jumping agent for its next target, agents in increasing order.
+    Work is O(jumps + N * windows) numpy work and memory is O(n_agents)
+    plus the recorded snapshots; ``proposals`` counts the exponential
+    clock draws (N per window and one per jump) and ``jumps`` the jumps
+    applied up to ``t_end``.
 
     Agents start at zero; the barycenter and full position snapshots are
     recorded every ``record_stride`` steps.
     """
     if n_agents < 2:
         raise ValueError("need at least 2 agents")
-    if m not in (1, 2):
-        raise ValueError("swarm supports m in {1, 2}")
+    if int(m) != m or m < 1:
+        raise ValueError("Erlang shape m must be an integer >= 1")
     if not gamma > 0 or not beta > 0:
         raise ValueError("gamma and beta must be positive")
 
     gen = stream(config.seed, 0)
-    n_blocks = -(-n_agents // _AGENT_BLOCK)
+    times = config.record_steps() * config.dt
+    snaps = np.zeros((len(times), n_agents))
+    bary = np.zeros(len(times))
     x = np.zeros(n_agents)
-    # weights padded with zeros to whole blocks; w2d is a view of w
-    w = np.zeros(n_blocks * _AGENT_BLOCK)
-    w2d = w.reshape(n_blocks, _AGENT_BLOCK)
-    w[:n_agents] = 1.0  # exp(-beta (x - ref)) at the start
-    block_sums = w2d.sum(axis=1)
-    cum = np.zeros(n_blocks + 1)  # 0, then the running block sums
-    xbar = ref = 0.0
+    t0 = 0.0
+    rec = 1  # next record; record 0 is the start
     proposals = jumps = 0
-    log_max_total = math.log(_MAX_PROPOSALS * n_agents)
-
-    def advance(dt, depth):
-        """One step of length dt; recurses in halves when the step is too
-        coarse."""
-        nonlocal xbar, proposals, jumps
-        if depth > 24:
-            raise ThinningError("swarm step still unresolved after 24 halvings")
-        np.cumsum(block_sums, out=cum[1:])
-        # log of the majorant's expected proposal total, so no exp overflows
-        log_total = beta * (xbar - ref) + math.log(cum[-1] * dt)
-        if log_total > log_max_total:
-            # a step this coarse is split, not allocated
-            advance(dt / 2.0, depth + 1)
-            advance(dt / 2.0, depth + 1)
-            return
-        n_proposed = int(gen.poisson(math.exp(log_total)))
-        picked = rest = np.sort(_pick_weighted(gen.random(n_proposed), w2d, cum))
-        proposals += n_proposed
-        while rest.size:
-            # each round takes one proposal of every agent with one left, in
-            # increasing agent order; accept with current rate / majorant
-            # = exp(-beta (x_i - ref)) / w_i, w_i being frozen at the step
-            # start; own jumps only raise x_i, so it stays below one
-            first = np.empty(rest.size, dtype=bool)
-            first[0] = True
-            np.not_equal(rest[1:], rest[:-1], out=first[1:])
-            act, rest = rest[first], rest[~first]
-            acc = np.exp(-beta * (x[act] - ref)) / w[act]
-            hit = act[gen.random(act.size) <= acc]
-            if hit.size:
-                mags = erlang_magnitudes(gen.random((hit.size, m)), gamma)
-                x[hit] += mags
-                xbar += mags.sum() / n_agents
-                jumps += hit.size
-        w[picked] = np.exp(-beta * (x[picked] - ref))
-        blocks = picked // _AGENT_BLOCK
-        block_sums[blocks] = w2d[blocks].sum(axis=1)
-
-    n_steps = config.n_steps
-    rec = config.record_steps()
-    rec_set = set(rec.tolist())
-    times = [0.0]
-    bary = [0.0]
-    snaps = [x.copy()]
-    for step in range(1, n_steps + 1):
-        advance(config.dt, 0)
-        if step in rec_set:
-            xbar = float(x.mean())
-            times.append(step * config.dt)
-            bary.append(xbar)
-            snaps.append(x.copy())
-        if beta * abs(xbar - ref) > _RECENTRE:
-            ref = xbar
-            w[:n_agents] = np.exp(-beta * (x - ref))
-            block_sums[:] = w2d.sum(axis=1)
+    while rec < len(times):
+        ref = x.mean()
+        width = _EVENTS_PER_AGENT * n_agents / np.exp(-beta * (x - ref)).sum()
+        target = gen.standard_exponential(n_agents) * np.exp(beta * (x - ref))
+        proposals += n_agents
+        end = x.copy()  # positions after the window's jumps
+        who, lam, size = [np.zeros(0, dtype=np.intp)], [np.zeros(0)], [np.zeros(0)]
+        act = np.flatnonzero(target <= width)
+        while act.size:
+            mags = erlang_magnitudes(gen.random((act.size, m)), gamma)
+            who.append(act)
+            lam.append(target[act])
+            size.append(mags)
+            end[act] += mags
+            target[act] += gen.standard_exponential(act.size) * np.exp(beta * (end[act] - ref))
+            proposals += act.size
+            act = act[target[act] <= width]
+        order = np.argsort(np.concatenate(lam))
+        who, lam, size = (np.concatenate(a)[order] for a in (who, lam, size))
+        # the barycenter's advance in the window before each jump and at its end
+        rise = np.concatenate([[0.0], np.cumsum(size) / n_agents])
+        at = t0 + np.cumsum(np.diff(lam, prepend=0.0, append=width) * np.exp(-beta * rise))
+        t0 = at[-1]
+        done = 0
+        while rec < len(times) and times[rec] < t0:
+            upto = int(np.searchsorted(at[:-1], times[rec], side="right"))
+            np.add.at(x, who[done:upto], size[done:upto])
+            done = upto
+            snaps[rec] = x
+            bary[rec] = x.mean()
+            rec += 1
+        jumps += done if rec == len(times) else len(who)
+        x = end
 
     return SwarmSeries(
-        times=np.asarray(times),
-        barycenter=np.asarray(bary),
-        snapshots=np.asarray(snaps),
+        times=times,
+        barycenter=bary,
+        snapshots=snaps,
         n_agents=n_agents,
         m=m,
         gamma=gamma,

@@ -592,20 +592,6 @@ def test_wave_swarm_needs_ten_times_in_the_speed_window(tmp_path, capsys, t_end,
         assert got in code and (out / "report.json").exists()
 
 
-def test_wave_thinning_error_exits_1_without_traceback(tmp_path, capsys, monkeypatch):
-    def unresolved(*args, **kwargs):
-        raise simulate.ThinningError("swarm step still unresolved after 24 halvings")
-
-    monkeypatch.setattr(simulate, "simulate_swarm", unresolved)
-    swarm = {"n_agents": 10, "dt": 0.01, "t_end": 1.0, "record_stride": 2}
-    cfg = _wave_cfg(m_values=[1], n_xi=501, swarm=swarm)
-    out = tmp_path / "out"
-    assert main(["wave", "--config", _write(tmp_path, "w.json", cfg), "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err == "error: swarm step still unresolved after 24 halvings\n"
-    assert not (out / "report.json").exists()
-
-
 def test_cli_import_loads_neither_scipy_signal_nor_stats():
     # start-up cost: a fresh interpreter importing the CLI must not pull in
     # the two heaviest scipy subpackages

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.random import Generator, Philox
@@ -17,6 +18,7 @@ from erlangshot.closedform import (
     cumulant,
     gaussian_pair_mixture,
     gumbel_wave,
+    whittaker_wave,
 )
 from erlangshot.master import (
     ConstantDiffusion,
@@ -30,10 +32,7 @@ from erlangshot.noise import ErlangJumpLaw, erlang_magnitudes, laplace_magnitude
 from erlangshot.quadrature import cumulative_trapezoid
 from erlangshot.simulate import (
     SimConfig,
-    _AGENT_BLOCK,
-    _pick_weighted,
     SwarmSeries,
-    ThinningError,
     empirical_density,
     estimate_speed,
     interp_cdf,
@@ -290,8 +289,6 @@ def test_swarm_speed_smoke():
 
 def test_swarm_profile_tightness():
     # centered empirical variance against the analytic wave profile variance
-    from erlangshot.closedform import whittaker_wave
-
     for m, t_end in ((1, 14.0), (2, 10.0)):
         sol = gumbel_wave(1.0, 1.0) if m == 1 else whittaker_wave(1.0, 1.0)
         cfg = SimConfig(dt=0.004, t_end=t_end, n_paths=1, seed=900 + m, record_stride=50)
@@ -546,36 +543,6 @@ def test_tanh_paths_unchanged_by_the_shared_laplace_sampler(monkeypatch):
     assert simulate_tanh(2.0, 2.0, 0.5, cfg).paths.tobytes() == batch.paths.tobytes()
 
 
-def test_weighted_picker_stays_in_range_and_matches_weights():
-    n = 1000  # not a multiple of the block size: the last block is padded
-    rng = np.random.default_rng(21)
-    weights = 10.0 ** rng.uniform(-12.0, 3.0, n)
-    # zero weights: the first agent of block 2, and the whole last block
-    weights[[2 * _AGENT_BLOCK, 500]] = 0.0
-    weights[n // _AGENT_BLOCK * _AGENT_BLOCK:] = 0.0
-    w = np.zeros(-(-n // _AGENT_BLOCK) * _AGENT_BLOCK)
-    w[:n] = weights
-    w2d = w.reshape(-1, _AGENT_BLOCK)
-    cum = np.concatenate([[0.0], np.cumsum(w2d.sum(axis=1))])
-    total = cum[-1]
-    # block edges, the largest uniform below one, and u = 1, the edge that
-    # rounding of u * total can reach
-    edges = [c / total for c in cum[1:]] + [np.nextafter(1.0, 0.0), 1.0]
-    u = np.concatenate([rng.random(200_000), edges])
-    picks = _pick_weighted(u, w2d, cum)
-    assert picks.min() >= 0 and picks.max() < n
-    assert np.all(weights[picks] > 0)
-    assert picks[-1] == np.flatnonzero(weights)[-1]
-    # pick frequencies against w_i / W, rare agents pooled into one cell
-    observed = np.bincount(picks[:200_000], minlength=n).astype(float)
-    expected = 200_000 * weights / weights.sum()
-    big = expected >= 5
-    obs = np.append(observed[big], observed[~big].sum())
-    exp = np.append(expected[big], expected[~big].sum())
-    chi2 = np.sum((obs - exp) ** 2 / exp)
-    assert stats.chi2.sf(chi2, df=len(exp) - 1) > 0.001
-
-
 def test_swarm_weights_recentre_over_long_travel():
     # jumps of mean 4 carry beta * xbar far past 745, where weights keyed to
     # the start position would underflow and the majorant scale overflow
@@ -590,30 +557,98 @@ def test_swarm_weights_recentre_over_long_travel():
     )
 
 
-def test_swarm_splits_a_coarse_step_and_guards_its_depth():
-    # from the start the majorant expects dt = 128 proposals per agent, over
-    # the per-step bound of 64: the first step is split, and the run completes
+def test_swarm_completes_on_a_coarse_record_grid():
+    # dt only sets the record grid: ten records 128 time units apart hold
+    # thousands of jumps per agent between them
     cfg = SimConfig(dt=128.0, t_end=1280.0, n_paths=1, seed=23, record_stride=1)
-    series = simulate_swarm(10, 1, 1.0, 1.0, cfg)
-    assert series.jumps > 0
+    with np.errstate(over="raise", invalid="raise"):
+        series = simulate_swarm(10, 1, 1.0, 1.0, cfg)
+    assert series.snapshots.shape == (11, 10)
+    assert series.jumps > 1000 * 10
     assert np.all(np.isfinite(series.snapshots))
     np.testing.assert_allclose(
         series.barycenter, series.snapshots.mean(axis=1), rtol=0, atol=1e-12
     )
-    # at dt = 64 * 2**25 a sub-step 24 halvings deep still expects 128 per
-    # agent: the depth guard trips, with no overflow on the way
-    dt = 64.0 * 2**25
-    cfg = SimConfig(dt=dt, t_end=dt, n_paths=1, seed=23, record_stride=1)
-    with np.errstate(over="raise", invalid="raise"), pytest.raises(ThinningError):
-        simulate_swarm(10, 1, 1.0, 1.0, cfg)
 
 
 def test_swarm_follows_the_stream_layout():
-    # from the start every weight is 1 and the barycenter sits at the
-    # reference, so the stream's first draw is the step's proposal total
-    cfg = SimConfig(dt=0.5, t_end=0.5, n_paths=1, seed=3)
-    series = simulate_swarm(1000, 1, 1.0, 1.0, cfg)
-    assert series.proposals == stream(3, 0).poisson(1000 * 0.5)
+    # all agents start at the reference, so the first window's targets are
+    # the stream's first n standard exponentials and its width is
+    # _EVENTS_PER_AGENT; the m magnitude uniforms of each agent jumping in
+    # the first round follow, agents in increasing order
+    n, m = 1000, 2
+    cfg = SimConfig(dt=1e-4, t_end=0.005, n_paths=1, seed=3)
+    series = simulate_swarm(n, m, 1.0, 1.0, cfg)
+    gen = stream(3, 0)
+    first = gen.standard_exponential(n)
+    hits = np.flatnonzero(first <= simulate._EVENTS_PER_AGENT)
+    mags = erlang_magnitudes(gen.random((hits.size, m)), 1.0)
+    order = np.argsort(first)
+    # the first jump comes at its exponential, clock time equal to real time
+    # before any jump, with its agent's first magnitude
+    moved = (series.snapshots > 0).sum(axis=1)
+    k = np.argmax(moved > 0)
+    assert series.times[k - 1] < first[order[0]] <= series.times[k]
+    assert series.snapshots[k, order[0]] == mags[np.searchsorted(hits, order[0])]
+    # jumps come in the order of the exponentials
+    for snap, count in zip(series.snapshots, moved):
+        assert set(np.flatnonzero(snap > 0)) == set(order[:count])
+    assert moved[-1] >= 3
+
+
+def test_swarm_law_does_not_depend_on_dt():
+    # dt only sets the record grid: two grids recording every 0.1 give the
+    # same snapshots, bit for bit
+    fine = simulate_swarm(200, 2, 1.0, 1.0, SimConfig(dt=0.002, t_end=2.0, n_paths=1,
+                                                      seed=31, record_stride=50))
+    coarse = simulate_swarm(200, 2, 1.0, 1.0, SimConfig(dt=0.01, t_end=2.0, n_paths=1,
+                                                        seed=31, record_stride=10))
+    np.testing.assert_allclose(fine.times, coarse.times, rtol=1e-12)
+    assert fine.snapshots.shape == (21, 200)
+    assert fine.snapshots.tobytes() == coarse.snapshots.tobytes()
+    assert fine.barycenter.tobytes() == coarse.barycenter.tobytes()
+    assert fine.jumps == coarse.jumps and fine.jumps > 0
+
+
+def test_swarm_speed_has_no_dt_bias():
+    # a swarm with the barycenter frozen over a step of dt 0.005 runs slow
+    # by about beta C dt / 2 (-1.3% measured for m = 2, about 5 s.e. here);
+    # the exact swarm's mean error over 100 seeds is within 4 s.e. of 0
+    for m, sol in ((1, gumbel_wave(1.0, 1.0)), (2, whittaker_wave(1.0, 1.0))):
+        errs = []
+        for seed in range(100):
+            cfg = SimConfig(dt=0.005, t_end=5.0, n_paths=1, seed=seed, record_stride=20)
+            series = simulate_swarm(1000, m, 1.0, 1.0, cfg)
+            errs.append(estimate_speed(series, 0.5) / sol.speed - 1.0)
+        errs = np.asarray(errs)
+        se = errs.std(ddof=1) / math.sqrt(len(errs))
+        assert abs(errs.mean()) < 4 * se, (m, errs.mean(), se)
+
+
+def _wave_speed(m, beta, gamma):
+    """C_m = exp(sum_k Re psi(r (1 - w^k)) - m psi(r)) / beta, r = gamma / beta,
+    w = exp(2 pi i / m), k = 1 .. m - 1."""
+    r = gamma / beta
+    w = mpmath.exp(2j * mpmath.pi / m)
+    s = sum(mpmath.re(mpmath.digamma(r * (1 - w**k))) for k in range(1, m)) - m * mpmath.digamma(r)
+    return float(mpmath.exp(s)) / beta
+
+
+def test_swarm_speed_at_m3_matches_the_closed_form():
+    assert _wave_speed(1, 1.0, 1.0) == pytest.approx(gumbel_wave(1.0, 1.0).speed, rel=1e-14)
+    assert _wave_speed(2, 0.5, 1.3) == pytest.approx(whittaker_wave(0.5, 1.3).speed, rel=1e-14)
+    c3 = _wave_speed(3, 1.0, 1.0)
+    assert c3 == pytest.approx(9.99209, rel=1e-5)
+    # one seed's speed error has a standard deviation of about 0.7% here
+    errs = []
+    for seed in range(8):
+        cfg = SimConfig(dt=0.01, t_end=8.0, n_paths=1, seed=seed, record_stride=10)
+        series = simulate_swarm(8000, 3, 1.0, 1.0, cfg)
+        errs.append(estimate_speed(series, 0.5) / c3 - 1.0)
+    assert abs(np.mean(errs)) < 0.01
+    for m in (0, 1.5):
+        with pytest.raises(ValueError):
+            simulate_swarm(10, m, 1.0, 1.0, cfg)
 
 
 def test_swarm_memory_is_linear_in_agents():

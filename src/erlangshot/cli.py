@@ -52,7 +52,7 @@ from .master import (
     ZeroDiffusion,
     ZeroDrift,
 )
-from .noise import ErlangJumpLaw
+from .noise import ErlangJumpLaw, stream
 from .quadrature import cumulative_trapezoid, simpson
 from .simulate import SimConfig, interp_cdf
 
@@ -85,8 +85,14 @@ _POSITIVE = (lambda v: v > 0, "positive")
 _NONNEGATIVE = (lambda v: v >= 0, "nonnegative")
 
 
-def _at_least(lo):
-    return (lambda v: v >= lo, f">= {lo}")
+# the most entries of one array a run holds, as a size field or a product of
+# them sets it: 2**24 float64 values are 128 MiB
+_MAX_ENTRIES = 2**24
+
+
+def _size(lo):
+    """Range of a count or size field: from lo up to ``_MAX_ENTRIES``."""
+    return (lambda v: lo <= v <= _MAX_ENTRIES, f"in {lo}..{_MAX_ENTRIES}")
 
 
 def _one_of(*allowed):
@@ -112,17 +118,13 @@ def _attr(key):
     return key + "_" if keyword.iskeyword(key) else key
 
 
-# schema 1 keeps the n_workers key, range-checked, though no run reads it
-_WORKERS = _Field("n_workers", int, 1, (lambda v: 1 <= v <= 64, "in 1..64"))
-
-# SimConfig checks the ranges of the other fields itself
+# SimConfig checks the other ranges itself
 _SIM = _Table((
     _Field("dt", float),
     _Field("t_end", float),
-    _Field("n_paths", int),
+    _Field("n_paths", int, check=_size(1)),
     _Field("record_stride", int, 1),
-    _WORKERS,
-), lambda n_workers, **sim: SimConfig(**sim))
+), SimConfig)
 
 _DRIFT = {
     "zero": _Table((), ZeroDrift),
@@ -315,12 +317,11 @@ _SPEED_WINDOW = 0.5
 
 # a swarm block is a SimConfig whose paths are the agents
 _SWARM = _Table((
-    _Field("n_agents", int, check=_at_least(2)),
+    _Field("n_agents", int, check=_size(2)),
     _Field("dt", float, 0.002),
     _Field("t_end", float, 14.0),
     _Field("record_stride", int, 50),
-    _WORKERS,
-), lambda n_agents, n_workers, **sim: SimConfig(n_paths=n_agents, **sim))
+), lambda n_agents, **sim: SimConfig(n_paths=n_agents, **sim))
 
 _WAVE = _record(
     "WaveConfig",
@@ -329,7 +330,7 @@ _WAVE = _record(
     _Field("gamma", float, check=_POSITIVE),
     _Field("xi_lo", float),
     _Field("xi_hi", float),
-    _Field("n_xi", int, check=_at_least(101)),
+    _Field("n_xi", int, check=_size(101)),
     _Field("swarm", _SWARM, None),
 )
 
@@ -347,8 +348,14 @@ def _check_wave(cfg):
                     f"at gamma={cfg.gamma:g}"
                 )
     if cfg.swarm is not None:
+        # the swarm holds a snapshot of every agent at every recorded time
+        swarm = cfg.swarm
+        records = -(-swarm.n_steps // swarm.record_stride) + 1
+        if records * swarm.n_paths > _MAX_ENTRIES:
+            raise ConfigError(f"swarm block records {records} times of {swarm.n_paths} agents, "
+                              f"more than {_MAX_ENTRIES} positions; raise dt or record_stride")
         # the recorded times that simulate.estimate_speed fits over
-        times = cfg.swarm.record_steps() * cfg.swarm.dt
+        times = swarm.record_steps() * swarm.dt
         need = simulate.MIN_SPEED_FIT_TIMES
         if np.count_nonzero(times >= times[-1] * (1.0 - _SPEED_WINDOW)) < need:
             raise ConfigError(
@@ -424,14 +431,14 @@ def _run_wave(cfg, seed, report):
 _VERIFY_MASTER = _record(
     "VerifyMasterConfig",
     _Field("m_values", [int], check=_one_of(1, 2, 3, 4)),
-    _Field("grid_sizes", [int], check=_at_least(65)),
+    _Field("grid_sizes", [int], check=_size(65)),
     _Field("gamma", float, check=_POSITIVE),
     _Field("lambda", float, check=_NONNEGATIVE),
     _Field("x_lo", float),
     _Field("x_hi", float),
     _Field("drift", _DRIFT, ZeroDrift()),
     _Field("sigma", float, 0.0, _NONNEGATIVE),
-    _Field("n_test_densities", int, 3, _at_least(1)),
+    _Field("n_test_densities", int, 3, _size(1)),
 )
 
 
@@ -484,7 +491,8 @@ def _run_verify_master(cfg, seed, report):
             spec = GridSpec(x_lo, x_hi, n)
             x = spec.nodes()
             gap = 0.0
-            dens_rng = np.random.default_rng(seed + 1000 * m)
+            # the same test densities on every grid of the ladder
+            dens_rng = stream(seed, m)
             for _ in range(cfg.n_test_densities):
                 P = GridFunction(spec, _random_bumps(dens_rng, x, x_lo, x_hi))
                 gap = max(gap, master.generator_gap(P, model))
@@ -498,7 +506,7 @@ def _run_verify_master(cfg, seed, report):
     # divergence of the rate term to rounding
     spec = GridSpec(x_lo, x_hi, max(cfg.grid_sizes))
     x = spec.nodes()
-    P = GridFunction(spec, _random_bumps(np.random.default_rng(seed), x, x_lo, x_hi))
+    P = GridFunction(spec, _random_bumps(stream(seed, 0), x, x_lo, x_hi))
     model1 = ModelSpec(ZeroDrift(), ZeroDiffusion(), ConstantRate(lam), ErlangJumpLaw(1, gamma))
     lhs = master.differential_generator(P, model1).values
     lamP = lam * P.values
@@ -520,14 +528,14 @@ _STATIONARY = _record(
     "StationaryConfig",
     _Field("m", int, check=_one_of(1, 2)),
     *_RATES,
-    # GridSpec checks x_lo < x_hi and n >= 9
+    # GridSpec checks x_lo < x_hi
     _Field("grid", _Table((
         _Field("x_lo", float, check=_POSITIVE),
         _Field("x_hi", float),
-        _Field("n", int),
+        _Field("n", int, check=_size(9)),
     ), GridSpec)),
     _Field("sim", _SIM),
-    _Field("n_bins", int, 80, _at_least(5)),
+    _Field("n_bins", int, 80, _size(5)),
     # m1_density: the m = 1 law on the grid (None for m = 2)
     derived=("residual_grid", "m1_density"),
 )
@@ -694,13 +702,10 @@ _TRANSIENT = _record(
     _Field("times", [float], check=(lambda t: t > 0, "positive (t = 0 is the pure atom)")),
     _Field("u_values", [float], (1.0,), _NONNEGATIVE),
     _Field("t_u", float, 1.0, _POSITIVE),
-    _Field("n_samples", int, 100000, _at_least(100)),
+    _Field("n_samples", int, 100000, _size(100)),
+    # tables: (x, density, CDF) of the law at each distinct comparison time
+    derived=("law", "tables"),
 )
-
-
-def _transient_z_max(alpha, lam, gamma):
-    """Width of the grid past the atom that the transient law is tabulated on."""
-    return 40.0 / gamma + 20.0 * lam / (alpha * gamma)
 
 
 def _check_sample_jumps(jumps):
@@ -715,39 +720,28 @@ def _check_sample_jumps(jumps):
 def _check_transient(cfg):
     # each exact path draws Poisson(lambda * t_max) jumps, 4096 paths at a time
     _check_sample_jumps(cfg.lambda_ * max(*cfg.times, cfg.t_u))
-    # the law must evaluate to finite values over the range the run
-    # tabulates and integrates, at every comparison time; as numpy scalars,
-    # parameters whose ratios overflow give inf instead of raising
-    alpha, lam, gamma = np.float64(cfg.alpha), np.float64(cfg.lambda_), np.float64(cfg.gamma)
+    # the sample holds every path at each comparison time and at t_u
+    if (len(cfg.times) + 1) * cfg.n_samples > _MAX_ENTRIES:
+        raise ConfigError(f"(len(times) + 1) * n_samples exceeds {_MAX_ENTRIES} sample values")
+    # the run writes and integrates these tables: each must be finite on a
+    # strictly increasing grid
     with np.errstate(all="ignore"):
         try:
-            law = closedform.TransientLaw(alpha, lam, gamma, cfg.x0)
-        except ValueError as exc:
+            law = closedform.TransientLaw(cfg.alpha, cfg.lambda_, cfg.gamma, cfg.x0)
+            tables = {t: law.density_cdf_grid(t) for t in set(cfg.times)}
+        except (OverflowError, ValueError) as exc:
             raise ConfigError(f"transient law: {exc}") from exc
-        z_hi = max(_transient_z_max(alpha, lam, gamma), law.mass_z_max())
-        if not np.isfinite(z_hi):
-            raise ConfigError("lambda / (alpha * gamma) overflows the transient grid")
-        probe = np.linspace(0.0, z_hi, 33)
-        # spacing of the run's 4001-point grid past the atom
-        dz = _transient_z_max(alpha, lam, gamma) / 4000
-        for t in sorted(set(cfg.times)):
-            what = f"the transient law at t = {t:g}"
-            loc = law.atom_location(t)
-            if not loc + dz > loc:
-                raise ConfigError(f"{what}: its atom x0 e^(-alpha t) = {loc:g} does not "
-                                  f"resolve the grid spacing {dz:g}")
-            try:
-                dens = law.continuous_density(probe, t, from_atom=True)
-            except (OverflowError, ValueError) as exc:
-                raise ConfigError(f"{what} cannot be evaluated: {exc}") from exc
-            if not np.all(np.isfinite(dens)):
-                raise ConfigError(f"{what} does not evaluate to finite values")
+    for t, (xs, dens, _) in tables.items():
+        if not np.all(np.isfinite(dens)):
+            raise ConfigError(f"the transient law at t = {t:g} does not evaluate to finite values")
+        if not np.all(np.diff(xs) > 0):
+            raise ConfigError(f"the transient grid at t = {t:g} is not strictly increasing: "
+                              f"its atom x0 e^(-alpha t) = {xs[0]:g} swallows the spacing")
+    return cfg._replace(law=law, tables=tables)
 
 
 def _run_transient(cfg, seed, report):
-    alpha, lam, gamma, x0, t_u = cfg.alpha, cfg.lambda_, cfg.gamma, cfg.x0, cfg.t_u
-    law = closedform.TransientLaw(alpha, lam, gamma, x0)
-    z_max = _transient_z_max(alpha, lam, gamma)
+    alpha, lam, gamma, x0, t_u, law = cfg.alpha, cfg.lambda_, cfg.gamma, cfg.x0, cfg.t_u, cfg.law
     # one pathwise sample, read at every comparison time and at t_u
     grid = sorted(set(cfg.times) | {t_u})
     sample = simulate.sample_linear_shot_noise_exact(
@@ -757,7 +751,7 @@ def _run_transient(cfg, seed, report):
     at = {t: sample.values[i] for i, t in enumerate(grid)}
     for i, t in enumerate(cfg.times, start=1):
         mass = law.total_mass(t)
-        xs, dens, cdf = law.density_cdf_grid(t, z_max)
+        xs, dens, cdf = cfg.tables[t]
         ks = simulate.ks_distance(at[t], interp_cdf(xs, np.minimum(cdf, 1.0)))
         report.write_csv(f"density_t{i}.csv", ["x", "density"], [xs, dens])
         report.metric(f"mass_t{i}", mass)
@@ -789,7 +783,14 @@ _TANH = _record(
     _Field("t", float),
     _Field("sim", _SIM),
     _Field("stationary_sim", _SIM, None),
+    # the transient law's (x, density) table at t; with a stationary_sim
+    # block, the OU invariant law and its (y, density) table
+    derived=("transient_table", "ou_law", "ou_table"),
 )
+
+# frequency nodes of one cosine inversion, whose chirp-z transform holds a
+# few complex arrays of about that length (the benchmark's laws use 2001)
+_MAX_COSINE_NODES = 2**20
 
 
 def _check_tanh(cfg):
@@ -800,6 +801,26 @@ def _check_tanh(cfg):
     for sim in (cfg.sim, cfg.stationary_sim):
         if sim is not None:
             _check_sample_jumps(cfg.lambda_ * sim.t_end)
+    # both laws are built here, and tabulated once their inversion grids are
+    # bounded: a law the run writes cannot fail
+    ou_law = None
+    with np.errstate(all="ignore"):
+        try:
+            law = closedform.TanhTransientLaw(cfg.lambda_, cfg.gamma, cfg.beta)
+            nodes = [law.grid_nodes(cfg.t)]
+            if cfg.stationary_sim is not None:
+                ou_law = closedform.TiltedOuLaw(cfg.alpha, cfg.lambda_, cfg.gamma, cfg.beta)
+                nodes.append(ou_law.grid_nodes())
+            if max(nodes) <= _MAX_COSINE_NODES:
+                cfg = cfg._replace(
+                    transient_table=law.density_grid(cfg.t), ou_law=ou_law,
+                    ou_table=None if ou_law is None else ou_law.density_grid())
+        except (OverflowError, ValueError) as exc:
+            raise ConfigError(f"the tanh laws cannot be evaluated: {exc}") from exc
+    if max(nodes) > _MAX_COSINE_NODES:
+        raise ConfigError(f"the tanh laws' inversions need more than {_MAX_COSINE_NODES} "
+                          "frequency nodes: alpha, t or gamma - beta is too small or too large")
+    return cfg
 
 
 def _normalized_cdf(dens, x):
@@ -810,13 +831,14 @@ def _normalized_cdf(dens, x):
 
 def _run_tanh(cfg, seed, report):
     alpha, lam, gamma, beta, t = cfg.alpha, cfg.lambda_, cfg.gamma, cfg.beta, cfg.t
-    # each law's chirp-z sum is evaluated once; mass and CDF come from its grid
-    xs, dens = closedform.TanhTransientLaw(lam, gamma, beta).density_grid(t)
+    # each law's chirp-z sum is evaluated once, by the check; mass and CDF
+    # come from its grid
+    xs, dens = cfg.transient_table
     mass = float(simpson(dens, xs))
     cdf = _normalized_cdf(dens, xs)
     report.write_csv("tanh_transient_density.csv", ["x", "density"], [xs, dens])
-    # exact jump-adapted draws of the state at the horizon; dt, record_stride
-    # and n_workers do not enter
+    # exact jump-adapted draws of the state at the horizon; dt and
+    # record_stride do not enter
     sample = simulate.sample_tanh_exact(lam, gamma, beta, t, cfg.sim.n_paths, seed)
     report.count_exact(sample)
     ks = simulate.ks_distance(sample.values, interp_cdf(xs, cdf))
@@ -826,9 +848,8 @@ def _run_tanh(cfg, seed, report):
     report.flag("transient_ks_below_0.02", ks < 0.02)
 
     if cfg.stationary_sim is not None:
-        ssim = cfg.stationary_sim
-        olaw = closedform.TiltedOuLaw(alpha, lam, gamma, beta)
-        ys, ydens = olaw.density_grid()
+        ssim, olaw = cfg.stationary_sim, cfg.ou_law
+        ys, ydens = cfg.ou_table
         report.write_csv("ou_stationary_density.csv", ["y", "density"], [ys, ydens])
         osample = simulate.sample_ou_tanh_exact(
             alpha, lam, gamma, beta, ssim.t_end, ssim.n_paths, _derived_seed(seed, 1)
@@ -851,7 +872,7 @@ def _run_tanh(cfg, seed, report):
 # verify-specfun
 
 
-_VERIFY_SPECFUN = _record("VerifySpecfunConfig", _Field("n_samples", int, 120, _at_least(100)))
+_VERIFY_SPECFUN = _record("VerifySpecfunConfig", _Field("n_samples", int, 120, _size(100)))
 
 # parameter tuples per function and oracle call, so memory does not grow
 # with n_samples
@@ -860,12 +881,12 @@ _SPECFUN_BATCH = 4096
 
 def _run_verify_specfun(cfg, seed, report):
     n = cfg.n_samples
-    rng = np.random.default_rng(seed)
+    rng = stream(seed, 0)
 
     def sweep(name, tol, sampler, impl, ref, relative=False, ulp_floor=False):
-        # all n tuples are drawn first, in the order of the one-at-a-time
-        # loop; impl and ref take parameter columns and evaluate a batch per call
-        cols = [np.array(c) for c in zip(*(sampler(rng) for _ in range(n)))]
+        # the sampler draws one column of n values per parameter; impl and
+        # ref take parameter columns and evaluate a batch per call
+        cols = sampler(rng, n)
 
         def batched(fn):
             return np.concatenate([
@@ -889,42 +910,44 @@ def _run_verify_specfun(cfg, seed, report):
 
     sweep(
         "log_gamma", 1e-12,
-        lambda r: (10 ** r.uniform(-3, 3),),
+        lambda r, n: (10 ** r.uniform(-3, 3, n),),
         specfun.log_gamma, elementwise(oracles.log_gamma_ref), ulp_floor=True,
     )
     sweep(
         "digamma", 1e-10,
-        lambda r: (10 ** r.uniform(-2, 3),),
+        lambda r, n: (10 ** r.uniform(-2, 3, n),),
         specfun.digamma, elementwise(oracles.digamma_ref),
     )
     sweep(
         "bessel_i", 1e-10,
-        lambda r: (r.uniform(0, 5), r.uniform(0, 50)),
+        lambda r, n: (r.uniform(0, 5, n), r.uniform(0, 50, n)),
         specfun.bessel_i, elementwise(oracles.bessel_i_ref), relative=True,
     )
     sweep(
         "bessel_k", 1e-9,
-        lambda r: (r.uniform(-3, 3), 10 ** r.uniform(-3, np.log10(50))),
+        lambda r, n: (r.uniform(-3, 3, n), 10 ** r.uniform(-3, np.log10(50), n)),
         specfun.bessel_k, oracles.bessel_k_ref, relative=True,
     )
     sweep(
         "erlang_survival", 1e-12,
-        lambda r: (int(r.integers(1, 6)), r.uniform(0.2, 4.0), r.uniform(0.0, 10.0)),
+        lambda r, n: (r.integers(1, 6, n), r.uniform(0.2, 4.0, n), r.uniform(0.0, 10.0, n)),
         specfun.erlang_survival, oracles.erlang_survival_ref,
     )
     sweep(
         "kummer_u", 1e-8,
-        lambda r: (r.uniform(0.2, 4.0), r.uniform(0.5, 3.0), 10 ** r.uniform(-1.3, np.log10(50))),
+        lambda r, n: (r.uniform(0.2, 4.0, n), r.uniform(0.5, 3.0, n),
+                      10 ** r.uniform(-1.3, np.log10(50), n)),
         elementwise(specfun.kummer_u), oracles.kummer_u_ref, relative=True,
     )
     sweep(
         "whittaker_w0", 1e-8,
-        lambda r: (r.uniform(-3.0, 0.3), 10 ** r.uniform(-1.0, 1.5)),
+        lambda r, n: (r.uniform(-3.0, 0.3, n), 10 ** r.uniform(-1.0, 1.5, n)),
         elementwise(specfun.whittaker_w0), oracles.whittaker_w0_ref, relative=True,
     )
     sweep(
         "kummer_1f1", 1e-10,
-        lambda r: (-float(r.integers(0, 9)), r.uniform(0.5, 4.0), r.uniform(-30.0, 30.0)),
+        lambda r, n: (-r.integers(0, 9, n).astype(float), r.uniform(0.5, 4.0, n),
+                      r.uniform(-30.0, 30.0, n)),
         elementwise(specfun.kummer_1f1),
         elementwise(lambda a, b, z: oracles.kummer_1f1_poly_ref(int(-a), b, z)),
     )

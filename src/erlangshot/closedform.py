@@ -282,7 +282,8 @@ class TransientLaw:
 
     The law at time t is a point mass of weight e^{-lam t} at the decayed
     start x0 e^{-alpha t} (no jump yet) plus an absolutely continuous part
-    supported on z = x - x0 e^{-alpha t} >= 0.
+    supported on z = x - x0 e^{-alpha t} >= 0.  A ``z_max`` argument
+    defaults to ``z_max()``.
     """
 
     alpha: float
@@ -294,8 +295,8 @@ class TransientLaw:
         for name in ("alpha", "lam", "gamma"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        if not np.isfinite(self.mass_z_max()):
-            raise ValueError("lam / (alpha * gamma) overflows the range of the law")
+        if not np.isfinite(self.z_max()):
+            raise ValueError("the range 40 / gamma + 20 lam / (alpha gamma) of the law overflows")
 
     def atom_weight(self, t):
         return float(np.exp(-self.lam * t))
@@ -343,32 +344,34 @@ class TransientLaw:
         out = np.where(z >= 0, np.exp(log_vals), 0.0)
         return float(out) if out.ndim == 0 else out
 
-    def mass_z_max(self):
-        """Default upper end of ``total_mass``'s integral past the atom
-        (inf where lam / (alpha * gamma) overflows)."""
+    def z_max(self):
+        """Width past the atom that the law is tabulated and integrated over,
+        40 / gamma + 20 lam / (alpha gamma) (inf where it overflows)."""
+        gamma = np.float64(self.gamma)
         with np.errstate(over="ignore", divide="ignore"):
-            ag = np.float64(self.alpha) * self.gamma
-            return float(60.0 / self.gamma + 10.0 * self.lam / ag)
+            return float(40.0 / gamma + 20.0 * self.lam / (self.alpha * gamma))
 
     def total_mass(self, t, z_max=None):
         """Atom weight plus quadrature mass of the continuous part."""
         if z_max is None:
-            z_max = self.mass_z_max()
+            z_max = self.z_max()
         cont = _quad(lambda z: self.continuous_density(z, t, from_atom=True), 0.0, z_max,
                      epsabs=1e-10)
         return self.atom_weight(t) + cont
 
-    def density_cdf_grid(self, t, z_max, n=4001):
+    def density_cdf_grid(self, t, z_max=None, n=4001):
         """(x, continuous density, right-continuous CDF) tabulated on
         x = atom_location + z for z uniform on [0, z_max]; the density is
         taken at each z, and the CDF integrates it in z."""
+        if z_max is None:
+            z_max = self.z_max()
         loc = self.atom_location(t)
         z = np.linspace(0.0, z_max, n)
         dens = self.continuous_density(z, t, from_atom=True)
         cum = cumulative_trapezoid(dens, z)
         return loc + z, dens, self.atom_weight(t) + cum
 
-    def cdf_grid(self, t, z_max, n=4001):
+    def cdf_grid(self, t, z_max=None, n=4001):
         """Right-continuous CDF tabulated on x = atom_location + [0, z_max]."""
         x, _, cdf = self.density_cdf_grid(t, z_max, n)
         return x, cdf
@@ -516,14 +519,19 @@ def gaussian_pair_mixture(x, t, beta):
     return float(out) if out.ndim == 0 else out
 
 
+def _cosine_nodes(u_max, period):
+    """Node count of ``_cosine_coefficients``' frequency grid on [0, u_max]:
+    spacing at most pi / period, and at least 2001 nodes."""
+    return max(int(np.ceil(u_max / (np.pi / period))) + 1, 2001)
+
+
 def _cosine_coefficients(char_fn, u_max, period):
     """Frequency grid and trapezoid-weighted coefficients of the inversion
     f(x) = (1/pi) int_0^u_max phi(u) cos(u x) du of an even, real phi.
 
-    The grid is uniform on [0, u_max] with spacing du <= pi / period and at
-    least 2001 nodes; the sum repeats in x every 2 pi / du >= 2 period."""
-    n = int(np.ceil(u_max / (np.pi / period))) + 1
-    u = np.linspace(0.0, u_max, max(n, 2001))
+    The grid is uniform on [0, u_max] with ``_cosine_nodes`` nodes; the sum
+    repeats in x every 2 pi / du >= 2 period."""
+    u = np.linspace(0.0, u_max, _cosine_nodes(u_max, period))
     w = np.full(u.shape, u[1] - u[0])
     w[0] *= 0.5
     w[-1] *= 0.5
@@ -611,10 +619,18 @@ class TanhTransientLaw:
         )
         return float(out) if out.ndim == 0 else out
 
-    def _coefficients(self, t, x_scale):
+    def _inversion(self, t, x_scale):
+        """(u_max, period) of the inversion at time t for |x| up to x_scale."""
         u_max = np.sqrt(2.0 * 42.0 / t)
         period = abs(x_scale) + self.beta * t + 10.0 * np.sqrt(t) + 50.0 / (self.gamma - self.beta)
-        return _cosine_coefficients(lambda u: self.char_fn(u, t), u_max, period)
+        return u_max, period
+
+    def _coefficients(self, t, x_scale):
+        return _cosine_coefficients(lambda u: self.char_fn(u, t), *self._inversion(t, x_scale))
+
+    def grid_nodes(self, t):
+        """Frequency nodes of ``density_grid``'s inversion at time t."""
+        return _cosine_nodes(*self._inversion(t, self.support_halfwidth(t)))
 
     def density(self, x, t):
         """Density at positions x and time t > 0."""
@@ -729,13 +745,21 @@ class TiltedOuLaw:
         )
         return float(out) if out.ndim == 0 else out
 
-    def _coefficients(self, y_scale):
+    def _inversion(self, y_scale):
+        """(u_max, period) of the inversion for |y| up to y_scale."""
         u_max = np.sqrt(4.0 * self.alpha * 42.0)
         period = (
             max(1.0, y_scale) + self.beta / self.alpha + 50.0 / self.gamma
             + 10.0 / np.sqrt(self.alpha)
         )
-        return _cosine_coefficients(self.char_fn, u_max, period)
+        return u_max, period
+
+    def _coefficients(self, y_scale):
+        return _cosine_coefficients(self.char_fn, *self._inversion(y_scale))
+
+    def grid_nodes(self):
+        """Frequency nodes of ``density_grid``'s inversion."""
+        return _cosine_nodes(*self._inversion(self.support_halfwidth()))
 
     def density(self, y):
         """Full invariant density (jump mixture convolved with the Brownian

@@ -65,14 +65,6 @@ class ErlangJumpLaw:
         if not self.gamma > 0:
             raise ValueError("Erlang rate gamma must be positive")
 
-    @property
-    def mean(self):
-        return self.m / self.gamma
-
-    @property
-    def variance(self):
-        return self.m / self.gamma**2
-
 
 @dataclass(frozen=True)
 class SymmetricLaplaceLaw:

@@ -113,6 +113,17 @@ def test_verify_master_run(tmp_path):
     assert report["metrics"]["m1_direct_form_gap"] < 1e-10
 
 
+def test_verify_master_tanh_drift(tmp_path):
+    # the tanh-repulsive drift: m = 1, 2 fit second order and m = 3, whose
+    # ladder is coarsened, about fourth
+    cfg = _verify_master_cfg(m_values=[1, 2, 3], drift={"kind": "tanh", "beta": 0.5})
+    out = tmp_path / "out"
+    assert main(["verify-master", "--config", _write(tmp_path, "vm.json", cfg),
+                 "--out", str(out)]) == 0
+    metrics = json.loads((out / "report.json").read_text())["metrics"]
+    assert [round(metrics[f"order_m{m}"]) for m in (1, 2, 3)] == [2, 2, 4]
+
+
 def test_verify_master_single_grid_exits_2(tmp_path):
     cfg = _write(
         tmp_path,
@@ -189,11 +200,11 @@ def test_stationary_draws_the_exact_sampler(tmp_path):
 
 
 def test_stationary_result_ignores_step_keys(tmp_path):
-    # dt, record_stride and n_workers are validated but do not change the result
+    # dt and record_stride are validated but do not change the result
     bodies = []
     for i, sim in enumerate([
         {"dt": 0.05, "t_end": 10.0, "n_paths": 3000, "record_stride": 50},
-        {"dt": 0.5, "t_end": 10.0, "n_paths": 3000, "record_stride": 1, "n_workers": 4},
+        {"dt": 0.5, "t_end": 10.0, "n_paths": 3000, "record_stride": 1},
     ]):
         cfg = _stationary_cfg(sim=sim, grid={"x_lo": 1e-4, "x_hi": 40.0, "n": 401})
         out = tmp_path / f"o{i}"
@@ -497,7 +508,7 @@ _TRANSIENT_HANGS = [_transient_cfg(alpha=1e-300), _transient_cfg(**{"lambda": 1e
         # residual's boundary gate down to x = 1e-300
         *(("stationary", _stationary_cfg(m=m, **{"lambda": lam}), [])
           for m in (1, 2) for lam in (0.5, 1.0, 1.02)),
-        # schema 1 keeps n_workers, range-checked though no run reads it
+        # n_workers is retired: an unknown key whatever its value (1 below)
         *((command, _bad_sim(cfg, block, n_workers=n), [])
           for command, cfg, block in (
               ("stationary", _stationary_cfg(), "sim"),
@@ -516,6 +527,36 @@ _TRANSIENT_HANGS = [_transient_cfg(alpha=1e-300), _transient_cfg(**{"lambda": 1e
         # the m = 1 law is still about 1e-4 at x_hi = 12: the grid truncates
         # its mass (this once raised NormalizationError after --out)
         ("stationary", _stationary_cfg(m=1, grid={"x_lo": 1e-4, "x_hi": 12.0, "n": 2001}), []),
+        *((command, _bad_sim(cfg, block, n_workers=1), [])
+          for command, cfg, block in (
+              ("stationary", _stationary_cfg(), "sim"),
+              ("tanh", _small_tanh_cfg(), "sim"),
+              ("tanh", _small_tanh_cfg(), "stationary_sim"),
+              ("wave", _wave_cfg(swarm={"n_agents": 10}), "swarm"))),
+        # sizes past 2**24 entries of one array: these once failed after
+        # --out existed, or ran out of memory
+        ("stationary", _stationary_cfg(n_bins=10**15), []),
+        ("stationary", _stationary_cfg(grid={"x_lo": 1e-4, "x_hi": 40.0, "n": 10**15}), []),
+        ("stationary", _bad_sim(_stationary_cfg(), "sim", n_paths=10**15), []),
+        ("transient", _transient_cfg(n_samples=10**15), []),
+        # (len(times) + 1) * n_samples = 2**24 + 3 sample values
+        ("transient", _transient_cfg(times=[0.3, 0.7], n_samples=2**24 // 3 + 1), []),
+        ("wave", _wave_cfg(n_xi=10**15), []),
+        ("wave", _wave_cfg(swarm={"n_agents": 10**15}), []),
+        # 2.8e11 recorded times of 10 agents (record_steps() would not fit)
+        ("wave", _wave_cfg(swarm={"n_agents": 10, "dt": 1e-12}), []),
+        ("verify-master", _verify_master_cfg(grid_sizes=[513, 1025, 2049, 10**15]), []),
+        ("verify-specfun", {"schema_version": 1, "n_samples": 10**15, "seed": 5}, []),
+        # the tanh laws' cosine inversions need more than 2**20 frequency
+        # nodes (5e8 at gamma - beta = 1e-7, 29 GiB), or the tilt mass
+        # overflows at gamma = 1e300; the first two once failed after
+        # tanh_transient_density.csv was written
+        ("tanh", _small_tanh_cfg(alpha=1e-300), []),
+        ("tanh", _small_tanh_cfg(alpha=1e300), []),
+        ("tanh", _tanh_cfg(gamma=1e-300, beta=1e-301), []),
+        ("tanh", _tanh_cfg(gamma=1e300), []),
+        ("tanh", _tanh_cfg(gamma=2.0, beta=1.9999999), []),
+        ("tanh", _bad_sim(_tanh_cfg(t=1e-300), "sim", dt=1e-300, t_end=1e-300), []),
     ],
 )
 def test_invalid_config_exits_2_and_writes_nothing(tmp_path, command, cfg, argv):
@@ -560,7 +601,7 @@ def test_transient_with_a_far_atom_runs(tmp_path, x0):
     # each distance z past the atom, not at x - atom: near an atom at 6e13
     # that is z rounded to the doubles' spacing of 0.008
     law = closedform.TransientLaw(1.0, 2.0, 1.0, x0)
-    z = np.linspace(0.0, cli._transient_z_max(1.0, 2.0, 1.0), 4001)
+    z = np.linspace(0.0, law.z_max(), 4001)
     dens = np.loadtxt(out / "density_t1.csv", delimiter=",", skiprows=1)[:, 1]
     assert np.array_equal(dens, law.continuous_density(z, 0.5, from_atom=True))
 

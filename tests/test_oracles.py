@@ -1,5 +1,5 @@
 """Batched quadrature oracles against QUADPACK, and the verify-specfun sweep's
-draws against the one-at-a-time loop."""
+parameter columns."""
 
 import json
 import math
@@ -8,19 +8,21 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from erlangshot import cli, oracles, specfun
+from erlangshot import cli, noise, oracles, specfun
 
-# the verify-specfun sweeps in order, with their sampling ranges
+# the verify-specfun sweeps in order, each drawing n values per parameter
 SAMPLERS = {
-    "log_gamma": lambda r: (10 ** r.uniform(-3, 3),),
-    "digamma": lambda r: (10 ** r.uniform(-2, 3),),
-    "bessel_i": lambda r: (r.uniform(0, 5), r.uniform(0, 50)),
-    "bessel_k": lambda r: (r.uniform(-3, 3), 10 ** r.uniform(-3, np.log10(50))),
-    "erlang_survival": lambda r: (int(r.integers(1, 6)), r.uniform(0.2, 4.0), r.uniform(0.0, 10.0)),
-    "kummer_u": lambda r: (r.uniform(0.2, 4.0), r.uniform(0.5, 3.0),
-                           10 ** r.uniform(-1.3, np.log10(50))),
-    "whittaker_w0": lambda r: (r.uniform(-3.0, 0.3), 10 ** r.uniform(-1.0, 1.5)),
-    "kummer_1f1": lambda r: (-float(r.integers(0, 9)), r.uniform(0.5, 4.0), r.uniform(-30.0, 30.0)),
+    "log_gamma": lambda r, n: (10 ** r.uniform(-3, 3, n),),
+    "digamma": lambda r, n: (10 ** r.uniform(-2, 3, n),),
+    "bessel_i": lambda r, n: (r.uniform(0, 5, n), r.uniform(0, 50, n)),
+    "bessel_k": lambda r, n: (r.uniform(-3, 3, n), 10 ** r.uniform(-3, np.log10(50), n)),
+    "erlang_survival": lambda r, n: (r.integers(1, 6, n), r.uniform(0.2, 4.0, n),
+                                     r.uniform(0.0, 10.0, n)),
+    "kummer_u": lambda r, n: (r.uniform(0.2, 4.0, n), r.uniform(0.5, 3.0, n),
+                              10 ** r.uniform(-1.3, np.log10(50), n)),
+    "whittaker_w0": lambda r, n: (r.uniform(-3.0, 0.3, n), 10 ** r.uniform(-1.0, 1.5, n)),
+    "kummer_1f1": lambda r, n: (-r.integers(0, 9, n).astype(float), r.uniform(0.5, 4.0, n),
+                                r.uniform(-30.0, 30.0, n)),
 }
 BATCHED = ("bessel_k", "erlang_survival", "kummer_u", "whittaker_w0")
 # specfun functions the sweep calls on whole parameter columns
@@ -80,10 +82,9 @@ QUADPACK = {
 
 @pytest.mark.parametrize("name", BATCHED)
 def test_batched_oracle_agrees_with_quadpack(name):
-    rng = np.random.default_rng(23)
-    draws = [SAMPLERS[name](rng) for _ in range(300)]
-    ref = np.array([QUADPACK[name](*d) for d in draws])
-    got = getattr(oracles, f"{name}_ref")(*(np.array(c) for c in zip(*draws)))
+    cols = SAMPLERS[name](np.random.default_rng(23), 300)
+    ref = np.array([QUADPACK[name](*d) for d in zip(*cols)])
+    got = getattr(oracles, f"{name}_ref")(*cols)
     assert got.shape == ref.shape
     assert np.all(np.abs(got - ref) <= np.maximum(1e-12 * np.abs(ref), 1e-14))
 
@@ -116,7 +117,10 @@ def test_oracles_reject_their_domain_edges():
         oracles.kummer_u_ref(1.0, 1.0, 0.0)
 
 
-def test_batched_sweep_draws_the_one_at_a_time_tuples(tmp_path, monkeypatch):
+def test_batched_sweep_draws_columns_from_stream_zero(tmp_path, monkeypatch):
+    # each sweep draws its parameter columns from stream (seed, 0), in sweep
+    # order, and they reach the implementation and the oracle unchanged,
+    # _SPECFUN_BATCH entries per array call
     n, batch, seed = 100, 32, 5
     seen = {name: [] for name in SAMPLERS}
     batches = {name: [] for name in BATCHED}
@@ -150,15 +154,18 @@ def test_batched_sweep_draws_the_one_at_a_time_tuples(tmp_path, monkeypatch):
     cfg.write_text(json.dumps({"schema_version": 1, "n_samples": n, "seed": seed}))
     assert cli.main(["verify-specfun", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
-    rng = np.random.default_rng(seed)
-    expected = {name: [sampler(rng) for _ in range(n)] for name, sampler in SAMPLERS.items()}
-    for name, tuples in expected.items():
+    rng = noise.stream(seed, 0)
+    expected = {name: sampler(rng, n) for name, sampler in SAMPLERS.items()}
+    for name, want in expected.items():
         calls = seen[name]
         if name in ARRAY_KERNELS:
             assert [len(cols[0]) for cols in calls] == [32, 32, 32, 4], name
-            calls = [tuple(row) for cols in calls for row in zip(*cols)]
-        assert calls == tuples, name
+            got = [np.concatenate(c) for c in zip(*calls)]
+        else:
+            # one call per draw, with that draw's parameters
+            got = [np.array(c) for c in zip(*calls)]
+        assert len(got) == len(want) and all(map(np.array_equal, got, want)), name
     for name in BATCHED:
         assert [len(cols[0]) for cols in batches[name]] == [32, 32, 32, 4]
-        rows = [tuple(row) for cols in batches[name] for row in zip(*cols)]
-        assert rows == [tuple(float(v) for v in t) for t in expected[name]], name
+        got = [np.concatenate(c) for c in zip(*batches[name])]
+        assert all(map(np.array_equal, got, expected[name])), name

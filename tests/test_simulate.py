@@ -149,6 +149,16 @@ def test_exact_linear_sampler_jump_counts():
     assert np.all(sample.values[n > 0] > x0 * math.exp(-alpha * t))
 
 
+def test_exact_sampler_chunks_without_a_jump_sit_on_the_atom():
+    # at lambda = 1e-12 neither chunk of 4096 paths draws a jump: every
+    # value is exactly x0 e^{-alpha t} and every count 0
+    alpha, x0, times = 0.8, 0.7, [0.5, 2.0]
+    sample = sample_linear_shot_noise_exact(alpha, 1e-12, 1.2, 2, x0, times, 5000, 3)
+    assert np.all(sample.jump_counts == 0)
+    for row, t in zip(sample.values, times):
+        assert np.all(row == x0 * np.exp(-alpha * t))
+
+
 def _exact_draws(alpha, lam, gamma, m, t_max, n, seed):
     # each path's jump times and magnitudes, redrawn from the exact
     # sampler's documented stream layout: per chunk of 4096 paths from
@@ -288,11 +298,13 @@ def test_swarm_speed_smoke():
 
 
 def test_swarm_profile_tightness():
-    # centered empirical variance against the analytic wave profile variance
+    # centered empirical variance against the analytic wave profile variance;
+    # at 8000 agents the ratio's standard deviation over seeds is 1.2% (m = 1)
+    # and 1.0% (m = 2), so the 10% bound sits 8 to 10 of them out
     for m, t_end in ((1, 14.0), (2, 10.0)):
         sol = gumbel_wave(1.0, 1.0) if m == 1 else whittaker_wave(1.0, 1.0)
         cfg = SimConfig(dt=0.004, t_end=t_end, n_paths=1, seed=900 + m, record_stride=50)
-        series = simulate_swarm(800, m, 1.0, 1.0, cfg)
+        series = simulate_swarm(8000, m, 1.0, 1.0, cfg)
         centered = series.centered_tail_positions(0.3)
         assert abs(centered.var() / sol.variance() - 1.0) < 0.10
 

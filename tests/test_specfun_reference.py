@@ -178,3 +178,9 @@ def test_next_fast_len_matches_scipy():
     for real in (False, True):
         got = [next_fast_len(n, real) for n in range(1, 20000)]
         assert got == [sfft.next_fast_len(n, real) for n in range(1, 20000)]
+
+
+def test_bessel_i_series_rescales_at_large_order():
+    # at nu = 400 the power series runs up to x = nu^2 / 4 = 4e4, where its
+    # sum passes 1e200 and is rescaled on the way
+    assert bessel_ie(400.0, 4e4) == pytest.approx(sp.ive(400.0, 4e4), rel=1e-9)

@@ -4,8 +4,9 @@ Each subcommand loads a JSON config and parses it once against the
 command's table of fields.  A field has a kind (a finite real, an integer,
 a non-empty list of either, a nested block, or the tagged ``drift`` block),
 a default unless it is required, and a range; unknown keys are errors.
-Simulation blocks parse to a ``SimConfig``, and a short check per command
-covers the rules that span several fields.  The run reads only the parsed,
+Simulation blocks parse to a ``SimConfig``, and a check per command builds
+the objects the run uses, turning their own errors into exit 2, and covers
+the rules that span several fields.  The run reads only the parsed,
 immutable record; it then writes an output directory containing the echoed
 config, a ``report.json`` with named metrics and pass/fail flags, and CSV
 artifacts.  Exit codes: 0 when every tolerance was met, 1 when the run
@@ -88,6 +89,18 @@ _NONNEGATIVE = (lambda v: v >= 0, "nonnegative")
 # the most entries of one array a run holds, as a size field or a product of
 # them sets it: 2**24 float64 values are 128 MiB
 _MAX_ENTRIES = 2**24
+
+
+# bound on the expected jumps of one exact path (stationary, transient, tanh),
+# lambda times its horizon: a chunk of 4096 paths holds about 4096 times as
+# many jumps in memory; and of one swarm agent, whose every jump costs the
+# whole swarm a window of vectorised work
+_MAX_SAMPLE_JUMPS = 1000.0
+
+
+def _check_sample_jumps(jumps, what):
+    if not jumps <= _MAX_SAMPLE_JUMPS:
+        raise ConfigError(f"{what} = {jumps:g} expected jumps exceeds {_MAX_SAMPLE_JUMPS:g}")
 
 
 def _size(lo):
@@ -189,17 +202,6 @@ def _load_config(path):
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-
-
-def _check_spacing(lo, hi, n, what):
-    """The spacing of an n-point grid on [lo, hi], which must be finite and
-    positive: a span past the float range, or a spacing that underflows,
-    leaves no grid to evaluate on."""
-    h = (hi - lo) / (n - 1)
-    if not 0 < h < math.inf:
-        raise ConfigError(f"{what} spacing ({hi:g} - {lo:g}) / {n - 1} = {h:g} "
-                          "must be finite and positive")
-    return h
 
 
 def _derived_seed(seed, offset):
@@ -332,54 +334,54 @@ _WAVE = _record(
     _Field("xi_hi", float),
     _Field("n_xi", int, check=_size(101)),
     _Field("swarm", _SWARM, None),
+    # the xi GridSpec, and the WaveSolution of every (m, beta) run, with
+    # m = 1 when the C2/C1 ratio needs it
+    derived=("grid", "waves"),
 )
 
 
 def _check_wave(cfg):
-    if not cfg.xi_lo < cfg.xi_hi:
-        raise ConfigError("xi_lo must be below xi_hi")
-    _check_spacing(cfg.xi_lo, cfg.xi_hi, cfg.n_xi, "xi grid")
-    for m in cfg.m_values:
-        for b in cfg.beta_values:
-            sol = _wave_solution(m, b, cfg.gamma)
-            if not all(np.isfinite(v) and v > 0 for v in (sol.speed, sol.norm)):
-                raise ConfigError(
-                    f"the m={m}, beta={b:g} wave has no finite positive speed and norm "
-                    f"at gamma={cfg.gamma:g}"
-                )
-    if cfg.swarm is not None:
+    # outputs and metrics are named by m and beta's :g form
+    tags = [f"{b:g}" for b in cfg.beta_values]
+    if len(set(cfg.m_values)) < len(cfg.m_values) or len(set(tags)) < len(tags):
+        raise ConfigError(f"m_values {list(cfg.m_values)} and beta_values (as {tags}) must not "
+                          "repeat: each names its own output files and metrics")
+    try:
+        grid = GridSpec(cfg.xi_lo, cfg.xi_hi, cfg.n_xi)
+        with np.errstate(over="ignore", under="ignore"):
+            waves = {(m, b): (closedform.gumbel_wave if m == 1 else closedform.whittaker_wave)(
+                b, cfg.gamma) for m in ((1, 2) if 2 in cfg.m_values else (1,))
+                for b in cfg.beta_values}
+    except (OverflowError, ValueError) as exc:
+        raise ConfigError(f"invalid wave config: {exc}") from exc
+    swarm = cfg.swarm
+    if swarm is not None:
         # the swarm holds a snapshot of every agent at every recorded time
-        swarm = cfg.swarm
-        records = -(-swarm.n_steps // swarm.record_stride) + 1
-        if records * swarm.n_paths > _MAX_ENTRIES:
-            raise ConfigError(f"swarm block records {records} times of {swarm.n_paths} agents, "
-                              f"more than {_MAX_ENTRIES} positions; raise dt or record_stride")
-        # the recorded times that simulate.estimate_speed fits over
-        times = swarm.record_steps() * swarm.dt
-        need = simulate.MIN_SPEED_FIT_TIMES
-        if np.count_nonzero(times >= times[-1] * (1.0 - _SPEED_WINDOW)) < need:
-            raise ConfigError(
-                f"swarm block records fewer than {need} times in the trailing "
-                f"{_SPEED_WINDOW:g} of t_end; lower dt or record_stride"
-            )
-
-
-def _wave_solution(m, beta, gamma):
-    with np.errstate(over="ignore", under="ignore"):
-        if m == 1:
-            return closedform.gumbel_wave(beta, gamma)
-        return closedform.whittaker_wave(beta, gamma)
+        if swarm.n_records * swarm.n_paths > _MAX_ENTRIES:
+            raise ConfigError(f"swarm block records {swarm.n_records} times of {swarm.n_paths} "
+                              f"agents, more than {_MAX_ENTRIES} positions; raise dt or "
+                              "record_stride")
+        # the barycenter moves at C by jumps of mean m / gamma spread over the
+        # agents: each agent expects C gamma t_end / m jumps, and the swarm
+        # resolves about one per agent per window
+        for m in cfg.m_values:
+            for b in cfg.beta_values:
+                _check_sample_jumps(waves[(m, b)].speed * cfg.gamma / m * swarm.t_end,
+                                    f"C gamma t_end / m of one m={m}, beta={b:g} swarm agent")
+        try:
+            simulate.speed_window(swarm.record_steps() * swarm.dt, _SPEED_WINDOW)
+        except ValueError as exc:
+            raise ConfigError(f"swarm block: {exc}; lower dt or record_stride") from exc
+    return cfg._replace(grid=grid, waves=waves)
 
 
 def _run_wave(cfg, seed, report):
-    gamma, betas = cfg.gamma, cfg.beta_values
-    xi = np.linspace(cfg.xi_lo, cfg.xi_hi, cfg.n_xi)
+    gamma, betas, waves = cfg.gamma, cfg.beta_values, cfg.waves
+    xi = cfg.grid.nodes()
     single_beta = len(betas) == 1
-    speeds = {}
     for m in cfg.m_values:
         for b in betas:
-            sol = _wave_solution(m, b, gamma)
-            speeds[(m, b)] = sol
+            sol = waves[(m, b)]
             dens = sol.profile(xi)
             report.write_csv(f"wave_m{m}_beta{b:g}.csv", ["xi", "density"], [xi, dens])
             mass = simpson(dens, xi)
@@ -392,12 +394,10 @@ def _run_wave(cfg, seed, report):
                 report.metric(f"C{m}", sol.speed)
             report.flag(f"mass_m{m}{tag}_within_1e-6", abs(mass - 1.0) <= 1e-6)
             report.flag(f"mean_m{m}{tag}_within_1e-5", abs(mean) <= 1e-5)
-    for b in betas:
-        if 2 in cfg.m_values:
-            # the speed ratio is always reported when the m=2 wave runs,
-            # computing the m=1 speed from its closed form if need be
-            c1 = speeds[(1, b)].speed if (1, b) in speeds else closedform.gumbel_wave(b, gamma).speed
-            ratio = speeds[(2, b)].speed / c1
+    if 2 in cfg.m_values:
+        # the speed ratio is always reported when the m=2 wave runs
+        for b in betas:
+            ratio = waves[(2, b)].speed / waves[(1, b)].speed
             report.metric(f"C2_over_C1_beta{b:g}", ratio)
             if single_beta:
                 report.metric("C2_over_C1", ratio)
@@ -409,7 +409,7 @@ def _run_wave(cfg, seed, report):
                 series = simulate.simulate_swarm(sim.n_paths, m, gamma, b, sim)
                 report.count_swarm(sim, series)
                 fitted = simulate.estimate_speed(series, _SPEED_WINDOW)
-                sol = speeds[(m, b)]
+                sol = waves[(m, b)]
                 rel = abs(fitted / sol.speed - 1.0)
                 centered = series.centered_tail_positions(0.25)
                 gx, gc = sol.cdf_grid()
@@ -450,21 +450,45 @@ def _ladder(m, grid_sizes):
     return [max(65, (n - 1) // divisor + 1) for n in sorted(grid_sizes)]
 
 
+def _master_model(cfg, m):
+    diffusion = ConstantDiffusion(cfg.sigma) if cfg.sigma > 0 else ZeroDiffusion()
+    return ModelSpec(cfg.drift, diffusion, ConstantRate(cfg.lambda_), ErlangJumpLaw(m, cfg.gamma))
+
+
 def _check_verify_master(cfg):
-    if not cfg.x_lo < cfg.x_hi:
-        raise ConfigError("x_lo must be below x_hi")
-    _check_spacing(cfg.x_lo, cfg.x_hi, max(cfg.grid_sizes), "x grid")
-    # the test densities are Gaussian bumps whose widths are fractions of
-    # the span, and their exponents square those widths
-    span = cfg.x_hi - cfg.x_lo
-    if not span * span < math.inf:
-        raise ConfigError(f"x_hi - x_lo = {span:g} is too wide: the test densities square it")
     for m in cfg.m_values:
         if len(set(_ladder(m, cfg.grid_sizes))) < 4:
             raise ConfigError(
                 f"need at least 4 distinct grid sizes to fit a convergence order; for m={m} "
                 f"the sizes run are {_ladder(m, cfg.grid_sizes)}"
             )
+    # the test densities are Gaussian bumps whose widths are fractions of
+    # the span, and their exponents square those widths
+    span = cfg.x_hi - cfg.x_lo
+    if not span * span < math.inf:
+        raise ConfigError(f"x_hi - x_lo = {span:g} is too wide: the test densities square it")
+    # the finest grid (the m = 1 direct check's), and the run's generators
+    # on each m's finest grid at the narrowest and tallest density
+    # _random_bumps can draw (three bumps of height 1.5 and width 0.014 span
+    # at the centre): a rate, gamma^m, drift or diffusion that overflows
+    # there fails here
+    with np.errstate(all="ignore"):
+        try:
+            GridSpec(cfg.x_lo, cfg.x_hi, max(cfg.grid_sizes))
+            gaps = []
+            for m in cfg.m_values:
+                spec = GridSpec(cfg.x_lo, cfg.x_hi, _ladder(m, cfg.grid_sizes)[-1])
+                dens = _bump(spec.nodes(), cfg.x_lo + 0.5 * span, 0.014 * span, 4.5)
+                gaps.append(master.generator_gap(GridFunction(spec, dens), _master_model(cfg, m)))
+        except (OverflowError, ValueError) as exc:
+            raise ConfigError(f"verify-master cannot evaluate its generators: {exc}") from exc
+    if not all(math.isfinite(gap) for gap in gaps):
+        raise ConfigError("the generators are not finite on the test densities")
+
+
+def _bump(x, c, w, a):
+    """Gaussian bump of height a and width w centred at c."""
+    return a * np.exp(-((x - c) ** 2) / (2 * w**2))
 
 
 def _random_bumps(rng, x, x_lo, x_hi):
@@ -475,16 +499,15 @@ def _random_bumps(rng, x, x_lo, x_hi):
         c = x_lo + span * (0.38 + 0.24 * rng.random())
         w = span * (0.014 + 0.011 * rng.random())
         a = 0.5 + rng.random()
-        dens += a * np.exp(-((x - c) ** 2) / (2 * w**2))
+        dens += _bump(x, c, w, a)
     return dens
 
 
 def _run_verify_master(cfg, seed, report):
     gamma, lam, x_lo, x_hi = cfg.gamma, cfg.lambda_, cfg.x_lo, cfg.x_hi
-    diffusion = ConstantDiffusion(cfg.sigma) if cfg.sigma > 0 else ZeroDiffusion()
     rows = []
     for m in cfg.m_values:
-        model = ModelSpec(cfg.drift, diffusion, ConstantRate(lam), ErlangJumpLaw(m, gamma))
+        model = _master_model(cfg, m)
         m_sizes = _ladder(m, cfg.grid_sizes)
         gaps = []
         for n in m_sizes:
@@ -528,7 +551,7 @@ _STATIONARY = _record(
     "StationaryConfig",
     _Field("m", int, check=_one_of(1, 2)),
     *_RATES,
-    # GridSpec checks x_lo < x_hi
+    # GridSpec checks the spacing
     _Field("grid", _Table((
         _Field("x_lo", float, check=_POSITIVE),
         _Field("x_hi", float),
@@ -593,13 +616,13 @@ def _residual_x_hi(cfg):
 
 def _check_stationary(cfg):
     # each exact path draws Poisson(lambda * t_end) jumps, 4096 paths at a time
-    _check_sample_jumps(cfg.lambda_ * cfg.sim.t_end)
+    _check_sample_jumps(cfg.lambda_ * cfg.sim.t_end, "lambda * sim.t_end of one exact path")
     jumps = cfg.sim.n_paths * cfg.lambda_ * cfg.sim.t_end
     if not jumps >= _MIN_SAMPLE_JUMPS:
         raise ConfigError(f"n_paths * lambda * t_end = {jumps:g} expected jumps over the "
                           f"sample is below {_MIN_SAMPLE_JUMPS:g}: the sample may not jump")
     # the law decays like e^{-gamma x}: a coarser grid cannot represent it
-    h = _check_spacing(cfg.grid.x_lo, cfg.grid.x_hi, cfg.grid.n, "grid")
+    h = cfg.grid.h
     if h * cfg.gamma > 1.0:
         raise ConfigError(f"grid spacing {h:g} exceeds the Erlang scale 1/gamma = "
                           f"{1.0 / cfg.gamma:g}")
@@ -691,10 +714,6 @@ def _run_stationary(cfg, seed, report):
 # transient
 
 
-# bound on lambda * t_max, the expected jumps of one exact path (transient,
-# tanh): a chunk of 4096 paths holds about 4096 times as many jumps in memory
-_MAX_SAMPLE_JUMPS = 1000.0
-
 _TRANSIENT = _record(
     "TransientConfig",
     *_RATES,
@@ -708,35 +727,20 @@ _TRANSIENT = _record(
 )
 
 
-def _check_sample_jumps(jumps):
-    """Bound the expected jumps of one exact path, lambda times its horizon."""
-    if not jumps <= _MAX_SAMPLE_JUMPS:
-        raise ConfigError(
-            f"lambda * largest time = {jumps:g} expected jumps per "
-            f"exact path exceeds {_MAX_SAMPLE_JUMPS}"
-        )
-
-
 def _check_transient(cfg):
     # each exact path draws Poisson(lambda * t_max) jumps, 4096 paths at a time
-    _check_sample_jumps(cfg.lambda_ * max(*cfg.times, cfg.t_u))
+    _check_sample_jumps(cfg.lambda_ * max(*cfg.times, cfg.t_u),
+                        "lambda * largest time of one exact path")
     # the sample holds every path at each comparison time and at t_u
     if (len(cfg.times) + 1) * cfg.n_samples > _MAX_ENTRIES:
         raise ConfigError(f"(len(times) + 1) * n_samples exceeds {_MAX_ENTRIES} sample values")
-    # the run writes and integrates these tables: each must be finite on a
-    # strictly increasing grid
+    # the run writes and integrates these tables
     with np.errstate(all="ignore"):
         try:
             law = closedform.TransientLaw(cfg.alpha, cfg.lambda_, cfg.gamma, cfg.x0)
             tables = {t: law.density_cdf_grid(t) for t in set(cfg.times)}
         except (OverflowError, ValueError) as exc:
             raise ConfigError(f"transient law: {exc}") from exc
-    for t, (xs, dens, _) in tables.items():
-        if not np.all(np.isfinite(dens)):
-            raise ConfigError(f"the transient law at t = {t:g} does not evaluate to finite values")
-        if not np.all(np.diff(xs) > 0):
-            raise ConfigError(f"the transient grid at t = {t:g} is not strictly increasing: "
-                              f"its atom x0 e^(-alpha t) = {xs[0]:g} swallows the spacing")
     return cfg._replace(law=law, tables=tables)
 
 
@@ -788,39 +792,25 @@ _TANH = _record(
     derived=("transient_table", "ou_law", "ou_table"),
 )
 
-# frequency nodes of one cosine inversion, whose chirp-z transform holds a
-# few complex arrays of about that length (the benchmark's laws use 2001)
-_MAX_COSINE_NODES = 2**20
-
-
 def _check_tanh(cfg):
-    if cfg.beta >= cfg.gamma:
-        raise ConfigError("tilted jumps require beta < gamma (integrability)")
     if cfg.t != cfg.sim.t_end:
         raise ConfigError("t must equal sim.t_end: the law is checked at the simulated horizon")
     for sim in (cfg.sim, cfg.stationary_sim):
         if sim is not None:
-            _check_sample_jumps(cfg.lambda_ * sim.t_end)
-    # both laws are built here, and tabulated once their inversion grids are
-    # bounded: a law the run writes cannot fail
-    ou_law = None
+            _check_sample_jumps(cfg.lambda_ * sim.t_end, "lambda * t_end of one exact path")
+    # both laws are built and tabulated here (beta < gamma and the bound on
+    # their inversions are theirs to check): a law the run writes cannot fail
+    ou_law = ou_table = None
     with np.errstate(all="ignore"):
         try:
-            law = closedform.TanhTransientLaw(cfg.lambda_, cfg.gamma, cfg.beta)
-            nodes = [law.grid_nodes(cfg.t)]
+            transient_table = closedform.TanhTransientLaw(
+                cfg.lambda_, cfg.gamma, cfg.beta).density_grid(cfg.t)
             if cfg.stationary_sim is not None:
                 ou_law = closedform.TiltedOuLaw(cfg.alpha, cfg.lambda_, cfg.gamma, cfg.beta)
-                nodes.append(ou_law.grid_nodes())
-            if max(nodes) <= _MAX_COSINE_NODES:
-                cfg = cfg._replace(
-                    transient_table=law.density_grid(cfg.t), ou_law=ou_law,
-                    ou_table=None if ou_law is None else ou_law.density_grid())
+                ou_table = ou_law.density_grid()
         except (OverflowError, ValueError) as exc:
             raise ConfigError(f"the tanh laws cannot be evaluated: {exc}") from exc
-    if max(nodes) > _MAX_COSINE_NODES:
-        raise ConfigError(f"the tanh laws' inversions need more than {_MAX_COSINE_NODES} "
-                          "frequency nodes: alpha, t or gamma - beta is too small or too large")
-    return cfg
+    return cfg._replace(transient_table=transient_table, ou_law=ou_law, ou_table=ou_table)
 
 
 def _normalized_cdf(dens, x):

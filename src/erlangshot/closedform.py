@@ -362,14 +362,21 @@ class TransientLaw:
     def density_cdf_grid(self, t, z_max=None, n=4001):
         """(x, continuous density, right-continuous CDF) tabulated on
         x = atom_location + z for z uniform on [0, z_max]; the density is
-        taken at each z, and the CDF integrates it in z."""
+        taken at each z, and the CDF integrates it in z.  Raises ValueError
+        when the density is not finite or x is not strictly increasing."""
         if z_max is None:
             z_max = self.z_max()
         loc = self.atom_location(t)
         z = np.linspace(0.0, z_max, n)
         dens = self.continuous_density(z, t, from_atom=True)
+        if not np.all(np.isfinite(dens)):
+            raise ValueError(f"the law at t = {t:g} does not evaluate to finite values")
+        x = loc + z
+        if not np.all(np.diff(x) > 0):
+            raise ValueError(f"the grid at t = {t:g} is not strictly increasing: its atom "
+                             f"x0 e^(-alpha t) = {loc:g} swallows the spacing")
         cum = cumulative_trapezoid(dens, z)
-        return loc + z, dens, self.atom_weight(t) + cum
+        return x, dens, self.atom_weight(t) + cum
 
     def cdf_grid(self, t, z_max=None, n=4001):
         """Right-continuous CDF tabulated on x = atom_location + [0, z_max]."""
@@ -397,6 +404,11 @@ class WaveSolution:
     gamma: float
     speed: float
     norm: float
+
+    def __post_init__(self):
+        if not (0 < self.speed < math.inf and 0 < self.norm < math.inf):
+            raise ValueError(f"the m={self.m}, beta={self.beta:g} wave has no finite positive "
+                             f"speed and norm at gamma={self.gamma:g}")
 
     def profile(self, xi):
         shape = np.shape(xi)
@@ -519,19 +531,24 @@ def gaussian_pair_mixture(x, t, beta):
     return float(out) if out.ndim == 0 else out
 
 
-def _cosine_nodes(u_max, period):
-    """Node count of ``_cosine_coefficients``' frequency grid on [0, u_max]:
-    spacing at most pi / period, and at least 2001 nodes."""
-    return max(int(np.ceil(u_max / (np.pi / period))) + 1, 2001)
+# frequency nodes of one inversion at most: its chirp-z transform holds a few
+# complex arrays of about that length
+_MAX_COSINE_NODES = 2**20
 
 
 def _cosine_coefficients(char_fn, u_max, period):
     """Frequency grid and trapezoid-weighted coefficients of the inversion
     f(x) = (1/pi) int_0^u_max phi(u) cos(u x) du of an even, real phi.
 
-    The grid is uniform on [0, u_max] with ``_cosine_nodes`` nodes; the sum
-    repeats in x every 2 pi / du >= 2 period."""
-    u = np.linspace(0.0, u_max, _cosine_nodes(u_max, period))
+    The grid is uniform on [0, u_max] with spacing at most pi / period and
+    at least 2001 nodes; the sum repeats in x every 2 pi / du >= 2 period.
+    Raises ValueError, before anything is allocated, when it would need
+    more than ``_MAX_COSINE_NODES`` nodes."""
+    nodes = np.ceil(u_max / (np.pi / period)) + 1.0
+    if not nodes <= _MAX_COSINE_NODES:
+        raise ValueError(f"the cosine inversion needs {nodes:g} frequency nodes, more than "
+                         f"{_MAX_COSINE_NODES}")
+    u = np.linspace(0.0, u_max, max(int(nodes), 2001))
     w = np.full(u.shape, u[1] - u[0])
     w[0] *= 0.5
     w[-1] *= 0.5
@@ -628,10 +645,6 @@ class TanhTransientLaw:
     def _coefficients(self, t, x_scale):
         return _cosine_coefficients(lambda u: self.char_fn(u, t), *self._inversion(t, x_scale))
 
-    def grid_nodes(self, t):
-        """Frequency nodes of ``density_grid``'s inversion at time t."""
-        return _cosine_nodes(*self._inversion(t, self.support_halfwidth(t)))
-
     def density(self, x, t):
         """Density at positions x and time t > 0."""
         if not t > 0:
@@ -710,10 +723,12 @@ class TiltedOuLaw:
         sp = np.where(tiny, 1.0, s)
         # 2^nu g^{1-nu} s^{-nu} K_nu(g s) / (sqrt(pi) Gamma(1/2 - nu)), with
         # K = e^{-g s} (e^{g s} K) and the rest in logs, so that neither
-        # s^{-nu} nor K over- or underflows alone
+        # s^{-nu} nor K over- or underflows alone; 1/2 - nu is taken as
+        # lam / (2 alpha), which it equals, since 1/2 - nu rounds to 0 once
+        # lam / alpha is below about 1e-16
         log_pref = (
             nu * math.log(2.0) + (1.0 - nu) * math.log(g) - 0.5 * math.log(math.pi)
-            - log_gamma(0.5 - nu)
+            - log_gamma(self.lam / (2.0 * self.alpha))
         )
         vals = np.exp(log_pref - nu * np.log(sp) - g * sp) * bessel_ke(nu, g * sp)
         if nu >= 0:
@@ -756,10 +771,6 @@ class TiltedOuLaw:
 
     def _coefficients(self, y_scale):
         return _cosine_coefficients(self.char_fn, *self._inversion(y_scale))
-
-    def grid_nodes(self):
-        """Frequency nodes of ``density_grid``'s inversion."""
-        return _cosine_nodes(*self._inversion(self.support_halfwidth()))
 
     def density(self, y):
         """Full invariant density (jump mixture convolved with the Brownian

@@ -62,10 +62,13 @@ class GridSpec:
     n: int
 
     def __post_init__(self):
-        if not self.x_lo < self.x_hi:
-            raise ValueError("grid requires x_lo < x_hi")
         if self.n < 9:
             raise ValueError("grid requires at least 9 nodes")
+        # fails for x_lo >= x_hi, a span past the float range and a spacing
+        # that underflows: none leaves a grid to evaluate on
+        if not 0 < self.h < math.inf:
+            raise ValueError(f"grid spacing ({self.x_hi:g} - {self.x_lo:g}) / {self.n - 1} = "
+                             f"{self.h:g} must be finite and positive")
 
     @property
     def h(self):

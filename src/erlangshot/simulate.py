@@ -60,6 +60,7 @@ __all__ = [
     "sample_tanh_exact",
     "sample_ou_tanh_exact",
     "estimate_speed",
+    "speed_window",
     "empirical_density",
     "ks_distance",
     "interp_cdf",
@@ -99,11 +100,17 @@ class SimConfig:
     def n_steps(self):
         return int(round(self.t_end / self.dt))
 
+    @property
+    def n_records(self):
+        """Recorded steps: every ``record_stride``-th from 0, and the last."""
+        return -(-self.n_steps // self.record_stride) + 1
+
     def record_steps(self):
-        steps = list(range(0, self.n_steps + 1, self.record_stride))
-        if steps[-1] != self.n_steps:
-            steps.append(self.n_steps)
-        return np.asarray(steps)
+        """The ``n_records`` recorded step indices, ascending."""
+        stride = self.record_stride
+        steps = np.arange(0, self.n_records * stride, stride)
+        steps[-1] = self.n_steps
+        return steps
 
 
 @dataclass(frozen=True)
@@ -607,18 +614,26 @@ def simulate_swarm(n_agents, m, gamma, beta, config: SimConfig) -> SwarmSeries:
 
 
 # recorded times that estimate_speed needs in its window
-MIN_SPEED_FIT_TIMES = 10
+_MIN_SPEED_FIT_TIMES = 10
+
+
+def speed_window(times, fraction):
+    """Mask of the recorded ``times`` in the trailing ``fraction`` of the
+    run, which ``estimate_speed`` fits over; raises ValueError when it holds
+    fewer than ``_MIN_SPEED_FIT_TIMES``."""
+    if not 0 < fraction <= 1:
+        raise ValueError("the window fraction must be in (0, 1]")
+    sel = times >= times[-1] * (1.0 - fraction)
+    if np.count_nonzero(sel) < _MIN_SPEED_FIT_TIMES:
+        raise ValueError(f"fewer than {_MIN_SPEED_FIT_TIMES} recorded times in the trailing "
+                         f"{fraction:g} of the run")
+    return sel
 
 
 def estimate_speed(series: SwarmSeries, window_fraction=0.5):
     """Least-squares slope of the barycenter over the trailing window."""
-    if not 0 < window_fraction <= 1:
-        raise ValueError("window_fraction must be in (0, 1]")
-    t = series.times
-    sel = t >= t[-1] * (1.0 - window_fraction)
-    if sel.sum() < MIN_SPEED_FIT_TIMES:
-        raise ValueError(f"need at least {MIN_SPEED_FIT_TIMES} recorded times in the window")
-    return float(np.polyfit(t[sel], series.barycenter[sel], 1)[0])
+    sel = speed_window(series.times, window_fraction)
+    return float(np.polyfit(series.times[sel], series.barycenter[sel], 1)[0])
 
 
 def empirical_density(samples, n_bins) -> EmpiricalDensity:

@@ -459,6 +459,17 @@ def _bad_sim(cfg, block, **over):
 # configs once hung inside TransientLaw.total_mass
 _TRANSIENT_HANGS = [_transient_cfg(alpha=1e-300), _transient_cfg(**{"lambda": 1e300})]
 
+# valid key by key, but the rate, gamma^m, or the drift or diffusion term
+# overflows on the finest grid: these once raised after --out existed
+_MASTER_BASE = {key: v for key, v in _verify_master_cfg(grid_sizes=[257, 513, 1025, 2049]).items()
+                if key not in ("drift", "sigma")}
+_MASTER_OVERFLOWS = [dict(_MASTER_BASE, **over) for over in (
+    {"sigma": 1e200}, {"lambda": 1e308}, {"gamma": 1e300},
+    {"drift": {"kind": "constant", "k": 1e308}},
+    {"drift": {"kind": "linear_restoring", "alpha": 1e308}},
+    {"drift": {"kind": "tanh", "beta": 1e308}},
+)]
+
 
 @pytest.mark.parametrize(
     "command,cfg,argv",
@@ -557,6 +568,15 @@ _TRANSIENT_HANGS = [_transient_cfg(alpha=1e-300), _transient_cfg(**{"lambda": 1e
         ("tanh", _tanh_cfg(gamma=1e300), []),
         ("tanh", _tanh_cfg(gamma=2.0, beta=1.9999999), []),
         ("tanh", _bad_sim(_tanh_cfg(t=1e-300), "sim", dt=1e-300, t_end=1e-300), []),
+        *(("verify-master", cfg, []) for cfg in _MASTER_OVERFLOWS),
+        # beta values that share the :g tag beta1, or a repeated m, name the
+        # same files and metrics twice (this once overwrote them and exited 0)
+        ("wave", _wave_cfg(beta_values=[1.0, 1.0000001]), []),
+        ("wave", _wave_cfg(m_values=[1, 1]), []),
+        # at beta 30 each agent expects C1 gamma t_end = 1e12 jumps: 10 agents
+        # once ran for 33 s, and at beta 100 did not finish in 30 s
+        ("wave", _wave_cfg(m_values=[1], beta_values=[30.0], swarm={
+            "n_agents": 10, "dt": 0.1, "t_end": 1.8, "record_stride": 1}), []),
     ],
 )
 def test_invalid_config_exits_2_and_writes_nothing(tmp_path, command, cfg, argv):
@@ -576,6 +596,18 @@ def test_invalid_config_exits_2_and_writes_nothing(tmp_path, command, cfg, argv)
     else:
         assert main(args) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("lam", [1e-17, 1e-300])
+def test_tanh_with_a_vanishing_jump_rate_writes_a_report(tmp_path, lam):
+    # below lambda / alpha of about 1e-16 the OU law's index nu rounds to 1/2,
+    # and its Bessel-K prefactor's log Gamma(1/2 - nu) once raised after both
+    # CSVs were written
+    cfg = _write(tmp_path, "th.json", _small_tanh_cfg(**{"lambda": lam}))
+    out = tmp_path / "out"
+    assert main(["tanh", "--config", cfg, "--out", str(out)]) in (0, 1)
+    metrics = json.loads((out / "report.json").read_text())["metrics"]
+    assert np.isfinite(metrics["stationary_ks_jump_only"])
 
 
 def test_transient_at_a_large_time_is_the_stationary_law(tmp_path):

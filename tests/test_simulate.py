@@ -66,6 +66,33 @@ def test_config_validation():
             SimConfig(dt=dt, t_end=t_end, n_paths=1)
 
 
+@pytest.mark.parametrize("dt,stride", [(0.1, 1), (0.1, 5), (0.1, 3), (0.1, 7), (0.5, 4), (1.0, 1)])
+def test_record_steps_are_every_stride_and_the_last(dt, stride):
+    # against the list form: every stride-th step from 0, then the last step
+    # when the stride does not divide the step count
+    cfg = SimConfig(dt=dt, t_end=2.0, n_paths=1, record_stride=stride)
+    steps = list(range(0, cfg.n_steps + 1, stride))
+    if steps[-1] != cfg.n_steps:
+        steps.append(cfg.n_steps)
+    got = cfg.record_steps()
+    assert got.dtype == np.int64 and got.tolist() == steps
+    assert cfg.n_records == len(steps)
+
+
+def test_record_steps_hold_only_the_result():
+    # 8e6 + 1 recorded steps are 64 MB of int64; a list of Python ints on the
+    # way would trace several times that
+    cfg = SimConfig(dt=1e-6, t_end=8.0, n_paths=2)
+    tracemalloc.start()
+    try:
+        steps = cfg.record_steps()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert steps.size == cfg.n_records == 8_000_001
+    assert peak < 1.1 * steps.nbytes
+
+
 def test_deterministic_decay_path():
     # sigma = lam = 0: pure exponential relaxation, Euler error below 5 dt
     cfg = SimConfig(dt=0.01, t_end=3.0, n_paths=3, seed=1, record_stride=10)

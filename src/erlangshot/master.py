@@ -8,6 +8,12 @@ under grid refinement is the numerical certificate for the differential
 rewriting; residual helpers certify stationary densities and traveling
 waves the same way.
 
+The generators act along the last axis, so a ``GridFunction`` may hold one
+density or a (k, n) stack of them: every stencil, the kernel and its FFT
+are then computed once per call, not once per density, and each row comes
+out bit for bit as it would alone (the arithmetic per node is the same, and
+the batched real FFT transforms each row as a one-row call does).
+
 All operations are pure functions of value inputs.  Residual norms use
 compensated summation where sums appear; max norms everywhere else.
 """
@@ -84,15 +90,17 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Real values sampled on a uniform grid."""
+    """Real values sampled on a uniform grid: one row of n values, or a
+    (k, n) stack of k rows on the same grid."""
 
     spec: GridSpec
     values: np.ndarray
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (self.spec.n,):
-            raise ValueError("values length must match the grid")
+        if vals.ndim not in (1, 2) or vals.shape[-1] != self.spec.n or not vals.size:
+            raise ValueError("values must be a row or a non-empty stack of rows of the "
+                             "grid's length")
         if not np.all(np.isfinite(vals)):
             raise ValueError("grid values must be finite")
         object.__setattr__(self, "values", vals)
@@ -200,14 +208,15 @@ class ModelSpec:
 
 
 # ---------------------------------------------------------------------------
-# stencils (4th-order central differences; shift operator by composition)
+# stencils (4th-order central differences along the last axis; shift
+# operator by composition)
 
 
 def _d1(values, h):
     """4th-order first derivative; two junk nodes at each end."""
     out = np.zeros_like(values)
-    out[2:-2] = (
-        -values[4:] + 8.0 * values[3:-1] - 8.0 * values[1:-3] + values[:-4]
+    out[..., 2:-2] = (
+        -values[..., 4:] + 8.0 * values[..., 3:-1] - 8.0 * values[..., 1:-3] + values[..., :-4]
     ) / (12.0 * h)
     return out
 
@@ -215,12 +224,12 @@ def _d1(values, h):
 def _d2(values, h):
     """4th-order second derivative; two junk nodes at each end."""
     out = np.zeros_like(values)
-    out[2:-2] = (
-        -values[4:]
-        + 16.0 * values[3:-1]
-        - 30.0 * values[2:-2]
-        + 16.0 * values[1:-3]
-        - values[:-4]
+    out[..., 2:-2] = (
+        -values[..., 4:]
+        + 16.0 * values[..., 3:-1]
+        - 30.0 * values[..., 2:-2]
+        + 16.0 * values[..., 1:-3]
+        - values[..., :-4]
     ) / (12.0 * h**2)
     return out
 
@@ -247,10 +256,12 @@ def interior_margin(m):
 
 
 def _check_decay(values):
-    if abs(values[0]) > _DECAY_TOL or abs(values[-1]) > _DECAY_TOL:
+    """Both ends of every row must lie within _DECAY_TOL of zero."""
+    left, right = np.max(np.abs(values[..., [0, -1]]).reshape(-1, 2), axis=0)
+    if left > _DECAY_TOL or right > _DECAY_TOL:
         raise BoundaryMassError(
             "grid function must decay below "
-            f"{_DECAY_TOL:g} at both grid ends (got {values[0]:.3e}, {values[-1]:.3e})"
+            f"{_DECAY_TOL:g} at both grid ends (largest |value| {left:.3e}, {right:.3e})"
         )
 
 
@@ -264,12 +275,13 @@ def _drift_diffusion_term(P: GridFunction, model: ModelSpec):
 
 
 def _causal_convolution(g, kern):
-    """First len(g) terms of the linear convolution of g and kern (equal
-    lengths n), from one zero-padded real FFT product of length at least
-    2n - 1, so no wrapped term reaches them."""
-    n = g.size
+    """First n terms of the linear convolution of each row of g with kern
+    (both of length n along the last axis), from one zero-padded real FFT
+    product of length at least 2n - 1, so no wrapped term reaches them.  The
+    kernel is transformed once for the whole stack."""
+    n = g.shape[-1]
     size = next_fast_len(2 * n - 1, real=True)
-    return np.fft.irfft(np.fft.rfft(g, size) * np.fft.rfft(kern, size), size)[:n]
+    return np.fft.irfft(np.fft.rfft(g, size) * np.fft.rfft(kern, size), size)[..., :n]
 
 
 def _erlang_convolution(P: GridFunction, model: ModelSpec):
@@ -286,7 +298,7 @@ def _erlang_convolution(P: GridFunction, model: ModelSpec):
     kern = erlang_pdf(model.jumps, np.arange(spec.n) * h)
     full = _causal_convolution(g, kern)
     # trapezoid endpoint correction: half weight at z = x_lo and z = x
-    corr = 0.5 * (g[0] * kern + g * kern[0])
+    corr = 0.5 * (g[..., :1] * kern + g * kern[0])
     return h * (full - corr)
 
 
@@ -301,8 +313,8 @@ def integral_generator(P: GridFunction, model: ModelSpec) -> GridFunction:
     x = P.spec.nodes()
     lamP = model.rate.rate(x) * P.values
     out = _drift_diffusion_term(P, model) - lamP + _erlang_convolution(P, model)
-    out[:2] = 0.0
-    out[-2:] = 0.0
+    out[..., :2] = 0.0
+    out[..., -2:] = 0.0
     return GridFunction(P.spec, out)
 
 
@@ -328,8 +340,8 @@ def differential_generator(P: GridFunction, model: ModelSpec) -> GridFunction:
         gamma**m * lamP - apply_shift_operator(lamP, h, gamma, m)
     )
     k = interior_margin(m)
-    out[:k] = 0.0
-    out[-k:] = 0.0
+    out[..., :k] = 0.0
+    out[..., -k:] = 0.0
     return GridFunction(P.spec, out)
 
 
@@ -337,7 +349,8 @@ def generator_gap(P: GridFunction, model: ModelSpec) -> float:
     """Max-norm disagreement between the two generator routes.
 
     Applies (d/dx + gamma)^m to the integral-form generator and compares it
-    node-wise with the differential-form output on the common interior.
+    node-wise with the differential-form output on the common interior; for
+    a stack, the largest gap over its rows.
     """
     m = model.jumps.m
     gamma = model.jumps.gamma
@@ -346,7 +359,7 @@ def generator_gap(P: GridFunction, model: ModelSpec) -> float:
         integral_generator(P, model).values, P.spec.h, gamma, m
     )
     rhs = differential_generator(P, model).values
-    return float(np.max(np.abs(lhs[k:-k] - rhs[k:-k])))
+    return float(np.max(np.abs(lhs[..., k:-k] - rhs[..., k:-k])))
 
 
 def stationary_residual(P: GridFunction, model: ModelSpec) -> float:
@@ -359,7 +372,7 @@ def stationary_residual(P: GridFunction, model: ModelSpec) -> float:
     m = model.jumps.m
     k = interior_margin(m)
     out = differential_generator(P, model).values
-    return float(np.max(np.abs(out[k:-k])))
+    return float(np.max(np.abs(out[..., k:-k])))
 
 
 def wave_residual(P: GridFunction, beta, gamma, m, speed) -> float:
@@ -392,7 +405,8 @@ def fit_convergence_order(hs, errors, n_finest=3):
 
 
 def grid_mass_rate(P: GridFunction, model: ModelSpec) -> float:
-    """Total-probability drift: compensated grid sum of the generator times h.
+    """Total-probability drift of one density: compensated grid sum of the
+    generator times h.
 
     Converges to zero under refinement for compactly supported densities
     because the generator conserves mass.

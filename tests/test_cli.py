@@ -2,6 +2,7 @@
 
 import collections
 import copy
+import hashlib
 import importlib
 import importlib.util
 import itertools
@@ -22,6 +23,7 @@ import pytest
 import erlangshot
 from erlangshot import cli, closedform, csvformat, simulate, specfun
 from erlangshot.cli import main, parse_config, write_csv
+from erlangshot.noise import stream
 from erlangshot.simulate import sample_linear_shot_noise_exact
 
 
@@ -577,6 +579,9 @@ _MASTER_OVERFLOWS = [dict(_MASTER_BASE, **over) for over in (
         # once ran for 33 s, and at beta 100 did not finish in 30 s
         ("wave", _wave_cfg(m_values=[1], beta_values=[30.0], swarm={
             "n_agents": 10, "dt": 0.1, "t_end": 1.8, "record_stride": 1}), []),
+        # xi spacing 2e268: every node but the first sees a zero profile (this
+        # once ran, failed its mass flags and passed its mean flags)
+        ("wave", _wave_cfg(xi_lo=-10.0, xi_hi=1e271, n_xi=501), []),
     ],
 )
 def test_invalid_config_exits_2_and_writes_nothing(tmp_path, command, cfg, argv):
@@ -640,8 +645,9 @@ def test_transient_with_a_far_atom_runs(tmp_path, x0):
 
 def test_wave_m2_far_tails_run_without_traceback(tmp_path):
     # z = e^{-beta xi} / (beta C) overflows left of xi = -709 and underflows
-    # right of xi = 745, where kummer_u once raised after --out existed
-    cfg = _wave_cfg(m_values=[2], xi_lo=-1000.0, xi_hi=1000.0, n_xi=501)
+    # right of xi = 745, where kummer_u once raised after --out existed; the
+    # spacing 1 is the coarsest that resolves the profile's scale 1 / gamma
+    cfg = _wave_cfg(m_values=[2], xi_lo=-1000.0, xi_hi=1000.0, n_xi=2001)
     out = tmp_path / "out"
     code = main(["wave", "--config", _write(tmp_path, "w.json", cfg), "--out", str(out)])
     report = json.loads((out / "report.json").read_text())
@@ -745,6 +751,18 @@ def test_report_keys_and_engine_counters(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert set(report) == keys
     assert report["counters"] == {}
+
+    # verify-master: ladders [257, 513, 1025, 2049] (m = 1) and [129, 257,
+    # 513, 1025] (m = 3), each grid's 3 densities in one stack
+    out = tmp_path / "vm"
+    cfg = _verify_master_cfg(m_values=[1, 3], grid_sizes=[257, 513, 1025, 2049],
+                             n_test_densities=3)
+    assert main(["verify-master", "--config", _write(tmp_path, "vm.json", cfg),
+                 "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert set(report) == keys
+    assert report["counters"] == {"densities": 3 * 8, "generator_stacks": 8,
+                                  "grid_points": 3 * (257 + 513 + 1025 + 2049 + 129 + 257 + 513 + 1025)}
 
 
 def test_report_swarm_counters(tmp_path):
@@ -964,3 +982,125 @@ def test_readme_configs_parse():
         "wave", "verify-master", "stationary", "transient", "tanh"]
     for command, cfg in configs:
         parse_config(command, cfg)
+
+
+def _one_density(rng, x, x_lo, x_hi):
+    """One test density as verify-master once drew it: three bumps, each
+    drawing its centre, width and height in turn as Python floats."""
+    span = x_hi - x_lo
+    dens = np.zeros_like(x)
+    for _ in range(3):
+        c = x_lo + span * (0.38 + 0.24 * rng.random())
+        w = span * (0.014 + 0.011 * rng.random())
+        a = 0.5 + rng.random()
+        dens += a * np.exp(-((x - c) ** 2) / (2 * w**2))
+    return dens
+
+
+@pytest.mark.parametrize("k", [1, 2, 17])
+def test_random_bump_stack_is_k_sequential_draws(k):
+    x = np.linspace(-8.0, 10.0, 1025)
+    rng = stream(3, 2)
+    want = np.array([_one_density(rng, x, -8.0, 10.0) for _ in range(k + 1)])
+    rng = stream(3, 2)
+    got = np.concatenate([cli._random_bumps(rng, x, -8.0, 10.0, k),
+                          cli._random_bumps(rng, x, -8.0, 10.0, 1)])
+    assert np.array_equal(got, want)
+
+
+def test_verify_master_split_stacks_write_the_same_bytes(tmp_path, monkeypatch):
+    # stacks of every size down to one density per call give the same gaps
+    cfg = _write(tmp_path, "vm.json", _verify_master_cfg(
+        m_values=[1, 2, 3], grid_sizes=[257, 513, 1025, 2049], n_test_densities=5))
+    runs = {}
+    for cap in (cli._STACK_POINTS, 3 * 513, 1):
+        monkeypatch.setattr(cli, "_STACK_POINTS", cap)
+        out = tmp_path / f"cap{cap}"
+        assert main(["verify-master", "--config", cfg, "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        runs[cap] = ((out / "generator_gaps.csv").read_bytes(), report["metrics"],
+                     report["counters"])
+    (body, metrics, counters), *others = runs.values()
+    assert counters["generator_stacks"] == 12
+    assert runs[1][2]["generator_stacks"] == 60
+    for other_body, other_metrics, other_counters in others:
+        assert other_body == body and other_metrics == metrics
+        assert other_counters["densities"] == counters["densities"] == 60
+        assert other_counters["grid_points"] == counters["grid_points"]
+
+
+# the README verify-master config's generator_gaps.csv digest and metrics, as
+# one density per generator call wrote them (numpy 2.4.6, x86-64)
+_VERIFY_MASTER_PINNED = {
+    0: ("1db85e3a8332e413f6c1709e0e5cc59ef1e1161d0c19097f22334562afa44c21",
+        {"order_m1": 2.000353536158959, "order_m2": 1.998751670125863,
+         "order_m3": 3.7440227137609456, "order_m4": 3.4269615200345447,
+         "m1_direct_form_gap": 2.220446049250313e-16}),
+    1: ("f91cfa0cef765e717013c8271d9c097dd95be82fd637324baa6d7c54ef734fc1",
+        {"order_m1": 2.00090591313879, "order_m2": 1.9984359550359696,
+         "order_m3": 3.5706956761767423, "order_m4": 3.0029412271452536,
+         "m1_direct_form_gap": 2.220446049250313e-16}),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_VERIFY_MASTER_PINNED))
+def test_verify_master_readme_config_is_pinned(tmp_path, seed):
+    cfg = _verify_master_cfg(grid_sizes=[513, 1025, 2049, 4097, 8193], n_test_densities=3,
+                             seed=seed)
+    out = tmp_path / "out"
+    assert main(["verify-master", "--config", _write(tmp_path, "vm.json", cfg),
+                 "--out", str(out)]) == 0
+    digest, metrics = _VERIFY_MASTER_PINNED[seed]
+    assert hashlib.sha256((out / "generator_gaps.csv").read_bytes()).hexdigest() == digest
+    assert json.loads((out / "report.json").read_text())["metrics"] == metrics
+
+
+def test_verify_master_memory_does_not_grow_with_test_densities(tmp_path):
+    # a stack holds at most _STACK_POINTS values, so four full stacks per
+    # grid peak where one does (a single stack of 4 x 31 rows of 8193 would
+    # peak about four times higher)
+    per_stack = cli._STACK_POINTS // 8193
+    peaks = []
+    for k in (per_stack, 4 * per_stack):
+        cfg = _write(tmp_path, f"vm{k}.json", _verify_master_cfg(
+            m_values=[1], grid_sizes=[1025, 2049, 4097, 8193], n_test_densities=k))
+        tracemalloc.start()
+        try:
+            assert main(["verify-master", "--config", cfg, "--out", str(tmp_path / f"o{k}")]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
+
+
+def test_report_json_is_strict_and_a_non_finite_metric_fails(tmp_path):
+    # at gamma 1e10 the bare Bessel-K mixture is a spike the y grid cannot
+    # resolve, and stationary_ks_jump_only is NaN: report.json writes null and
+    # the metrics_finite flag fails the run (it once wrote a bare NaN, exit 0)
+    cfg = _write(tmp_path, "th.json", _small_tanh_cfg(gamma=1e10, seed=0))
+    out = tmp_path / "out"
+    with np.errstate(invalid="ignore"):
+        assert main(["tanh", "--config", cfg, "--out", str(out)]) == 1
+
+    def reject(token):
+        raise ValueError(f"not strict JSON: {token}")
+
+    report = json.loads((out / "report.json").read_text(), parse_constant=reject)
+    assert report["metrics"]["stationary_ks_jump_only"] is None
+    assert report["flags"]["metrics_finite"] is False and report["passed"] is False
+    assert all(math.isfinite(v) for k, v in report["metrics"].items()
+               if k != "stationary_ks_jump_only")
+
+
+def test_wave_mean_flag_needs_the_mass(tmp_path):
+    # far right of the wave the profile is 0 at every node: mass 0 fails, and
+    # the mean, 0 as well, no longer passes on a profile that is not there
+    cfg = _write(tmp_path, "w.json", _wave_cfg(xi_lo=1000.0, xi_hi=1010.0, n_xi=1001))
+    out = tmp_path / "out"
+    assert main(["wave", "--config", cfg, "--out", str(out)]) == 1
+    report = json.loads((out / "report.json").read_text())
+    for m in (1, 2):
+        assert report["metrics"][f"mass_m{m}_beta1"] == 0.0
+        assert report["metrics"][f"mean_m{m}_beta1"] == 0.0
+        assert not report["flags"][f"mass_m{m}_beta1_within_1e-6"]
+        assert not report["flags"][f"mean_m{m}_beta1_within_1e-5"]

@@ -7,7 +7,9 @@ from erlangshot.closedform import gumbel_wave, stationary_m1, stationary_ou_m2, 
 from erlangshot.master import (
     BoundaryMassError,
     ConstantDiffusion,
+    ConstantDrift,
     ConstantRate,
+    ExpDecayCentered,
     GridFunction,
     GridSpec,
     LinearRestoring,
@@ -264,3 +266,57 @@ def test_causal_convolution_matches_direct_sum(n):
     got = _causal_convolution(g, kern)
     assert got.shape == (n,)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+
+
+def _bump_stack(spec, k, seed):
+    """(k, n) stack of two-bump densities well inside the grid."""
+    rng = np.random.default_rng(seed)
+    x = spec.nodes()
+    span = spec.x_hi - spec.x_lo
+    c = spec.x_lo + span * rng.uniform(0.4, 0.6, (k, 2, 1))
+    w = span * rng.uniform(0.02, 0.04, (k, 2, 1))
+    return np.sum(rng.uniform(0.5, 1.5, (k, 2, 1)) * np.exp(-((x - c) ** 2) / (2 * w**2)), axis=1)
+
+
+_STACK_MODELS = [
+    *(("linear", _model(m, drift=LinearRestoring(0.6), sigma=0.3)) for m in (1, 2, 3, 4)),
+    *(("wave", ModelSpec(ConstantDrift(-1.3), ZeroDiffusion(), ExpDecayCentered(1.0, 2.0),
+                         ErlangJumpLaw(m, 1.0))) for m in (1, 2, 3, 4)),
+]
+
+
+@pytest.mark.parametrize("kind,model", _STACK_MODELS,
+                         ids=[f"{kind}-m{model.jumps.m}" for kind, model in _STACK_MODELS])
+def test_stacked_generators_equal_each_row_bit_for_bit(kind, model):
+    # a (k, n) stack runs every stencil and one kernel FFT for all rows, yet
+    # each row is what a one-row call gives, to the last bit
+    spec = GridSpec(-8.0, 10.0, 1025)
+    stack = _bump_stack(spec, 5, model.jumps.m)
+    P = GridFunction(spec, stack)
+    rows = [GridFunction(spec, row) for row in stack]
+    for gen in (integral_generator, differential_generator):
+        got = gen(P, model).values
+        assert got.shape == stack.shape
+        assert np.array_equal(got, np.array([gen(r, model).values for r in rows]))
+    assert generator_gap(P, model) == max(generator_gap(r, model) for r in rows)
+    assert stationary_residual(P, model) == max(stationary_residual(r, model) for r in rows)
+
+
+def test_decay_is_checked_on_every_row():
+    spec = GridSpec(-3.0, 3.0, 257)
+    stack = np.array([_bump(spec, 0.0, 0.3).values, _bump(spec, 2.5, 0.5).values])
+    integral_generator(GridFunction(spec, stack[:1]), _model(1))
+    with pytest.raises(BoundaryMassError):
+        integral_generator(GridFunction(spec, stack), _model(1))
+    with pytest.raises(ValueError):
+        GridFunction(spec, np.zeros((0, spec.n)))
+    with pytest.raises(ValueError):
+        GridFunction(spec, np.zeros((2, 2, spec.n)))
+
+
+def test_causal_convolution_of_a_stack_is_per_row():
+    rng = np.random.default_rng(4)
+    g = rng.standard_normal((6, 300))
+    kern = np.exp(-0.05 * np.arange(300))
+    got = _causal_convolution(g, kern)
+    assert np.array_equal(got, np.array([_causal_convolution(row, kern) for row in g]))

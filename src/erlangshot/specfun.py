@@ -21,11 +21,11 @@ quadrature, closed-form identities) in the test suite.  Only numpy and
 * ``next_fast_len`` picks the transform sizes for ``numpy.fft``.
 
 All functions are pure and accept scalars or numpy arrays, and a Python
-float in gives a float out.  The Bessel orders, and the shape m and rate of
-the Erlang survival function, broadcast against x entry by entry; the
-parameters of U and 1F1 are scalars.  There is no separate plain-math
-Bessel route: a float goes through the same numpy loops as an array, so
-callers with many points, or many orders, pass them in one call.
+float in gives a float out.  The Bessel orders, the shape m and rate of the
+Erlang survival function, and the parameters of U, W and 1F1 broadcast
+against the argument entry by entry.  These kernels have no separate
+plain-math route: a float goes through the same numpy loops as an array,
+so callers with many points, or many parameters, pass them in one call.
 """
 
 from __future__ import annotations
@@ -146,18 +146,25 @@ _RGAMMA = (
 
 
 def _take(v, sel):
-    """The entries sel of a kernel variable; a shared scalar order stays."""
-    return v[sel] if np.ndim(v) else v
+    """The entries sel of a kernel variable (a numpy array or scalar); a
+    shared scalar stays."""
+    return v[sel] if v.ndim else v
 
 
-def _per_order(fn, nu):
-    """fn, a plain-math function of one order returning a float or a tuple
-    of floats, at a shared order or at every entry of nu (one row per
-    entry), evaluated once per distinct order."""
-    if np.ndim(nu) == 0:
-        return fn(float(nu))
-    orders, where = np.unique(nu, return_inverse=True)
-    return np.array([fn(v) for v in orders.tolist()], dtype=float)[where]
+def _per_order(fn, *params):
+    """fn, a plain-math function of the parameters returning a float or a
+    tuple of floats, at shared parameters or at every entry (one row per
+    entry), evaluated once per distinct parameter value or tuple."""
+    if all(np.ndim(p) == 0 for p in params):
+        return fn(*(float(p) for p in params))
+    if len(params) == 1:
+        keys, where = np.unique(params[0], return_inverse=True)
+        keys = keys[:, None]
+    else:
+        keys, where = np.unique(
+            np.column_stack(np.broadcast_arrays(*params)), axis=0, return_inverse=True
+        )
+    return np.array([fn(*k) for k in keys.tolist()], dtype=float)[where.reshape(-1)]
 
 
 def _i_series(nu, x):
@@ -371,17 +378,25 @@ def _bessel_i(nu, x, scaled):
     return out
 
 
-def _flat(nu, x):
-    """x flat, nu as one scalar order shared by all entries or flat with an
-    order per entry, and the shape the two broadcast to."""
-    nu, x = np.asarray(nu, dtype=float), np.asarray(x, dtype=float)
-    shape = np.broadcast_shapes(nu.shape, x.shape)
-    x = np.broadcast_to(x, shape).ravel()
-    if nu.ndim:
-        nu = np.broadcast_to(nu, shape).ravel()
-        if nu.size and np.all(nu == nu[0]):
-            nu = nu[0]
-    return nu, x, shape
+def _flat(*args):
+    """The arguments broadcast together, and the shape they broadcast to.
+    The last (the argument x or z) comes back flat; each parameter before it
+    as one scalar shared by all entries where it is a scalar or all its
+    entries are equal, else flat with a value per entry."""
+    *params, x = (np.asarray(v, dtype=float) for v in args)
+    shape = x.shape
+    if any(v.ndim for v in params):
+        shape = np.broadcast_shapes(shape, *(v.shape for v in params))
+        x = np.broadcast_to(x, shape)
+    out = []
+    for v in params:
+        if v.ndim:
+            v = np.broadcast_to(v, shape).ravel()
+            if v.size and (v == v[0]).all():
+                v = v[0]
+        # a numpy scalar, not a 0-d array: its arithmetic is far cheaper
+        out.append(v[()] if v.ndim == 0 else v)
+    return (*out, x.ravel(), shape)
 
 
 def _shaped(out, shape):
@@ -485,18 +500,50 @@ def next_fast_len(n, real=False):
         size += 1
 
 
+# ---------------------------------------------------------------------------
+# confluent hypergeometric functions
+#
+# a, b and z broadcast entry by entry, as the Bessel orders do (_flat), and
+# terms of the parameters alone are taken in plain math once per distinct
+# value (_per_order).  U is one exp-sinh grid per call, wide enough for
+# every entry; 1F1 picks a branch per entry, the one a one-entry call takes.
+
 _DE_STEP = 0.02
+# U's exp-sinh grid is laid out for z within a factor _U_Z_SCALE of 1.  Past
+# it the integrand's mass moves to |log t| ~ |log z|, where the nodes spread
+# out in log t: the left cut-off moves down with z (reaching below t = a/z),
+# and the step shrinks in proportion to |log z|.  Rounding in log t grows
+# the error like eps |log z|, so the quadrature stops at _U_Z_MAX (either
+# way), where it is still within 1e-12 relative.
+_U_Z_SCALE = 1e3
+_U_LOG_Z_SCALE = math.log(_U_Z_SCALE)
+_U_Z_MAX = 1e100
+# rows of U's quadrature are evaluated _U_ROWS at a time, fewer on a grid
+# of more than _U_CELLS / _U_ROWS nodes
+_U_ROWS = 8192
+_U_CELLS = 2**23
+
+
+def _column(v, rows):
+    """The rows of a per-entry parameter as a column; a shared one stays."""
+    return v[rows, None] if np.ndim(v) else v
+
+
+def _entry(i, *params):
+    """The parameters at entry i, as floats."""
+    return tuple(float(p[i] if np.ndim(p) else p) for p in params)
 
 
 def _kummer_u_log_series(a, z):
     # U(a, 1, z) = -(1/Gamma(a)) sum_k (a)_k z^k/(k!)^2
     #              * [log z + psi(a+k) - 2 psi(k+1)], accurate for z <= 1/2;
-    # psi(a+k) and psi(k+1) advance by psi(x+1) = psi(x) + 1/x
-    z = np.asarray(z, dtype=float)
+    # psi(a+k) and psi(k+1) advance by psi(x+1) = psi(x) + 1/x.  The sum
+    # stops once every entry's term is below 1e-18 of its total.
+    psi_a, norm = np.transpose(_per_order(lambda v: (_psi(v), math.exp(-math.lgamma(v))), a))
     log_z = np.log(z)
     coeff = np.ones_like(z)
     total = np.zeros_like(z)
-    psi_a, psi_1 = _psi(a), -np.euler_gamma
+    psi_1 = -np.euler_gamma
     for k in range(0, 200):
         bracket = log_z + psi_a - 2.0 * psi_1
         term = coeff * bracket
@@ -504,93 +551,103 @@ def _kummer_u_log_series(a, z):
         if np.all(np.abs(term) <= 1e-18 * np.maximum(np.abs(total), 1e-300)):
             break
         coeff = coeff * (a + k) * z / (k + 1.0) ** 2
-        psi_a += 1.0 / (a + k)
+        psi_a = psi_a + 1.0 / (a + k)
         psi_1 += 1.0 / (k + 1.0)
-    return -total * math.exp(-math.lgamma(a))
+    return -total * norm
+
+
+def _kummer_u_quadrature(a, b, z):
+    # U(a, b, z) = 1/Gamma(a) int_0^inf e^{-z t} t^{a-1} (1+t)^{b-a-1} dt on
+    # one grid for every entry.  Left cut-off where t^a drops 1e-19 below
+    # scale at the smallest a; right cut-off where the e^{-z t} decay has
+    # beaten any (1+t) growth by the same margin, at the entry that needs it
+    # latest.  For shared a and b, max(c/z) is c/min(z): division rounds
+    # monotonically.
+    z_lo, z_hi = float(z.min()), float(z.max())
+    shift = math.log(z_hi / _U_Z_SCALE) if z_hi > _U_Z_SCALE else 0.0
+    u_lo = -np.arcsinh((2.0 / np.pi) * (45.0 / np.min(a) + 5.0 + shift))
+    t_hi = np.max((90.0 + 45.0 * np.maximum(b - a, 0.0) + 2.0 * a) / z)
+    u_hi = np.arcsinh((2.0 / np.pi) * np.log(t_hi))
+    step = _DE_STEP * (_U_LOG_Z_SCALE / max(math.log(z_hi), -math.log(z_lo), _U_LOG_Z_SCALE))
+    n = int(np.ceil((u_hi - u_lo) / step)) + 1
+    u = np.linspace(u_lo, u_hi, n)
+    log_t = 0.5 * np.pi * np.sinh(u)
+    t = np.exp(log_t)
+    # log of the Jacobian t * dt/du of the exp-sinh map t = exp((pi/2) sinh u)
+    log_w = np.log(0.5 * np.pi * np.cosh(u)) + log_t
+    log1p_t = np.log1p(t)
+    h = u[1] - u[0]
+    out = np.empty_like(z)
+    rows = max(1, min(_U_ROWS, _U_CELLS // n))
+    # the sum is assembled in log space, so nothing overflows
+    with np.errstate(over="ignore", under="ignore"):
+        for lo in range(0, len(z), rows):
+            sel = slice(lo, lo + rows)
+            ar, br = _column(a, sel), _column(b, sel)
+            base = (ar - 1.0) * log_t + (br - ar - 1.0) * log1p_t + log_w
+            log_terms = base - z[sel, None] * t
+            peak = log_terms.max(axis=1)
+            out[sel] = np.exp(peak + np.log(np.exp(log_terms - peak[:, None]).sum(axis=1)))
+    return out * h * _per_order(lambda v: math.exp(-math.lgamma(v)), a)
 
 
 def kummer_u(a, b, z):
     """Tricomi confluent hypergeometric function U(a, b, z) for a > 0, z > 0.
 
-    Evaluated from the Laplace integral representation
+    a, b and z broadcast against each other, entry by entry.  U is the
+    Laplace integral
         U(a, b, z) = 1/Gamma(a) * int_0^inf e^{-z t} t^{a-1} (1+t)^{b-a-1} dt
-    with a double-exponential (exp-sinh) quadrature rule: the map
+    under a double-exponential (exp-sinh) trapezoid rule: the map
     t = exp((pi/2) sinh u) turns both the endpoint singularity and the
-    exponential tail into double-exponential decay, so the trapezoid rule
-    converges spectrally.  The u-range adapts to (a, b, z) so the truncated
-    contributions stay below ~1e-18 of the integrand scale, and the sum is
-    assembled in log space so nothing overflows.
+    exponential tail into double-exponential decay.  One grid serves every
+    entry of a call, its u-range wide enough that each entry's truncated
+    contributions stay below ~1e-18 of its integrand scale; an entry's value
+    therefore depends on the other entries only at rounding level, and a
+    call with shared a and b is the same route whatever their shape.  Where
+    b = 1 and z <= 1/2, the logarithmic series is used instead.
+
+    The quadrature is within 1e-12 relative of U for 1e-100 <= z <= 1e100
+    (checked against mpmath for a in [0.05, 30] and b in [0.1, 6]) and
+    raises ValueError for z outside that range; b = 1 with z <= 1/2 takes
+    the series at any z > 0.
     """
-    _require(a > 0, "kummer_u requires a > 0")
-    z = np.asarray(z, dtype=float)
-    _require(np.all(z > 0), "kummer_u requires z > 0")
-    zf = np.atleast_1d(z).ravel()
-    if b == 1.0:
-        # the logarithmic series is both faster and more accurate than the
-        # quadrature route once z is small (the traveling-wave tail regime)
-        small = zf <= 0.5
-        if np.all(small):
-            out = _kummer_u_log_series(a, zf).reshape(np.shape(z))
-            return float(out) if out.ndim == 0 else out
-        if np.any(small):
-            out = np.empty_like(zf)
-            out[small] = _kummer_u_log_series(a, zf[small])
-            out[~small] = np.atleast_1d(kummer_u(a, b, zf[~small]))
-            out = out.reshape(np.shape(z))
-            return float(out) if out.ndim == 0 else out
-    # left cutoff where t^a drops 1e-19 below scale; right cutoff where the
-    # e^{-z t} decay has beaten any (1+t) growth by the same margin
-    u_lo = -np.arcsinh((2.0 / np.pi) * (45.0 / a + 5.0))
-    t_hi = (90.0 + 45.0 * max(b - a, 0.0) + 2.0 * a) / zf.min()
-    u_hi = np.arcsinh((2.0 / np.pi) * np.log(t_hi))
-    n = int(np.ceil((u_hi - u_lo) / _DE_STEP)) + 1
-    u = np.linspace(u_lo, u_hi, n)
-    log_t = 0.5 * np.pi * np.sinh(u)
-    t = np.exp(log_t)
-    # log of the Jacobian t * dt/du of the exp-sinh map
-    log_w = np.log(0.5 * np.pi * np.cosh(u)) + log_t
-    h = u[1] - u[0]
-    out = np.empty_like(zf)
-    base = (a - 1.0) * log_t + (b - a - 1.0) * np.log1p(t) + log_w
-    with np.errstate(over="ignore", under="ignore"):
-        for lo in range(0, len(zf), 8192):
-            hi = min(len(zf), lo + 8192)
-            log_terms = base[None, :] - zf[lo:hi, None] * t[None, :]
-            peak = log_terms.max(axis=1)
-            out[lo:hi] = np.exp(
-                peak + np.log(np.exp(log_terms - peak[:, None]).sum(axis=1))
-            )
-    out = (out * h * math.exp(-math.lgamma(a))).reshape(np.shape(z))
-    if not np.all(np.isfinite(out)):
-        raise ValueError(f"kummer_u({a}, {b}, ...) did not evaluate to a finite value")
-    return float(out) if out.ndim == 0 else out
+    a, b, z, shape = _flat(a, b, z)
+    _require((a > 0).all(), "kummer_u requires a > 0")
+    _require((np.isfinite(a) & np.isfinite(b)).all(), "kummer_u requires finite a and b")
+    _require((z > 0).all(), "kummer_u requires z > 0")
+    # the logarithmic series is both faster and more accurate than the
+    # quadrature once z is small (the traveling-wave tail regime)
+    series = (b == 1.0) & (z <= 0.5)
+    quad = ~series
+    _require(((z[quad] >= 1.0 / _U_Z_MAX) & (z[quad] <= _U_Z_MAX)).all(),
+             f"kummer_u requires z <= {_U_Z_MAX:g}, and z >= {1.0 / _U_Z_MAX:g} unless b = 1")
+    out = np.empty_like(z)
+    if series.any():
+        out[series] = _kummer_u_log_series(_take(a, series), z[series])
+    if quad.any():
+        out[quad] = _kummer_u_quadrature(_take(a, quad), _take(b, quad), z[quad])
+    bad = ~np.isfinite(out)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"kummer_u{_entry(i, a, b, z)} did not evaluate to a finite value")
+    return _shaped(out, shape)
 
 
 def whittaker_w0(kappa, z):
     """Whittaker W function with second index 0: W_{kappa,0}(z) for z > 0.
 
-    Realized through the confluent reduction
+    kappa and z broadcast against each other, entry by entry.  Realized
+    through the confluent reduction
         W_{kappa,0}(z) = exp(-z/2) * sqrt(z) * U(1/2 - kappa, 1, z),
     which requires 1/2 - kappa > 0 (true at every call site here, where
-    1/2 - kappa equals a ratio of positive rate parameters).
+    1/2 - kappa equals a ratio of positive rate parameters), and takes U's
+    range of z.
     """
+    kappa, z, shape = _flat(kappa, z)
     a = 0.5 - kappa
-    _require(a > 0, "whittaker_w0 requires 1/2 - kappa > 0")
-    z = np.asarray(z, dtype=float)
-    _require(np.all(z > 0), "whittaker_w0 requires z > 0")
-    out = np.exp(-z / 2.0) * np.sqrt(z) * kummer_u(a, 1.0, z)
-    return float(out) if out.ndim == 0 else out
-
-
-def _kummer_polynomial(a, b, z):
-    # exact terminating polynomial of degree -a (a a negative integer); z a
-    # float or an array, so a scalar call does no numpy per-operation work
-    term = 1.0
-    total = 1.0
-    for k in range(1, int(-a) + 1):
-        term = term * ((a + k - 1) / (b + k - 1) * z / k)
-        total = total + term
-    return total
+    _require((a > 0).all(), "whittaker_w0 requires 1/2 - kappa > 0")
+    _require((z > 0).all(), "whittaker_w0 requires z > 0")
+    return _shaped(np.exp(-z / 2.0) * np.sqrt(z) * kummer_u(a, 1.0, z), shape)
 
 
 # the Taylor series of 1F1 stops at its first term below _SERIES_TOL times
@@ -600,10 +657,30 @@ _SERIES_TOL = 1e-10
 _MAX_TERMS = 500
 
 
+def _kummer_polynomial(a, b, z):
+    # exact terminating polynomial of degree -a (a a negative integer), each
+    # entry summed to its own degree
+    degree = -a
+    over = degree > _MAX_TERMS
+    if over.any():
+        first = degree[np.argmax(over)] if np.ndim(degree) else degree
+        raise OverflowError(
+            f"kummer_1f1 polynomial of degree {first:g} exceeds {_MAX_TERMS} terms"
+        )
+    term = np.ones_like(z)
+    total = np.ones_like(z)
+    for k in range(1, int(degree.max(initial=0)) + 1):
+        term = term * ((a + k - 1) / (b + k - 1) * z / k)
+        total = total + np.where(k <= degree, term, 0.0)
+    return total
+
+
 def _kummer_series(a, b, z):
     # plain Taylor series on a 1-d array; callers guarantee z > 0 and b > 0.
-    # Each entry stops at its own first term below tolerance, as a scalar
-    # evaluation would, so an entry's value does not depend on the others.
+    # Each entry stops at its own first term below tolerance, as a
+    # one-entry evaluation would, so an entry's value does not depend on
+    # the others.
+    params = (a, b, z)
     out = np.empty_like(z)
     idx = np.arange(z.size)
     term = np.ones_like(z)
@@ -618,16 +695,23 @@ def _kummer_series(a, b, z):
                 out[idx[done]] = total[done]
                 keep = ~done
                 idx, z, term, total = idx[keep], z[keep], term[keep], total[keep]
+                a, b = _take(a, keep), _take(b, keep)
                 if not idx.size:
                     break
         else:
             raise OverflowError(
                 f"kummer_1f1 series did not converge within {_MAX_TERMS} terms "
-                f"(z={z.max()})"
+                f"at (a, b, z) = {_entry(idx[0], *params)}"
             )
-    if not np.all(np.isfinite(out)):
-        raise OverflowError(f"kummer_1f1 series overflowed (a={a}, b={b})")
+    bad = ~np.isfinite(out)
+    if bad.any():
+        raise OverflowError(
+            f"kummer_1f1 series overflowed at (a, b, z) = {_entry(int(np.argmax(bad)), *params)}"
+        )
     return out
+
+
+_C_POW = np.frompyfunc(pow, 2, 1)
 
 
 def _kummer_asymptotic_neg(a, b, s):
@@ -635,9 +719,8 @@ def _kummer_asymptotic_neg(a, b, s):
     # for s -> +inf on a 1-d array, each entry summed to its smallest term.
     # s^{-a} is the C library pow, entry by entry: numpy's vectorised power
     # can differ from it in the last bit.
-    pref = np.exp(_lgamma(b) - _lgamma(b - a)) * np.array(
-        [si ** (-a) for si in s.tolist()]
-    )
+    gamma_ratio = _per_order(lambda a, b: float(np.exp(_lgamma(b) - _lgamma(b - a))), a, b)
+    pref = gamma_ratio * _C_POW(s, -a).astype(float)
     out = np.empty_like(s)
     idx = np.arange(s.size)
     term = np.ones_like(s)
@@ -653,58 +736,62 @@ def _kummer_asymptotic_neg(a, b, s):
             out[idx[done]] = total[done]
             keep = ~done
             idx, s, term, total, prev = idx[keep], s[keep], term[keep], total[keep], prev[keep]
+            a, b = _take(a, keep), _take(b, keep)
             if not idx.size:
                 break
     out[idx] = total
     return pref * out
 
 
+def _kummer_1f1(a, b, z):
+    # z flat; a and b shared or per entry.  Each entry takes the branch of a
+    # one-entry call: the polynomial at a negative integer a, 1 at a = 0,
+    # else by z (1 at z = 0; NaN falls to the last).
+    poly = (a < 0) & (a % 1.0 == 0.0)
+    if poly.all():
+        return _kummer_polynomial(a, b, z)
+    out = np.ones_like(z)
+    if poly.any():
+        out[poly] = _kummer_polynomial(a[poly], _take(b, poly), z[poly])
+    rest = (a != 0.0) & ~poly
+    pos = rest & (z > 0)
+    neg = rest & ~(z > 0) & (z != 0.0)
+    near = z <= 40.0
+    sel = pos & near
+    if sel.any():
+        out[sel] = _kummer_series(_take(a, sel), _take(b, sel), z[sel])
+    sel = pos & ~near
+    if sel.any():
+        # reduce to a decaying-argument evaluation: 1F1(a;b;z) = e^z 1F1(b-a;b;-z)
+        bs = _take(b, sel)
+        out[sel] = np.exp(z[sel]) * _kummer_1f1(bs - _take(a, sel), bs, -z[sel])
+    near = -z <= 40.0
+    sel = neg & near
+    if sel.any():
+        # z < 0: Kummer transform gives a stable positive-term series for b > a
+        bs = _take(b, sel)
+        out[sel] = np.exp(z[sel]) * _kummer_series(bs - _take(a, sel), bs, -z[sel])
+    sel = neg & ~near
+    if sel.any():
+        out[sel] = _kummer_asymptotic_neg(_take(a, sel), _take(b, sel), -z[sel])
+    return out
+
+
 def kummer_1f1(a, b, z):
     """Kummer confluent hypergeometric function 1F1(a; b; z), b > 0.
 
-    ``a`` and ``b`` are scalars, ``z`` a scalar or an array; every entry of
-    an array equals the scalar evaluation at that entry, bit for bit.
+    a, b and z broadcast against each other, entry by entry, and every
+    entry equals the one-entry evaluation at its (a, b, z), bit for bit.
     Terminating cases (a a nonpositive integer) are evaluated as the exact
     polynomial.  Negative arguments go through the Kummer transform
     1F1(a;b;z) = e^z 1F1(b-a;b;-z) so the series has positive terms, and
     very large |z| falls back to the standard asymptotic expansion.
 
-    Raises OverflowError when the series fails to converge within
-    500 terms or overflows, and when a terminating polynomial's degree -a
-    exceeds 500.
+    Raises ValueError for a non-finite a, and OverflowError when the series
+    fails to converge within 500 terms or overflows, and when a terminating
+    polynomial's degree -a exceeds 500.
     """
-    _require(b > 0, "kummer_1f1 requires b > 0")
-    z = np.asarray(z, dtype=float)
-    scalar = z.ndim == 0
-    if a == 0.0:
-        return 1.0 if scalar else np.ones(z.shape)
-    if a == int(a) and a < 0:
-        if -a > _MAX_TERMS:
-            raise OverflowError(
-                f"kummer_1f1 polynomial of degree {-a:g} exceeds {_MAX_TERMS} terms"
-            )
-        out = _kummer_polynomial(a, b, float(z) if scalar else z)
-        return float(out) if scalar else out
-    zf = z.ravel()
-    out = np.ones_like(zf)
-    # the scalar route's branches, entry by entry; NaN falls to the last
-    pos = zf > 0
-    neg = ~pos & (zf != 0.0)
-    s = -zf
-    near = zf <= 40.0
-    sel = pos & near
-    if sel.any():
-        out[sel] = _kummer_series(a, b, zf[sel])
-    sel = pos & ~near
-    if sel.any():
-        # reduce to a decaying-argument evaluation: 1F1(a;b;z) = e^z 1F1(b-a;b;-z)
-        out[sel] = np.exp(zf[sel]) * kummer_1f1(b - a, b, s[sel])
-    near = s <= 40.0
-    sel = neg & near
-    if sel.any():
-        # z < 0: Kummer transform gives a stable positive-term series for b > a
-        out[sel] = np.exp(zf[sel]) * _kummer_series(b - a, b, s[sel])
-    sel = neg & ~near
-    if sel.any():
-        out[sel] = _kummer_asymptotic_neg(a, b, s[sel])
-    return float(out[0]) if scalar else out.reshape(z.shape)
+    a, b, z, shape = _flat(a, b, z)
+    _require((b > 0).all(), "kummer_1f1 requires b > 0")
+    _require(np.isfinite(a).all(), "kummer_1f1 requires a finite a")
+    return _shaped(_kummer_1f1(a, b, z), shape)

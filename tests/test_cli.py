@@ -417,18 +417,27 @@ def test_verify_specfun_run(tmp_path):
 
 
 def test_verify_specfun_calls_the_array_kernels_once_per_batch(tmp_path, monkeypatch):
-    # Bessel I, K and the Erlang survival function take whole parameter
-    # columns, _SPECFUN_BATCH draws at a time, not one call per draw
+    # every kernel takes whole parameter columns, _SPECFUN_BATCH draws at a
+    # time, not one call per draw; whittaker_w0's own kummer_u call is not
+    # the sweep's
+    names = ("log_gamma", "digamma", "bessel_i", "bessel_k", "erlang_survival",
+             "kummer_u", "whittaker_w0", "kummer_1f1")
     calls = collections.Counter()
-    for name in ("bessel_i", "bessel_k", "erlang_survival"):
+    depth = [0]
+    for name in names:
         def counted(*args, _fn=getattr(specfun, name), _name=name):
-            calls[_name] += 1
-            return _fn(*args)
+            if depth[0] == 0:
+                calls[_name] += 1
+            depth[0] += 1
+            try:
+                return _fn(*args)
+            finally:
+                depth[0] -= 1
         monkeypatch.setattr(specfun, name, counted)
     n = 300
     cfg = _write(tmp_path, "sf.json", {"schema_version": 1, "n_samples": n, "seed": 5})
     assert main(["verify-specfun", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
-    assert set(calls) == {"bessel_i", "bessel_k", "erlang_survival"}
+    assert set(calls) == set(names)
     assert max(calls.values()) <= math.ceil(n / cli._SPECFUN_BATCH)
 
 

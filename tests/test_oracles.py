@@ -25,8 +25,6 @@ SAMPLERS = {
                                 r.uniform(-30.0, 30.0, n)),
 }
 BATCHED = ("bessel_k", "erlang_survival", "kummer_u", "whittaker_w0")
-# specfun functions the sweep calls on whole parameter columns
-ARRAY_KERNELS = ("log_gamma", "digamma", "bessel_i", "bessel_k", "erlang_survival")
 
 
 # QUADPACK versions of the quadrature oracles, one integral per call
@@ -120,7 +118,8 @@ def test_oracles_reject_their_domain_edges():
 def test_batched_sweep_draws_columns_from_stream_zero(tmp_path, monkeypatch):
     # each sweep draws its parameter columns from stream (seed, 0), in sweep
     # order, and they reach the implementation and the oracle unchanged,
-    # _SPECFUN_BATCH entries per array call
+    # _SPECFUN_BATCH entries per array call: every specfun function takes
+    # whole parameter columns
     n, batch, seed = 100, 32, 5
     seen = {name: [] for name in SAMPLERS}
     batches = {name: [] for name in BATCHED}
@@ -158,12 +157,8 @@ def test_batched_sweep_draws_columns_from_stream_zero(tmp_path, monkeypatch):
     expected = {name: sampler(rng, n) for name, sampler in SAMPLERS.items()}
     for name, want in expected.items():
         calls = seen[name]
-        if name in ARRAY_KERNELS:
-            assert [len(cols[0]) for cols in calls] == [32, 32, 32, 4], name
-            got = [np.concatenate(c) for c in zip(*calls)]
-        else:
-            # one call per draw, with that draw's parameters
-            got = [np.array(c) for c in zip(*calls)]
+        assert [len(cols[0]) for cols in calls] == [32, 32, 32, 4], name
+        got = [np.concatenate(c) for c in zip(*calls)]
         assert len(got) == len(want) and all(map(np.array_equal, got, want)), name
     for name in BATCHED:
         assert [len(cols[0]) for cols in batches[name]] == [32, 32, 32, 4]

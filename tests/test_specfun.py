@@ -175,6 +175,22 @@ def test_kummer_u_domain():
         kummer_u(-1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         kummer_u(1.0, 1.0, 0.0)
+    # an array of parameters is checked entry by entry, with U's own message
+    for a in ([1.0, -0.5], [1.0, 0.0], [1.0, np.nan]):
+        with pytest.raises(ValueError, match="kummer_u requires a > 0"):
+            kummer_u(np.array(a), 1.0, np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match="kummer_u requires z > 0"):
+        kummer_u(1.0, np.array([1.0, 2.0]), np.array([1.0, -2.0]))
+    with pytest.raises(ValueError, match="kummer_u requires finite a and b"):
+        kummer_u(1.0, np.array([1.0, np.inf]), 1.0)
+
+
+def test_kummer_u_non_finite_value_names_its_entry():
+    # U(1, 400, z) ~ Gamma(399) z^{-399} overflows at z = 1e-3
+    a = np.array([1.0, 1.0, 2.0])
+    b = np.array([2.0, 400.0, 400.0])
+    with pytest.raises(ValueError, match=r"kummer_u\(1\.0, 400\.0, 0\.001\) did not evaluate"):
+        kummer_u(a, b, np.array([1.0, 1e-3, 1e-3]))
 
 
 def test_whittaker_w0_definitional_identity():
@@ -197,6 +213,64 @@ def test_whittaker_w0_domain():
         whittaker_w0(0.7, 1.0)  # needs 1/2 - kappa > 0
     with pytest.raises(ValueError):
         whittaker_w0(0.0, -1.0)
+    for kappa in ([0.0, 0.5], [np.nan, 0.0]):
+        with pytest.raises(ValueError, match="whittaker_w0 requires 1/2 - kappa > 0"):
+            whittaker_w0(np.array(kappa), 1.0)
+
+
+# the verify-specfun sweep's columns for U and W, with b = 1 (the logarithmic
+# series at z <= 1/2, the quadrature above) on both sides of z = 1/2
+def _u_columns(n=400):
+    rng = np.random.default_rng(31)
+    a, b = rng.uniform(0.2, 4.0, n), rng.uniform(0.5, 3.0, n)
+    z = 10 ** rng.uniform(-1.3, np.log10(50), n)
+    b[::3] = 1.0
+    z[::6] = rng.uniform(0.05, 2.0, z[::6].size)
+    z[0], z[6] = 0.5, np.nextafter(0.5, 1.0)
+    return a, b, z
+
+
+def _w_columns(n=400):
+    rng = np.random.default_rng(37)
+    kappa, z = rng.uniform(-3.0, 0.3, n), 10 ** rng.uniform(-1.0, 1.5, n)
+    z[::4] = rng.uniform(0.3, 0.7, n // 4)
+    return kappa, z
+
+
+def _one_entry(fn, *cols):
+    return np.array([fn(*args) for args in zip(*(c.tolist() for c in cols))])
+
+
+def test_kummer_u_and_whittaker_w0_columns_match_one_entry_calls():
+    # one grid serves a whole column of (a, b, z): each entry within 1e-13
+    # of its one-entry call, and each call within the sweep's tolerance of
+    # the oracle
+    cols = _u_columns()
+    got = kummer_u(*cols)
+    assert np.all(np.abs(got / _one_entry(kummer_u, *cols) - 1.0) <= 1e-13)
+    assert np.all(np.abs(got / oracles.kummer_u_ref(*cols) - 1.0) <= 1e-8)
+    cols = _w_columns()
+    got = whittaker_w0(*cols)
+    assert np.all(np.abs(got / _one_entry(whittaker_w0, *cols) - 1.0) <= 1e-13)
+    assert np.all(np.abs(got / oracles.whittaker_w0_ref(*cols) - 1.0) <= 1e-8)
+    # parameters and arguments broadcast against each other
+    a, b, z = _u_columns(12)
+    square = kummer_u(a[:, None], b[:, None], z[None, :])
+    assert square.shape == (12, 12)
+    assert np.all(np.abs(square[:, 3] / kummer_u(a, b, z[3]) - 1.0) <= 1e-13)
+    assert type(kummer_u(1.5, 2.0, 3.0)) is float and type(whittaker_w0(-0.5, 2.0)) is float
+
+
+def test_shared_parameters_are_the_scalar_route_bitwise():
+    # a and b given as full columns of one value take the route of scalar a
+    # and b, bit for bit: the wave's kummer_u(a, 1, z) does not depend on
+    # how its parameters are shaped
+    z = np.concatenate([np.geomspace(1e-6, 700.0, 3000), [0.5, np.nextafter(0.5, 1.0)]])
+    for a, b in [(0.5, 1.0), (2.0, 1.0), (1.3, 2.4), (0.2, 0.7)]:
+        full = np.full(z.shape, a), np.full(z.shape, b)
+        assert np.array_equal(kummer_u(a, b, z), kummer_u(*full, z))
+        assert np.array_equal(whittaker_w0(0.5 - a, z), whittaker_w0(np.full(z.shape, 0.5 - a), z))
+        assert np.array_equal(kummer_1f1(a, b, z), kummer_1f1(*full, z))
 
 
 def test_whittaker_w0_oracle_sweep():
@@ -324,6 +398,44 @@ def test_kummer_1f1_array_equals_scalar_bitwise(a, b):
     square = kummer_1f1(a, b, _BRANCH_Z[:100].reshape(10, 10))
     assert np.array_equal(square, got[:100].reshape(10, 10))
     assert type(kummer_1f1(a, b, 1.5)) is float
+
+
+def test_kummer_1f1_per_entry_parameters_equal_one_entry_calls_bitwise():
+    # every (a, b, z) of the branch table above in one call, shuffled: each
+    # entry takes its own branch and equals its one-entry call bit for bit
+    a_values = np.array([-3.0, -1.0, 0.0, -0.0, 0.3, -0.7, 1.0 - 2.1 / 1.3, 2.5, -5.5,
+                         1.0, 2.0, 4.0, -8.0])
+    b_values = np.array([0.5, 2.0, 3.7])
+    a, b, z = (v.ravel() for v in np.meshgrid(a_values, b_values, _BRANCH_Z, indexing="ij"))
+    perm = np.random.default_rng(41).permutation(a.size)
+    a, b, z = a[perm], b[perm], z[perm]
+    got = kummer_1f1(a, b, z)
+    assert np.array_equal(got, _one_entry(kummer_1f1, a, b, z))
+    ref = np.array([_kummer_1f1_scalar_ref(*v) for v in zip(a.tolist(), b.tolist(), z.tolist())])
+    assert np.array_equal(got, ref)
+    # the verify-specfun sweep's columns, against the polynomial oracle
+    rng = np.random.default_rng(43)
+    n = 300
+    a = -rng.integers(0, 9, n).astype(float)
+    b, z = rng.uniform(0.5, 4.0, n), rng.uniform(-30.0, 30.0, n)
+    got = kummer_1f1(a, b, z)
+    assert np.array_equal(got, _one_entry(kummer_1f1, a, b, z))
+    want = _one_entry(lambda a, b, z: oracles.kummer_1f1_poly_ref(int(-a), b, z), a, b, z)
+    assert np.all(np.abs(got - want) <= 1e-10)
+    assert kummer_1f1(a.reshape(20, 15), b.reshape(20, 15), z.reshape(20, 15)).shape == (20, 15)
+
+
+def test_kummer_1f1_per_entry_errors_name_their_entry():
+    with pytest.raises(OverflowError, match="polynomial of degree 501 exceeds 500 terms"):
+        kummer_1f1(np.array([-2.0, -501.0]), 2.0, np.array([1.0, 1.0]))
+    with pytest.raises(OverflowError, match=r"did not converge within 500 terms at \(a, b, z\) = "
+                                            r"\(1250000000\.0, 100000000\.0, 40\.0\)"):
+        kummer_1f1(np.array([0.5, 1.25e9]), np.array([1.0, 1e8]), np.array([1.0, 40.0]))
+    for bad in (np.array([1.0, -1.0]), np.array([1.0, np.nan])):
+        with pytest.raises(ValueError, match="kummer_1f1 requires b > 0"):
+            kummer_1f1(0.5, bad, 1.0)
+    with pytest.raises(ValueError, match="kummer_1f1 requires a finite a"):
+        kummer_1f1(np.array([0.5, np.inf]), 2.0, 1.0)
 
 
 def test_kummer_1f1_polynomial_degree_bounded_by_max_terms():

@@ -1,10 +1,12 @@
-"""The numpy-only special functions against scipy.special and scipy.fft.
+"""The numpy-only special functions against scipy.special, scipy.fft and
+mpmath.
 
-scipy is no run-time dependency of erlangshot; it stays in the tests as
-the independent reference, next to the in-repo oracles."""
+scipy and mpmath are no run-time dependencies of erlangshot; they stay in
+the tests as the independent references, next to the in-repo oracles."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import fft as sfft
@@ -18,6 +20,7 @@ from erlangshot.specfun import (
     bessel_ke,
     digamma,
     erlang_survival,
+    kummer_u,
     log_gamma,
     next_fast_len,
 )
@@ -184,3 +187,46 @@ def test_bessel_i_series_rescales_at_large_order():
     # at nu = 400 the power series runs up to x = nu^2 / 4 = 4e4, where its
     # sum passes 1e200 and is rescaled on the way
     assert bessel_ie(400.0, 4e4) == pytest.approx(sp.ive(400.0, 4e4), rel=1e-9)
+
+
+def _hyperu(a, b, z):
+    with mpmath.workdps(40):
+        return float(mpmath.hyperu(a, b, z))
+
+
+@pytest.mark.parametrize("a,b,z", [
+    (4.0, 3.0, 1e5), (4.0, 3.0, 1e6), (4.0, 3.0, 1e8), (2.5, 1.0, 1e8), (1.0, 2.0, 1e10),
+    (30.0, 0.1, 1e4), (0.5, 3.0, 1e-10), (0.2, 0.1, 1e-100), (0.5, 1.0, 1e100),
+])
+def test_kummer_u_far_from_unit_argument_matches_mpmath(a, b, z):
+    # the grid's left cut-off follows the mass down to t ~ a/z at large z,
+    # and its step shrinks with |log z| on either side of [1e-3, 1e3]
+    assert kummer_u(a, b, z) == pytest.approx(_hyperu(a, b, z), rel=1e-12, abs=0.0)
+
+
+def test_kummer_u_matches_mpmath_over_its_range_of_z():
+    # one call over z in [1e-100, 1e100], a in [0.05, 30] and b in [0.1, 6],
+    # where U is a normal double, within 1e-12 relative entry by entry
+    rng = np.random.default_rng(47)
+    n = 150
+    a, b = 10 ** rng.uniform(np.log10(0.05), np.log10(30.0), n), rng.uniform(0.1, 6.0, n)
+    z = 10 ** rng.uniform(-100.0, 100.0, n)
+    b[::5] = 1.0
+    want = np.array([_hyperu(*v) for v in zip(a.tolist(), b.tolist(), z.tolist())])
+    normal = (np.abs(want) > 1e-290) & (np.abs(want) < 1e290)
+    assert normal.sum() > n // 2
+    a, b, z, want = a[normal], b[normal], z[normal], want[normal]
+    assert np.all(np.abs(kummer_u(a, b, z) / want - 1.0) <= 1e-12)
+    one = np.array([kummer_u(*v) for v in zip(a.tolist(), b.tolist(), z.tolist())])
+    assert np.all(np.abs(one / want - 1.0) <= 1e-12)
+
+
+def test_kummer_u_raises_past_its_range_of_z():
+    # kummer_u(1, 2, 1e300) once failed inside numpy's linspace
+    for z in (1e300, 1e101, 1e-101):
+        with pytest.raises(ValueError, match="kummer_u requires z <= 1e"):
+            kummer_u(1.0, 2.0, z)
+        with pytest.raises(ValueError, match="kummer_u requires z <= 1e"):
+            kummer_u(1.0, 2.0, np.array([1.0, z]))
+    # the logarithmic series (b = 1, z <= 1/2) takes any z > 0
+    assert kummer_u(1.5, 1.0, 1e-300) == pytest.approx(_hyperu(1.5, 1.0, 1e-300), rel=1e-13, abs=0.0)

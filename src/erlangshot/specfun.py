@@ -15,7 +15,7 @@ quadrature, closed-form identities) in the test suite.  Only numpy and
   forward recurrence in the order;
 * the Erlang survival function is the finite Poisson sum;
 * Tricomi's U is an exp-sinh quadrature of its Laplace integral (with the
-  logarithmic series for b = 1, small z), the Whittaker W with second
+  logarithmic series for b = 1 and small a z), the Whittaker W with second
   index 0 reduces to it, and Kummer's 1F1 is its Taylor series, Kummer's
   transformation and the large-argument expansion;
 * ``next_fast_len`` picks the transform sizes for ``numpy.fft``.
@@ -515,13 +515,24 @@ _DE_STEP = 0.02
 # and the step shrinks in proportion to |log z|.  Rounding in log t grows
 # the error like eps |log z|, so the quadrature stops at _U_Z_MAX (either
 # way), where it is still within 1e-12 relative.
+#
+# The grid's right end is the reach of the call's farthest entry, but the
+# rows are summed in blocks of about _U_CELLS cells (entries times nodes,
+# 256 kB per float temporary, so a block stays in cache), and each block
+# only up to the first node past its own entries' reach: the nodes beyond
+# are ones the call's grid counts as negligible, so an entry's value moves
+# at rounding level only, and the work follows each entry's reach (short
+# where z is large) instead of the smallest z of the call.
 _U_Z_SCALE = 1e3
 _U_LOG_Z_SCALE = math.log(_U_Z_SCALE)
 _U_Z_MAX = 1e100
-# rows of U's quadrature are evaluated _U_ROWS at a time, fewer on a grid
-# of more than _U_CELLS / _U_ROWS nodes
-_U_ROWS = 8192
-_U_CELLS = 2**23
+_U_CELLS = 2**15
+# the logarithmic series of U(a, 1, z) cancels: at large a its terms reach
+# about I_0(2 sqrt(a z)) / Gamma(a), its sum U about 2 K_0(2 sqrt(a z)) /
+# Gamma(a), so it loses about e^{4 sqrt(a z)} ulps.  Against mpmath (a in
+# [0.05, 300], z in [1e-4, 1/2]) it is the more accurate route up to
+# a z = 1.5 at every a, and the quadrature past it
+_U_SERIES_AZ = 1.5
 
 
 def _column(v, rows):
@@ -536,7 +547,8 @@ def _entry(i, *params):
 
 def _kummer_u_log_series(a, z):
     # U(a, 1, z) = -(1/Gamma(a)) sum_k (a)_k z^k/(k!)^2
-    #              * [log z + psi(a+k) - 2 psi(k+1)], accurate for z <= 1/2;
+    #              * [log z + psi(a+k) - 2 psi(k+1)], accurate for z <= 1/2
+    #              and a z <= _U_SERIES_AZ;
     # psi(a+k) and psi(k+1) advance by psi(x+1) = psi(x) + 1/x.  The sum
     # stops once every entry's term is below 1e-18 of its total.
     psi_a, norm = np.transpose(_per_order(lambda v: (_psi(v), math.exp(-math.lgamma(v))), a))
@@ -559,15 +571,16 @@ def _kummer_u_log_series(a, z):
 def _kummer_u_quadrature(a, b, z):
     # U(a, b, z) = 1/Gamma(a) int_0^inf e^{-z t} t^{a-1} (1+t)^{b-a-1} dt on
     # one grid for every entry.  Left cut-off where t^a drops 1e-19 below
-    # scale at the smallest a; right cut-off where the e^{-z t} decay has
-    # beaten any (1+t) growth by the same margin, at the entry that needs it
-    # latest.  For shared a and b, max(c/z) is c/min(z): division rounds
+    # scale at the smallest a; an entry's reach, where the e^{-z t} decay has
+    # beaten any (1+t) growth by the same margin, sets the right cut-off: the
+    # grid's at the entry that reaches farthest, a block's at its own
+    # farthest.  For shared a and b, max(c/z) is c/min(z): division rounds
     # monotonically.
     z_lo, z_hi = float(z.min()), float(z.max())
     shift = math.log(z_hi / _U_Z_SCALE) if z_hi > _U_Z_SCALE else 0.0
     u_lo = -np.arcsinh((2.0 / np.pi) * (45.0 / np.min(a) + 5.0 + shift))
-    t_hi = np.max((90.0 + 45.0 * np.maximum(b - a, 0.0) + 2.0 * a) / z)
-    u_hi = np.arcsinh((2.0 / np.pi) * np.log(t_hi))
+    reach = (90.0 + 45.0 * np.maximum(b - a, 0.0) + 2.0 * a) / z
+    u_hi = np.arcsinh((2.0 / np.pi) * np.log(np.max(reach)))
     step = _DE_STEP * (_U_LOG_Z_SCALE / max(math.log(z_hi), -math.log(z_lo), _U_LOG_Z_SCALE))
     n = int(np.ceil((u_hi - u_lo) / step)) + 1
     u = np.linspace(u_lo, u_hi, n)
@@ -578,16 +591,22 @@ def _kummer_u_quadrature(a, b, z):
     log1p_t = np.log1p(t)
     h = u[1] - u[0]
     out = np.empty_like(z)
-    rows = max(1, min(_U_ROWS, _U_CELLS // n))
+    rows = max(1, _U_CELLS // n)
     # the sum is assembled in log space, so nothing overflows
     with np.errstate(over="ignore", under="ignore"):
         for lo in range(0, len(z), rows):
             sel = slice(lo, lo + rows)
+            # the block's nodes up to the first past its own entries' reach
+            cut = np.arcsinh((2.0 / np.pi) * np.log(np.max(reach[sel])))
+            k = min(n, int(np.searchsorted(u, cut, side="right")) + 1)
             ar, br = _column(a, sel), _column(b, sel)
-            base = (ar - 1.0) * log_t + (br - ar - 1.0) * log1p_t + log_w
-            log_terms = base - z[sel, None] * t
+            base = (ar - 1.0) * log_t[:k] + (br - ar - 1.0) * log1p_t[:k] + log_w[:k]
+            log_terms = np.multiply(z[sel, None], t[:k])
+            np.subtract(base, log_terms, out=log_terms)
             peak = log_terms.max(axis=1)
-            out[sel] = np.exp(peak + np.log(np.exp(log_terms - peak[:, None]).sum(axis=1)))
+            log_terms -= peak[:, None]
+            np.exp(log_terms, out=log_terms)
+            out[sel] = np.exp(peak + np.log(log_terms.sum(axis=1)))
     return out * h * _per_order(lambda v: math.exp(-math.lgamma(v)), a)
 
 
@@ -601,26 +620,32 @@ def kummer_u(a, b, z):
     t = exp((pi/2) sinh u) turns both the endpoint singularity and the
     exponential tail into double-exponential decay.  One grid serves every
     entry of a call, its u-range wide enough that each entry's truncated
-    contributions stay below ~1e-18 of its integrand scale; an entry's value
-    therefore depends on the other entries only at rounding level, and a
-    call with shared a and b is the same route whatever their shape.  Where
-    b = 1 and z <= 1/2, the logarithmic series is used instead.
+    contributions stay below ~1e-18 of its integrand scale.  The entries are
+    summed in cache-sized blocks of rows, each block over the grid's nodes
+    up to the first past its own entries' reach, so memory stays bounded
+    however many entries a call holds and large-z entries cost fewer nodes.
+    An entry's value therefore depends on the other entries only at
+    rounding level, and a call with shared a and b is the same route
+    whatever their shape.  Where b = 1, z <= 1/2 and a z <= 1.5, the
+    logarithmic series is used instead: past a z = 1.5 its terms cancel by
+    more than the quadrature's rounding.
 
     The quadrature is within 1e-12 relative of U for 1e-100 <= z <= 1e100
     (checked against mpmath for a in [0.05, 30] and b in [0.1, 6]) and
-    raises ValueError for z outside that range; b = 1 with z <= 1/2 takes
-    the series at any z > 0.
+    raises ValueError for z outside that range; an entry that takes the
+    series may have any z > 0.
     """
     a, b, z, shape = _flat(a, b, z)
     _require((a > 0).all(), "kummer_u requires a > 0")
     _require((np.isfinite(a) & np.isfinite(b)).all(), "kummer_u requires finite a and b")
     _require((z > 0).all(), "kummer_u requires z > 0")
     # the logarithmic series is both faster and more accurate than the
-    # quadrature once z is small (the traveling-wave tail regime)
-    series = (b == 1.0) & (z <= 0.5)
+    # quadrature once z and a z are small (the traveling-wave tail regime)
+    series = (b == 1.0) & (z <= 0.5) & (a * z <= _U_SERIES_AZ)
     quad = ~series
     _require(((z[quad] >= 1.0 / _U_Z_MAX) & (z[quad] <= _U_Z_MAX)).all(),
-             f"kummer_u requires z <= {_U_Z_MAX:g}, and z >= {1.0 / _U_Z_MAX:g} unless b = 1")
+             f"kummer_u requires z <= {_U_Z_MAX:g}, and z >= {1.0 / _U_Z_MAX:g} "
+             f"unless b = 1 and a z <= {_U_SERIES_AZ:g}")
     out = np.empty_like(z)
     if series.any():
         out[series] = _kummer_u_log_series(_take(a, series), z[series])

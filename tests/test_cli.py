@@ -63,11 +63,12 @@ def test_wave_analytic_run(tmp_path):
 
 
 def test_wave_rerun_byte_identical(tmp_path):
-    cfg = _write(tmp_path, "w.json", _wave_cfg(m_values=[1]))
+    cfg = _write(tmp_path, "w.json", _wave_cfg())
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["wave", "--config", cfg, "--out", str(out1)]) == 0
     assert main(["wave", "--config", cfg, "--out", str(out2)]) == 0
-    assert (out1 / "wave_m1_beta1.csv").read_bytes() == (out2 / "wave_m1_beta1.csv").read_bytes()
+    for name in ("wave_m1_beta1.csv", "wave_m2_beta1.csv"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 def test_wave_invalid_gamma_exits_2(tmp_path):

@@ -310,6 +310,15 @@ def test_wave_profiles_nonnegative():
     assert np.all(whittaker_wave(1.0, 1.0).profile(xi) >= 0)
 
 
+def test_wave_profile_memory_is_bounded_by_the_u_cell_budget():
+    # U's quadrature over all 20001 rows at once would take 32.7 MB; the
+    # bound is the profile's own arrays (16 floats per point, 2.6 MB) and a
+    # few block temporaries of specfun._U_CELLS = 2^15 floats (1 MB)
+    xi = np.linspace(-12.0, 38.0, 20001)
+    sol = whittaker_wave(0.5, 1.0)
+    assert _peak_alloc(lambda: sol.profile(xi)) < 4 * 2**20
+
+
 def test_speed_ratio_always_above_two():
     rng = np.random.default_rng(4)
     for _ in range(25):

@@ -219,7 +219,8 @@ def test_whittaker_w0_domain():
 
 
 # the verify-specfun sweep's columns for U and W, with b = 1 (the logarithmic
-# series at z <= 1/2, the quadrature above) on both sides of z = 1/2
+# series at z <= 1/2 and a z <= 1.5, the quadrature elsewhere) on both sides
+# of z = 1/2
 def _u_columns(n=400):
     rng = np.random.default_rng(31)
     a, b = rng.uniform(0.2, 4.0, n), rng.uniform(0.5, 3.0, n)

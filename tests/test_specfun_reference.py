@@ -228,5 +228,32 @@ def test_kummer_u_raises_past_its_range_of_z():
             kummer_u(1.0, 2.0, z)
         with pytest.raises(ValueError, match="kummer_u requires z <= 1e"):
             kummer_u(1.0, 2.0, np.array([1.0, z]))
-    # the logarithmic series (b = 1, z <= 1/2) takes any z > 0
+    # the logarithmic series (b = 1, z <= 1/2, a z <= 1.5) takes any z > 0
     assert kummer_u(1.5, 1.0, 1e-300) == pytest.approx(_hyperu(1.5, 1.0, 1e-300), rel=1e-13, abs=0.0)
+
+
+# the m = 2 wave's column: one a, z running geometrically along xi
+_WAVE_Z = np.geomspace(0.5, 750.0, 1001)
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+def test_kummer_u_block_cut_offs_do_not_show_in_the_values(a, monkeypatch):
+    # each block of rows is summed only up to its own entries' reach: the
+    # column agrees with one-entry calls (their own reach) and with mpmath
+    got = kummer_u(a, 1.0, _WAVE_Z)
+    assert np.all(np.abs(got / _scalar_route(kummer_u, a, 1.0, _WAVE_Z) - 1.0) <= 1e-13)
+    want = np.array([_hyperu(a, 1.0, z) for z in _WAVE_Z[::10].tolist()])
+    assert np.all(np.abs(got[::10] / want - 1.0) <= 1e-12)
+    # one block over every row sums each entry to the call's farthest reach
+    monkeypatch.setattr(specfun, "_U_CELLS", 2**62)
+    assert np.all(np.abs(kummer_u(a, 1.0, _WAVE_Z) / got - 1.0) <= 1e-14)
+
+
+@pytest.mark.parametrize("a,z", [
+    (10.0, 0.5), (30.0, 0.5), (100.0, 0.1), (100.0, 0.5), (100.0, 0.01), (30.0, 0.05),
+    (3.0, 0.5), (3.0, 0.4999), (3.001, 0.5),
+])
+def test_kummer_u_at_large_a_times_z_matches_mpmath(a, z):
+    # the logarithmic series (b = 1) cancels by about e^{4 sqrt(a z)} ulps,
+    # 1e-4 relative at (100, 0.5); past a z = 1.5 the quadrature takes over
+    assert kummer_u(a, 1.0, z) == pytest.approx(_hyperu(a, 1.0, z), rel=3e-14, abs=0.0)

@@ -51,17 +51,13 @@ from .simulate import (
     ExactSample,
     SimConfig,
     SwarmSeries,
-    TrajectoryBatch,
     empirical_density,
     estimate_speed,
     ks_distance,
     sample_linear_shot_noise_exact,
     sample_ou_tanh_exact,
     sample_tanh_exact,
-    simulate_ou_tanh,
-    simulate_paths,
     simulate_swarm,
-    simulate_tanh,
 )
 from .specfun import (
     bessel_i,

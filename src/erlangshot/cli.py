@@ -54,7 +54,7 @@ from .master import (
     ZeroDrift,
 )
 from .noise import ErlangJumpLaw, stream
-from .quadrature import cumulative_trapezoid, simpson
+from .quadrature import simpson, trapezoid_cdf
 from .simulate import SimConfig, interp_cdf
 
 SCHEMA_VERSION = 1
@@ -718,9 +718,7 @@ def _run_stationary(cfg, seed, report):
         if m == 1
         else closedform.stationary_ou_m2(alpha, lam, gamma, fine)
     )
-    cum = cumulative_trapezoid(fine_dens, fine)
-    cum /= cum[-1]
-    ks = simulate.ks_distance(final, interp_cdf(fine, cum))
+    ks = simulate.ks_distance(final, interp_cdf(fine, trapezoid_cdf(fine_dens, fine)))
     mc_mean = float(final.mean())
     se = float(final.std(ddof=1) / np.sqrt(len(final)))
     analytic_mean = closedform.cumulant(1, m, gamma, lam, lambda s: alpha * s)
@@ -838,19 +836,13 @@ def _check_tanh(cfg):
     return cfg._replace(transient_table=transient_table, ou_law=ou_law, ou_table=ou_table)
 
 
-def _normalized_cdf(dens, x):
-    """Trapezoid CDF of a tabulated density, scaled to end at one."""
-    cum = cumulative_trapezoid(dens, x)
-    return cum / cum[-1]
-
-
 def _run_tanh(cfg, seed, report):
     alpha, lam, gamma, beta, t = cfg.alpha, cfg.lambda_, cfg.gamma, cfg.beta, cfg.t
     # each law's chirp-z sum is evaluated once, by the check; mass and CDF
     # come from its grid
     xs, dens = cfg.transient_table
     mass = float(simpson(dens, xs))
-    cdf = _normalized_cdf(dens, xs)
+    cdf = trapezoid_cdf(dens, xs)
     report.write_csv("tanh_transient_density.csv", ["x", "density"], [xs, dens])
     # exact jump-adapted draws of the state at the horizon; dt and
     # record_stride do not enter
@@ -870,7 +862,7 @@ def _run_tanh(cfg, seed, report):
             alpha, lam, gamma, beta, ssim.t_end, ssim.n_paths, _derived_seed(seed, 1)
         )
         report.count_exact(osample)
-        ycdf = _normalized_cdf(ydens, ys)
+        ycdf = trapezoid_cdf(ydens, ys)
         sks = simulate.ks_distance(osample.values, interp_cdf(ys, ycdf))
         report.metric("stationary_ks", sks)
         report.flag("stationary_ks_below_0.03", sks < 0.03)
@@ -879,7 +871,7 @@ def _run_tanh(cfg, seed, report):
         jd = np.where(np.isfinite(jd), jd, 0.0)
         report.metric(
             "stationary_ks_jump_only",
-            simulate.ks_distance(osample.values, interp_cdf(ys, _normalized_cdf(jd, ys))),
+            simulate.ks_distance(osample.values, interp_cdf(ys, trapezoid_cdf(jd, ys))),
         )
 
 

@@ -34,6 +34,7 @@ from .quadrature import (
     cumulative_trapezoid,
     gauss_kronrod,
     simpson,
+    trapezoid_cdf,
 )
 from .specfun import (
     bessel_ie,
@@ -460,9 +461,7 @@ class WaveSolution:
     def cdf_grid(self, n=6001):
         lo, hi = self.support_bounds()
         xi = np.linspace(lo, hi, n)
-        dens = self.profile(xi)
-        cum = cumulative_trapezoid(dens, xi)
-        return xi, cum / cum[-1]
+        return xi, trapezoid_cdf(self.profile(xi), xi)
 
 
 def gumbel_wave(beta, gamma) -> WaveSolution:
@@ -674,8 +673,7 @@ class TanhTransientLaw:
 
     def cdf_grid(self, t, n=8001):
         x, dens = self.density_grid(t, n)
-        cum = cumulative_trapezoid(dens, x)
-        return x, cum / cum[-1]
+        return x, trapezoid_cdf(dens, x)
 
 
 @dataclass(frozen=True)
@@ -793,5 +791,4 @@ class TiltedOuLaw:
 
     def cdf_grid(self, n=8001):
         y, dens = self.density_grid(n)
-        cum = cumulative_trapezoid(dens, y)
-        return y, cum / cum[-1]
+        return y, trapezoid_cdf(dens, y)

@@ -81,15 +81,6 @@ class SymmetricLaplaceLaw:
         out = 0.5 * self.gamma * np.exp(-self.gamma * np.abs(x))
         return float(out) if out.ndim == 0 else out
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.where(
-            x < 0,
-            0.5 * np.exp(self.gamma * x),
-            1.0 - 0.5 * np.exp(-self.gamma * x),
-        )
-        return float(out) if out.ndim == 0 else out
-
 
 @dataclass(frozen=True)
 class TiltedJumpLaw:

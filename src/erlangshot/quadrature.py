@@ -9,7 +9,8 @@ round is shared by the whole batch.  An upper limit b = +inf is mapped to
 (0, 1] by x = a + (1 - t)/t.
 
 ``simpson`` and ``cumulative_trapezoid`` follow ``scipy.integrate``'s
-semantics for one-dimensional samples y(x).
+semantics for one-dimensional samples y(x); ``trapezoid_cdf`` scales the
+running integral of a tabulated density to end at one.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["CONVERGED", "LIMIT", "ROUNDOFF", "NONFINITE", "gauss_kronrod", "simpson",
-           "cumulative_trapezoid"]
+           "cumulative_trapezoid", "trapezoid_cdf"]
 
 # outcome of one integral in gauss_kronrod
 CONVERGED, LIMIT, ROUNDOFF, NONFINITE = 0, 1, 2, 3
@@ -173,3 +174,9 @@ def cumulative_trapezoid(y, x):
     """Running trapezoid integral of samples y at points x, starting at 0."""
     y, x = np.asarray(y, dtype=float), np.asarray(x, dtype=float)
     return np.concatenate([[0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)])
+
+
+def trapezoid_cdf(y, x):
+    """Trapezoid CDF of a density y tabulated at x, scaled to end at one."""
+    cum = cumulative_trapezoid(y, x)
+    return cum / cum[-1]

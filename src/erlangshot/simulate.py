@@ -6,10 +6,10 @@ Path simulation is an Euler-Maruyama reference with a fixed in-step order
 the exact samplers below; no command of the CLI runs it.  One function,
 ``_euler``, serves every path simulator.  It draws from the one stream
 ``(seed, 0)``: every path's total jump count, then the jumps' arrival and
-magnitude uniforms, then the Gaussian normals step after step.  Work on
-jumps is O(jumps) rather than O(steps), and increments are built a
-bounded block of steps at a time, so memory does not grow with the number
-of steps.  A path's draws depend on the seed and on the batch's shape.
+magnitude uniforms, then the Gaussian normals step after step.  It is one
+plain loop over steps: work on jumps is O(jumps) rather than O(steps), and
+memory does not grow with the number of steps.  A path's draws depend on
+the seed and on the batch's shape.
 
 The interacting swarm couples pure jump agents through the empirical
 barycenter entering their Poisson rates.  It is simulated exactly, on a
@@ -67,7 +67,6 @@ __all__ = [
 ]
 
 _CHUNK = 4096  # draws per stream of the exact samplers
-_EULER_CELLS = 2**17  # (step, path) increments per block of the Euler reference
 _ESTIMATOR_STREAM_BASE = 2**63
 _CELLS = 2**18  # (round, path) cells per block of the jump-adapted sampler
 
@@ -193,7 +192,8 @@ class EmpiricalDensity:
 
 
 def _euler(step, state0, sigma, jumps, rate, config) -> TrajectoryBatch:
-    """The Euler-Maruyama reference behind every path simulator.
+    """The Euler-Maruyama reference behind every path simulator, one step
+    after another.
 
     ``step(state, incr)`` advances every path by one step in place:
     ``state`` has one row per variable (started at ``state0``) and one
@@ -207,9 +207,10 @@ def _euler(step, state0, sigma, jumps, rate, config) -> TrajectoryBatch:
     the jumps, path after path, binned to steps, then their d magnitude
     uniforms each; given N_i, the per-step counts are independent
     Poisson(rate * dt), at O(jumps) cost.  Then, when sigma > 0, it yields
-    one normal per step and path, step after step, drawn k = max(1,
-    ``_EULER_CELLS`` // n_paths) steps at a time: memory is bounded
-    whatever the number of steps, and the result does not depend on k.
+    n_paths normals per step, step after step.  A step's increment is
+    sigma sqrt(dt) times its normals (zero when sigma = 0) plus its jumps,
+    added in draw order.  Memory is O(paths + jumps + records), whatever
+    the number of steps.
     """
     n_steps, n_paths, dt = config.n_steps, config.n_paths, config.dt
     rec = config.record_steps()
@@ -219,33 +220,28 @@ def _euler(step, state0, sigma, jumps, rate, config) -> TrajectoryBatch:
     total = int(counts.sum())
     steps = np.minimum((gen.random(total) * n_steps).astype(np.int64), n_steps - 1)
     sizes = jumps[1](gen.random((total, jumps[0])))
-    k = max(1, _EULER_CELLS // n_paths)
-    n_blocks = -(-n_steps // k)
-    # each jump's flat (step, path) cell in its block of k steps; jumps are
-    # grouped by block in draw order (a small integer type sorts by radix)
-    cells = (steps % k) * n_paths + np.repeat(np.arange(n_paths), counts)
-    blocks = (steps // k).astype(np.min_scalar_type(n_blocks))
-    order = np.argsort(blocks, kind="stable")
-    edges = np.searchsorted(blocks[order], np.arange(n_blocks + 1))
-    cells, sizes = cells[order], sizes[order]
-    buf = np.empty((min(k, n_steps), n_paths))
+    # jumps sorted by step, each step's in draw order (a small integer type
+    # sorts by radix)
+    order = np.argsort(steps.astype(np.min_scalar_type(n_steps)), kind="stable")
+    steps, sizes = steps[order], sizes[order]
+    owners = np.repeat(np.arange(n_paths), counts)[order]
     state = np.repeat(np.asarray(state0, dtype=float)[:, None], n_paths, axis=1)
     out[:, 0] = state[-1]
-    col = 0
-    for b, b0 in enumerate(range(0, n_steps, k)):
-        incr = buf[: min(k, n_steps - b0)]
+    col = lo = 0
+    for s in range(n_steps):
         if sigma > 0:
-            gen.standard_normal(out=incr)
+            incr = gen.standard_normal(n_paths)
             incr *= sigma * math.sqrt(dt)
         else:
-            incr.fill(0.0)
-        here = slice(edges[b], edges[b + 1])
-        np.add.at(incr.reshape(-1), cells[here], sizes[here])
-        for s, row in enumerate(incr, start=b0 + 1):
-            step(state, row)
-            if s == rec[col + 1]:
-                col += 1
-                out[:, col] = state[-1]
+            incr = np.zeros(n_paths)
+        hi = np.searchsorted(steps, s, side="right")
+        if hi > lo:
+            np.add.at(incr, owners[lo:hi], sizes[lo:hi])
+            lo = hi
+        step(state, incr)
+        if s + 1 == rec[col + 1]:
+            col += 1
+            out[:, col] = state[-1]
     return TrajectoryBatch(rec * dt, out, counts)
 
 

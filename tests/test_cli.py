@@ -681,37 +681,6 @@ def test_wave_swarm_needs_ten_times_in_the_speed_window(tmp_path, capsys, t_end,
         assert got in code and (out / "report.json").exists()
 
 
-def test_cli_import_loads_neither_scipy_signal_nor_stats():
-    # start-up cost: a fresh interpreter importing the CLI must not pull in
-    # the two heaviest scipy subpackages
-    src = Path(erlangshot.__file__).resolve().parents[1]
-    code = (
-        "import sys, erlangshot.cli; "
-        "print(sorted(m for m in sys.modules "
-        "if m.split('.')[:2] in (['scipy', 'signal'], ['scipy', 'stats'])))"
-    )
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          check=True)
-    assert done.stdout.strip() == "[]"
-
-
-def test_cli_import_loads_no_scipy_integrate_optimize_sparse_or_linalg():
-    # start-up cost: quadrature is numpy-only, so the CLI needs only
-    # scipy.special and scipy.fft
-    src = Path(erlangshot.__file__).resolve().parents[1]
-    code = (
-        "import sys, erlangshot.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
-        "(['scipy', 'integrate'], ['scipy', 'optimize'], ['scipy', 'sparse'], "
-        "['scipy', 'linalg'])))"
-    )
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          check=True)
-    assert done.stdout.strip() == "[]"
-
-
 def test_cli_import_loads_no_scipy():
     # start-up cost: the runtime is numpy-only, scipy a test dependency
     src = Path(erlangshot.__file__).resolve().parents[1]

@@ -14,6 +14,7 @@ from erlangshot.quadrature import (
     cumulative_trapezoid,
     gauss_kronrod,
     simpson,
+    trapezoid_cdf,
 )
 
 
@@ -131,3 +132,12 @@ def test_simpson_is_exact_for_quadratics_on_any_grid():
 
         assert simpson(y, x) == pytest.approx(prim(hi) - prim(lo), abs=1e-13)
     assert math.isclose(simpson([1.0, 3.0], [0.0, 2.0]), 4.0)
+
+
+@pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "scattered"])
+def test_trapezoid_cdf_is_the_running_integral_over_its_total(uniform):
+    x, y = _samples(101, uniform)
+    cum = cumulative_trapezoid(y, x)
+    cdf = trapezoid_cdf(y, x)
+    assert cdf.tobytes() == (cum / cum[-1]).tobytes()
+    assert cdf[0] == 0.0 and cdf[-1] == 1.0

@@ -545,15 +545,35 @@ def test_stream_keys_reject_out_of_range():
             stream(seed, index)
 
 
-def test_results_do_not_depend_on_step_block_length(monkeypatch):
-    # 7-step blocks: the normals continue across 29 blocks, and jumps land
-    # in the block that holds their step
-    cfg = SimConfig(dt=0.01, t_end=2.0, n_paths=300, seed=17, record_stride=10)
-    whole = simulate_ou_tanh(1.0, 3.0, 2.0, 0.5, cfg)
-    monkeypatch.setattr(simulate, "_EULER_CELLS", 300 * 7)
-    blocked = simulate_ou_tanh(1.0, 3.0, 2.0, 0.5, cfg)
-    assert whole.paths.tobytes() == blocked.paths.tobytes()
-    assert np.array_equal(whole.jump_counts, blocked.jump_counts)
+def test_ou_tanh_paths_follow_the_stream_layout():
+    # known answer at beta = 0, where the tanh drift is exactly 0, redrawn
+    # from the one stream (seed, 0): the jump counts, their arrival uniforms
+    # binned to steps, one Laplace magnitude uniform each, then one normal
+    # per step and path; the recorded row y decays by alpha dt, then takes
+    # the step's increment; stride 7 does not divide the 100 steps
+    alpha, lam, gamma, dt, n_paths, seed = 0.8, 1.5, 2.0, 0.02, 60, 7
+    cfg = SimConfig(dt=dt, t_end=2.0, n_paths=n_paths, seed=seed, record_stride=7)
+    batch = simulate_ou_tanh(alpha, lam, gamma, 0.0, cfg)
+    n_steps = cfg.n_steps
+    g = Generator(Philox(key=stream_key(seed, 0)))
+    counts = g.poisson(lam * n_steps * dt, n_paths)
+    arrivals = g.random(counts.sum())
+    sizes = laplace_magnitudes(g.random((counts.sum(), 1))[:, 0], gamma)
+    normals = g.standard_normal((n_steps, n_paths))
+    assert np.array_equal(batch.jump_counts, counts) and counts.sum() > 120
+    rec = [*range(0, n_steps, 7), n_steps]
+    assert batch.times.tobytes() == (np.array(rec) * dt).tobytes()
+    first = np.cumsum(counts) - counts
+    for i in range(n_paths):
+        mine = range(first[i], first[i] + counts[i])
+        y = [0.0]
+        for s in range(n_steps):
+            dx = math.sqrt(dt) * normals[s, i]
+            for j in mine:
+                if min(int(arrivals[j] * n_steps), n_steps - 1) == s:
+                    dx += sizes[j]
+            y.append(y[-1] - alpha * dt * y[-1] + dx)
+        assert batch.paths[i].tobytes() == np.array(y)[rec].tobytes()
 
 
 def test_engine_memory_does_not_grow_with_steps():

@@ -22,7 +22,6 @@ from .closedform import (
 )
 from .master import (
     BoundaryMassError,
-    ConstantDiffusion,
     ConstantDrift,
     ConstantRate,
     ExpDecayCentered,
@@ -31,8 +30,6 @@ from .master import (
     LinearRestoring,
     ModelSpec,
     TanhRepulsive,
-    ZeroDiffusion,
-    ZeroDrift,
     differential_generator,
     fit_convergence_order,
     generator_gap,

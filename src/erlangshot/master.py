@@ -31,12 +31,9 @@ from .specfun import next_fast_len
 __all__ = [
     "GridSpec",
     "GridFunction",
-    "ZeroDrift",
     "ConstantDrift",
     "LinearRestoring",
     "TanhRepulsive",
-    "ZeroDiffusion",
-    "ConstantDiffusion",
     "ConstantRate",
     "ExpDecayCentered",
     "ModelSpec",
@@ -107,13 +104,7 @@ class GridFunction:
 
 
 # ---------------------------------------------------------------------------
-# model description: drift b(x), diffusion sigma(x), jump rate lambda(x)
-
-
-@dataclass(frozen=True)
-class ZeroDrift:
-    def b(self, x):
-        return np.zeros_like(np.asarray(x, dtype=float))
+# model description: drift b(x), constant diffusion sigma, jump rate lambda(x)
 
 
 @dataclass(frozen=True)
@@ -153,24 +144,6 @@ class TanhRepulsive:
 
 
 @dataclass(frozen=True)
-class ZeroDiffusion:
-    def sigma(self, x):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-
-@dataclass(frozen=True)
-class ConstantDiffusion:
-    value: float
-
-    def __post_init__(self):
-        if self.value < 0:
-            raise ValueError("sigma must be nonnegative")
-
-    def sigma(self, x):
-        return np.full_like(np.asarray(x, dtype=float), self.value)
-
-
-@dataclass(frozen=True)
 class ConstantRate:
     lam: float
 
@@ -199,12 +172,18 @@ class ExpDecayCentered:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Drift + diffusion + Poisson rate + Erlang jump law of one dynamics."""
+    """Drift b(x), diffusion intensity sigma, Poisson rate lambda(x) and
+    Erlang jump law of one dynamics.  The white noise has one constant
+    intensity: ``sigma`` is a finite float >= 0 (0 for a pure jump drift)."""
 
     drift: object
-    diffusion: object
+    sigma: float
     rate: object
     jumps: ErlangJumpLaw
+
+    def __post_init__(self):
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma = {self.sigma!r} must be finite and nonnegative")
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +249,9 @@ def _drift_diffusion_term(P: GridFunction, model: ModelSpec):
     x = P.spec.nodes()
     h = P.spec.h
     bP = model.drift.b(x) * P.values
-    s2P = model.diffusion.sigma(x) ** 2 * P.values
+    # sigma * sigma, not sigma ** 2: C pow can differ from the product in
+    # the last bit
+    s2P = model.sigma * model.sigma * P.values
     return -_d1(bP, h) + 0.5 * _d2(s2P, h)
 
 
@@ -385,9 +366,7 @@ def wave_residual(P: GridFunction, beta, gamma, m, speed) -> float:
 
         (d/dxi + gamma)^m (speed dP/dxi) + [gamma^m - (d/dxi + gamma)^m](lambda P) = 0.
     """
-    model = ModelSpec(
-        ConstantDrift(-speed), ZeroDiffusion(), ExpDecayCentered(beta), ErlangJumpLaw(m, gamma)
-    )
+    model = ModelSpec(ConstantDrift(-speed), 0.0, ExpDecayCentered(beta), ErlangJumpLaw(m, gamma))
     return stationary_residual(P, model)
 
 

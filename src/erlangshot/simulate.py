@@ -28,7 +28,10 @@ the last time), with no time steps and no discretization bias.  The
 tanh-drift jump diffusion and its OU-driven companion are sampled exactly
 too: ``sample_tanh_exact`` and ``sample_ou_tanh_exact`` advance each path
 from jump to jump, the diffusion between jumps being a Brownian motion
-with drift +beta or -beta, its sign drawn once per interval.  Every Erlang
+with drift +beta or -beta, its sign drawn once per interval.  The exact
+samplers draw chunk c of 4096 samples from stream (seed, 2**63 + 4096 c),
+and ``sample_ou_tanh_exact`` from (seed, 2**63 + 2**62 + 4096 c), so a run
+at one seed reads only that seed's streams.  Every Erlang
 jump size, in the Euler reference, the exact sampler and the swarm, comes
 from ``noise.erlang_magnitudes``.
 
@@ -67,7 +70,10 @@ __all__ = [
 ]
 
 _CHUNK = 4096  # draws per stream of the exact samplers
-_ESTIMATOR_STREAM_BASE = 2**63
+# first stream ids of the exact samplers: the OU sampler's chunks start
+# 2**62 past the others, so one run's X and Y samples never share a stream
+_EXACT_STREAM_BASE = 2**63
+_OU_STREAM_BASE = 2**63 + 2**62
 _CELLS = 2**18  # (round, path) cells per block of the jump-adapted sampler
 
 
@@ -261,7 +267,6 @@ def simulate_paths(model: ModelSpec, config: SimConfig, x0=0.0) -> TrajectoryBat
     """
     if not isinstance(model.rate, ConstantRate):
         raise ValueError("simulate_paths requires a constant Poisson rate")
-    sigma = float(model.diffusion.sigma(np.zeros(1))[0])
     drift, dt = model.drift.b, config.dt
 
     def step(state, incr):
@@ -269,7 +274,7 @@ def simulate_paths(model: ModelSpec, config: SimConfig, x0=0.0) -> TrajectoryBat
         x += drift(x) * dt
         x += incr
 
-    return _euler(step, [x0], sigma, _erlang_jumps(model.jumps), model.rate.lam, config)
+    return _euler(step, [x0], model.sigma, _erlang_jumps(model.jumps), model.rate.lam, config)
 
 
 def simulate_tanh(lam, gamma, beta, config: SimConfig) -> TrajectoryBatch:
@@ -363,11 +368,11 @@ def sample_linear_shot_noise_exact(alpha, lam, gamma, m, x0, t, n, seed) -> Exac
     return ExactSample(values[0] if np.ndim(t) == 0 else values, counts)
 
 
-def _exact_chunks(n, seed, mean_jumps, d):
+def _exact_chunks(n, seed, mean_jumps, d, base=_EXACT_STREAM_BASE):
     """The chunks of an exact sampler, each with its jump draws.
 
     Chunk c holds draws 4096 c ... 4096 c + 4095 and reads the stream
-    ``(seed, 2**63 + 4096 c)``: first the chunk's Poisson(mean_jumps) jump
+    ``(seed, base + 4096 c)``: first the chunk's Poisson(mean_jumps) jump
     counts, then the arrival uniforms of all its jumps, draw after draw,
     then d magnitude uniforms per jump.  Yields ``(lo, hi, gen, counts,
     arrivals, magnitude uniforms)``, ``gen`` going on with the chunk's
@@ -375,7 +380,7 @@ def _exact_chunks(n, seed, mean_jumps, d):
     """
     for lo in range(0, n, _CHUNK):
         hi = min(n, lo + _CHUNK)
-        gen = stream(seed, _ESTIMATOR_STREAM_BASE + lo)
+        gen = stream(seed, base + lo)
         counts = gen.poisson(mean_jumps, hi - lo)
         total = int(counts.sum())
         yield lo, hi, gen, counts, gen.random(total), gen.random((total, d))
@@ -406,7 +411,9 @@ def sample_ou_tanh_exact(alpha, lam, gamma, beta, t, n, seed) -> ExactSample:
     and X_d = X + s beta d + W, where the Brownian parts (W, I) are jointly
     Gaussian with Var W = d, Var I = (1 - e^{-2 alpha d}) / (2 alpha) and
     Cov(W, I) = (1 - e^{-alpha d}) / alpha.  A jump moves X and Y alike.
-    ``values`` holds Y_t, ``jump_counts`` each path's jumps.
+    Chunk c reads the stream ``(seed, 2**63 + 2**62 + 4096 c)``, apart from
+    every stream of ``sample_tanh_exact`` at the same seed.  ``values``
+    holds Y_t, ``jump_counts`` each path's jumps.
     """
     if not alpha > 0 or lam < 0 or not gamma > 0 or beta < 0:
         raise ValueError("need alpha > 0, lam >= 0, gamma > 0, beta >= 0")
@@ -429,7 +436,8 @@ def _jump_adapted(lam, gamma, beta, t, n, seed, alpha=None):
         raise ValueError("t must be finite and positive")
     values = np.empty(n)
     counts = np.empty(n, dtype=np.int64)
-    for lo, hi, gen, nj, arrivals, mag_u in _exact_chunks(n, seed, lam * t, 1):
+    base = _EXACT_STREAM_BASE if alpha is None else _OU_STREAM_BASE
+    for lo, hi, gen, nj, arrivals, mag_u in _exact_chunks(n, seed, lam * t, 1, base):
         counts[lo:hi] = nj
         mags = laplace_magnitudes(mag_u[:, 0], gamma)
         up = gen.random(hi - lo + len(arrivals))

@@ -743,8 +743,11 @@ def _kummer_asymptotic_neg(a, b, s):
     # 1F1(a; b; -s) ~ Gamma(b)/Gamma(b-a) s^{-a} sum_k (a)_k (a-b+1)_k/(k! s^k)
     # for s -> +inf on a 1-d array, each entry summed to its smallest term.
     # s^{-a} is the C library pow, entry by entry: numpy's vectorised power
-    # can differ from it in the last bit.
-    gamma_ratio = _per_order(lambda a, b: float(np.exp(_lgamma(b) - _lgamma(b - a))), a, b)
+    # can differ from it in the last bit.  Gamma(b) > 0, and Gamma(b - a)
+    # has the sign (-1)^ceil(a - b) where b - a < 0, which lgamma drops.
+    gamma_ratio = _per_order(
+        lambda a, b: (-1.0 if b - a < 0 and math.ceil(a - b) % 2 else 1.0)
+        * float(np.exp(_lgamma(b) - _lgamma(b - a))), a, b)
     pref = gamma_ratio * _C_POW(s, -a).astype(float)
     out = np.empty_like(s)
     idx = np.arange(s.size)
@@ -790,7 +793,9 @@ def _kummer_1f1(a, b, z):
         # reduce to a decaying-argument evaluation: 1F1(a;b;z) = e^z 1F1(b-a;b;-z)
         bs = _take(b, sel)
         out[sel] = np.exp(z[sel]) * _kummer_1f1(bs - _take(a, sel), bs, -z[sel])
-    near = -z <= 40.0
+    # the expansion holds only once -z is large against |a (a - b + 1)|,
+    # its second term's coefficient
+    near = -z <= np.maximum(40.0, np.abs(a * (a - b + 1.0)))
     sel = neg & near
     if sel.any():
         # z < 0: Kummer transform gives a stable positive-term series for b > a
@@ -810,7 +815,8 @@ def kummer_1f1(a, b, z):
     Terminating cases (a a nonpositive integer) are evaluated as the exact
     polynomial.  Negative arguments go through the Kummer transform
     1F1(a;b;z) = e^z 1F1(b-a;b;-z) so the series has positive terms, and
-    very large |z| falls back to the standard asymptotic expansion.
+    z < -max(40, |a (a - b + 1)|) (a positive z past 40 through the
+    transform) falls back to the standard asymptotic expansion.
 
     Raises ValueError for a non-finite a, and OverflowError when the series
     fails to converge within 500 terms or overflows, and when a terminating

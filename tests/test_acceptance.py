@@ -14,13 +14,11 @@ from scipy import integrate, stats
 
 from erlangshot import cli, closedform, master, simulate
 from erlangshot.master import (
-    ConstantDiffusion,
     ConstantRate,
     GridFunction,
     GridSpec,
     LinearRestoring,
     ModelSpec,
-    ZeroDiffusion,
 )
 from erlangshot.noise import ErlangJumpLaw
 from erlangshot.simulate import SimConfig, interp_cdf
@@ -62,7 +60,7 @@ def test_criterion_1_generator_agreement_certificate():
         # the m-fold stencil composition amplifies rounding like h^{-m}, so
         # higher m uses a coarser ladder where truncation still dominates
         sizes = (1025, 2049, 4097, 8193) if m <= 2 else (257, 513, 1025, 2049)
-        model = ModelSpec(drift, ConstantDiffusion(0.3), ConstantRate(0.8), ErlangJumpLaw(m, 0.7))
+        model = ModelSpec(drift, 0.3, ConstantRate(0.8), ErlangJumpLaw(m, 0.7))
         gaps, hs = [], []
         for n in sizes:
             spec = GridSpec(-8.0, 10.0, n)
@@ -83,7 +81,7 @@ def test_criterion_1_generator_agreement_certificate():
 def test_criterion_2_stationary_ou_m2():
     crit = Criterion("criterion 2: m=2 stationary law (residual, KS, mean)", budget_s=120)
     # (a) residual order with a smooth-at-origin parameter set (lam/alpha = 4)
-    model_a = ModelSpec(LinearRestoring(1.0), ZeroDiffusion(), ConstantRate(4.0), ErlangJumpLaw(2, 1.0))
+    model_a = ModelSpec(LinearRestoring(1.0), 0.0, ConstantRate(4.0), ErlangJumpLaw(2, 1.0))
     res, hs = [], []
     for n in (1025, 2049, 4097):
         spec = GridSpec(1e-4, 60.0, n)
@@ -95,7 +93,7 @@ def test_criterion_2_stationary_ou_m2():
 
     # (b) and (c): Monte Carlo at the documented parameters
     alpha, lam, gamma = 1.0, 2.0, 1.0
-    model = ModelSpec(LinearRestoring(alpha), ZeroDiffusion(), ConstantRate(lam), ErlangJumpLaw(2, gamma))
+    model = ModelSpec(LinearRestoring(alpha), 0.0, ConstantRate(lam), ErlangJumpLaw(2, gamma))
     cfg = SimConfig(dt=0.01, t_end=20.0 / alpha, n_paths=100_000, seed=202, record_stride=200)
     batch = simulate.simulate_paths(model, cfg)
     final = batch.final_positions
@@ -121,7 +119,7 @@ def test_criterion_3_cumulant_formula():
             f"m={m} quadrature {val:.8f} rel err < 1e-6 of {expect}",
             abs(val / expect - 1.0) < 1e-6,
         )
-        model = ModelSpec(LinearRestoring(alpha), ZeroDiffusion(), ConstantRate(lam), ErlangJumpLaw(m, gamma))
+        model = ModelSpec(LinearRestoring(alpha), 0.0, ConstantRate(lam), ErlangJumpLaw(m, gamma))
         cfg = SimConfig(dt=0.01, t_end=15.0, n_paths=30_000, seed=300 + m, record_stride=30)
         mean, se = simulate.simulate_paths(model, cfg).tail_window_mean(0.5)
         crit.check(f"m={m} MC tail mean {mean:.4f} within 4 s.e.", abs(mean - val) <= 4 * se)

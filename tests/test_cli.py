@@ -321,6 +321,40 @@ def test_tanh_run(tmp_path):
     assert report["metrics"]["transient_ks"] < 0.02
 
 
+def test_every_sample_stream_carries_the_run_seed(tmp_path, monkeypatch):
+    # each key a run passes to simulate.stream holds that run's seed, so runs
+    # at neighbouring seeds share no draw, and a tanh run's X and Y samples
+    # read disjoint streams
+    keys = {}
+    sampler = [None]
+
+    def recorded(seed, stream_id):
+        keys.setdefault(sampler[0], []).append((seed, stream_id))
+        return stream(seed, stream_id)
+
+    def tagged(name):
+        inner = getattr(simulate, name)
+
+        def run(*args):
+            sampler[0] = name
+            return inner(*args)
+        return run
+
+    monkeypatch.setattr(simulate, "stream", recorded)
+    for name in ("sample_linear_shot_noise_exact", "sample_tanh_exact", "sample_ou_tanh_exact"):
+        monkeypatch.setattr(simulate, name, tagged(name))
+    for command, cfg in (("transient", _transient_cfg(n_samples=2000)),
+                         ("tanh", _small_tanh_cfg())):
+        for seed in (6, 7):
+            keys.clear()
+            args = ["--config", _write(tmp_path, "c.json", cfg), "--seed", str(seed)]
+            assert main([command, *args, "--out", str(tmp_path / f"{command}{seed}")]) in (0, 1)
+            assert keys and all(s == seed for run in keys.values() for s, _ in run)
+            if command == "tanh":
+                assert set(keys) == {"sample_tanh_exact", "sample_ou_tanh_exact"}
+                assert not set(keys["sample_tanh_exact"]) & set(keys["sample_ou_tanh_exact"])
+
+
 def test_tanh_runs_no_euler_path(tmp_path, monkeypatch):
     # tanh, stationary, transient and the wave swarm draw from exact samplers
     # or the swarm: no Euler path simulator is reached
@@ -592,6 +626,9 @@ _MASTER_OVERFLOWS = [dict(_MASTER_BASE, **over) for over in (
         # xi spacing 2e268: every node but the first sees a zero profile (this
         # once ran, failed its mass flags and passed its mean flags)
         ("wave", _wave_cfg(xi_lo=-10.0, xi_hi=1e271, n_xi=501), []),
+        # 1F1(-19.5, 2, -s) needs more than 500 series terms short of the
+        # asymptotic range s > 360 (this once ran with a law of mass 0.55)
+        ("transient", _transient_cfg(x0=0.0, times=[3.0], **{"lambda": 20.5}), []),
     ],
 )
 def test_invalid_config_exits_2_and_writes_nothing(tmp_path, command, cfg, argv):
@@ -695,7 +732,7 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_largest_seed_runs(tmp_path):
-    # derived seeds of secondary runs wrap instead of overflowing the key
+    # the largest seed keys every stream of the run
     path = _write(tmp_path, "t.json", _transient_cfg(times=[0.7], n_samples=2000))
     out = tmp_path / "out"
     assert main(["transient", "--config", path, "--out", str(out), "--seed", str(2**64 - 1)]) in (0, 1)

@@ -6,7 +6,6 @@ import pytest
 from erlangshot.closedform import gumbel_wave, stationary_m1, stationary_ou_m2, whittaker_wave
 from erlangshot.master import (
     BoundaryMassError,
-    ConstantDiffusion,
     ConstantDrift,
     ConstantRate,
     ExpDecayCentered,
@@ -14,9 +13,10 @@ from erlangshot.master import (
     GridSpec,
     LinearRestoring,
     ModelSpec,
-    ZeroDiffusion,
-    ZeroDrift,
     _causal_convolution,
+    _d1,
+    _d2,
+    _drift_diffusion_term,
     apply_shift_operator,
     differential_generator,
     fit_convergence_order,
@@ -36,9 +36,8 @@ def _bump(spec, center, width, amp=1.0):
 
 
 def _model(m, gamma=0.7, lam=0.8, drift=None, sigma=0.0):
-    drift = drift if drift is not None else ZeroDrift()
-    diff = ConstantDiffusion(sigma) if sigma > 0 else ZeroDiffusion()
-    return ModelSpec(drift, diff, ConstantRate(lam), ErlangJumpLaw(m, gamma))
+    drift = drift if drift is not None else ConstantDrift(0.0)
+    return ModelSpec(drift, sigma, ConstantRate(lam), ErlangJumpLaw(m, gamma))
 
 
 def test_grid_validation():
@@ -252,8 +251,23 @@ def test_model_validation():
         LinearRestoring(-1.0)
     with pytest.raises(ValueError):
         ConstantRate(-0.5)
-    with pytest.raises(ValueError):
-        ConstantDiffusion(-0.1)
+    for sigma in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="sigma"):
+            _model(1, sigma=sigma)
+
+
+def test_diffusion_term_squares_sigma_as_the_array_form_did():
+    # sigma * sigma is numpy's square of a sigma array; sigma ** 2 (C pow)
+    # differs from it in the last bit at this sigma
+    sigma = 1.6567384081428794e+142
+    assert sigma**2 != sigma * sigma
+    spec = GridSpec(-1.0, 1.0, 65)
+    P = _bump(spec, 0.0, 0.2, amp=1e-270)
+    x = spec.nodes()
+    want = -_d1(ConstantDrift(0.0).b(x) * P.values, spec.h) + 0.5 * _d2(
+        np.full_like(x, sigma) ** 2 * P.values, spec.h)
+    got = _drift_diffusion_term(P, _model(1, sigma=sigma))
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 257, 1000])
@@ -280,7 +294,7 @@ def _bump_stack(spec, k, seed):
 
 _STACK_MODELS = [
     *(("linear", _model(m, drift=LinearRestoring(0.6), sigma=0.3)) for m in (1, 2, 3, 4)),
-    *(("wave", ModelSpec(ConstantDrift(-1.3), ZeroDiffusion(), ExpDecayCentered(1.0, 2.0),
+    *(("wave", ModelSpec(ConstantDrift(-1.3), 0.0, ExpDecayCentered(1.0, 2.0),
                          ErlangJumpLaw(m, 1.0))) for m in (1, 2, 3, 4)),
 ]
 

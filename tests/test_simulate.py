@@ -20,14 +20,7 @@ from erlangshot.closedform import (
     gumbel_wave,
     whittaker_wave,
 )
-from erlangshot.master import (
-    ConstantDiffusion,
-    ConstantRate,
-    LinearRestoring,
-    ModelSpec,
-    ZeroDiffusion,
-    ZeroDrift,
-)
+from erlangshot.master import ConstantDrift, ConstantRate, LinearRestoring, ModelSpec
 from erlangshot.noise import ErlangJumpLaw, erlang_magnitudes, laplace_magnitudes, stream, stream_key
 from erlangshot.quadrature import cumulative_trapezoid
 from erlangshot.simulate import (
@@ -48,8 +41,7 @@ from erlangshot.simulate import (
 
 
 def _ou_model(m=1, alpha=1.0, lam=2.0, gamma=1.0, sigma=0.0):
-    diff = ConstantDiffusion(sigma) if sigma > 0 else ZeroDiffusion()
-    return ModelSpec(LinearRestoring(alpha), diff, ConstantRate(lam), ErlangJumpLaw(m, gamma))
+    return ModelSpec(LinearRestoring(alpha), sigma, ConstantRate(lam), ErlangJumpLaw(m, gamma))
 
 
 def test_config_validation():
@@ -132,7 +124,7 @@ def test_jump_counts_poisson():
 def test_paths_require_constant_rate():
     from erlangshot.master import ExpDecayCentered
 
-    model = ModelSpec(ZeroDrift(), ZeroDiffusion(), ExpDecayCentered(1.0), ErlangJumpLaw(1, 1.0))
+    model = ModelSpec(ConstantDrift(0.0), 0.0, ExpDecayCentered(1.0), ErlangJumpLaw(1, 1.0))
     with pytest.raises(ValueError):
         simulate_paths(model, SimConfig(dt=0.1, t_end=1.0, n_paths=2))
 
@@ -437,7 +429,8 @@ def test_exact_tanh_samplers_are_deterministic_per_chunk(ou):
 @pytest.mark.parametrize("ou", [False, True])
 def test_exact_tanh_samplers_follow_the_stream_layout(ou):
     # a path at a time, interval by interval, from the documented draws of
-    # chunk streams (seed, 2**63 + 4096 c); 4100 samples span two chunks
+    # chunk streams (seed, 2**63 + 4096 c), and (seed, 2**63 + 2**62 +
+    # 4096 c) for the OU sampler; 4100 samples span two chunks
     alpha, lam, gamma, beta, t, n, seed = 0.7, 1.5, 2.0, 0.5, 2.0, 4100, 26
     if ou:
         got = sample_ou_tanh_exact(alpha, lam, gamma, beta, t, n, seed)
@@ -446,7 +439,7 @@ def test_exact_tanh_samplers_follow_the_stream_layout(ou):
     want = []
     for lo in range(0, n, 4096):
         k = min(n, lo + 4096) - lo
-        g = Generator(Philox(key=stream_key(seed, 2**63 + lo)))
+        g = Generator(Philox(key=stream_key(seed, 2**63 + (2**62 if ou else 0) + lo)))
         nj = g.poisson(lam * t, k)
         arrivals = g.random(nj.sum())
         mags = laplace_magnitudes(g.random(nj.sum()), gamma)
@@ -497,7 +490,7 @@ def test_jump_arrivals_are_per_step_poisson():
     # sigma = 0, zero drift and m = 1: a path rises exactly at the steps
     # that hold at least one jump
     lam, dt = 2.0, 0.01
-    model = ModelSpec(ZeroDrift(), ZeroDiffusion(), ConstantRate(lam), ErlangJumpLaw(1, 1.0))
+    model = ModelSpec(ConstantDrift(0.0), 0.0, ConstantRate(lam), ErlangJumpLaw(1, 1.0))
     batch = simulate_paths(model, SimConfig(dt=dt, t_end=5.0, n_paths=2000, seed=15))
     hit = np.diff(batch.paths, axis=1) > 0
     p = 1.0 - math.exp(-lam * dt)
@@ -514,9 +507,7 @@ def test_paths_follow_the_stream_layout(seed):
     # i's step s adds sigma sqrt(dt) times normal [s, i], then its jumps
     # binned to step s in draw order
     lam, sigma, dt, n_paths = 2.0, 0.7, 0.01, 150
-    model = ModelSpec(
-        ZeroDrift(), ConstantDiffusion(sigma), ConstantRate(lam), ErlangJumpLaw(2, 1.5)
-    )
+    model = ModelSpec(ConstantDrift(0.0), sigma, ConstantRate(lam), ErlangJumpLaw(2, 1.5))
     batch = simulate_paths(model, SimConfig(dt=dt, t_end=1.5, n_paths=n_paths, seed=seed))
     n_steps = batch.paths.shape[1] - 1
     g = Generator(Philox(key=stream_key(seed, 0)))

@@ -317,6 +317,17 @@ def test_kummer_1f1_asymptotic_matches_polynomial_route():
     assert val_asym == pytest.approx(val_poly, rel=1e-4)
 
 
+def test_kummer_1f1_large_a_takes_the_series_below_its_asymptotic_range():
+    # -z = 40.1 is past 40 but not past |a (a - b + 1)| = 85.5, where the
+    # expansion in 1/s is still off by 87%; mpmath.hyp1f1 gives the value
+    assert kummer_1f1(-9.5, 2.0, -40.1) == pytest.approx(1.113216577101e9, rel=1e-9)
+
+
+def test_kummer_1f1_asymptotic_keeps_the_sign_of_gamma_b_minus_a():
+    # b - a = -0.25: Gamma(b - a) < 0, so 1F1 is negative here (mpmath.hyp1f1)
+    assert kummer_1f1(0.5, 0.25, -100.0) == pytest.approx(-0.07443719169472394, rel=1e-12)
+
+
 def test_kummer_1f1_overflow_error():
     # terms grow like (a z / b)^k / k! with a z / b = 500: the 500th term is
     # still the largest, about 1e215, so the series neither converges nor
@@ -352,7 +363,8 @@ def _kummer_1f1_scalar_ref(a, b, z, abs_tol=1e-10, max_terms=500):
         raise OverflowError
 
     def asymptotic(a, s):
-        pref = np.exp(_lgamma(b) - _lgamma(b - a)) * s ** (-a)
+        sign = -1.0 if b - a < 0 and math.ceil(a - b) % 2 else 1.0
+        pref = sign * np.exp(_lgamma(b) - _lgamma(b - a)) * s ** (-a)
         term = total = prev = 1.0
         for k in range(1, 60):
             term *= (a + k - 1) * (a - b + k) / (k * s)
@@ -368,7 +380,7 @@ def _kummer_1f1_scalar_ref(a, b, z, abs_tol=1e-10, max_terms=500):
         if z <= 40.0:
             return series(a, z)
         return float(np.exp(z) * _kummer_1f1_scalar_ref(b - a, b, -z))
-    if -z <= 40.0:
+    if -z <= max(40.0, abs(a * (a - b + 1.0))):
         return float(np.exp(z) * series(b - a, -z))
     return float(asymptotic(a, -z))
 

@@ -41,7 +41,6 @@ __all__ = [
     "integral_generator",
     "differential_generator",
     "generator_gap",
-    "grid_mass_rate",
     "stationary_residual",
     "wave_residual",
     "apply_shift_operator",
@@ -382,13 +381,3 @@ def fit_convergence_order(hs, errors, n_finest=3):
     slope = np.polyfit(np.log(hs[:k]), np.log(np.maximum(errors[:k], 1e-300)), 1)[0]
     return float(slope)
 
-
-def grid_mass_rate(P: GridFunction, model: ModelSpec) -> float:
-    """Total-probability drift of one density: compensated grid sum of the
-    generator times h.
-
-    Converges to zero under refinement for compactly supported densities
-    because the generator conserves mass.
-    """
-    gen = integral_generator(P, model).values
-    return math.fsum(gen.tolist()) * P.spec.h

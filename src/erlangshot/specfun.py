@@ -801,7 +801,19 @@ def _kummer_1f1(a, b, z):
         # z < 0: Kummer transform gives a stable positive-term series for b > a
         bs = _take(b, sel)
         out[sel] = np.exp(z[sel]) * _kummer_series(bs - _take(a, sel), bs, -z[sel])
-    sel = neg & ~near
+    # where b - a is a nonpositive integer, Gamma(b - a) has a pole: the
+    # expansion's prefactor is 0 and misses the exponentially small part,
+    # and the transform e^z 1F1(b-a; b; -z) is a terminating polynomial.
+    # Past degree _MAX_TERMS (a - b > 500) the expansion is taken only at
+    # -z > a (a - b + 1) > 250000, where e^z times the polynomial underflows
+    # to the expansion's 0.
+    ba = b - a
+    dual = (ba <= 0.0) & (ba % 1.0 == 0.0) & (ba >= -_MAX_TERMS)
+    sel = neg & ~near & dual
+    if sel.any():
+        bs = _take(b, sel)
+        out[sel] = np.exp(z[sel]) * _kummer_polynomial(bs - _take(a, sel), bs, -z[sel])
+    sel = neg & ~near & ~dual
     if sel.any():
         out[sel] = _kummer_asymptotic_neg(_take(a, sel), _take(b, sel), -z[sel])
     return out
@@ -816,7 +828,9 @@ def kummer_1f1(a, b, z):
     polynomial.  Negative arguments go through the Kummer transform
     1F1(a;b;z) = e^z 1F1(b-a;b;-z) so the series has positive terms, and
     z < -max(40, |a (a - b + 1)|) (a positive z past 40 through the
-    transform) falls back to the standard asymptotic expansion.
+    transform) falls back to the standard asymptotic expansion, unless
+    b - a is a nonpositive integer: there the transform is a terminating
+    polynomial, e^z at b = a.
 
     Raises ValueError for a non-finite a, and OverflowError when the series
     fails to converge within 500 terms or overflows, and when a terminating

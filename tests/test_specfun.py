@@ -346,12 +346,16 @@ def _kummer_1f1_scalar_ref(a, b, z, abs_tol=1e-10, max_terms=500):
     # kept as the loop reference: the array route must equal it bit for bit
     if a == 0.0 or z == 0.0:
         return 1.0
-    if a == int(a) and a <= 0:
+
+    def polynomial(a, z):
         term = total = 1.0
         for k in range(1, int(-a) + 1):
             term *= (a + k - 1) / (b + k - 1) * z / k
             total += term
         return total
+
+    if a == int(a) and a <= 0:
+        return polynomial(a, z)
 
     def series(a, z):
         term = total = 1.0
@@ -382,6 +386,8 @@ def _kummer_1f1_scalar_ref(a, b, z, abs_tol=1e-10, max_terms=500):
         return float(np.exp(z) * _kummer_1f1_scalar_ref(b - a, b, -z))
     if -z <= max(40.0, abs(a * (a - b + 1.0))):
         return float(np.exp(z) * series(b - a, -z))
+    if b - a == int(b - a) and -500 <= b - a <= 0:
+        return float(np.exp(z) * polynomial(b - a, -z))
     return float(asymptotic(a, -z))
 
 

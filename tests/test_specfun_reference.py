@@ -20,6 +20,7 @@ from erlangshot.specfun import (
     bessel_ke,
     digamma,
     erlang_survival,
+    kummer_1f1,
     kummer_u,
     log_gamma,
     next_fast_len,
@@ -257,3 +258,16 @@ def test_kummer_u_at_large_a_times_z_matches_mpmath(a, z):
     # the logarithmic series (b = 1) cancels by about e^{4 sqrt(a z)} ulps,
     # 1e-4 relative at (100, 0.5); past a z = 1.5 the quadrature takes over
     assert kummer_u(a, 1.0, z) == pytest.approx(_hyperu(a, 1.0, z), rel=3e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("a,b,z", [
+    (2.5, 0.5, -60.0), (1.5, 0.5, -80.0), (4.0, 2.0, -45.0),
+    (2.0, 2.0, -60.0), (3.7, 3.7, -100.0), (0.5, 0.5, -700.0),
+])
+def test_kummer_1f1_past_its_switch_where_b_minus_a_is_a_nonpositive_integer(a, b, z):
+    # Gamma(b - a) has a pole, so the asymptotic expansion's prefactor is 0;
+    # the value is e^z times a terminating polynomial, e^z itself at b = a
+    with mpmath.workdps(40):
+        want = float(mpmath.hyp1f1(a, b, z))
+    assert kummer_1f1(a, b, z) == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert kummer_1f1(np.array([a, a]), b, np.array([z, -10.0]))[0] == kummer_1f1(a, b, z)

@@ -18,7 +18,7 @@ Invocation:
 with subcommand one of wave, verify-master, stationary, transient, tanh,
 verify-specfun.  Reals in CSVs carry 17 significant digits so re-running
 with the same config and seed reproduces byte-identical CSV bodies.  The
-CSV writer is vectorised (``csvformat.format_rows``) yet byte-identical to
+CSV writer is vectorised (``csvformat``) yet byte-identical to
 ``format(v, ".17g")`` for every float64, and it formats and writes a block
 of rows at a time, so its memory is bounded whatever the row count.
 """
@@ -39,8 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import closedform, master, oracles, simulate, specfun
-from .csvformat import format_rows
+from . import closedform, csvformat, master, oracles, simulate, specfun
 from .master import (
     ConstantDrift,
     ConstantRate,
@@ -201,27 +200,32 @@ def _load_config(path):
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
-# rows formatted and written at a time by write_csv
+# rows joined and written at a time by write_csv
 _CSV_BLOCK_ROWS = 4096
 
 
 def write_csv(path, header, columns):
-    """Write equal-length columns as CSV, every value as a float with 17
-    significant digits: the bytes of ``format(float(v), ".17g")``, from the
-    vectorised ``csvformat.format_rows``.  Rows are converted and written
-    ``_CSV_BLOCK_ROWS`` at a time, so memory does not grow with the table."""
-    cols = [np.asarray(c) for c in columns]
+    """Write equal-length columns as CSV under a header of one name per
+    column, every value as a float with 17 significant digits: the bytes of
+    ``format(float(v), ".17g")``.  A column is a one-dimensional array of
+    reals or ``csvformat.Cells``, a column formatted once for several files.
+    Rows are joined by ``csvformat.join`` and written ``_CSV_BLOCK_ROWS`` at
+    a time, array columns formatted straight into the block, so memory does
+    not grow with the table.  Raises ``ValueError``, writing nothing, for no
+    columns, a header of another length, or columns that are not
+    one-dimensional and of equal length."""
+    cols = [c if isinstance(c, csvformat.Cells) else np.asarray(c) for c in columns]
+    if not cols:
+        raise ValueError("a CSV needs at least one column")
+    if len(header) != len(cols):
+        raise ValueError(f"a CSV header of {len(header)} names for {len(cols)} columns")
     n = len(cols[0])
     if any(c.shape != (n,) for c in cols):
         raise ValueError("CSV columns must be one-dimensional and of equal length")
-    block = np.empty((min(n, _CSV_BLOCK_ROWS), len(cols)))
     with open(path, "wb") as f:
         f.write((",".join(header) + "\n").encode())
         for start in range(0, n, _CSV_BLOCK_ROWS):
-            rows = block[: min(n - start, _CSV_BLOCK_ROWS)]
-            for j, c in enumerate(cols):
-                rows[:, j] = c[start : start + len(rows)]
-            f.write(format_rows(rows))
+            f.write(csvformat.join([c[start : start + _CSV_BLOCK_ROWS] for c in cols]))
 
 
 def _environment():
@@ -261,6 +265,14 @@ class RunReport:
         start = time.perf_counter()
         write_csv(self.out_dir / name, header, columns)
         self.timings["write"] += time.perf_counter() - start
+
+    def cells(self, values):
+        """``csvformat.cells(values)``: a column formatted once for several
+        CSVs, timed under ``write``."""
+        start = time.perf_counter()
+        formatted = csvformat.cells(values)
+        self.timings["write"] += time.perf_counter() - start
+        return formatted
 
     def metric(self, name, value):
         self.metrics[name] = float(value)
@@ -380,12 +392,14 @@ def _check_wave(cfg):
 def _run_wave(cfg, seed, report):
     gamma, betas, waves = cfg.gamma, cfg.beta_values, cfg.waves
     xi = cfg.grid.nodes()
+    # every profile file shares the grid: its text is formatted once
+    xi_cells = report.cells(xi)
     single_beta = len(betas) == 1
     for m in cfg.m_values:
         for b in betas:
             sol = waves[(m, b)]
             dens = sol.profile(xi)
-            report.write_csv(f"wave_m{m}_beta{b:g}.csv", ["xi", "density"], [xi, dens])
+            report.write_csv(f"wave_m{m}_beta{b:g}.csv", ["xi", "density"], [xi_cells, dens])
             mass = simpson(dens, xi)
             mean = simpson(xi * dens, xi)
             tag = f"_beta{b:g}"

@@ -1,9 +1,18 @@
-"""Byte-exact ``%.17g`` CSV rows from float64 tables, on numpy.
+"""Byte-exact ``%.17g`` CSV text from float64 columns, on numpy.
 
-``format_rows(table)`` returns the CSV lines of a two-dimensional float64
-table: every value as ``format(float(v), ".17g")`` writes it, cells joined
-by ``,`` and every row ended by ``\\n``.  The work is done on whole
-columns:
+Every value is written as ``format(float(v), ".17g")`` writes it, in two
+stages:
+
+* ``cells(values)`` formats a column into ``Cells``: one 32-byte record per
+  value, holding its characters between NUL bytes and no separator.  A
+  column shared by several tables (a grid) is formatted once this way.
+* ``join(columns)`` lays the records of a block of rows side by side, one
+  column after another, writes ``,`` after every cell of a row but the
+  last and ``\\n`` after that one, and drops the NUL bytes of the block
+  at once.  A column given as ``Cells`` is copied in; a float column is
+  formatted straight into the block, all adjacent float columns at once.
+
+The formatting is done on whole columns:
 
 * the decimal exponent k = floor(log10 |x|) comes from ``np.log10`` and is
   made exact by comparing |x| with 10^k and 10^(k+1);
@@ -17,12 +26,18 @@ columns:
   cell is laid out by ``%g``'s rules: fixed notation for -4 <= k < 17,
   ``d.ddde+XX`` otherwise.
 
-A cell is a 32-byte record of four little-endian uint64 words.  The first
-holds the sign, the ``0.000`` of fixed notation below 1, and the leading
-digit, right-aligned; the other three hold the remaining digits with the
-decimal point inserted, the exponent and the separator, left-aligned.  So
-every cell is one run of characters between NUL bytes, and one boolean
-mask over a block of cells yields its rows.  Zeros stay on this path.
+A record is four little-endian uint64 words:
+
+* word 0 holds the sign, the ``0.000`` of fixed notation below 1, and the
+  leading digit, right-aligned;
+* words 1 and 2 hold the remaining digits (at most 16) with the decimal
+  point inserted, left-aligned;
+* word 3 holds in byte 0 the digit that the decimal point pushes out of
+  word 2, in bytes 1 to 5 the exponent ``e+XX`` or ``e-XXX`` of scientific
+  notation, and in byte 7 the separator, which ``join`` writes.
+
+So every cell is one run of characters between NUL bytes, and one boolean
+mask over a block of records yields its rows.  Zeros stay on this path.
 
 Three kinds of cell are formatted by Python's ``format`` instead (Gay's
 correctly rounded conversion, "Correctly rounded binary-decimal and
@@ -30,16 +45,19 @@ decimal-binary conversions", 1990): non-finite values, |x| with |k| above
 ``_K_MAX`` (subnormals included), and values whose scaled fraction lies
 within ``_TIE_GUARD`` of one half.  The double-double is accurate to about
 1e-14 there, so only those cells could round the other way; exact ties,
-such as 2**-25 = 2.98023223876953125e-08, are among them.
+such as 2**-25 = 2.98023223876953125e-08, are among them.  Their text, at
+most 24 characters, fills the record from byte 0, so byte 31 stays free for
+the separator.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import groupby
 
 import numpy as np
 
-__all__ = ["format_rows"]
+__all__ = ["Cells", "cells", "join"]
 
 # |k| of the values formatted here; the tables cover 10^p for p in
 # [-_K_MAX - 1, 16 + _K_MAX + 1] (the exponent checks and the scalings)
@@ -109,30 +127,83 @@ _PREFIX = np.frombuffer(b"".join((sign + lead + b"%d" % digit).rjust(8, b"\0")
                                  for sign in (b"", b"-")
                                  for lead in (b"", b"0.", b"0.0", b"0.00", b"0.000")
                                  for digit in range(10)), "<u8").astype(np.uint64)
-# separator, after the exponent "e%+03d" % x in scientific notation: index
-# (exponent code) * 2 + (last column), code x - _X_MIN + 1, or 0 for fixed
-# notation; the digits of |x| are the last 2 or 3 of its 4-digit group
+# the exponent "e%+03d" % x of scientific notation from byte 1 of a word:
+# index x - _X_MIN + 1, or 0 (no exponent) for fixed notation; the digits of
+# |x| are the last 2 or 3 of its 4-digit group
 _X_MIN = -_K_MAX - 2
 _X = np.arange(_X_MIN, 3 - _X_MIN)
-_WIDE = np.abs(_X) >= 100
 _EXPONENT = np.zeros(_X.size + 1, np.uint64)
 _EXPONENT[1:] = (ord("e") | np.where(_X < 0, ord("-"), ord("+")) << 8).astype(np.uint64)
-_EXPONENT[1:] |= _GROUP[np.abs(_X)] >> np.where(_WIDE, 8, 16).astype(np.uint64) << np.uint64(16)
-_AFTER = np.zeros(_X.size + 1, np.uint64)
-_AFTER[1:] = np.where(_WIDE, 40, 32)
-_SUFFIX = np.stack([_EXPONENT | np.uint64(ord(sep)) << _AFTER for sep in ",\n"],
-                   axis=1).ravel()
-del _X, _WIDE, _EXPONENT, _AFTER
+_EXPONENT[1:] |= (_GROUP[np.abs(_X)] >> np.where(np.abs(_X) >= 100, 8, 16).astype(np.uint64)
+                  << np.uint64(16))
+_EXPONENT <<= np.uint64(8)
+del _X
+# the separators, in byte 7 of a record's last word
+_COMMA = np.uint64(ord(",") << 56)
+_NEWLINE = np.uint64(ord("\n") << 56)
+# values formatted at a time by cells(), which bounds its temporaries
+_CHUNK = 8192
 
 
-def format_rows(table):
-    """CSV lines of a 2-D float64 table, byte-identical to joining
-    ``format(float(v), ".17g")`` over each row with ``,`` and ending every
-    row with ``\\n``; returned as bytes."""
-    table = np.asarray(table, dtype=np.float64)
-    n_rows, n_cols = table.shape
-    v = table.ravel()
-    n = v.size
+class Cells:
+    """A float64 column formatted by ``cells``, to be joined into any number
+    of tables: ``records`` holds its (n, 4) little-endian uint64 records,
+    without separators.  Sliced by rows like the column."""
+
+    __slots__ = ("records",)
+
+    def __init__(self, records):
+        self.records = records
+
+    @property
+    def shape(self):
+        return self.records.shape[:1]
+
+    def __len__(self):
+        return len(self.records)
+
+    def __getitem__(self, rows):
+        return Cells(self.records[rows])
+
+
+def cells(values):
+    """The records of a one-dimensional column of reals, converted to float64:
+    ``join`` writes each as ``format(float(v), ".17g")``.  Formatted
+    ``_CHUNK`` values at a time; the records take 32 bytes per value."""
+    v = np.asarray(values, dtype=np.float64)
+    if v.ndim != 1:
+        raise ValueError("cells formats a one-dimensional column")
+    records = np.empty((v.size, 4), "<u8")
+    for start in range(0, v.size, _CHUNK):
+        _format(v[start : start + _CHUNK], records[start : start + _CHUNK])
+    return Cells(records)
+
+
+def join(columns):
+    """CSV lines of a block of rows, as bytes: the i-th line joins the i-th
+    cell of every column with ``,`` and ends with ``\\n``.  Every column is
+    ``Cells`` or a one-dimensional array of reals, all of one length; each
+    value is written as ``format(float(v), ".17g")``."""
+    block = np.empty((len(columns[0]), len(columns), 4), "<u8")
+    j = 0
+    for formatted, run in groupby(columns, lambda c: isinstance(c, Cells)):
+        run = list(run)
+        part = block[:, j : j + len(run)]
+        if formatted:
+            for i, c in enumerate(run):
+                part[:, i] = c.records
+        else:
+            _format(np.stack(run, axis=1).astype(np.float64, copy=False), part)
+        j += len(run)
+    block[:, :-1, 3] |= _COMMA
+    block[:, -1, 3] |= _NEWLINE
+    raw = block.view(np.uint8).ravel()
+    return raw[raw != 0].tobytes()
+
+
+def _format(v, out):
+    """Write the records of the float64 array ``v`` into ``out``, an array
+    of shape ``v.shape + (4,)`` (a view into a block of rows, say)."""
     neg = np.signbit(v)
     ax = np.abs(v)
     zero = ax == 0.0
@@ -195,35 +266,13 @@ def format_rows(table):
     high_a = a ^ low_a
     high_b = b ^ low_b
     jd = np.where(dot, j, 17)
-    r0 = low_a | (high_a << np.uint64(8)) | _DOT_A[jd]
-    r1 = low_b | (high_b << np.uint64(8)) | (high_a >> np.uint64(56)) | _DOT_B[jd]
-    r2 = high_b >> np.uint64(56)
-
-    # exponent and separator at byte (keep + dot) of (r0, r1, r2)
-    last = np.zeros((n_rows, n_cols), bool)
-    last[:, -1] = True
     sci = ~(int_part | below_one)
-    suffix = _SUFFIX[np.where(sci, k - _X_MIN + 1, 0) * 2 + last.ravel()]
-    at = keep + dot
-    word = at >> 3
-    shift = ((at & 7) << 3).astype(np.uint64)
-    lo = suffix << shift
-    spill = (suffix >> (np.uint64(63) - shift)) >> np.uint64(1)
-    none = np.uint64(0)
-    r0 |= np.where(word == 0, lo, none)
-    r1 |= np.where(word == 0, spill, np.where(word == 1, lo, none))
-    r2 |= np.where(word == 1, spill, np.where(word == 2, lo, none))
+    out[..., 0] = _PREFIX[(neg * 5 + np.where(below_one, -k, 0)) * 10 + g0]
+    out[..., 1] = low_a | (high_a << np.uint64(8)) | _DOT_A[jd]
+    out[..., 2] = low_b | (high_b << np.uint64(8)) | (high_a >> np.uint64(56)) | _DOT_B[jd]
+    out[..., 3] = (high_b >> np.uint64(56)) | _EXPONENT[np.where(sci, k - _X_MIN + 1, 0)]
 
-    cells = np.empty((n, 4), "<u8")
-    cells[:, 0] = _PREFIX[(neg * 5 + np.where(below_one, -k, 0)) * 10 + g0]
-    cells[:, 1] = r0
-    cells[:, 2] = r1
-    cells[:, 3] = r2
-    raw = cells.view(np.uint8).reshape(n, 32)
-    idx = np.flatnonzero(slow)
-    if idx.size:
-        seps = np.where(last.ravel()[idx], "\n", ",")
-        text = [format(float(v[i]), ".17g") + s for i, s in zip(idx, seps)]
-        raw[idx] = np.array([s.encode() for s in text], "S32").view(np.uint8).reshape(-1, 32)
-    raw = raw.ravel()
-    return raw[raw != 0].tobytes()
+    idx = np.nonzero(slow)
+    if idx[0].size:
+        text = [format(float(x), ".17g").encode() for x in v[idx]]
+        out[idx] = np.array(text, "S32").view("<u8").reshape(-1, 4)

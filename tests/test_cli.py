@@ -48,6 +48,23 @@ def _wave_cfg(**over):
     return cfg
 
 
+def test_wave_files_join_one_formatted_grid_with_their_own_density(tmp_path):
+    # the grid is formatted once per run; every file pairs it with its own
+    # (m, beta) profile, over more than one block of rows
+    cfg = _wave_cfg(beta_values=[0.5, 1.0], xi_lo=-12.0, xi_hi=38.0, n_xi=5001)
+    out = tmp_path / "out"
+    assert main(["wave", "--config", _write(tmp_path, "w.json", cfg), "--out", str(out)]) == 0
+    parsed = parse_config("wave", cfg)
+    nodes = parsed.grid.nodes()
+    for m in (1, 2):
+        for b in (0.5, 1.0):
+            dens = parsed.waves[(m, b)].profile(nodes)
+            lines = ["xi,density"] + [f"{format(float(x), '.17g')},{format(float(y), '.17g')}"
+                                      for x, y in zip(nodes, dens)]
+            assert (out / f"wave_m{m}_beta{b:g}.csv").read_bytes() == ("\n".join(lines)
+                                                                      + "\n").encode()
+
+
 def test_wave_analytic_run(tmp_path):
     cfg = _write(tmp_path, "w.json", _wave_cfg())
     out = tmp_path / "out"
@@ -890,6 +907,45 @@ def test_write_csv_memory_does_not_grow_with_rows(tmp_path):
     assert peak < 8 * 2**20
     with open(tmp_path / "big.csv", "rb") as f:
         assert sum(1 for _ in f) == 1_000_001
+
+
+def test_write_csv_rejects_a_header_of_another_length_and_no_columns(tmp_path):
+    path = tmp_path / "t.csv"
+    x = np.arange(3.0)
+    with pytest.raises(ValueError, match="2 names for 1 columns"):
+        write_csv(path, ["a", "b"], [x])
+    with pytest.raises(ValueError, match="1 names for 2 columns"):
+        write_csv(path, ["a"], [x, csvformat.cells(x)])
+    with pytest.raises(ValueError, match="at least one column"):
+        write_csv(path, [], [])
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("n_rows", [4095, 4096, 4097, 3 * 4096 + 7])
+def test_write_csv_joins_a_formatted_column_in_any_position(tmp_path, n_rows):
+    # a column formatted once by csvformat.cells, first, middle or last in
+    # tables of 1 to 3 columns, with fallback cells (and -0.0) at the edges
+    # of the row blocks; the same Cells is joined into every table
+    assert cli._CSV_BLOCK_ROWS == 4096
+    rng = np.random.default_rng(n_rows)
+    formatted = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-200, 200, n_rows)
+    edges = np.array([e + d for e in range(0, n_rows + 1, 4096) for d in (-2, -1, 0, 1)
+                      if 0 <= e + d < n_rows] + [n_rows - 1])
+    formatted[edges] = np.resize([np.nan, -np.inf, 5e-324, -0.0, 2.0**-25], edges.size)
+    columns = [formatted, rng.standard_normal(n_rows),
+               rng.integers(-(10**6), 10**6, n_rows) * 2.0**-25]
+    texts = [[format(float(v), ".17g") for v in c] for c in columns]
+    shared = csvformat.cells(formatted)
+    path = tmp_path / "t.csv"
+    for n_cols in (1, 2, 3):
+        for pos in range(n_cols):
+            order = list(range(1, n_cols))
+            order.insert(pos, 0)
+            write_csv(path, [f"c{j}" for j in order],
+                      [shared if j == 0 else columns[j] for j in order])
+            lines = [",".join(f"c{j}" for j in order)]
+            lines += [",".join(texts[j][i] for j in order) for i in range(n_rows)]
+            assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def test_stationary_residual_edges_come_from_one_call_each(monkeypatch):

@@ -191,24 +191,42 @@ class ModelSpec:
 
 
 def _d1(values, h):
-    """4th-order first derivative; two junk nodes at each end."""
-    out = np.zeros_like(values)
-    out[..., 2:-2] = (
-        -values[..., 4:] + 8.0 * values[..., 3:-1] - 8.0 * values[..., 1:-3] + values[..., :-4]
-    ) / (12.0 * h)
+    """4th-order first derivative; two junk nodes at each end (zeroed).
+
+    Formed in place in one output, term by term in the order of
+    (-v[i+2] + 8 v[i+1] - 8 v[i-1] + v[i-2]) / (12 h): x - y is x + (-y)
+    and addition commutes in IEEE arithmetic, so every node is that
+    expression's value to the last bit.
+    """
+    out = np.empty_like(values)
+    body = out[..., 2:-2]
+    np.multiply(values[..., 3:-1], 8.0, out=body)
+    body -= values[..., 4:]
+    body -= 8.0 * values[..., 1:-3]
+    body += values[..., :-4]
+    body /= 12.0 * h
+    out[..., :2] = 0.0
+    out[..., -2:] = 0.0
     return out
 
 
 def _d2(values, h):
-    """4th-order second derivative; two junk nodes at each end."""
-    out = np.zeros_like(values)
-    out[..., 2:-2] = (
-        -values[..., 4:]
-        + 16.0 * values[..., 3:-1]
-        - 30.0 * values[..., 2:-2]
-        + 16.0 * values[..., 1:-3]
-        - values[..., :-4]
-    ) / (12.0 * h**2)
+    """4th-order second derivative; two junk nodes at each end (zeroed).
+
+    In place as ``_d1``, in the order of
+    (-v[i+2] + 16 v[i+1] - 30 v[i] + 16 v[i-1] - v[i-2]) / (12 h^2).
+    """
+    out = np.empty_like(values)
+    body = out[..., 2:-2]
+    tmp = np.multiply(values[..., 2:-2], 30.0)
+    np.multiply(values[..., 3:-1], 16.0, out=body)
+    body -= values[..., 4:]
+    body -= tmp
+    body += np.multiply(values[..., 1:-3], 16.0, out=tmp)
+    body -= values[..., :-4]
+    body /= 12.0 * h**2
+    out[..., :2] = 0.0
+    out[..., -2:] = 0.0
     return out
 
 
@@ -220,7 +238,9 @@ def apply_shift_operator(values, h, gamma, times=1):
     """
     out = np.asarray(values, dtype=float)
     for _ in range(times):
-        out = _d1(out, h) + gamma * out
+        shifted = _d1(out, h)
+        shifted += gamma * out
+        out = shifted
     return out
 
 
@@ -243,15 +263,25 @@ def _check_decay(values):
         )
 
 
-def _drift_diffusion_term(P: GridFunction, model: ModelSpec):
-    """-d/dx [b P] + 1/2 d^2/dx^2 [sigma^2 P] on the grid."""
-    x = P.spec.nodes()
+def _drift_diffusion_term(P: GridFunction, model: ModelSpec, x):
+    """-d/dx [b P] + 1/2 d^2/dx^2 [sigma^2 P] on the grid with nodes x."""
     h = P.spec.h
     bP = model.drift.b(x) * P.values
     # sigma * sigma, not sigma ** 2: C pow can differ from the product in
     # the last bit
     s2P = model.sigma * model.sigma * P.values
-    return -_d1(bP, h) + 0.5 * _d2(s2P, h)
+    out = _d1(bP, h)
+    np.negative(out, out=out)
+    out += 0.5 * _d2(s2P, h)
+    return out
+
+
+def _shared_terms(P: GridFunction, model: ModelSpec):
+    """lambda P and the drift/diffusion term, the inputs of both generator
+    routes, after the decay check."""
+    _check_decay(P.values)
+    x = P.spec.nodes()
+    return model.rate.rate(x) * P.values, _drift_diffusion_term(P, model, x)
 
 
 def _causal_convolution(g, kern):
@@ -264,22 +294,48 @@ def _causal_convolution(g, kern):
     return np.fft.irfft(np.fft.rfft(g, size) * np.fft.rfft(kern, size), size)[..., :n]
 
 
-def _erlang_convolution(P: GridFunction, model: ModelSpec):
-    """One-sided convolution integral of the gain term by trapezoid.
+def _erlang_convolution(spec: GridSpec, g, model: ModelSpec):
+    """One-sided convolution integral of the gain g = lambda P by trapezoid.
 
-    Computes int_{x_lo}^{x} E(m, gamma; x - z) lambda(z) P(z) dz at every
-    node with the kernel evaluated exactly on the grid offsets; the sums
-    over z are the causal convolution of the gain with the kernel.
+    Computes int_{x_lo}^{x} E(m, gamma; x - z) g(z) dz at every node with
+    the kernel evaluated exactly on the grid offsets; the sums over z are
+    the causal convolution of the gain with the kernel.
     """
-    spec = P.spec
     h = spec.h
-    x = spec.nodes()
-    g = model.rate.rate(x) * P.values
     kern = erlang_pdf(model.jumps, np.arange(spec.n) * h)
-    full = _causal_convolution(g, kern)
+    out = _causal_convolution(g, kern)
     # trapezoid endpoint correction: half weight at z = x_lo and z = x
-    corr = 0.5 * (g[..., :1] * kern + g * kern[0])
-    return h * (full - corr)
+    corr = g[..., :1] * kern
+    corr += g * kern[0]
+    corr *= 0.5
+    out -= corr
+    out *= h
+    return out
+
+
+def _integral_route(spec: GridSpec, model: ModelSpec, lamP, dd):
+    """drift/diffusion term - lambda P + Erlang convolution of lambda P,
+    zeroed inside the stencil margin of the ends."""
+    out = dd - lamP
+    out += _erlang_convolution(spec, lamP, model)
+    out[..., :2] = 0.0
+    out[..., -2:] = 0.0
+    return out
+
+
+def _differential_route(h, model: ModelSpec, lamP, dd):
+    """(d/dx + gamma)^m dd + [gamma^m - (d/dx + gamma)^m](lambda P), zeroed
+    outside the usable interior."""
+    m = model.jumps.m
+    gamma = model.jumps.gamma
+    rate_part = gamma**m * lamP
+    rate_part -= apply_shift_operator(lamP, h, gamma, m)
+    out = apply_shift_operator(dd, h, gamma, m)
+    out += rate_part
+    k = interior_margin(m)
+    out[..., :k] = 0.0
+    out[..., -k:] = 0.0
+    return out
 
 
 def integral_generator(P: GridFunction, model: ModelSpec) -> GridFunction:
@@ -289,13 +345,7 @@ def integral_generator(P: GridFunction, model: ModelSpec) -> GridFunction:
     - lambda P + (Erlang convolution of lambda P) on the grid; nodes inside
     the stencil margin of the ends are zeroed.
     """
-    _check_decay(P.values)
-    x = P.spec.nodes()
-    lamP = model.rate.rate(x) * P.values
-    out = _drift_diffusion_term(P, model) - lamP + _erlang_convolution(P, model)
-    out[..., :2] = 0.0
-    out[..., -2:] = 0.0
-    return GridFunction(P.spec, out)
+    return GridFunction(P.spec, _integral_route(P.spec, model, *_shared_terms(P, model)))
 
 
 def differential_generator(P: GridFunction, model: ModelSpec) -> GridFunction:
@@ -309,20 +359,7 @@ def differential_generator(P: GridFunction, model: ModelSpec) -> GridFunction:
     refinement is the numerical certificate that both forms generate the
     same dynamics.
     """
-    _check_decay(P.values)
-    m = model.jumps.m
-    gamma = model.jumps.gamma
-    h = P.spec.h
-    x = P.spec.nodes()
-    lamP = model.rate.rate(x) * P.values
-    dd = _drift_diffusion_term(P, model)
-    out = apply_shift_operator(dd, h, gamma, m) + (
-        gamma**m * lamP - apply_shift_operator(lamP, h, gamma, m)
-    )
-    k = interior_margin(m)
-    out[..., :k] = 0.0
-    out[..., -k:] = 0.0
-    return GridFunction(P.spec, out)
+    return GridFunction(P.spec, _differential_route(P.spec.h, model, *_shared_terms(P, model)))
 
 
 def generator_gap(P: GridFunction, model: ModelSpec) -> float:
@@ -330,16 +367,31 @@ def generator_gap(P: GridFunction, model: ModelSpec) -> float:
 
     Applies (d/dx + gamma)^m to the integral-form generator and compares it
     node-wise with the differential-form output on the common interior; for
-    a stack, the largest gap over its rows.
+    a stack, the largest gap over its rows.  Both routes are formed from one
+    evaluation of lambda P and the drift/diffusion term, and each gap is
+    the one ``apply_shift_operator(integral_generator(P).values, ...)``
+    and ``differential_generator(P)`` give, to the last bit.
+
+    Raises ValueError where either route is not finite, as the generators
+    do, and where the gap itself is not (a shift that overflows).
     """
     m = model.jumps.m
-    gamma = model.jumps.gamma
+    h = P.spec.h
+    lamP, dd = _shared_terms(P, model)
+    integral = _integral_route(P.spec, model, lamP, dd)
+    # through the shifts a non-finite value of the integral route reaches
+    # the compared interior, and so the gap, from every node but these four
+    if not np.all(np.isfinite(integral[..., [2, 3, -4, -3]])):
+        raise ValueError("grid values must be finite")
+    lhs = apply_shift_operator(integral, h, model.jumps.gamma, m)
+    rhs = _differential_route(h, model, lamP, dd)
     k = interior_margin(m)
-    lhs = apply_shift_operator(
-        integral_generator(P, model).values, P.spec.h, gamma, m
-    )
-    rhs = differential_generator(P, model).values
-    return float(np.max(np.abs(lhs[..., k:-k] - rhs[..., k:-k])))
+    diff = lhs[..., k:-k]
+    diff -= rhs[..., k:-k]
+    gap = float(np.max(np.abs(diff, out=diff)))
+    if not math.isfinite(gap):
+        raise ValueError("grid values must be finite")
+    return gap
 
 
 def stationary_residual(P: GridFunction, model: ModelSpec) -> float:

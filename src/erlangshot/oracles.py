@@ -47,6 +47,7 @@ _STIRLING = (
     -3617.0 / 122400.0,
 )
 _HALF_LOG_2PI = 0.9189385332046727
+_LOG_2 = 0.6931471805599453
 
 _STATUS = {LIMIT: "LIMIT", ROUNDOFF: "ROUNDOFF", NONFINITE: "NONFINITE"}
 
@@ -152,7 +153,10 @@ def bessel_k_ref(nu, x):
 
     The integrand is scaled by e^{x} so the quadrature works on O(1)
     values and the result keeps relative accuracy even where K underflows
-    toward the tiny end of double precision.
+    toward the tiny end of double precision.  log cosh(nu t) is formed as
+    nu t + log1p(e^{-2 nu t}) - log 2, which does not overflow where cosh
+    does (nu t past about 710) while e^{-x (cosh t - 1)} still cuts the
+    integrand.
     """
     (nu, x), shape = _batch(nu, x)
     _require(x > 0, "need x > 0")
@@ -160,7 +164,8 @@ def bessel_k_ref(nu, x):
     t_hi = np.arccosh(1.0 + 750.0 / x)
 
     def scaled(t, k):
-        return np.exp(-x[k] * (np.cosh(t) - 1.0) + np.log(np.cosh(nu[k] * t)))
+        a = nu[k] * t
+        return np.exp(-x[k] * (np.cosh(t) - 1.0) + a + np.log1p(np.exp(-2.0 * a)) - _LOG_2)
 
     val = _integrate("bessel_k", scaled, 0.0, t_hi, 1e-300, 1e-13, nu=nu, x=x)
     return _shaped(val * np.exp(-x), shape)

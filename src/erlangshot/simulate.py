@@ -415,7 +415,8 @@ def sample_tanh_exact(lam, gamma, beta, t, n, seed) -> ExactSample:
     Brownian motion: from x, a Brownian motion with drift s beta, the sign
     s = +1 drawn once with probability (1 + tanh(beta x)) / 2.  Each path is
     advanced from jump to jump by this law, so there is no time step and no
-    discretization bias; the work is O(jumps).  ``_jump_adapted`` gives the
+    discretization bias.  The work is not O(jumps): ``_jump_adapted`` pads
+    each block of paths to its largest jump count.  It also gives the
     stream layout.  ``values`` holds X_t, ``jump_counts`` each path's jumps.
     """
     if lam < 0 or not gamma > 0 or not beta > 0:
@@ -452,6 +453,13 @@ def _jump_adapted(lam, gamma, beta, t, n, seed, alpha=None):
     times t, and its magnitudes follow them in draw order.  The chunk's
     paths are advanced in blocks of whole paths, each of at most about
     ``_CELLS`` grid cells (see ``_advance``), which bounds the memory.
+
+    A block of p paths whose largest jump count is N_max costs p (N_max + 1)
+    cells, one per path and round, against the sum over its paths of
+    N_i + 1, the intervals they hold.  At rate 1 that is 3.5 (X) and 3.9 (Y)
+    times the live intervals for 16384 paths at t = 1, and 1.8 and 1.9 for
+    8192 paths at t = 20: the padding weighs most where few jumps are
+    expected per path.
     """
     if not 0 < t < math.inf:
         raise ValueError("t must be finite and positive")

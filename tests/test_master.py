@@ -1,10 +1,14 @@
 """Generator routes, residual machinery, and convergence certificates."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from erlangshot import cli, master
 from erlangshot.closedform import gumbel_wave, stationary_m1, stationary_ou_m2, whittaker_wave
 from erlangshot.master import (
     BoundaryMassError,
@@ -15,6 +19,7 @@ from erlangshot.master import (
     GridSpec,
     LinearRestoring,
     ModelSpec,
+    TanhRepulsive,
     _causal_convolution,
     _d1,
     _d2,
@@ -28,7 +33,7 @@ from erlangshot.master import (
     stationary_residual,
     wave_residual,
 )
-from erlangshot.noise import ErlangJumpLaw
+from erlangshot.noise import ErlangJumpLaw, erlang_pdf, stream
 
 
 def _bump(spec, center, width, amp=1.0):
@@ -275,7 +280,7 @@ def test_diffusion_term_squares_sigma_as_the_array_form_did():
     x = spec.nodes()
     want = -_d1(ConstantDrift(0.0).b(x) * P.values, spec.h) + 0.5 * _d2(
         np.full_like(x, sigma) ** 2 * P.values, spec.h)
-    got = _drift_diffusion_term(P, _model(1, sigma=sigma))
+    got = _drift_diffusion_term(P, _model(1, sigma=sigma), x)
     assert np.array_equal(got, want)
 
 
@@ -343,3 +348,159 @@ def test_causal_convolution_of_a_stack_is_per_row():
     kern = np.exp(-0.05 * np.arange(300))
     got = _causal_convolution(g, kern)
     assert np.array_equal(got, np.array([_causal_convolution(row, kern) for row in g]))
+
+
+# ---------------------------------------------------------------------------
+# generator_gap forms lambda P and the drift/diffusion term once for both
+# routes; the two routes written out on their own, each stencil as one
+# expression, are its reference
+
+
+def _d1_expr(values, h):
+    out = np.zeros_like(values)
+    out[..., 2:-2] = (
+        -values[..., 4:] + 8.0 * values[..., 3:-1] - 8.0 * values[..., 1:-3] + values[..., :-4]
+    ) / (12.0 * h)
+    return out
+
+
+def _d2_expr(values, h):
+    out = np.zeros_like(values)
+    out[..., 2:-2] = (
+        -values[..., 4:]
+        + 16.0 * values[..., 3:-1]
+        - 30.0 * values[..., 2:-2]
+        + 16.0 * values[..., 1:-3]
+        - values[..., :-4]
+    ) / (12.0 * h**2)
+    return out
+
+
+@pytest.mark.parametrize("shape", [(9,), (10,), (65,), (3, 9), (4, 257)])
+def test_stencils_equal_their_one_expression_forms_bit_for_bit(shape):
+    # the stencils work in place, term by term; each node must be the value
+    # of the single expression, signed zeros and subnormals included
+    rng = np.random.default_rng(sum(shape))
+    values = rng.standard_normal(shape)
+    values.flat[1::13] *= 10.0 ** rng.uniform(-300, 300, values.flat[1::13].size)
+    values.flat[::7] = 0.0
+    values.flat[3::7] = -0.0
+    values.flat[5::11] = 3e-310
+    for h in (0.37, 1e-3, 781.25):
+        for stencil, expr in ((_d1, _d1_expr), (_d2, _d2_expr)):
+            assert stencil(values, h).tobytes() == expr(values, h).tobytes()
+
+
+def _shift_expr(values, h, gamma, times):
+    for _ in range(times):
+        values = _d1_expr(values, h) + gamma * values
+    return values
+
+
+def _two_routes(P, model):
+    """The integral and differential generators and their gap, each route
+    computed on its own from single-expression stencils: the reference the
+    fused gap must equal bit for bit."""
+    m, gamma, h = model.jumps.m, model.jumps.gamma, P.spec.h
+    x = P.spec.nodes()
+    lamP = model.rate.rate(x) * P.values
+    dd = -_d1_expr(model.drift.b(x) * P.values, h) + 0.5 * _d2_expr(
+        model.sigma * model.sigma * P.values, h)
+    kern = erlang_pdf(model.jumps, np.arange(P.spec.n) * h)
+    conv = h * (_causal_convolution(lamP, kern) - 0.5 * (lamP[..., :1] * kern + lamP * kern[0]))
+    integral = dd - lamP + conv
+    integral[..., :2] = 0.0
+    integral[..., -2:] = 0.0
+    differential = _shift_expr(dd, h, gamma, m) + (gamma**m * lamP - _shift_expr(lamP, h, gamma, m))
+    k = interior_margin(m)
+    differential[..., :k] = 0.0
+    differential[..., -k:] = 0.0
+    lhs = _shift_expr(integral, h, gamma, m)
+    gap = float(np.max(np.abs(lhs[..., k:-k] - differential[..., k:-k])))
+    return integral, differential, gap
+
+
+@settings(derandomize=True, deadline=None, max_examples=80, database=None)
+@given(drift=st.sampled_from([ConstantDrift(0.0), ConstantDrift(-1.3), LinearRestoring(0.6),
+                              TanhRepulsive(0.5)]),
+       sigma=st.sampled_from([0.0, 0.3, 1.7]),
+       rate=st.sampled_from([ConstantRate(0.8), ExpDecayCentered(1.0, 2.0)]),
+       m=st.integers(1, 4), gamma=st.floats(0.3, 3.0), rows=st.integers(1, 5),
+       n=st.integers(65, 2049), seed=st.integers(0, 2**32 - 1))
+def test_generator_gap_equals_the_two_separate_routes_bit_for_bit(drift, sigma, rate, m, gamma,
+                                                                   rows, n, seed):
+    spec = GridSpec(-8.0, 10.0, n)
+    P = GridFunction(spec, _bump_stack(spec, rows, seed))
+    model = ModelSpec(drift, sigma, rate, ErlangJumpLaw(m, gamma))
+    for Q in (P, GridFunction(spec, P.values[0])):
+        integral, differential, gap = _two_routes(Q, model)
+        assert generator_gap(Q, model) == gap
+        assert integral_generator(Q, model).values.tobytes() == integral.tobytes()
+        assert differential_generator(Q, model).values.tobytes() == differential.tobytes()
+        assert gap == float(np.max(np.abs(
+            apply_shift_operator(integral_generator(Q, model).values, Q.spec.h, gamma, m)
+            - differential_generator(Q, model).values)[..., interior_margin(m):-interior_margin(m)]))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_generator_gap_forms_the_shared_terms_once(monkeypatch, m):
+    # one drift/diffusion term (one _d1, one _d2) and 3m shifts: the m of
+    # the integral route, and the m each of dd and lambda P in the
+    # differential route; the two generators called in turn need 3m + 2
+    # and 2
+    calls = Counter()
+    for name in ("_d1", "_d2"):
+        def counted(values, h, _name=name, _stencil=getattr(master, name)):
+            calls[_name] += 1
+            return _stencil(values, h)
+        monkeypatch.setattr(master, name, counted)
+    spec = GridSpec(-8.0, 10.0, 257)
+    model = _model(m, drift=LinearRestoring(0.6), sigma=0.3)
+    generator_gap(GridFunction(spec, _bump_stack(spec, 2, m)), model)
+    assert calls == {"_d1": 3 * m + 1, "_d2": 1}
+
+
+@pytest.mark.parametrize("node", [0, 1, -1, -2, 2, 130])
+def test_generator_gap_raises_where_a_route_is_not_finite(node):
+    # an infinite drift at grid node 0, 1, n-2 or n-1 makes the integral
+    # route infinite only at nodes 2, 3, n-4 or n-3, which no shift carries
+    # into the compared interior; integral_generator raises for it, and so
+    # must the gap, as it does for a node that reaches the interior
+    spec = GridSpec(-8.0, 10.0, 257)
+    P = GridFunction(spec, _bump_stack(spec, 2, 0))
+
+    class InfiniteAtNode(ConstantDrift):
+        def b(self, x):
+            out = super().b(x)
+            out[node] = np.inf
+            return out
+
+    model = _model(2, drift=InfiniteAtNode(0.5))
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValueError, match="finite"):
+            integral_generator(P, model)
+        with pytest.raises(ValueError, match="finite"):
+            generator_gap(P, model)
+
+
+# relative bounds on the two coarsest grids of each m's ladder: about ten
+# times the largest relative difference over seeds 0-99 (1.2e-10, 1.1e-8,
+# 8.7e-7 and 1.0e-7 for m = 1 to 4)
+_ROUNDING_ONLY = {1: 2e-9, 2: 2e-7, 3: 1e-5, 4: 2e-6}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_drift_and_diffusion_reach_the_gap_only_through_rounding(seed):
+    # both routes apply the same linear stencils to the same drift/diffusion
+    # term, so in exact arithmetic lhs - rhs is (d/dx + gamma)^m of the
+    # Erlang convolution minus gamma^m lambda P, whatever b and sigma are.
+    # On the README verify-master config's coarse grids, a restoring drift
+    # with diffusion and no drift or diffusion give the same gap to rounding
+    for m in (1, 2, 3, 4):
+        with_dd = _model(m, drift=LinearRestoring(0.6), sigma=0.3)
+        bare = _model(m)
+        for n in cli._ladder(m, [513, 1025, 2049, 4097, 8193])[:2]:
+            spec = GridSpec(-8.0, 10.0, n)
+            P = GridFunction(spec, cli._random_bumps(stream(seed, m), spec.nodes(), -8.0, 10.0, 3))
+            gap = generator_gap(P, bare)
+            assert abs(generator_gap(P, with_dd) - gap) <= _ROUNDING_ONLY[m] * gap

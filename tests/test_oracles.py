@@ -141,10 +141,20 @@ def test_oracles_reject_their_domain_edges():
 
 
 def test_an_integral_that_does_not_converge_raises_with_its_parameters():
-    # cosh(800 t) overflows inside the range of the K integral
+    # K_800(1) is near 1e2200, past the float range, so the scaled integrand
+    # overflows inside the range of the K integral
     message = r"bessel_k .*NONFINITE.* nu=800\.0, x=1\.0"
     with np.errstate(over="ignore"), pytest.raises(RuntimeError, match=message):
         oracles.bessel_k_ref(np.array([1.0, 800.0]), 1.0)
+
+
+@pytest.mark.parametrize("nu,x", [(100.0, 1.0), (50.0, 1e-3)])
+def test_bessel_k_oracle_reaches_large_orders(nu, x):
+    # nu t passes 710, where cosh(nu t) overflows, inside the range of the
+    # integral, while K_nu(x) itself (5.9e185 and 3.4e227) is a float
+    want = mpmath.besselk(nu, x)
+    got = oracles.bessel_k_ref(nu, x)
+    assert abs(got - want) <= 1e-13 * want
 
 
 def test_u_and_w_oracles_match_mpmath_to_1e_13():

@@ -4,14 +4,15 @@ Each subcommand loads a JSON config and parses it once against the
 command's table of fields.  A field has a kind (a finite real, an integer,
 a non-empty list of either, a nested block, or the tagged ``drift`` block),
 a default unless it is required, and a range; unknown keys are errors.
-Simulation blocks parse to a ``SimConfig``, and a check per command builds
-the objects the run uses, turning their own errors into exit 2, and covers
-the rules that span several fields.  The run reads only the parsed,
-immutable record; it then writes an output directory containing the echoed
-config, a ``report.json`` with named metrics and pass/fail flags, and CSV
-artifacts.  Exit codes: 0 when every tolerance was met, 1 when the run
-executed but a tolerance failed, 2 for an invalid configuration (nothing
-is written).
+Simulation blocks parse to a ``SimConfig``, and a ``--seed`` replaces the
+record's seed.  A check per command builds the objects the run uses, at
+the run's seed, turning their own errors into exit 2 (its analytic work
+counts as validation time), and covers the rules that span several fields.
+The run reads only the parsed, immutable record; it then writes an output
+directory containing the echoed config, a ``report.json`` with named
+metrics and pass/fail flags, and CSV artifacts.  Exit codes: 0 when every
+tolerance was met, 1 when the run executed but a tolerance failed, 2 for
+an invalid configuration (nothing is written).
 
 Invocation:
     erlangshot <subcommand> --config cfg.json --out outdir [--seed N]
@@ -244,9 +245,10 @@ def _environment():
 class RunReport:
     """Named metrics, pass/fail flags, and provenance for one run.
 
-    ``timings`` holds the seconds spent validating the config, running the
-    experiment, and writing output files (the config echo and every CSV;
-    CSVs written during the run count under ``write``, not ``run``)."""
+    ``timings`` holds the seconds spent validating the config (each check's
+    analytic work included), running the experiment, and writing output
+    files (the config echo and every CSV; CSVs written during the run count
+    under ``write``, not ``run``)."""
 
     def __init__(self, command, parameters, seed, out_dir):
         self.command = command
@@ -389,7 +391,7 @@ def _check_wave(cfg):
     return cfg._replace(grid=grid, waves=waves)
 
 
-def _run_wave(cfg, seed, report):
+def _run_wave(cfg, report):
     gamma, betas, waves = cfg.gamma, cfg.beta_values, cfg.waves
     xi = cfg.grid.nodes()
     # every profile file shares the grid: its text is formatted once
@@ -421,7 +423,7 @@ def _run_wave(cfg, seed, report):
                 report.metric("C2_over_C1", ratio)
             report.flag(f"speed_ratio_beta{b:g}_gt_2", ratio > 2.0)
     if cfg.swarm is not None:
-        sim = replace(cfg.swarm, seed=seed)
+        sim = replace(cfg.swarm, seed=cfg.seed)
         for m in cfg.m_values:
             for b in betas:
                 series = simulate.simulate_swarm(sim.n_paths, m, gamma, b, sim)
@@ -457,6 +459,9 @@ _VERIFY_MASTER = _record(
     _Field("drift", _DRIFT, ConstantDrift(0.0)),
     _Field("sigma", float, 0.0, _NONNEGATIVE),
     _Field("n_test_densities", int, 3, _size(1)),
+    # per entry of m_values, (m, hs, largest gap per grid) of its ladder;
+    # the engine counters; the m = 1 direct-form gap and its scale
+    derived=("ladders", "counters", "direct_form"),
 )
 
 
@@ -474,10 +479,6 @@ def _ladder(m, grid_sizes):
     return [max(65, (n - 1) // divisor + 1) for n in sorted(grid_sizes)]
 
 
-def _master_model(cfg, m):
-    return ModelSpec(cfg.drift, cfg.sigma, ConstantRate(cfg.lambda_), ErlangJumpLaw(m, cfg.gamma))
-
-
 def _check_verify_master(cfg):
     for m in cfg.m_values:
         if len(set(_ladder(m, cfg.grid_sizes))) < 4:
@@ -490,53 +491,22 @@ def _check_verify_master(cfg):
     span = cfg.x_hi - cfg.x_lo
     if not span * span < math.inf:
         raise ConfigError(f"x_hi - x_lo = {span:g} is too wide: the test densities square it")
-    # the finest grid (the m = 1 direct check's), and the run's generators
-    # on each m's finest grid at the narrowest and tallest density
-    # _random_bumps can draw (three bumps of height 1.5 and width 0.014 span
-    # at the centre): a rate, gamma^m, drift or diffusion that overflows
-    # there fails here
+    # the run's own gaps: a rate, gamma^m, drift or diffusion that fails on
+    # the test densities of the run's seed fails here
     with np.errstate(all="ignore"):
         try:
-            GridSpec(cfg.x_lo, cfg.x_hi, max(cfg.grid_sizes))
-            gaps = []
-            for m in cfg.m_values:
-                spec = GridSpec(cfg.x_lo, cfg.x_hi, _ladder(m, cfg.grid_sizes)[-1])
-                dens = _bumps(spec.nodes(), [cfg.x_lo + 0.5 * span], [0.014 * span], [4.5])
-                gaps.append(master.generator_gap(GridFunction(spec, dens), _master_model(cfg, m)))
+            return _master_gaps(cfg)
         except (OverflowError, ValueError) as exc:
             raise ConfigError(f"verify-master cannot evaluate its generators: {exc}") from exc
-    if not all(math.isfinite(gap) for gap in gaps):
-        raise ConfigError("the generators are not finite on the test densities")
 
 
-def _bumps(x, c, w, a):
-    """(k, len(x)) stack of Gaussian bumps: row i has height a[i] and width
-    w[i] and is centred at c[i] (lists of k floats).  2 w^2 is formed in
-    Python floats, whose power can differ from numpy's square in the last
-    bit, so a row is the bump that those floats give on their own."""
-    c, a = (np.array(v)[:, None] for v in (c, a))
-    var2 = np.array([2 * v**2 for v in w])[:, None]
-    return a * np.exp(-((x - c) ** 2) / var2)
-
-
-def _random_bumps(rng, x, x_lo, x_hi, k):
-    """(k, len(x)) stack of random mixtures of three Gaussian bumps supported
-    well inside the grid.  Each density draws centre, width and height of
-    each bump in turn, so a stack holds the densities of k one-at-a-time
-    draws, in order and bit for bit."""
-    span = x_hi - x_lo
-    dens = np.zeros((k, x.size))
-    for uc, uw, ua in rng.random((k, 3, 3)).transpose(1, 2, 0).tolist():
-        dens += _bumps(x, [x_lo + span * (0.38 + 0.24 * u) for u in uc],
-                       [span * (0.014 + 0.011 * u) for u in uw], [0.5 + u for u in ua])
-    return dens
-
-
-def _run_verify_master(cfg, seed, report):
-    gamma, lam, x_lo, x_hi = cfg.gamma, cfg.lambda_, cfg.x_lo, cfg.x_hi
-    rows = []
+def _master_gaps(cfg):
+    """The record with every ladder's gaps, the engine counters and the
+    m = 1 direct-form gap set."""
+    x_lo, x_hi, lam = cfg.x_lo, cfg.x_hi, cfg.lambda_
+    ladders, counters = [], Counter()
     for m in cfg.m_values:
-        model = _master_model(cfg, m)
+        model = ModelSpec(cfg.drift, cfg.sigma, ConstantRate(lam), ErlangJumpLaw(m, cfg.gamma))
         m_sizes = _ladder(m, cfg.grid_sizes)
         gaps = []
         for n in m_sizes:
@@ -545,29 +515,53 @@ def _run_verify_master(cfg, seed, report):
             gap = 0.0
             # the same test densities on every grid of the ladder, a stack
             # of at most _STACK_POINTS values per generator_gap call
-            dens_rng = stream(seed, m)
+            dens_rng = stream(cfg.seed, m)
             per_stack = max(1, _STACK_POINTS // n)
             for start in range(0, cfg.n_test_densities, per_stack):
                 k = min(per_stack, cfg.n_test_densities - start)
                 P = GridFunction(spec, _random_bumps(dens_rng, x, x_lo, x_hi, k))
                 gap = max(gap, master.generator_gap(P, model))
-                report.counters.update(densities=k, grid_points=k * n, generator_stacks=1)
+                counters.update(densities=k, grid_points=k * n, generator_stacks=1)
             gaps.append(gap)
-        hs = [(x_hi - x_lo) / (n - 1) for n in m_sizes]
-        order = master.fit_convergence_order(hs, gaps)
-        report.metric(f"order_m{m}", order)
-        report.flag(f"order_m{m}_ge_1.7", order >= 1.7)
-        rows += [(m, h, g) for h, g in zip(hs, gaps)]
+        ladders.append((m, [(x_hi - x_lo) / (n - 1) for n in m_sizes], gaps))
     # m=1 zero-drift reduction: the differential route must equal the plain
     # divergence of the rate term to rounding
     spec = GridSpec(x_lo, x_hi, max(cfg.grid_sizes))
-    P = GridFunction(spec, _random_bumps(stream(seed, 0), spec.nodes(), x_lo, x_hi, 1)[0])
-    model1 = ModelSpec(ConstantDrift(0.0), 0.0, ConstantRate(lam), ErlangJumpLaw(1, gamma))
+    P = GridFunction(spec, _random_bumps(stream(cfg.seed, 0), spec.nodes(), x_lo, x_hi, 1)[0])
+    model1 = ModelSpec(ConstantDrift(0.0), 0.0, ConstantRate(lam), ErlangJumpLaw(1, cfg.gamma))
     lhs = master.differential_generator(P, model1).values
     direct = -master._d1(lam * P.values, spec.h)
     k = master.interior_margin(1)
     gap1 = float(np.max(np.abs(lhs[k:-k] - direct[k:-k])))
     scale = max(1.0, float(np.max(np.abs(direct))))
+    return cfg._replace(ladders=tuple(ladders), counters=counters, direct_form=(gap1, scale))
+
+
+def _random_bumps(rng, x, x_lo, x_hi, k):
+    """(k, len(x)) stack of random mixtures of three Gaussian bumps supported
+    well inside the grid.  Each density draws centre, width and height of
+    each bump in turn, so a stack holds the densities of k one-at-a-time
+    draws, in order and bit for bit.  2 w^2 is formed in Python floats, whose
+    power can differ from numpy's square in the last bit."""
+    span = x_hi - x_lo
+    dens = np.zeros((k, x.size))
+    for uc, uw, ua in rng.random((k, 3, 3)).transpose(1, 2, 0).tolist():
+        c = np.array([x_lo + span * (0.38 + 0.24 * u) for u in uc])[:, None]
+        var2 = np.array([2 * (span * (0.014 + 0.011 * u)) ** 2 for u in uw])[:, None]
+        a = np.array([0.5 + u for u in ua])[:, None]
+        dens += a * np.exp(-((x - c) ** 2) / var2)
+    return dens
+
+
+def _run_verify_master(cfg, report):
+    rows = []
+    for m, hs, gaps in cfg.ladders:
+        order = master.fit_convergence_order(hs, gaps)
+        report.metric(f"order_m{m}", order)
+        report.flag(f"order_m{m}_ge_1.7", order >= 1.7)
+        rows += [(m, h, g) for h, g in zip(hs, gaps)]
+    report.counters.update(cfg.counters)
+    gap1, scale = cfg.direct_form
     report.metric("m1_direct_form_gap", gap1)
     report.flag("m1_direct_form_matches", gap1 <= 1e-12 * scale)
     report.write_csv("generator_gaps.csv", ["m", "h", "max_gap"], np.array(rows, dtype=float).T)
@@ -695,7 +689,7 @@ def _stationary_residual(cfg):
     return master.stationary_residual(gf, model)
 
 
-def _run_stationary(cfg, seed, report):
+def _run_stationary(cfg, report):
     m, alpha, lam, gamma, grid, sim = cfg.m, cfg.alpha, cfg.lambda_, cfg.gamma, cfg.grid, cfg.sim
     x = grid.nodes()
     dens = cfg.m1_density if m == 1 else closedform.stationary_ou_m2(alpha, lam, gamma, x)
@@ -704,7 +698,7 @@ def _run_stationary(cfg, seed, report):
     # sigma = 0 and linear drift: the state at t_end is drawn exactly from
     # the explicit shot-noise solution; sim.dt does not enter
     sample = simulate.sample_linear_shot_noise_exact(
-        alpha, lam, gamma, m, 0.0, sim.t_end, sim.n_paths, seed
+        alpha, lam, gamma, m, 0.0, sim.t_end, sim.n_paths, cfg.seed
     )
     report.count_exact(sample)
     final = sample.values
@@ -770,12 +764,12 @@ def _check_transient(cfg):
     return cfg._replace(law=law, tables=tables)
 
 
-def _run_transient(cfg, seed, report):
+def _run_transient(cfg, report):
     alpha, lam, gamma, x0, t_u, law = cfg.alpha, cfg.lambda_, cfg.gamma, cfg.x0, cfg.t_u, cfg.law
     # one pathwise sample, read at every comparison time and at t_u
     grid = sorted(set(cfg.times) | {t_u})
     sample = simulate.sample_linear_shot_noise_exact(
-        alpha, lam, gamma, 1, x0, grid, cfg.n_samples, seed
+        alpha, lam, gamma, 1, x0, grid, cfg.n_samples, cfg.seed
     )
     report.count_exact(sample)
     at = {t: sample.values[i] for i, t in enumerate(grid)}
@@ -839,7 +833,7 @@ def _check_tanh(cfg):
     return cfg._replace(transient_table=transient_table, ou_law=ou_law, ou_table=ou_table)
 
 
-def _run_tanh(cfg, seed, report):
+def _run_tanh(cfg, report):
     alpha, lam, gamma, beta, t = cfg.alpha, cfg.lambda_, cfg.gamma, cfg.beta, cfg.t
     # each law's chirp-z sum is evaluated once, by the check; mass and CDF
     # come from its grid
@@ -849,7 +843,7 @@ def _run_tanh(cfg, seed, report):
     report.write_csv("tanh_transient_density.csv", ["x", "density"], [xs, dens])
     # exact jump-adapted draws of the state at the horizon; dt and
     # record_stride do not enter
-    sample = simulate.sample_tanh_exact(lam, gamma, beta, t, cfg.sim.n_paths, seed)
+    sample = simulate.sample_tanh_exact(lam, gamma, beta, t, cfg.sim.n_paths, cfg.seed)
     report.count_exact(sample)
     ks = simulate.ks_distance(sample.values, interp_cdf(xs, cdf))
     report.metric("transient_mass", mass)
@@ -862,7 +856,7 @@ def _run_tanh(cfg, seed, report):
         ys, ydens = cfg.ou_table
         report.write_csv("ou_stationary_density.csv", ["y", "density"], [ys, ydens])
         osample = simulate.sample_ou_tanh_exact(
-            alpha, lam, gamma, beta, ssim.t_end, ssim.n_paths, seed
+            alpha, lam, gamma, beta, ssim.t_end, ssim.n_paths, cfg.seed
         )
         report.count_exact(osample)
         ycdf = trapezoid_cdf(ydens, ys)
@@ -889,9 +883,9 @@ _VERIFY_SPECFUN = _record("VerifySpecfunConfig", _Field("n_samples", int, 120, _
 _SPECFUN_BATCH = 4096
 
 
-def _run_verify_specfun(cfg, seed, report):
+def _run_verify_specfun(cfg, report):
     n = cfg.n_samples
-    rng = stream(seed, 0)
+    rng = stream(cfg.seed, 0)
 
     def sweep(name, tol, sampler, impl, ref, relative=False, ulp_floor=False):
         # the sampler draws one column of n values per parameter; impl and
@@ -973,11 +967,14 @@ _COMMANDS = {
 }
 
 
-def parse_config(command, cfg):
-    """The command's config record parsed from a decoded JSON config;
-    raises ConfigError for an invalid one."""
+def parse_config(command, cfg, seed=None):
+    """The command's config record parsed from a decoded JSON config, with
+    ``seed``, unless None, in place of the config's; raises ConfigError for
+    an invalid one."""
     table, check, _ = _COMMANDS[command]
     record = _parse(table, cfg, f"{command} config")
+    if seed is not None:
+        record = record._replace(seed=_value(_SEED, seed, "--seed"))
     if check is not None:
         # a check returns the record with its derived attributes set, or None
         record = check(record) or record
@@ -990,8 +987,7 @@ def run_command(command, config_path, out_dir, seed_override=None, quiet=False):
     start = time.perf_counter()
     try:
         cfg = _load_config(config_path)
-        record = parse_config(command, cfg)
-        seed = record.seed if seed_override is None else _value(_SEED, seed_override, "--seed")
+        record = parse_config(command, cfg, seed_override)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -999,11 +995,11 @@ def run_command(command, config_path, out_dir, seed_override=None, quiet=False):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     echo = dict(cfg)
-    echo["seed"] = seed
+    echo["seed"] = record.seed
     (out / "config_echo.json").write_text(json.dumps(echo, indent=2, sort_keys=True) + "\n")
-    report = RunReport(command, echo, seed, out)
+    report = RunReport(command, echo, record.seed, out)
     echoed = time.perf_counter()
-    run(record, seed, report)
+    run(record, report)
     timings = report.timings
     timings["validate"] = validated - start
     # the run's CSV writes are already counted under "write"

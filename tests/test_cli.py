@@ -13,6 +13,7 @@ import pkgutil
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -532,6 +533,11 @@ _MASTER_OVERFLOWS = [dict(_MASTER_BASE, **over) for over in (
     {"drift": {"kind": "linear_restoring", "alpha": 1e308}},
     {"drift": {"kind": "tanh", "beta": 1e308}},
 )]
+# the drift is about 0 at the centre of the span but overflows at the test
+# densities' centres (0.38 to 0.62 of it): this passed a validation that
+# probed one centred density, then raised after --out existed
+_MASTER_OFF_CENTRE = dict(_MASTER_BASE, m_values=[1, 2], x_lo=-1e5, x_hi=1e5, sigma=0.0,
+                          drift={"kind": "linear_restoring", "alpha": 1.7e303})
 
 
 @pytest.mark.parametrize(
@@ -646,6 +652,7 @@ _MASTER_OVERFLOWS = [dict(_MASTER_BASE, **over) for over in (
         # 1F1(-19.5, 2, -s) needs more than 500 series terms short of the
         # asymptotic range s > 360 (this once ran with a law of mass 0.55)
         ("transient", _transient_cfg(x0=0.0, times=[3.0], **{"lambda": 20.5}), []),
+        ("verify-master", _MASTER_OFF_CENTRE, []),
     ],
 )
 def test_invalid_config_exits_2_and_writes_nothing(tmp_path, command, cfg, argv):
@@ -665,6 +672,21 @@ def test_invalid_config_exits_2_and_writes_nothing(tmp_path, command, cfg, argv)
     else:
         assert main(args) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [0, 7, 11])
+@pytest.mark.parametrize("cfg", [*_MASTER_OVERFLOWS, _MASTER_OFF_CENTRE])
+def test_verify_master_overflow_exits_2_with_one_error_and_no_warning(tmp_path, capsys, cfg,
+                                                                      seed):
+    # the check evaluates the generators with floating-point errors ignored
+    out = tmp_path / "out"
+    args = ["--config", _write(tmp_path, "c.json", cfg), "--out", str(out), "--seed", str(seed)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["verify-master", *args]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("lam", [1e-17, 1e-300])
@@ -1022,6 +1044,11 @@ _BAD_NUMBER_CASES = [
 @pytest.mark.parametrize("command,cfg", list(_SMALL.items()))
 def test_small_configs_parse(command, cfg):
     assert parse_config(command, cfg).seed == cfg["seed"]
+    # a --seed override is validated as the config's seed and replaces it
+    assert parse_config(command, cfg, seed=2**64 - 1).seed == 2**64 - 1
+    for bad in (-1, 2**64, True, 1.5):
+        with pytest.raises(cli.ConfigError):
+            parse_config(command, cfg, seed=bad)
 
 
 @pytest.mark.parametrize("command,cfg", _BAD_NUMBER_CASES)
@@ -1099,6 +1126,22 @@ def test_verify_master_split_stacks_write_the_same_bytes(tmp_path, monkeypatch):
         assert other_body == body and other_metrics == metrics
         assert other_counters["densities"] == counters["densities"] == 60
         assert other_counters["grid_points"] == counters["grid_points"]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+def test_verify_master_validates_with_the_gaps_it_reports(tmp_path, seed):
+    # the check computes every ladder at the run's seed; the run writes those
+    # rows, bit for bit
+    cfg = _verify_master_cfg(grid_sizes=[257, 513, 1025, 2049], n_test_densities=3, seed=1)
+    ladders = parse_config("verify-master", cfg, seed=seed).ladders
+    want = [(float(m).hex(), h.hex(), g.hex()) for m, hs, gaps in ladders
+            for h, g in zip(hs, gaps)]
+    out = tmp_path / "out"
+    assert main(["verify-master", "--config", _write(tmp_path, "vm.json", cfg), "--out", str(out),
+                 "--seed", str(seed)]) == 0
+    header, *lines = (out / "generator_gaps.csv").read_text().splitlines()
+    assert header == "m,h,max_gap"
+    assert [tuple(float(v).hex() for v in line.split(",")) for line in lines] == want
 
 
 # the README verify-master config's generator_gaps.csv digest and metrics, as

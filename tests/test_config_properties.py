@@ -129,6 +129,11 @@ _MASTER = {k: v for k, v in _BASE["verify-master"].items() if k not in ("drift",
 @example(case=("verify-master", {**_MASTER, "drift": {"kind": "linear_restoring",
                                                        "alpha": 1e308}}))
 @example(case=("verify-master", {**_MASTER, "drift": {"kind": "tanh", "beta": 1e308}}))
+# the drift overflows off the centre of the span, where the test densities
+# lie: this once passed validation and raised after --out existed
+@example(case=("verify-master", {**_MASTER, "m_values": [1, 2], "x_lo": -1e5, "x_hi": 1e5,
+                                 "drift": {"kind": "linear_restoring", "alpha": 1.7e303},
+                                 "sigma": 0.0}))
 # 1/2 - nu of the OU law rounds to 0: once raised after both CSVs existed
 @example(case=_with("tanh", **{"lambda": 1e-17}))
 # the wave moves at about e^100 / 100: the swarm once did not finish

@@ -280,8 +280,11 @@ class RunReport:
         self.metrics[name] = float(value)
 
     def count_exact(self, sample):
-        """Add an exact sampler's counters: samples as paths, no steps, jumps."""
+        """Add an exact sampler's counters: samples as paths, no steps, jumps;
+        ``tile_values`` is the largest tile's values per temporary array of
+        every exact sample of the run."""
         self.counters.update(paths=len(sample), steps=0, jumps=int(sample.jump_counts.sum()))
+        self.counters["tile_values"] = max(self.counters["tile_values"], sample.tile_values)
 
     def count_swarm(self, sim, series):
         """Add a swarm run's counters: agents, agent-steps, exponential
@@ -480,6 +483,10 @@ def _ladder(m, grid_sizes):
 
 
 def _check_verify_master(cfg):
+    # each m names its own order metric and generator_gaps.csv rows
+    if len(set(cfg.m_values)) < len(cfg.m_values):
+        raise ConfigError(f"m_values {list(cfg.m_values)} must not repeat: each names its own "
+                          "order metric and ladder")
     for m in cfg.m_values:
         if len(set(_ladder(m, cfg.grid_sizes))) < 4:
             raise ConfigError(

@@ -31,7 +31,12 @@ from jump to jump, the diffusion between jumps being a Brownian motion
 with drift +beta or -beta, its sign drawn once per interval.  The exact
 samplers draw chunk c of 4096 samples from stream (seed, 2**63 + 4096 c),
 and ``sample_ou_tanh_exact`` from (seed, 2**63 + 2**62 + 4096 c), so a run
-at one seed reads only that seed's streams.  Every Erlang
+at one seed reads only that seed's streams.  A chunk's draws are made
+whole; the work on them runs in tiles of whole, consecutive paths (see
+``_tiles``), each holding at most about ``_TILE`` jumps, or up to twice as
+many grid cells, per temporary array.  So a sampler holds one chunk's
+draws, one tile's temporaries and its output.  A path's arithmetic does not depend on its
+neighbours, so the tiles leave every value bit-identical.  Every Erlang
 jump size, in the Euler reference, the exact sampler and the swarm, comes
 from ``noise.erlang_magnitudes``.
 
@@ -74,7 +79,7 @@ _CHUNK = 4096  # draws per stream of the exact samplers
 # 2**62 past the others, so one run's X and Y samples never share a stream
 _EXACT_STREAM_BASE = 2**63
 _OU_STREAM_BASE = 2**63 + 2**62
-_CELLS = 2**18  # (round, path) cells per block of the jump-adapted sampler
+_TILE = 2**17  # values per temporary array of an exact sampler's tile of paths
 # interior times up to which the linear sampler finds each jump's interval
 # by counting comparisons into a uint8 (at most 255) rather than by a binary
 # search; the counting loop is O(times) per jump, and on 49 chunks of 24576
@@ -188,6 +193,7 @@ class ExactSample:
 
     values: np.ndarray
     jump_counts: np.ndarray  # per-draw totals, up to the last time
+    tile_values: int  # the largest tile's values per temporary array
 
     def __len__(self):
         return self.values.shape[-1]
@@ -338,10 +344,14 @@ def sample_linear_shot_noise_exact(alpha, lam, gamma, m, x0, t, n, seed) -> Exac
 
     Chunk c of 4096 paths draws from stream ``(seed, 2**63 + 4096 c)``:
     the chunk's Poisson counts, then its arrival uniforms, then its
-    magnitude uniforms.  ``values`` has shape (n,) for a scalar t and
-    (len(t), n) for a sequence, row i holding X_{t_i}; ``jump_counts`` holds
-    each path's Poisson count up to t_max.  Times must be finite, positive
-    and strictly increasing (ValueError).
+    magnitude uniforms.  A chunk's jumps are worked on in tiles of whole
+    paths of at most about ``_TILE`` jumps (see ``_tiles``); a tile writes
+    its paths' sums per interval into their columns of ``values``, and the
+    recursion then runs down the chunk's columns.  ``values`` has shape (n,)
+    for a scalar t and (len(t), n) for a sequence, row i holding X_{t_i};
+    ``jump_counts`` holds each path's Poisson count up to t_max, and
+    ``tile_values`` the largest tile's jumps or its len(t) rows of paths.
+    Times must be finite, positive and strictly increasing (ValueError).
     """
     times = np.atleast_1d(np.asarray(t, dtype=float))
     if times.ndim != 1 or not times.size:
@@ -356,37 +366,59 @@ def sample_linear_shot_noise_exact(alpha, lam, gamma, m, x0, t, n, seed) -> Exac
     decay = np.exp(-alpha * np.diff(times))
     values = np.empty((n_times, n))
     counts = np.empty(n, dtype=np.int64)
+    largest = 0
     for lo, hi, _, nj, arrivals, mag_u in _exact_chunks(n, seed, lam * t_max, m):
-        k = hi - lo
         counts[lo:hi] = nj
         if not arrivals.size:
             values[:, lo:hi] = base[:, None]
             continue
-        tau = t_max * arrivals
-        jm = erlang_magnitudes(mag_u, gamma)
-        # the comparison interval (t_{i-1}, t_i] of each jump, tau <= t_max:
-        # the count of times below tau, which is searchsorted's left index
-        if n_times == 1:
-            span = 0
-        elif n_times - 1 <= _MAX_COUNTED_TIMES:
-            span = np.zeros(len(tau), dtype=np.uint8)
-            for ti in times[:-1].tolist():
-                span += tau > ti
-        else:
-            span = np.searchsorted(times, tau)
-        contrib = jm * np.exp(-alpha * (times[span] - tau))
-        # each jump's (interval, path) cell, added in place: a numpy scalar
-        # left of + would cost a copy of the temporary numpy reuses; the
-        # intp factor widens a uint8 span before it is scaled
-        cell = np.repeat(np.arange(k), nj)
-        cell += span * np.intp(k)
-        new = np.bincount(cell, weights=contrib, minlength=n_times * k).reshape(n_times, k)
-        y = new[0]
-        values[0, lo:hi] = base[0] + y
+        # Y of each time, in the chunk's columns of values: a tile sets its
+        # jumps' sums per interval, then the recursion runs down the rows
+        ys = values[:, lo:hi]
+        for a, b, js in _tiles(nj, len(arrivals) / (hi - lo)):
+            k = b - a
+            largest = max(largest, js.stop - js.start, n_times * k)
+            tau = t_max * arrivals[js]
+            jm = erlang_magnitudes(mag_u[js], gamma)
+            # the comparison interval (t_{i-1}, t_i] of each jump, tau <= t_max:
+            # the count of times below tau, which is searchsorted's left index
+            if n_times == 1:
+                span = 0
+            elif n_times - 1 <= _MAX_COUNTED_TIMES:
+                span = np.zeros(len(tau), dtype=np.uint8)
+                for ti in times[:-1].tolist():
+                    span += tau > ti
+            else:
+                span = np.searchsorted(times, tau)
+            contrib = jm * np.exp(-alpha * (times[span] - tau))
+            # each jump's (interval, path) cell, added in place: a numpy scalar
+            # left of + would cost a copy of the temporary numpy reuses; the
+            # intp factor widens a uint8 span before it is scaled
+            cell = np.repeat(np.arange(k), nj[a:b])
+            cell += span * np.intp(k)
+            new = np.bincount(cell, weights=contrib, minlength=n_times * k)
+            ys[:, a:b] = new.reshape(n_times, k)
         for i in range(1, n_times):
-            y = y * decay[i - 1] + new[i]
-            values[i, lo:hi] = base[i] + y
-    return ExactSample(values[0] if np.ndim(t) == 0 else values, counts)
+            ys[i] += ys[i - 1] * decay[i - 1]
+        ys += base[:, None]
+    return ExactSample(values[0] if np.ndim(t) == 0 else values, counts, largest)
+
+
+def _tiles(nj, per_path, min_width=1):
+    """The tiles of a chunk whose paths hold nj jumps and per_path values of
+    a temporary array each: ``(a, b, jumps)``, paths a ... b - 1 and the
+    slice of their jumps.  Tiles are runs of whole, consecutive paths of
+    equal widths (to one path), as few as hold at most about ``_TILE``
+    values each, so a chunk within the budget is one tile; none is
+    narrower than min_width paths unless the chunk is."""
+    k = len(nj)
+    width = max(min_width, -(-k // max(1, math.ceil(k * per_path / _TILE))))
+    j0 = 0
+    for a in range(0, k, width):
+        b = min(k, a + width)
+        j1 = j0 + int(nj[a:b].sum())
+        yield a, b, slice(j0, j1)
+        j0 = j1
 
 
 def _exact_chunks(n, seed, mean_jumps, d, base=_EXACT_STREAM_BASE):
@@ -416,7 +448,7 @@ def sample_tanh_exact(lam, gamma, beta, t, n, seed) -> ExactSample:
     s = +1 drawn once with probability (1 + tanh(beta x)) / 2.  Each path is
     advanced from jump to jump by this law, so there is no time step and no
     discretization bias.  The work is not O(jumps): ``_jump_adapted`` pads
-    each block of paths to its largest jump count.  It also gives the
+    each tile of paths to its largest jump count.  It also gives the
     stream layout.  ``values`` holds X_t, ``jump_counts`` each path's jumps.
     """
     if lam < 0 or not gamma > 0 or not beta > 0:
@@ -450,39 +482,42 @@ def _jump_adapted(lam, gamma, beta, t, n, seed, alpha=None):
     Y (per interval, W's and then I's).  A path of N jumps has N + 1
     intervals, and intervals are ordered path after path, each path's in
     time order.  A path's jump times are its N arrival uniforms, sorted,
-    times t, and its magnitudes follow them in draw order.  The chunk's
-    paths are advanced in blocks of whole paths, each of at most about
-    ``_CELLS`` grid cells (see ``_advance``), which bounds the memory.
+    times t, and its magnitudes follow them in draw order.
 
-    A block of p paths whose largest jump count is N_max costs p (N_max + 1)
-    cells, one per path and round, against the sum over its paths of
-    N_i + 1, the intervals they hold.  At rate 1 that is 3.5 (X) and 3.9 (Y)
-    times the live intervals for 16384 paths at t = 1, and 1.8 and 1.9 for
-    8192 paths at t = 20: the padding weighs most where few jumps are
-    expected per path.
+    The chunk's paths are advanced in tiles (see ``_tiles``), each costing
+    p (N_max + 1) grid cells per coefficient (see ``_advance``) for its p
+    paths and its largest jump count N_max, against the sum over its paths
+    of N_i + 1, the intervals they hold.  At rate 1 a whole chunk's grid is
+    3.5 (X) and 3.9 (Y) times its intervals at t = 1, and 1.8 and 1.9 at
+    t = 20: the padding weighs most where few jumps are expected per path.
+    Tiles are cut for the chunk's largest N_max to hold at most about
+    ``_TILE`` cells per coefficient.  A round costs about a dozen numpy
+    calls whatever its width, so where that would leave tiles narrower than
+    a quarter chunk (past 128 cells per path, lambda t near 100), they are
+    1024 paths wide, or, past 256 cells per path, as wide as 2 * ``_TILE``
+    cells allow: at lambda t = 100 to 1000, narrower tiles were measured
+    4-18% slower.  ``tile_values`` is the largest tile's p (N_max + 1).
     """
     if not 0 < t < math.inf:
         raise ValueError("t must be finite and positive")
     values = np.empty(n)
     counts = np.empty(n, dtype=np.int64)
+    largest = 0
     base = _EXACT_STREAM_BASE if alpha is None else _OU_STREAM_BASE
     for lo, hi, gen, nj, arrivals, mag_u in _exact_chunks(n, seed, lam * t, 1, base):
         counts[lo:hi] = nj
-        mags = laplace_magnitudes(mag_u[:, 0], gamma)
         up = gen.random(hi - lo + len(arrivals))
         z = gen.standard_normal((len(up), 1 if alpha is None else 2))
-        # a path's jumps and intervals start where the earlier paths' end
-        jump_at = np.concatenate([[0], np.cumsum(nj)])
-        interval_at = jump_at + np.arange(hi - lo + 1)
-        width = max(1, _CELLS // (int(nj.max()) + 1))
-        for b0 in range(0, hi - lo, width):
-            b1 = min(hi - lo, b0 + width)
-            js = slice(jump_at[b0], jump_at[b1])
-            ivs = slice(interval_at[b0], interval_at[b1])
-            values[lo + b0 : lo + b1] = _advance(
-                nj[b0:b1], arrivals[js], mags[js], up[ivs], z[ivs], t, beta, alpha
+        cells = int(nj.max()) + 1  # per path, for the chunk's busiest path
+        for a, b, js in _tiles(nj, cells, min(_CHUNK // 4, 2 * _TILE // cells)):
+            largest = max(largest, (b - a) * (int(nj[a:b].max()) + 1))
+            # a path of N jumps holds N + 1 intervals
+            ivs = slice(js.start + a, js.stop + b)
+            mags = laplace_magnitudes(mag_u[js, 0], gamma)
+            values[lo + a : lo + b] = _advance(
+                nj[a:b], arrivals[js], mags, up[ivs], z[ivs], t, beta, alpha
             )
-    return ExactSample(values, counts)
+    return ExactSample(values, counts, largest)
 
 
 def _advance(nj, arrivals, mags, up, z, t, beta, alpha):

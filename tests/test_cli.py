@@ -214,8 +214,8 @@ def test_stationary_draws_the_exact_sampler(tmp_path):
     report = json.loads((out / "report.json").read_text())
     sample = sample_linear_shot_noise_exact(1.0, 2.0, 1.0, 2, 0.0, 10.0, 6000, 2)
     assert report["metrics"]["mc_mean"] == float(sample.values.mean())
-    assert report["counters"] == {
-        "paths": 6000, "steps": 0, "jumps": int(sample.jump_counts.sum())}
+    assert report["counters"] == {"paths": 6000, "steps": 0, "jumps": int(sample.jump_counts.sum()),
+                                  "tile_values": sample.tile_values}
     # lambda * t_end = 20 jumps per sample
     assert 6000 * 19 < report["counters"]["jumps"] < 6000 * 21
 
@@ -294,7 +294,7 @@ def test_transient_counts_one_pathwise_sample(tmp_path, monkeypatch):
     assert main(["transient", "--config", cfg, "--out", str(out)]) == 0
     assert calls == [[0.3, 0.7, 1.0]]
     counters = json.loads((out / "report.json").read_text())["counters"]
-    assert set(counters) == {"paths", "steps", "jumps"}
+    assert set(counters) == {"paths", "steps", "jumps", "tile_values"}
     assert counters["paths"] == n and counters["steps"] == 0
     assert abs(counters["jumps"] - lam * t_max * n) < 5 * np.sqrt(lam * t_max * n)
 
@@ -653,6 +653,9 @@ _MASTER_OFF_CENTRE = dict(_MASTER_BASE, m_values=[1, 2], x_lo=-1e5, x_hi=1e5, si
         # asymptotic range s > 360 (this once ran with a law of mass 0.55)
         ("transient", _transient_cfg(x0=0.0, times=[3.0], **{"lambda": 20.5}), []),
         ("verify-master", _MASTER_OFF_CENTRE, []),
+        # a repeated m once ran its ladder twice, wrote its rows twice and exited 0
+        ("verify-master", _verify_master_cfg(m_values=[1, 1], grid_sizes=[257, 513, 1025, 2049]),
+         []),
     ],
 )
 def test_invalid_config_exits_2_and_writes_nothing(tmp_path, command, cfg, argv):
@@ -793,12 +796,18 @@ def test_report_keys_and_engine_counters(tmp_path):
     assert set(report["metrics"]) == {
         "transient_mass", "transient_ks", "stationary_ks", "stationary_ks_jump_only"}
     counters = report["counters"]
-    assert set(counters) == {"paths", "steps", "jumps"}
+    assert set(counters) == {"paths", "steps", "jumps", "tile_values"}
     assert counters["paths"] == 500 + 400
     # both runs are exact samplers: no time steps
     assert counters["steps"] == 0
     # lambda = 1 over horizons 0.5 and 2.0: about 250 + 800 jumps
     assert 900 < counters["jumps"] < 1200
+    # the larger of the two samples' largest tiles, each sample one tile
+    # of its paths by its largest jump count plus one
+    tiles = [simulate.sample_tanh_exact(1.0, 2.0, 0.5, 0.5, 500, 4).tile_values,
+             simulate.sample_ou_tanh_exact(1.0, 1.0, 2.0, 0.5, 2.0, 400, 4).tile_values]
+    assert counters["tile_values"] == max(tiles)
+    assert 500 < tiles[0] < 500 * 10 and 400 < tiles[1] < 400 * 15
 
     out = tmp_path / "wave"
     cfg = _wave_cfg(m_values=[1], n_xi=501)

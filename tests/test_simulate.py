@@ -466,10 +466,8 @@ def test_exact_tanh_samplers_follow_the_stream_layout(ou):
     np.testing.assert_allclose(got.values, want, rtol=1e-12, atol=1e-12)
 
 
-@pytest.mark.parametrize("ou", [False, True])
-def test_exact_tanh_samplers_take_zero_length_intervals(monkeypatch, ou):
-    # every jump at time 0: each path starts with zero-length intervals,
-    # which must neither divide by zero nor leave the path
+def _zero_arrivals(monkeypatch):
+    # every jump at time 0: paths start with zero-length intervals
     chunks = simulate._exact_chunks
 
     def at_zero(*args):
@@ -477,6 +475,12 @@ def test_exact_tanh_samplers_take_zero_length_intervals(monkeypatch, ou):
             yield lo, hi, gen, nj, np.zeros_like(arrivals), mag_u
 
     monkeypatch.setattr(simulate, "_exact_chunks", at_zero)
+
+
+@pytest.mark.parametrize("ou", [False, True])
+def test_exact_tanh_samplers_take_zero_length_intervals(monkeypatch, ou):
+    # zero-length intervals must neither divide by zero nor leave the path
+    _zero_arrivals(monkeypatch)
     with np.errstate(divide="raise", invalid="raise"):
         if ou:
             sample = sample_ou_tanh_exact(1.0, 3.0, 2.0, 0.5, 1.0, 2000, 27)
@@ -484,6 +488,84 @@ def test_exact_tanh_samplers_take_zero_length_intervals(monkeypatch, ou):
             sample = sample_tanh_exact(3.0, 2.0, 0.5, 1.0, 2000, 27)
     assert sample.jump_counts.max() > 1
     assert np.all(np.isfinite(sample.values))
+
+
+def _tiled_samples():
+    # 4100 draws cross a chunk boundary; m = 1-4 at a scalar time and a
+    # time list; lambda = 0 (no jump, or tiles without a jump); a sparse
+    # rate, whose narrow tiles often hold no jump; 300 times, past the 255
+    # interior times that are counted rather than searched
+    out = []
+    for m in (1, 2, 3, 4):
+        out.append(sample_linear_shot_noise_exact(0.8, 1.5, 1.2, m, 0.7, 3.0, 4100, 9))
+        out.append(sample_linear_shot_noise_exact(0.8, 1.5, 1.2, m, 0.7, [0.4, 1.0, 3.0], 4100, 9))
+    for lam in (0.0, 0.01):
+        out.append(sample_linear_shot_noise_exact(0.8, lam, 1.2, 2, 0.7, [0.4, 1.0], 4100, 9))
+    out.append(sample_linear_shot_noise_exact(0.8, 1.5, 1.2, 1, 0.7, np.linspace(0.01, 3.0, 300),
+                                              4100, 9))
+    for lam in (0.0, 1.5):
+        out.append(sample_tanh_exact(lam, 2.0, 0.5, 2.0, 4100, 26))
+        out.append(sample_ou_tanh_exact(0.7, lam, 2.0, 0.5, 2.0, 4100, 26))
+    return out
+
+
+@pytest.mark.parametrize(
+    "budget, zero_length", [(1, False), (64, False), (2**30, False), (64, True), (2**30, True)]
+)
+def test_tile_budget_cannot_change_a_result(monkeypatch, budget, zero_length):
+    # a tile is a run of whole paths, each computed apart from the others:
+    # one path per tile, small tiles, or one tile per chunk give the same bits
+    if zero_length:
+        _zero_arrivals(monkeypatch)
+    default = simulate._TILE
+    want = _tiled_samples()
+    monkeypatch.setattr(simulate, "_TILE", budget)
+    got = _tiled_samples()
+    for w, g in zip(want, got):
+        assert g.values.tobytes() == w.values.tobytes()
+        assert g.jump_counts.tobytes() == w.jump_counts.tobytes()
+        assert g.tile_values <= w.tile_values if budget < default else g.tile_values >= w.tile_values
+    # the budget did cut the tiles: the largest holds about one path's
+    # values, or a whole chunk's
+    if budget == 1:
+        assert got[0].tile_values < 20
+        assert got[-1].tile_values <= got[-1].jump_counts.max() + 1
+    if budget == 2**30:
+        assert got[0].tile_values == got[0].jump_counts[:4096].sum()
+
+
+@pytest.mark.parametrize("ou", [False, True])
+def test_exact_sampler_memory_is_bounded_by_the_tile_budget(ou):
+    # one chunk at a benchmark shape (m = 2 at lambda t = 40, the OU sampler
+    # at lambda t = 20, each cut into tiles) and at twice its lambda t: the
+    # traced peak past the chunk's draws and the output stays under a few
+    # arrays of the budget (untiled, the OU sampler's took 26 at lambda t =
+    # 40), and per value of the largest tile it holds still
+    n = 4096
+
+    def excess(lt):
+        tracemalloc.start()
+        try:
+            if ou:
+                sample = sample_ou_tanh_exact(1.0, lt / 20, 2.0, 0.5, 20.0, n, 7)
+            else:
+                sample = sample_linear_shot_noise_exact(1.0, lt / 20, 1.0, 2, 0.0, 20.0, n, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        jumps = int(sample.jump_counts.sum())
+        # counts, arrivals and magnitude uniforms; the OU sampler adds a
+        # sign uniform and two normals per interval; values and counts out
+        draws = n + 2 * jumps + 3 * (jumps + n) if ou else n + 3 * jumps
+        return peak - 8 * (draws + 2 * n), sample.tile_values
+
+    arrays = 16 if ou else 8
+    lt = 20 if ou else 40
+    small, large = excess(lt), excess(2 * lt)
+    for extra, tile in (small, large):
+        assert 1 < tile <= simulate._TILE and extra < arrays * 8 * simulate._TILE
+    # a few percent more, as padding cells give way to intervals
+    assert large[0] / large[1] < 1.15 * small[0] / small[1]
 
 
 def test_jump_arrivals_are_per_step_poisson():

@@ -14,7 +14,6 @@ from .closedform import (
     gaussian_pair_mixture,
     gumbel_wave,
     laplace_transform_linear,
-    mellin_moment,
     stationary_m1,
     stationary_ou_m1,
     stationary_ou_m2,
@@ -33,7 +32,6 @@ from .master import (
     differential_generator,
     fit_convergence_order,
     generator_gap,
-    integral_generator,
     stationary_residual,
     wave_residual,
 )

@@ -6,8 +6,9 @@ a non-empty list of either, a nested block, or the tagged ``drift`` block),
 a default unless it is required, and a range; unknown keys are errors.
 Simulation blocks parse to a ``SimConfig``, and a ``--seed`` replaces the
 record's seed.  A check per command builds the objects the run uses, at
-the run's seed, turning their own errors into exit 2 (its analytic work
-counts as validation time), and covers the rules that span several fields.
+the run's seed (its analytic work counts as validation time), and covers
+the rules that span several fields; ``parse_config`` turns any overflow,
+``ValueError`` or failed normalization inside a check into exit 2.
 The run reads only the parsed, immutable record; it then writes an output
 directory containing the echoed config, a ``report.json`` with named
 metrics and pass/fail flags, and CSV artifacts.  Exit codes: 0 when every
@@ -359,20 +360,16 @@ def _check_wave(cfg):
     if len(set(cfg.m_values)) < len(cfg.m_values) or len(set(tags)) < len(tags):
         raise ConfigError(f"m_values {list(cfg.m_values)} and beta_values (as {tags}) must not "
                           "repeat: each names its own output files and metrics")
-    try:
-        grid = GridSpec(cfg.xi_lo, cfg.xi_hi, cfg.n_xi)
-        # the profile varies on the scales 1/gamma and 1/beta: a coarser
-        # spacing leaves nothing for the mass and mean to integrate
-        scale = max(cfg.gamma, *cfg.beta_values)
-        if grid.h * scale > 1.0:
-            raise ValueError(f"xi spacing {grid.h:g} exceeds 1 / max(gamma, beta) = "
-                             f"{1.0 / scale:g}: the grid cannot resolve the profile")
-        with np.errstate(over="ignore", under="ignore"):
-            waves = {(m, b): (closedform.gumbel_wave if m == 1 else closedform.whittaker_wave)(
-                b, cfg.gamma) for m in ((1, 2) if 2 in cfg.m_values else (1,))
-                for b in cfg.beta_values}
-    except (OverflowError, ValueError) as exc:
-        raise ConfigError(f"invalid wave config: {exc}") from exc
+    grid = GridSpec(cfg.xi_lo, cfg.xi_hi, cfg.n_xi)
+    # the profile varies on the scales 1/gamma and 1/beta: a coarser
+    # spacing leaves nothing for the mass and mean to integrate
+    scale = max(cfg.gamma, *cfg.beta_values)
+    if grid.h * scale > 1.0:
+        raise ValueError(f"xi spacing {grid.h:g} exceeds 1 / max(gamma, beta) = "
+                         f"{1.0 / scale:g}: the grid cannot resolve the profile")
+    waves = {(m, b): (closedform.gumbel_wave if m == 1 else closedform.whittaker_wave)(
+        b, cfg.gamma) for m in ((1, 2) if 2 in cfg.m_values else (1,))
+        for b in cfg.beta_values}
     swarm = cfg.swarm
     if swarm is not None:
         # the swarm holds a snapshot of every agent at every recorded time
@@ -475,11 +472,12 @@ _STACK_POINTS = 2**18
 
 
 def _ladder(m, grid_sizes):
-    """The ascending grid sizes run for order m.  m-fold stencil composition
-    amplifies rounding like h^{-m}, so the ladder is coarsened with m to keep
-    truncation the dominant signal."""
+    """The distinct ascending grid sizes run for order m.  m-fold stencil
+    composition amplifies rounding like h^{-m}, so the ladder is coarsened
+    with m to keep truncation the dominant signal; sizes that coarsen to one
+    size run once."""
     divisor = {1: 1, 2: 1, 3: 2, 4: 4}[m]
-    return [max(65, (n - 1) // divisor + 1) for n in sorted(grid_sizes)]
+    return sorted({max(65, (n - 1) // divisor + 1) for n in grid_sizes})
 
 
 def _check_verify_master(cfg):
@@ -487,8 +485,11 @@ def _check_verify_master(cfg):
     if len(set(cfg.m_values)) < len(cfg.m_values):
         raise ConfigError(f"m_values {list(cfg.m_values)} must not repeat: each names its own "
                           "order metric and ladder")
+    if len(set(cfg.grid_sizes)) < len(cfg.grid_sizes):
+        raise ConfigError(f"grid_sizes {list(cfg.grid_sizes)} must not repeat: each is one "
+                          "refinement of the ladder")
     for m in cfg.m_values:
-        if len(set(_ladder(m, cfg.grid_sizes))) < 4:
+        if len(_ladder(m, cfg.grid_sizes)) < 4:
             raise ConfigError(
                 f"need at least 4 distinct grid sizes to fit a convergence order; for m={m} "
                 f"the sizes run are {_ladder(m, cfg.grid_sizes)}"
@@ -500,11 +501,7 @@ def _check_verify_master(cfg):
         raise ConfigError(f"x_hi - x_lo = {span:g} is too wide: the test densities square it")
     # the run's own gaps: a rate, gamma^m, drift or diffusion that fails on
     # the test densities of the run's seed fails here
-    with np.errstate(all="ignore"):
-        try:
-            return _master_gaps(cfg)
-        except (OverflowError, ValueError) as exc:
-            raise ConfigError(f"verify-master cannot evaluate its generators: {exc}") from exc
+    return _master_gaps(cfg)
 
 
 def _master_gaps(cfg):
@@ -613,8 +610,7 @@ def _first_cleared(cfg, ladder):
     """The first point of ``ladder`` where the law clears ``_RESIDUAL_EDGE``,
     or None; the ladder is evaluated in one call."""
     # the law may underflow to 0 deep in a ladder; only the comparison counts
-    with np.errstate(all="ignore"):
-        dens = _stationary_density(cfg)(cfg.alpha, cfg.lambda_, cfg.gamma, np.array(ladder))
+    dens = _stationary_density(cfg)(cfg.alpha, cfg.lambda_, cfg.gamma, np.array(ladder))
     cleared = np.flatnonzero(~(dens > _RESIDUAL_EDGE))
     return ladder[cleared[0]] if cleared.size else None
 
@@ -660,8 +656,7 @@ def _check_stationary(cfg):
     # a law whose mean lies off the grid has its mass below x_lo or past
     # x_hi (lambda / alpha or 1 / gamma tiny or huge): the grid can neither
     # tabulate it nor hold the sample it is compared with
-    with np.errstate(over="ignore", under="ignore"):
-        mean = np.float64(cfg.lambda_) * cfg.m / cfg.alpha / cfg.gamma
+    mean = np.float64(cfg.lambda_) * cfg.m / cfg.alpha / cfg.gamma
     if not cfg.grid.x_lo <= mean <= cfg.grid.x_hi:
         raise ConfigError(f"the stationary mean lambda m / (alpha gamma) = {mean:g} lies "
                           f"off the grid [{cfg.grid.x_lo:g}, {cfg.grid.x_hi:g}]")
@@ -676,12 +671,9 @@ def _check_stationary(cfg):
     if cfg.m == 1:
         # normalized on the grid here, so a grid that truncates the mass exits 2
         alpha, lam = cfg.alpha, cfg.lambda_
-        try:
-            m1_density = closedform.stationary_m1(
-                lambda s: alpha * s, lambda s: lam, cfg.gamma, cfg.grid
-            ).values
-        except closedform.NormalizationError as exc:
-            raise ConfigError(f"stationary law on the grid: {exc}") from exc
+        m1_density = closedform.stationary_m1(
+            lambda s: alpha * s, lambda s: lam, cfg.gamma, cfg.grid
+        ).values
     return cfg._replace(residual_grid=GridSpec(x_lo, _residual_x_hi(cfg), 4001),
                         m1_density=m1_density)
 
@@ -762,12 +754,8 @@ def _check_transient(cfg):
     if (len(cfg.times) + 1) * cfg.n_samples > _MAX_ENTRIES:
         raise ConfigError(f"(len(times) + 1) * n_samples exceeds {_MAX_ENTRIES} sample values")
     # the run writes and integrates these tables
-    with np.errstate(all="ignore"):
-        try:
-            law = closedform.TransientLaw(cfg.alpha, cfg.lambda_, cfg.gamma, cfg.x0)
-            tables = {t: law.density_cdf_grid(t) for t in set(cfg.times)}
-        except (OverflowError, ValueError) as exc:
-            raise ConfigError(f"transient law: {exc}") from exc
+    law = closedform.TransientLaw(cfg.alpha, cfg.lambda_, cfg.gamma, cfg.x0)
+    tables = {t: law.density_cdf_grid(t) for t in set(cfg.times)}
     return cfg._replace(law=law, tables=tables)
 
 
@@ -828,15 +816,11 @@ def _check_tanh(cfg):
     # both laws are built and tabulated here (beta < gamma and the bound on
     # their inversions are theirs to check): a law the run writes cannot fail
     ou_law = ou_table = None
-    with np.errstate(all="ignore"):
-        try:
-            transient_table = closedform.TanhTransientLaw(
-                cfg.lambda_, cfg.gamma, cfg.beta).density_grid(cfg.t)
-            if cfg.stationary_sim is not None:
-                ou_law = closedform.TiltedOuLaw(cfg.alpha, cfg.lambda_, cfg.gamma, cfg.beta)
-                ou_table = ou_law.density_grid()
-        except (OverflowError, ValueError) as exc:
-            raise ConfigError(f"the tanh laws cannot be evaluated: {exc}") from exc
+    transient_table = closedform.TanhTransientLaw(
+        cfg.lambda_, cfg.gamma, cfg.beta).density_grid(cfg.t)
+    if cfg.stationary_sim is not None:
+        ou_law = closedform.TiltedOuLaw(cfg.alpha, cfg.lambda_, cfg.gamma, cfg.beta)
+        ou_table = ou_law.density_grid()
     return cfg._replace(transient_table=transient_table, ou_law=ou_law, ou_table=ou_table)
 
 
@@ -982,10 +966,18 @@ def parse_config(command, cfg, seed=None):
     record = _parse(table, cfg, f"{command} config")
     if seed is not None:
         record = record._replace(seed=_value(_SEED, seed, "--seed"))
-    if check is not None:
-        # a check returns the record with its derived attributes set, or None
-        record = check(record) or record
-    return record
+    if check is None:
+        return record
+    # a check returns the record with its derived attributes set, or None.
+    # Its analytic work runs on values valid key by key, so it may overflow,
+    # underflow or fail to normalize: any such error is the config's
+    with np.errstate(all="ignore"):
+        try:
+            return check(record) or record
+        except ConfigError:
+            raise
+        except (OverflowError, ValueError, closedform.NormalizationError) as exc:
+            raise ConfigError(f"invalid {command} config: {exc}") from exc
 
 
 def run_command(command, config_path, out_dir, seed_override=None, quiet=False):

@@ -16,6 +16,10 @@ trapezoid cosine sum over a uniform frequency grid: on a uniform x grid
 chirp-z transform (Bluestein's algorithm on ``numpy.fft``) in
 O((n_x + n_u) log) time and O(n_x + n_u) memory; at scattered points
 (``density``) by the dense sum over the same coefficients.
+
+The commands integrate a wave profile on its tabulated grid; the tests
+take its moments and exponential moment G(u) by quadrature
+(``tests/reference.py``).
 """
 
 from __future__ import annotations
@@ -61,7 +65,6 @@ __all__ = [
     "laplace_transform_linear",
     "gumbel_wave",
     "whittaker_wave",
-    "mellin_moment",
     "gaussian_pair_mixture",
 ]
 
@@ -448,16 +451,6 @@ class WaveSolution:
         hi = (-np.log(tail) + 8.0) / g
         return float(lo), float(hi)
 
-    def mass_and_mean(self):
-        lo, hi = self.support_bounds()
-        mass = _quad(self.profile, lo, hi, epsabs=1e-11)
-        mean = _quad(lambda s: s * self.profile(s), lo, hi, epsabs=1e-11)
-        return mass, mean
-
-    def variance(self):
-        lo, hi = self.support_bounds()
-        return _quad(lambda s: s * s * self.profile(s), lo, hi, epsabs=1e-10)
-
     def cdf_grid(self, n=6001):
         lo, hi = self.support_bounds()
         xi = np.linspace(lo, hi, n)
@@ -498,23 +491,6 @@ def whittaker_wave(beta, gamma) -> WaveSolution:
         (0.5 - r) * np.log(beta * speed) + log_gamma(2 * r) - 2 * log_gamma(r)
     )
     return WaveSolution(2, beta, gamma, float(speed), float(norm))
-
-
-def mellin_moment(sol: WaveSolution, u):
-    """Exponential moment G(u) = int e^{-u xi} P(xi) dxi of a wave profile.
-
-    Converges for u > -gamma (the profile's right tail is ~ e^{-gamma xi});
-    outside the strip a DivergenceError is raised.  G(0) = 1 and G'(0) = 0
-    express normalization and the zero-mean condition fixing the speed.
-    """
-    if u <= -sol.gamma:
-        raise DivergenceError(
-            f"mellin moment diverges for u <= -gamma (u={u}, gamma={sol.gamma})"
-        )
-    lo, hi = sol.support_bounds()
-    if u < 0:
-        hi = max(hi, (-np.log(1e-16)) / (sol.gamma + u) + 10.0)
-    return _quad(lambda s: np.exp(-u * s) * sol.profile(s), lo, hi, epsabs=1e-11)
 
 
 # ---------------------------------------------------------------------------

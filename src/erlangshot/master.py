@@ -3,10 +3,11 @@
 Two routes to the same generator are implemented on uniform grids: the
 integro-differential form (drift/diffusion divergence, loss term, and the
 one-sided Erlang convolution) and the pure differential form obtained by
-applying the shift operator (d/dx + gamma)^m.  Agreement of the two routes
-under grid refinement is the numerical certificate for the differential
-rewriting; residual helpers certify stationary densities and traveling
-waves the same way.
+applying the shift operator (d/dx + gamma)^m.  ``generator_gap`` forms
+both and compares them: their agreement under grid refinement is the
+numerical certificate for the differential rewriting.  Residual helpers
+certify stationary densities and traveling waves through the differential
+form.
 
 The generators act along the last axis, so a ``GridFunction`` may hold one
 density or a (k, n) stack of them: every stencil, the kernel and its FFT
@@ -38,7 +39,6 @@ __all__ = [
     "ExpDecayCentered",
     "ModelSpec",
     "BoundaryMassError",
-    "integral_generator",
     "differential_generator",
     "generator_gap",
     "stationary_residual",
@@ -338,16 +338,6 @@ def _differential_route(h, model: ModelSpec, lamP, dd):
     return out
 
 
-def integral_generator(P: GridFunction, model: ModelSpec) -> GridFunction:
-    """Implied time derivative of P under the integro-differential form.
-
-    Returns the full generator -d/dx[bP] + 1/2 d2/dx2[sigma^2 P]
-    - lambda P + (Erlang convolution of lambda P) on the grid; nodes inside
-    the stencil margin of the ends are zeroed.
-    """
-    return GridFunction(P.spec, _integral_route(P.spec, model, *_shared_terms(P, model)))
-
-
 def differential_generator(P: GridFunction, model: ModelSpec) -> GridFunction:
     """(d/dx + gamma)^m applied to the implied time derivative of P,
     evaluated through the differential form of the master equation:
@@ -355,9 +345,7 @@ def differential_generator(P: GridFunction, model: ModelSpec) -> GridFunction:
         (d/dx + gamma)^m (drift/diffusion term) + [gamma^m - (d/dx + gamma)^m](lambda P)
 
     For m = 1 and zero drift/diffusion this reduces to -d/dx (lambda P).
-    Agreement with ``apply_shift_operator(integral_generator(P))`` under
-    refinement is the numerical certificate that both forms generate the
-    same dynamics.
+    ``generator_gap`` compares it with the shifted integral form.
     """
     return GridFunction(P.spec, _differential_route(P.spec.h, model, *_shared_terms(P, model)))
 
@@ -365,15 +353,16 @@ def differential_generator(P: GridFunction, model: ModelSpec) -> GridFunction:
 def generator_gap(P: GridFunction, model: ModelSpec) -> float:
     """Max-norm disagreement between the two generator routes.
 
-    Applies (d/dx + gamma)^m to the integral-form generator and compares it
-    node-wise with the differential-form output on the common interior; for
-    a stack, the largest gap over its rows.  Both routes are formed from one
-    evaluation of lambda P and the drift/diffusion term, and each gap is
-    the one ``apply_shift_operator(integral_generator(P).values, ...)``
-    and ``differential_generator(P)`` give, to the last bit.
+    Applies (d/dx + gamma)^m to the integral-form generator, -d/dx[bP]
+    + 1/2 d2/dx2[sigma^2 P] - lambda P + (Erlang convolution of lambda P)
+    zeroed inside the stencil margin of the ends, and compares it node-wise
+    with ``differential_generator(P)`` on the common interior; for a stack,
+    the largest gap over its rows.  Both routes are formed from one
+    evaluation of lambda P and the drift/diffusion term.
 
-    Raises ValueError where either route is not finite, as the generators
-    do, and where the gap itself is not (a shift that overflows).
+    Raises ValueError where either route is not finite, as
+    ``GridFunction`` does for a generator's output, and where the gap
+    itself is not (a shift that overflows).
     """
     m = model.jumps.m
     h = P.spec.h

@@ -1,7 +1,8 @@
 """Jump-size laws of compound Poisson noise and their samplers.
 
 Provides the one-sided Erlang jump law, the symmetric Laplace law and the
-cosh-tilted Laplace law with its mass factor, and the inverse-CDF maps from
+cosh-tilted Laplace law with its mass factor and characteristic function
+(the tests hold the pointwise densities), and the inverse-CDF maps from
 uniforms to Erlang and Laplace jump sizes that every sampler of the package
 uses (monotone in the underlying uniforms, so that sample sequences are
 reproducible and easy to audit).
@@ -76,11 +77,6 @@ class SymmetricLaplaceLaw:
         if not self.gamma > 0:
             raise ValueError("Laplace rate gamma must be positive")
 
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = 0.5 * self.gamma * np.exp(-self.gamma * np.abs(x))
-        return float(out) if out.ndim == 0 else out
-
 
 @dataclass(frozen=True)
 class TiltedJumpLaw:
@@ -105,18 +101,6 @@ class TiltedJumpLaw:
     def mass(self):
         g, b = self.base.gamma, self.beta
         return g**2 / (g**2 - b**2)
-
-    def pdf(self, x):
-        """Normalized density phi(x) cosh(beta x) / mass.
-
-        Evaluated as the stable two-rate form
-        (gamma/4) [e^{-(gamma-beta)|x|} + e^{-(gamma+beta)|x|}] / mass,
-        which cannot overflow for large |x|.
-        """
-        x = np.abs(np.asarray(x, dtype=float))
-        g, b = self.base.gamma, self.beta
-        out = 0.25 * g * (np.exp(-(g - b) * x) + np.exp(-(g + b) * x)) / self.mass
-        return float(out) if out.ndim == 0 else out
 
     def char_fn(self, u):
         """Characteristic function of the normalized tilted law (real, even)."""

@@ -13,8 +13,9 @@ term.  The integral representations go through adaptive 21-point
 Gauss-Kronrod in numpy (:func:`erlangshot.quadrature.gauss_kronrod`), never
 through specfun's exp-sinh rule, and integrate the whole batch in one
 adaptive loop; an integral that does not converge raises RuntimeError
-naming its parameters.  Used by the ``verify-specfun`` command and by the
-test suite.
+naming its parameters.  The ``verify-specfun`` command sweeps every
+oracle here against its specfun counterpart; the test suite checks the
+oracles themselves against mpmath.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ __all__ = [
     "erlang_survival_ref",
     "kummer_u_ref",
     "whittaker_w0_ref",
-    "exp1_ref",
     "kummer_1f1_poly_ref",
 ]
 
@@ -226,15 +226,6 @@ def whittaker_w0_ref(kappa, z):
     (kappa, z), shape = _batch(kappa, z)
     u = _kummer_u(0.5 - kappa, np.ones_like(z), z)
     return _shaped(np.exp(-z / 2.0) * np.sqrt(z) * u, shape)
-
-
-def exp1_ref(z):
-    """Exponential integral E1 by quadrature (for the U(1,1,z) identity)."""
-    (z,), shape = _batch(z)
-    _require(z > 0, "need z > 0")
-    val = _integrate("exp1", lambda t, k: np.exp(-z[k] * t) / t, np.ones_like(z), np.inf,
-                     1e-14, 1e-13, z=z)
-    return _shaped(val, shape)
 
 
 def kummer_1f1_poly_ref(n, b, z):

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 import erlangshot
-from erlangshot import cli, closedform, csvformat, simulate, specfun
+from erlangshot import cli, closedform, csvformat, master, simulate, specfun
 from erlangshot.cli import main, parse_config, write_csv
 from erlangshot.noise import stream
 from erlangshot.simulate import sample_linear_shot_noise_exact
@@ -143,6 +143,27 @@ def test_verify_master_tanh_drift(tmp_path):
                  "--out", str(out)]) == 0
     metrics = json.loads((out / "report.json").read_text())["metrics"]
     assert [round(metrics[f"order_m{m}"]) for m in (1, 2, 3)] == [2, 2, 4]
+
+
+def test_verify_master_runs_each_coarsened_size_once(tmp_path, monkeypatch):
+    # at m = 3 the sizes 513 and 514 both coarsen to 257: it runs once, so
+    # the order fit's three finest points hold three distinct spacings
+    runs = []
+    real = master.generator_gap
+
+    def counted(P, model):
+        runs.append((model.jumps.m, P.spec.n))
+        return real(P, model)
+
+    monkeypatch.setattr(master, "generator_gap", counted)
+    cfg = _write(tmp_path, "vm.json",
+                 _verify_master_cfg(m_values=[1, 3], grid_sizes=[257, 513, 514, 1025, 2049]))
+    out = tmp_path / "out"
+    assert main(["verify-master", "--config", cfg, "--out", str(out)]) == 0
+    assert runs == [(1, n) for n in (257, 513, 514, 1025, 2049)] + [
+        (3, n) for n in (129, 257, 513, 1025)]
+    rows = np.loadtxt(out / "generator_gaps.csv", delimiter=",", skiprows=1)
+    assert [(m, h) for m, h, _ in rows] == [(m, 18.0 / (n - 1)) for m, n in runs]
 
 
 def test_verify_master_single_grid_exits_2(tmp_path):
@@ -656,6 +677,9 @@ _MASTER_OFF_CENTRE = dict(_MASTER_BASE, m_values=[1, 2], x_lo=-1e5, x_hi=1e5, si
         # a repeated m once ran its ladder twice, wrote its rows twice and exited 0
         ("verify-master", _verify_master_cfg(m_values=[1, 1], grid_sizes=[257, 513, 1025, 2049]),
          []),
+        # a repeated size once wrote the m = 1 row of 2049 twice and exited 0
+        ("verify-master", _verify_master_cfg(m_values=[1, 3],
+                                             grid_sizes=[257, 513, 514, 1025, 2049, 2049]), []),
     ],
 )
 def test_invalid_config_exits_2_and_writes_nothing(tmp_path, command, cfg, argv):

@@ -28,12 +28,12 @@ from erlangshot.master import (
     differential_generator,
     fit_convergence_order,
     generator_gap,
-    integral_generator,
     interior_margin,
     stationary_residual,
     wave_residual,
 )
 from erlangshot.noise import ErlangJumpLaw, erlang_pdf, stream
+from reference import integral_generator
 
 
 def _bump(spec, center, width, amp=1.0):

@@ -249,7 +249,8 @@ class RunReport:
     ``timings`` holds the seconds spent validating the config (each check's
     analytic work included), running the experiment, and writing output
     files (the config echo and every CSV; CSVs written during the run count
-    under ``write``, not ``run``)."""
+    under ``write``, not ``run``), and, within ``run``, ``draw_wait``: the
+    seconds the exact samplers waited for their helper thread's draws."""
 
     def __init__(self, command, parameters, seed, out_dir):
         self.command = command
@@ -259,7 +260,7 @@ class RunReport:
         self.metrics = {}
         self.flags = {}
         self.counters = Counter()
-        self.timings = {"validate": 0.0, "run": 0.0, "write": 0.0}
+        self.timings = {"validate": 0.0, "run": 0.0, "write": 0.0, "draw_wait": 0.0}
         self._t0 = time.perf_counter()
 
     def write_csv(self, name, header, columns):
@@ -283,9 +284,11 @@ class RunReport:
     def count_exact(self, sample):
         """Add an exact sampler's counters: samples as paths, no steps, jumps;
         ``tile_values`` is the largest tile's values per temporary array of
-        every exact sample of the run."""
+        every exact sample of the run.  Its wait for draws adds to
+        ``timings["draw_wait"]``."""
         self.counters.update(paths=len(sample), steps=0, jumps=int(sample.jump_counts.sum()))
         self.counters["tile_values"] = max(self.counters["tile_values"], sample.tile_values)
+        self.timings["draw_wait"] += sample.draw_wait
 
     def count_swarm(self, sim, series):
         """Add a swarm run's counters: agents, agent-steps, exponential

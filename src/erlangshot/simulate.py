@@ -32,10 +32,13 @@ with drift +beta or -beta, its sign drawn once per interval.  The exact
 samplers draw chunk c of 4096 samples from stream (seed, 2**63 + 4096 c),
 and ``sample_ou_tanh_exact`` from (seed, 2**63 + 2**62 + 4096 c), so a run
 at one seed reads only that seed's streams.  A chunk's draws are made
-whole; the work on them runs in tiles of whole, consecutive paths (see
-``_tiles``), each holding at most about ``_TILE`` jumps, or up to twice as
-many grid cells, per temporary array.  So a sampler holds one chunk's
-draws, one tile's temporaries and its output.  A path's arithmetic does not depend on its
+whole, one chunk ahead on one helper thread (see ``_exact_chunks``): while
+the calling thread sums chunk c, the helper fills chunk c + 1's buffers
+from that chunk's own stream, so the values do not depend on the overlap.
+The sums run in tiles of whole, consecutive paths (see ``_tiles``), each
+holding at most about ``_TILE`` jumps, or up to twice as many grid cells,
+per temporary array.  So a sampler holds two chunks' draws, one tile's
+temporaries and its output.  A path's arithmetic does not depend on its
 neighbours, so the tiles leave every value bit-identical.  Every Erlang
 jump size, in the Euler reference, the exact sampler and the swarm, comes
 from ``noise.erlang_magnitudes``.
@@ -47,6 +50,8 @@ distance) live here as well.
 from __future__ import annotations
 
 import math
+import time
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,6 +85,9 @@ _CHUNK = 4096  # draws per stream of the exact samplers
 _EXACT_STREAM_BASE = 2**63
 _OU_STREAM_BASE = 2**63 + 2**62
 _TILE = 2**17  # values per temporary array of an exact sampler's tile of paths
+# the one helper thread on which the exact samplers draw their next chunk;
+# it starts at the first draw, not at import
+_DRAWS = ThreadPoolExecutor(max_workers=1, thread_name_prefix="erlangshot-draws")
 # interior times up to which the linear sampler finds each jump's interval
 # by counting comparisons into a uint8 (at most 255) rather than by a binary
 # search; the counting loop is O(times) per jump, and on 49 chunks of 24576
@@ -194,6 +202,7 @@ class ExactSample:
     values: np.ndarray
     jump_counts: np.ndarray  # per-draw totals, up to the last time
     tile_values: int  # the largest tile's values per temporary array
+    draw_wait: float  # seconds the caller waited for the helper's draws
 
     def __len__(self):
         return self.values.shape[-1]
@@ -344,14 +353,16 @@ def sample_linear_shot_noise_exact(alpha, lam, gamma, m, x0, t, n, seed) -> Exac
 
     Chunk c of 4096 paths draws from stream ``(seed, 2**63 + 4096 c)``:
     the chunk's Poisson counts, then its arrival uniforms, then its
-    magnitude uniforms.  A chunk's jumps are worked on in tiles of whole
-    paths of at most about ``_TILE`` jumps (see ``_tiles``); a tile writes
-    its paths' sums per interval into their columns of ``values``, and the
-    recursion then runs down the chunk's columns.  ``values`` has shape (n,)
-    for a scalar t and (len(t), n) for a sequence, row i holding X_{t_i};
-    ``jump_counts`` holds each path's Poisson count up to t_max, and
-    ``tile_values`` the largest tile's jumps or its len(t) rows of paths.
-    Times must be finite, positive and strictly increasing (ValueError).
+    magnitude uniforms (see ``_exact_chunks``).  A chunk's jumps are worked
+    on in tiles of whole paths of at most about ``_TILE`` jumps (see
+    ``_tiles``); a tile writes its paths' sums per interval into their
+    columns of ``values``, and the recursion then runs down the chunk's
+    columns.  ``values`` has shape (n,) for a scalar t and (len(t), n) for a
+    sequence, row i holding X_{t_i}; ``jump_counts`` holds each path's
+    Poisson count up to t_max, ``tile_values`` the largest tile's jumps or
+    its len(t) rows of paths, and ``draw_wait`` the seconds spent waiting
+    for draws.  Times must be finite, positive and strictly increasing
+    (ValueError).
     """
     times = np.atleast_1d(np.asarray(t, dtype=float))
     if times.ndim != 1 or not times.size:
@@ -367,11 +378,13 @@ def sample_linear_shot_noise_exact(alpha, lam, gamma, m, x0, t, n, seed) -> Exac
     values = np.empty((n_times, n))
     counts = np.empty(n, dtype=np.int64)
     largest = 0
-    for lo, hi, _, nj, arrivals, mag_u in _exact_chunks(n, seed, lam * t_max, m):
+
+    def chunk(lo, hi, nj, arrivals, mag_u):
+        nonlocal largest
         counts[lo:hi] = nj
         if not arrivals.size:
             values[:, lo:hi] = base[:, None]
-            continue
+            return
         # Y of each time, in the chunk's columns of values: a tile sets its
         # jumps' sums per interval, then the recursion runs down the rows
         ys = values[:, lo:hi]
@@ -401,7 +414,9 @@ def sample_linear_shot_noise_exact(alpha, lam, gamma, m, x0, t, n, seed) -> Exac
         for i in range(1, n_times):
             ys[i] += ys[i - 1] * decay[i - 1]
         ys += base[:, None]
-    return ExactSample(values[0] if np.ndim(t) == 0 else values, counts, largest)
+
+    waited = _exact_chunks(n, seed, lam * t_max, m, chunk)
+    return ExactSample(values[0] if np.ndim(t) == 0 else values, counts, largest, waited)
 
 
 def _tiles(nj, per_path, min_width=1):
@@ -421,22 +436,71 @@ def _tiles(nj, per_path, min_width=1):
         j0 = j1
 
 
-def _exact_chunks(n, seed, mean_jumps, d, base=_EXACT_STREAM_BASE):
-    """The chunks of an exact sampler, each with its jump draws.
+def _exact_chunks(n, seed, mean_jumps, d, work, normals=0, base=_EXACT_STREAM_BASE):
+    """Call ``work(lo, hi, counts, arrivals, magnitude uniforms)`` on each
+    chunk of an exact sampler's draws, in order, with ``sign uniforms,
+    normals`` after them when ``normals`` > 0; return the seconds this
+    thread waited for the draws.
 
     Chunk c holds draws 4096 c ... 4096 c + 4095 and reads the stream
     ``(seed, base + 4096 c)``: first the chunk's Poisson(mean_jumps) jump
     counts, then the arrival uniforms of all its jumps, draw after draw,
-    then d magnitude uniforms per jump.  Yields ``(lo, hi, gen, counts,
-    arrivals, magnitude uniforms)``, ``gen`` going on with the chunk's
-    stream for the sampler's own draws.
+    then d magnitude uniforms per jump.  With ``normals`` > 0 it then draws
+    one sign uniform per interval between jumps, a path of N jumps holding
+    N + 1, and then ``normals`` standard normals per interval.
+
+    The draws are made on the helper thread ``_DRAWS``, one chunk ahead:
+    while ``work`` sums chunk c, the helper fills chunk c + 1's buffers and
+    then draws chunk c + 2's counts.  Each chunk reads its own stream of a
+    counter-based generator, so no value depends on this overlap.  This
+    thread allocates every buffer, chunk c + 1's once ``work`` has let go of
+    chunk c - 1, so a sampler holds at most two chunks' draws; the helper
+    only fills them, and makes just the counts.  If ``work`` raises, the
+    helper's pending draws are cancelled or waited for before the error
+    propagates.
     """
-    for lo in range(0, n, _CHUNK):
-        hi = min(n, lo + _CHUNK)
-        gen = stream(seed, base + lo)
-        counts = gen.poisson(mean_jumps, hi - lo)
-        total = int(counts.sum())
-        yield lo, hi, gen, counts, gen.random(total), gen.random((total, d))
+    def draw(fills, lo):
+        # one chunk's buffers in stream order, then the stream and counts of
+        # the chunk at lo, if any
+        for fill, out in fills:
+            fill(out=out)
+        if lo < n:
+            gen = stream(seed, base + lo)
+            return gen, gen.poisson(mean_jumps, min(_CHUNK, n - lo))
+        return None
+
+    waited = 0.0
+
+    def result(job):
+        nonlocal waited
+        start = time.perf_counter()
+        out = job.result()
+        waited += time.perf_counter() - start
+        return out
+
+    job = _DRAWS.submit(draw, [], 0)
+    try:
+        ready = None
+        for lo in range(0, n, _CHUNK):
+            # the chunk at lo's counts; the helper has filled the chunk before
+            gen, nj = result(job)
+            total = int(nj.sum())
+            draws = [np.empty(total), np.empty((total, d))]
+            fills = [(gen.random, out) for out in draws]
+            if normals:
+                draws += [np.empty(len(nj) + total), np.empty((len(nj) + total, normals))]
+                fills += [(gen.random, draws[2]), (gen.standard_normal, draws[3])]
+            job = _DRAWS.submit(draw, fills, lo + _CHUNK)
+            if ready is not None:
+                work(*ready)
+            ready = (lo, lo + len(nj), nj, *draws)
+        result(job)
+        if ready is not None:
+            work(*ready)
+    finally:
+        if not job.cancel():
+            wait([job])
+    return waited
 
 
 def sample_tanh_exact(lam, gamma, beta, t, n, seed) -> ExactSample:
@@ -477,12 +541,12 @@ def sample_ou_tanh_exact(alpha, lam, gamma, beta, t, n, seed) -> ExactSample:
 def _jump_adapted(lam, gamma, beta, t, n, seed, alpha=None):
     """The jump-adapted sampler of X_t, or of Y_t when ``alpha`` is given.
 
-    After its jumps (see ``_exact_chunks``) a chunk draws one sign uniform
-    per interval, then one standard normal per interval for X, or two for
-    Y (per interval, W's and then I's).  A path of N jumps has N + 1
-    intervals, and intervals are ordered path after path, each path's in
-    time order.  A path's jump times are its N arrival uniforms, sorted,
-    times t, and its magnitudes follow them in draw order.
+    After its jumps a chunk draws one sign uniform per interval, then one
+    standard normal per interval for X, or two for Y (per interval, W's and
+    then I's); ``_exact_chunks`` makes all of a chunk's draws.  A path of N
+    jumps has N + 1 intervals, and intervals are ordered path after path,
+    each path's in time order.  A path's jump times are its N arrival
+    uniforms, sorted, times t, and its magnitudes follow them in draw order.
 
     The chunk's paths are advanced in tiles (see ``_tiles``), each costing
     p (N_max + 1) grid cells per coefficient (see ``_advance``) for its p
@@ -496,18 +560,18 @@ def _jump_adapted(lam, gamma, beta, t, n, seed, alpha=None):
     a quarter chunk (past 128 cells per path, lambda t near 100), they are
     1024 paths wide, or, past 256 cells per path, as wide as 2 * ``_TILE``
     cells allow: at lambda t = 100 to 1000, narrower tiles were measured
-    4-18% slower.  ``tile_values`` is the largest tile's p (N_max + 1).
+    4-18% slower.  ``tile_values`` is the largest tile's p (N_max + 1), and
+    ``draw_wait`` the seconds spent waiting for draws.
     """
     if not 0 < t < math.inf:
         raise ValueError("t must be finite and positive")
     values = np.empty(n)
     counts = np.empty(n, dtype=np.int64)
     largest = 0
-    base = _EXACT_STREAM_BASE if alpha is None else _OU_STREAM_BASE
-    for lo, hi, gen, nj, arrivals, mag_u in _exact_chunks(n, seed, lam * t, 1, base):
+
+    def chunk(lo, hi, nj, arrivals, mag_u, up, z):
+        nonlocal largest
         counts[lo:hi] = nj
-        up = gen.random(hi - lo + len(arrivals))
-        z = gen.standard_normal((len(up), 1 if alpha is None else 2))
         cells = int(nj.max()) + 1  # per path, for the chunk's busiest path
         for a, b, js in _tiles(nj, cells, min(_CHUNK // 4, 2 * _TILE // cells)):
             largest = max(largest, (b - a) * (int(nj[a:b].max()) + 1))
@@ -517,7 +581,10 @@ def _jump_adapted(lam, gamma, beta, t, n, seed, alpha=None):
             values[lo + a : lo + b] = _advance(
                 nj[a:b], arrivals[js], mags, up[ivs], z[ivs], t, beta, alpha
             )
-    return ExactSample(values, counts, largest)
+
+    base = _EXACT_STREAM_BASE if alpha is None else _OU_STREAM_BASE
+    waited = _exact_chunks(n, seed, lam * t, 1, chunk, 1 if alpha is None else 2, base)
+    return ExactSample(values, counts, largest, waited)
 
 
 def _advance(nj, arrivals, mags, up, z, t, beta, alpha):

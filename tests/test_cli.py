@@ -813,8 +813,11 @@ def test_report_keys_and_engine_counters(tmp_path):
     assert main(["tanh", "--config", _write(tmp_path, "t.json", cfg), "--out", str(out)]) in (0, 1)
     report = json.loads((out / "report.json").read_text())
     assert set(report) == keys
-    assert set(report["timings"]) == {"validate", "run", "write"}
-    assert all(v >= 0 for v in report["timings"].values())
+    timings = report["timings"]
+    assert set(timings) == {"validate", "run", "write", "draw_wait"}
+    assert all(v >= 0 for v in timings.values())
+    # the samplers' wait for their helper thread's draws is part of the run
+    assert 0 < timings["draw_wait"] <= timings["run"]
     assert set(report["environment"]) == {"python", "numpy", "nproc"}
     assert report["environment"]["nproc"] >= 1
     assert set(report["metrics"]) == {
@@ -839,6 +842,7 @@ def test_report_keys_and_engine_counters(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert set(report) == keys
     assert report["counters"] == {}
+    assert report["timings"]["draw_wait"] == 0
 
     # verify-master: ladders [257, 513, 1025, 2049] (m = 1) and [129, 257,
     # 513, 1025] (m = 3), each grid's 3 densities in one stack

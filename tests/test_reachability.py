@@ -1,7 +1,9 @@
 """Reachability guard: every function of ``src/erlangshot`` runs in a command.
 
 A child process installs ``sys.setprofile`` before it imports
-``erlangshot.cli``, so calls made at import time count too, and runs the
+``erlangshot.cli``, so calls made at import time count too, and
+``threading.setprofile``, so calls on the threads the package starts count
+as well (the exact samplers draw on a helper thread); then it runs the
 smallest valid config of every command branch through ``cli.main``.  The
 guard walks the AST of every module, nested defs included, and fails for
 each ``def`` whose code never ran, unless ``ALLOWED`` names it with the
@@ -66,11 +68,11 @@ ALLOWED = {
 }
 
 
-# The child: record the code of every Python call from before the driver
-# runs, then print the (file, first line) of each under the root directory
-# and the driver's ``result``.
+# The child: record the code of every Python call, on every thread, from
+# before the driver runs, then print the (file, first line) of each under
+# the root directory and the driver's ``result``.
 _PROFILER = """
-import json, os, sys
+import json, os, sys, threading
 root, driver = sys.argv[1:]
 codes = set()
 
@@ -79,9 +81,11 @@ def record(frame, event, arg):
         codes.add(frame.f_code)
 
 namespace = {}
+threading.setprofile(record)
 sys.setprofile(record)
 exec(driver, namespace)
 sys.setprofile(None)
+threading.setprofile(None)
 ran = {(os.path.realpath(c.co_filename), c.co_firstlineno) for c in codes}
 print(json.dumps({"ran": sorted(r for r in ran if r[0].startswith(root)),
                   "result": namespace.get("result")}))

@@ -1,7 +1,9 @@
 """Monte Carlo engine: paths, swarm, and estimators."""
 
 import math
+import time
 import tracemalloc
+from concurrent.futures import Future
 
 import mpmath
 import numpy as np
@@ -471,9 +473,11 @@ def _zero_arrivals(monkeypatch):
     # every jump at time 0: paths start with zero-length intervals
     chunks = simulate._exact_chunks
 
-    def at_zero(*args):
-        for lo, hi, gen, nj, arrivals, mag_u in chunks(*args):
-            yield lo, hi, gen, nj, np.zeros_like(arrivals), mag_u
+    def at_zero(n, seed, mean_jumps, d, work, *args):
+        def zero(lo, hi, nj, arrivals, *rest):
+            return work(lo, hi, nj, np.zeros_like(arrivals), *rest)
+
+        return chunks(n, seed, mean_jumps, d, zero, *args)
 
     monkeypatch.setattr(simulate, "_exact_chunks", at_zero)
 
@@ -491,22 +495,22 @@ def test_exact_tanh_samplers_take_zero_length_intervals(monkeypatch, ou):
     assert np.all(np.isfinite(sample.values))
 
 
-def _tiled_samples():
+def _tiled_samples(n=4100):
     # 4100 draws cross a chunk boundary; m = 1-4 at a scalar time and a
     # time list; lambda = 0 (no jump, or tiles without a jump); a sparse
     # rate, whose narrow tiles often hold no jump; 300 times, past the 255
     # interior times that are counted rather than searched
     out = []
     for m in (1, 2, 3, 4):
-        out.append(sample_linear_shot_noise_exact(0.8, 1.5, 1.2, m, 0.7, 3.0, 4100, 9))
-        out.append(sample_linear_shot_noise_exact(0.8, 1.5, 1.2, m, 0.7, [0.4, 1.0, 3.0], 4100, 9))
+        out.append(sample_linear_shot_noise_exact(0.8, 1.5, 1.2, m, 0.7, 3.0, n, 9))
+        out.append(sample_linear_shot_noise_exact(0.8, 1.5, 1.2, m, 0.7, [0.4, 1.0, 3.0], n, 9))
     for lam in (0.0, 0.01):
-        out.append(sample_linear_shot_noise_exact(0.8, lam, 1.2, 2, 0.7, [0.4, 1.0], 4100, 9))
+        out.append(sample_linear_shot_noise_exact(0.8, lam, 1.2, 2, 0.7, [0.4, 1.0], n, 9))
     out.append(sample_linear_shot_noise_exact(0.8, 1.5, 1.2, 1, 0.7, np.linspace(0.01, 3.0, 300),
-                                              4100, 9))
+                                              n, 9))
     for lam in (0.0, 1.5):
-        out.append(sample_tanh_exact(lam, 2.0, 0.5, 2.0, 4100, 26))
-        out.append(sample_ou_tanh_exact(0.7, lam, 2.0, 0.5, 2.0, 4100, 26))
+        out.append(sample_tanh_exact(lam, 2.0, 0.5, 2.0, n, 26))
+        out.append(sample_ou_tanh_exact(0.7, lam, 2.0, 0.5, 2.0, n, 26))
     return out
 
 
@@ -535,16 +539,94 @@ def test_tile_budget_cannot_change_a_result(monkeypatch, budget, zero_length):
         assert got[0].tile_values == got[0].jump_counts[:4096].sum()
 
 
+class _Inline:
+    """An executor that runs each job as it is submitted, on the calling
+    thread: the exact samplers' draws without a helper thread."""
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+def test_drawing_ahead_cannot_change_a_result(monkeypatch):
+    # three chunks and a partial fourth, drawn on the helper thread one
+    # chunk ahead of the sums or inline, give the same bits
+    n = 3 * 4096 + 5
+    got = _tiled_samples(n)
+    monkeypatch.setattr(simulate, "_DRAWS", _Inline())
+    want = _tiled_samples(n)
+    for w, g in zip(want, got):
+        assert g.values.tobytes() == w.values.tobytes()
+        assert g.jump_counts.tobytes() == w.jump_counts.tobytes()
+        assert g.tile_values == w.tile_values
+    # inline, nothing waits
+    assert all(w.draw_wait < 0.1 for w in want)
+
+
+class _Recording:
+    """The helper executor, each job started 50 ms late, so that it is still
+    running when the sums beside it raise, keeping every future it hands
+    out."""
+
+    def __init__(self):
+        self.helper = simulate._DRAWS
+        self.futures = []
+
+    def submit(self, fn, *args):
+        def late():
+            time.sleep(0.05)
+            return fn(*args)
+
+        self.futures.append(self.helper.submit(late))
+        return self.futures[-1]
+
+
+@pytest.mark.parametrize("ou", [False, True])
+def test_a_sampler_that_raises_mid_run_leaves_no_draw_behind(monkeypatch, ou):
+    # the second chunk's sums raise: the helper's draws for the third are
+    # cancelled or finished before the error leaves the sampler, and the
+    # next call gives the same values as before
+    def run():
+        if ou:
+            return sample_ou_tanh_exact(0.7, 1.5, 2.0, 0.5, 2.0, 3 * 4096 + 5, 26)
+        return sample_linear_shot_noise_exact(0.8, 1.5, 1.2, 2, 0.7, [0.4, 3.0], 3 * 4096 + 5, 9)
+
+    want = run()
+    name = "laplace_magnitudes" if ou else "erlang_magnitudes"
+    magnitudes, calls = getattr(simulate, name), []
+
+    def fail_second(*args):
+        calls.append(None)
+        if len(calls) == 2:
+            raise FloatingPointError("planted")
+        return magnitudes(*args)
+
+    recording = _Recording()
+    with monkeypatch.context() as patch:
+        patch.setattr(simulate, name, fail_second)
+        patch.setattr(simulate, "_DRAWS", recording)
+        with pytest.raises(FloatingPointError, match="planted"):
+            run()
+    assert len(calls) == 2 and all(f.done() for f in recording.futures)
+    got = run()
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.jump_counts.tobytes() == want.jump_counts.tobytes()
+
+
 @pytest.mark.parametrize("ou", [False, True])
 def test_exact_sampler_memory_is_bounded_by_the_tile_budget(ou):
     # one chunk at a benchmark shape (m = 2 at lambda t = 40, the OU sampler
     # at lambda t = 20, each cut into tiles) and at twice its lambda t: the
     # traced peak past the chunk's draws and the output stays under a few
     # arrays of the budget (untiled, the OU sampler's took 26 at lambda t =
-    # 40), and per value of the largest tile it holds still
-    n = 4096
-
-    def excess(lt):
+    # 40), and per value of the largest tile it holds still.  Three chunks,
+    # drawn one ahead of the sums, hold two chunks' draws at a time: past
+    # the two largest and the output, the same bound holds.  At three times
+    # the lambda t, a linear chunk's draws outweigh its tiles' temporaries,
+    # so a third chunk held at once would break the bound there
+    def excess(lt, chunks=1):
+        n = chunks * 4096
         tracemalloc.start()
         try:
             if ou:
@@ -554,16 +636,17 @@ def test_exact_sampler_memory_is_bounded_by_the_tile_budget(ou):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        jumps = int(sample.jump_counts.sum())
+        jumps = sample.jump_counts.reshape(chunks, 4096).sum(axis=1)
         # counts, arrivals and magnitude uniforms; the OU sampler adds a
         # sign uniform and two normals per interval; values and counts out
-        draws = n + 2 * jumps + 3 * (jumps + n) if ou else n + 3 * jumps
-        return peak - 8 * (draws + 2 * n), sample.tile_values
+        draws = 4096 + 2 * jumps + 3 * (jumps + 4096) if ou else 4096 + 3 * jumps
+        held = np.sort(draws)[-2:].sum()
+        return peak - 8 * (held + 2 * n), sample.tile_values
 
     arrays = 16 if ou else 8
     lt = 20 if ou else 40
-    small, large = excess(lt), excess(2 * lt)
-    for extra, tile in (small, large):
+    small, large, three = excess(lt), excess(2 * lt), excess(3 * lt, 3)
+    for extra, tile in (small, large, three):
         assert 1 < tile <= simulate._TILE and extra < arrays * 8 * simulate._TILE
     # a few percent more, as padding cells give way to intervals
     assert large[0] / large[1] < 1.15 * small[0] / small[1]

@@ -45,11 +45,12 @@ def _linear_exact_ref(alpha, lam, gamma, m, x0, times, n, seed):
     base = np.array([x0 * np.exp(-alpha * ti) for ti in times.tolist()])
     decay = np.exp(-alpha * np.diff(times))
     values = np.empty((n_times, n))
-    for lo, hi, _, nj, arrivals, mag_u in simulate._exact_chunks(n, seed, lam * t_max, m):
+
+    def chunk(lo, hi, nj, arrivals, mag_u):
         k = hi - lo
         if not arrivals.size:
             values[:, lo:hi] = base[:, None]
-            continue
+            return
         tau = t_max * arrivals
         jm = erlang_magnitudes(mag_u, gamma)
         span = np.searchsorted(times, tau)
@@ -61,6 +62,8 @@ def _linear_exact_ref(alpha, lam, gamma, m, x0, times, n, seed):
         for i in range(1, n_times):
             y = y * decay[i - 1] + new[i]
             values[i, lo:hi] = base[i] + y
+
+    simulate._exact_chunks(n, seed, lam * t_max, m, chunk)
     return values
 
 
@@ -244,7 +247,9 @@ def test_a_jump_at_a_comparison_time_counts_in_the_interval_it_ends(m):
     # interior times placed on drawn jump times: tau = t_i falls in
     # (t_{i-1}, t_i], as searchsorted's left index has it
     t_max = 3.0
-    arrivals = next(simulate._exact_chunks(5000, 11, 2.0 * t_max, m))[4]
+    first = []
+    simulate._exact_chunks(4096, 11, 2.0 * t_max, m, lambda *chunk: first.append(chunk[3]))
+    arrivals = first[0]
     times = np.append(np.unique(t_max * arrivals[:40]), t_max)
     got = sample_linear_shot_noise_exact(1.0, 2.0, 1.0, m, 0.5, times, 5000, 11)
     assert np.array_equal(got.values, _linear_exact_ref(1.0, 2.0, 1.0, m, 0.5, times, 5000, 11))

@@ -15,7 +15,6 @@ from .closedform import (
     gumbel_wave,
     laplace_transform_linear,
     stationary_m1,
-    stationary_ou_m1,
     stationary_ou_m2,
     whittaker_wave,
 )

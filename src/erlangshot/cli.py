@@ -590,111 +590,58 @@ _STATIONARY = _record(
     ), GridSpec)),
     _Field("sim", _SIM),
     _Field("n_bins", int, 80, _size(5)),
-    # m1_density: the m = 1 law on the grid (None for m = 2)
-    derived=("residual_grid", "m1_density"),
+    # the law on the grid and its differential-form residual there
+    derived=("density", "residual"),
 )
 
 
-# boundary value of the law below which the residual grid may end there
-_RESIDUAL_EDGE = 1e-13
-# points of the right-edge ladder evaluated per call
-_EDGE_LADDER = 32
 # fewest expected jumps over the whole exact sample, n_paths lambda t_end:
 # with fewer, no path may jump (at 20 that has chance e^-20) and the sample
 # has no spread to histogram
 _MIN_SAMPLE_JUMPS = 20.0
 
 
-def _stationary_density(cfg):
-    return closedform.stationary_ou_m1 if cfg.m == 1 else closedform.stationary_ou_m2
-
-
-def _first_cleared(cfg, ladder):
-    """The first point of ``ladder`` where the law clears ``_RESIDUAL_EDGE``,
-    or None; the ladder is evaluated in one call."""
-    # the law may underflow to 0 deep in a ladder; only the comparison counts
-    dens = _stationary_density(cfg)(cfg.alpha, cfg.lambda_, cfg.gamma, np.array(ladder))
-    cleared = np.flatnonzero(~(dens > _RESIDUAL_EDGE))
-    return ladder[cleared[0]] if cleared.size else None
-
-
-def _residual_x_lo(cfg):
-    """Left edge of the residual grid: the density decays only like
-    x^{lam/alpha - 1} toward the origin, so the edge is the first of 1e-4,
-    1e-6, ... where the law clears ``_RESIDUAL_EDGE``, or None past 1e-300."""
-    ladder = [1e-4]
-    while ladder[-1] > 1e-300:
-        ladder.append(ladder[-1] * 1e-2)
-    return _first_cleared(cfg, ladder)
-
-
-def _residual_x_hi(cfg):
-    """Right edge of the residual grid: the first of x_hi, x_hi + 10/gamma,
-    ... (each point the previous plus 10/gamma) where the law clears
-    ``_RESIDUAL_EDGE``, ``_EDGE_LADDER`` points per call."""
-    step = 10.0 / cfg.gamma
-    x = cfg.grid.x_hi
-    while True:
-        ladder = [x]
-        for _ in range(_EDGE_LADDER - 1):
-            ladder.append(ladder[-1] + step)
-        edge = _first_cleared(cfg, ladder)
-        if edge is not None:
-            return edge
-        x = ladder[-1] + step
-
-
 def _check_stationary(cfg):
+    m, alpha, lam, gamma, grid = cfg.m, cfg.alpha, cfg.lambda_, cfg.gamma, cfg.grid
     # each exact path draws Poisson(lambda * t_end) jumps, 4096 paths at a time
-    _check_sample_jumps(cfg.lambda_ * cfg.sim.t_end, "lambda * sim.t_end of one exact path")
-    jumps = cfg.sim.n_paths * cfg.lambda_ * cfg.sim.t_end
+    _check_sample_jumps(lam * cfg.sim.t_end, "lambda * sim.t_end of one exact path")
+    jumps = cfg.sim.n_paths * lam * cfg.sim.t_end
     if not jumps >= _MIN_SAMPLE_JUMPS:
         raise ConfigError(f"n_paths * lambda * t_end = {jumps:g} expected jumps over the "
                           f"sample is below {_MIN_SAMPLE_JUMPS:g}: the sample may not jump")
     # the law decays like e^{-gamma x}: a coarser grid cannot represent it
-    h = cfg.grid.h
-    if h * cfg.gamma > 1.0:
-        raise ConfigError(f"grid spacing {h:g} exceeds the Erlang scale 1/gamma = "
-                          f"{1.0 / cfg.gamma:g}")
+    if grid.h * gamma > 1.0:
+        raise ConfigError(f"grid spacing {grid.h:g} exceeds the Erlang scale 1/gamma = "
+                          f"{1.0 / gamma:g}")
     # a law whose mean lies off the grid has its mass below x_lo or past
     # x_hi (lambda / alpha or 1 / gamma tiny or huge): the grid can neither
     # tabulate it nor hold the sample it is compared with
-    mean = np.float64(cfg.lambda_) * cfg.m / cfg.alpha / cfg.gamma
-    if not cfg.grid.x_lo <= mean <= cfg.grid.x_hi:
+    mean = np.float64(lam) * m / alpha / gamma
+    if not grid.x_lo <= mean <= grid.x_hi:
         raise ConfigError(f"the stationary mean lambda m / (alpha gamma) = {mean:g} lies "
-                          f"off the grid [{cfg.grid.x_lo:g}, {cfg.grid.x_hi:g}]")
-    x_lo = _residual_x_lo(cfg)
-    if x_lo is None:
-        raise ConfigError(
-            f"the stationary law stays above {_RESIDUAL_EDGE:g} down to x = 1e-300 "
-            "(lambda / alpha is at or barely above 1): its residual needs a vanishing "
-            "boundary value"
-        )
-    m1_density = None
-    if cfg.m == 1:
+                          f"off the grid [{grid.x_lo:g}, {grid.x_hi:g}]")
+    if lam < alpha:
+        raise ConfigError(f"lambda / alpha = {lam / alpha:g} is below 1: the stationary law is "
+                          "unbounded at 0 like x^(lambda/alpha - 1), off any grid from x_lo > 0")
+    k = master.interior_margin(m)
+    if grid.n <= 2 * k:
+        raise ConfigError(f"grid.n = {grid.n} leaves no node past the residual's stencil margin "
+                          f"of {k} nodes at each end: m = {m} needs at least {2 * k + 1}")
+    if m == 1:
         # normalized on the grid here, so a grid that truncates the mass exits 2
-        alpha, lam = cfg.alpha, cfg.lambda_
-        m1_density = closedform.stationary_m1(
-            lambda s: alpha * s, lambda s: lam, cfg.gamma, cfg.grid
-        ).values
-    return cfg._replace(residual_grid=GridSpec(x_lo, _residual_x_hi(cfg), 4001),
-                        m1_density=m1_density)
-
-
-def _stationary_residual(cfg):
-    """Differential-form residual of the analytic law on its own grid, set
-    by the config check."""
-    m, alpha, lam, gamma = cfg.m, cfg.alpha, cfg.lambda_, cfg.gamma
-    spec = cfg.residual_grid
-    gf = GridFunction(spec, _stationary_density(cfg)(alpha, lam, gamma, spec.nodes()))
+        density = closedform.stationary_m1(lambda s: alpha * s, lambda s: lam, gamma, grid).values
+    else:
+        density = closedform.stationary_ou_m2(alpha, lam, gamma, grid.nodes())
+    # the differential form holds node by node: the law need not vanish at
+    # the grid ends
     model = ModelSpec(LinearRestoring(alpha), 0.0, ConstantRate(lam), ErlangJumpLaw(m, gamma))
-    return master.stationary_residual(gf, model)
+    residual = master.stationary_residual(GridFunction(grid, density), model)
+    return cfg._replace(density=density, residual=residual)
 
 
 def _run_stationary(cfg, report):
     m, alpha, lam, gamma, grid, sim = cfg.m, cfg.alpha, cfg.lambda_, cfg.gamma, cfg.grid, cfg.sim
-    x = grid.nodes()
-    dens = cfg.m1_density if m == 1 else closedform.stationary_ou_m2(alpha, lam, gamma, x)
+    x, dens = grid.nodes(), cfg.density
     report.write_csv("analytic_density.csv", ["x", "density"], [x, dens])
 
     # sigma = 0 and linear drift: the state at t_end is drawn exactly from
@@ -721,13 +668,12 @@ def _run_stationary(cfg, report):
     mc_mean = float(final.mean())
     se = float(final.std(ddof=1) / np.sqrt(len(final)))
     analytic_mean = closedform.cumulant(1, m, gamma, lam, lambda s: alpha * s)
-    resid = _stationary_residual(cfg)
     report.metric("ks", ks)
     report.metric("mc_mean", mc_mean)
     report.metric("analytic_mean", analytic_mean)
     report.metric("mean_abs_diff", abs(mc_mean - analytic_mean))
     report.metric("mean_4se", 4 * se)
-    report.metric("stationary_residual", resid)
+    report.metric("stationary_residual", cfg.residual)
     report.flag("ks_below_0.02", ks < 0.02)
     report.flag("mean_within_4se", abs(mc_mean - analytic_mean) <= 4 * se)
 

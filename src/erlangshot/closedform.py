@@ -59,7 +59,6 @@ __all__ = [
     "TanhTransientLaw",
     "TiltedOuLaw",
     "stationary_m1",
-    "stationary_ou_m1",
     "stationary_ou_m2",
     "cumulant",
     "laplace_transform_linear",
@@ -153,27 +152,6 @@ def stationary_m1(f, lambda_fn, gamma, grid: GridSpec) -> GridFunction:
             "density does not decay at the right grid end; mass may diverge"
         )
     return GridFunction(grid, unnorm[::refine] / mass)
-
-
-def stationary_ou_m1(alpha, lam, gamma, x):
-    """Stationary density for m=1 jumps and linear restoring drift.
-
-    The Gamma(k, gamma) law with shape k = lam/alpha and rate gamma,
-    P(x) = gamma^k x^{k-1} e^{-gamma x} / Gamma(k) on x > 0, evaluated in
-    log space; zero for x < 0, and at x = 0 the limit from the right.
-    """
-    for name, v in (("alpha", alpha), ("lam", lam), ("gamma", gamma)):
-        if not v > 0:
-            raise ValueError(f"{name} must be positive")
-    k = lam / alpha
-    x = np.asarray(x, dtype=float)
-    pos = x > 0
-    safe = np.where(pos, x, 1.0)
-    vals = np.exp(k * np.log(gamma) + (k - 1) * np.log(safe) - gamma * safe - log_gamma(k))
-    # x = 0 limit: 0 for k > 1, gamma for k = 1, infinite for k < 1
-    lim = 0.0 if k > 1 else (gamma if k == 1 else np.inf)
-    out = np.where(pos, vals, np.where(x == 0, lim, 0.0))
-    return float(out) if out.ndim == 0 else out
 
 
 def stationary_ou_m2(alpha, lam, gamma, x):

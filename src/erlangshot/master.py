@@ -8,6 +8,9 @@ both and compares them: their agreement under grid refinement is the
 numerical certificate for the differential rewriting.  Residual helpers
 certify stationary densities and traveling waves through the differential
 form.
+Only the integral route, whose convolution starts at x_lo, needs a grid
+function that decays at both grid ends; the differential route is local
+and takes any finite one.
 
 The generators act along the last axis, so a ``GridFunction`` may hold one
 density or a (k, n) stack of them: every stencil, the kernel and its FFT
@@ -52,7 +55,7 @@ _DECAY_TOL = 1e-12
 
 
 class BoundaryMassError(ValueError):
-    """Raised when a grid function does not decay at the grid ends."""
+    """Raised when the integral route gets a grid function that does not decay at its ends."""
 
 
 @dataclass(frozen=True)
@@ -278,8 +281,7 @@ def _drift_diffusion_term(P: GridFunction, model: ModelSpec, x):
 
 def _shared_terms(P: GridFunction, model: ModelSpec):
     """lambda P and the drift/diffusion term, the inputs of both generator
-    routes, after the decay check."""
-    _check_decay(P.values)
+    routes."""
     x = P.spec.nodes()
     return model.rate.rate(x) * P.values, _drift_diffusion_term(P, model, x)
 
@@ -360,12 +362,14 @@ def generator_gap(P: GridFunction, model: ModelSpec) -> float:
     the largest gap over its rows.  Both routes are formed from one
     evaluation of lambda P and the drift/diffusion term.
 
-    Raises ValueError where either route is not finite, as
-    ``GridFunction`` does for a generator's output, and where the gap
-    itself is not (a shift that overflows).
+    Raises BoundaryMassError unless every row decays at both grid ends (the
+    integral route's convolution starts at x_lo), and ValueError where
+    either route is not finite, as ``GridFunction`` does for a generator's
+    output, and where the gap itself is not (a shift that overflows).
     """
     m = model.jumps.m
     h = P.spec.h
+    _check_decay(P.values)
     lamP, dd = _shared_terms(P, model)
     integral = _integral_route(P.spec, model, lamP, dd)
     # through the shifts a non-finite value of the integral route reaches
@@ -388,10 +392,9 @@ def stationary_residual(P: GridFunction, model: ModelSpec) -> float:
 
     A stationary density makes the differential-form time derivative
     vanish, so the residual is just the max of |differential_generator(P)|
-    over the usable interior.
+    over the usable interior.  P need not vanish at the grid ends.
     """
-    m = model.jumps.m
-    k = interior_margin(m)
+    k = interior_margin(model.jumps.m)
     out = differential_generator(P, model).values
     return float(np.max(np.abs(out[..., k:-k])))
 

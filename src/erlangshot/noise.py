@@ -145,5 +145,9 @@ def erlang_magnitudes(u, gamma):
 def laplace_magnitudes(u, gamma):
     """Symmetric Laplace(gamma) jump sizes from uniforms u by inverting the
     CDF: log(2u) / gamma below u = 1/2 and -log(2(1 - u)) / gamma from it
-    on.  Every Laplace sampler of the package goes through here."""
+    on.  A uniform of 0, which ``Generator.random`` draws with chance 2^-53,
+    maps to the finite jump of the smallest positive double, 5e-324; every
+    other u is left as it is.  Every Laplace sampler of the package goes
+    through here."""
+    u = np.maximum(u, 5e-324)
     return np.where(u < 0.5, np.log(2 * u), -np.log(2 * (1 - u))) / gamma

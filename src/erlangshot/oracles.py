@@ -1,9 +1,15 @@
 """Independent reference evaluations for the special-function kernel.
 
-Every routine here reaches its value by a different algorithm than the
-corresponding function in :mod:`erlangshot.specfun` (Stirling series,
+Every routine here but one reaches its value by a different algorithm than
+the corresponding function in :mod:`erlangshot.specfun` (Stirling series,
 direct power series, integral representations, closed-form identities), so
 agreement between the two is a meaningful check rather than a tautology.
+The exception is ``bessel_i_ref``: it sums the same power series that
+``specfun._i_series`` sums up to x = max(40, nu^2 / 4), about 80% of the
+``verify-specfun`` sweep's x in [0, 50].  What stays independent there is
+its tail rule (each entry stops at its first term below 1e-18 of the sum),
+its prefactor (through the Stirling ``log_gamma_ref``), and the Tier-1
+check of ``specfun.bessel_i`` against scipy.
 
 Every oracle takes parameter columns: the parameters broadcast together,
 a scalar in gives a float out, and an array in an array of the broadcast

@@ -9,9 +9,16 @@ package's own internals exactly as it was when it lived there.
 import numpy as np
 
 from erlangshot.closedform import DivergenceError, WaveSolution, _quad
-from erlangshot.master import GridFunction, ModelSpec, _integral_route, _shared_terms
+from erlangshot.master import (
+    GridFunction,
+    ModelSpec,
+    _check_decay,
+    _integral_route,
+    _shared_terms,
+)
 from erlangshot.noise import SymmetricLaplaceLaw, TiltedJumpLaw
 from erlangshot.oracles import _batch, _integrate, _require, _shaped
+from erlangshot.specfun import log_gamma
 
 
 def integral_generator(P: GridFunction, model: ModelSpec) -> GridFunction:
@@ -20,9 +27,33 @@ def integral_generator(P: GridFunction, model: ModelSpec) -> GridFunction:
     Returns the full generator -d/dx[bP] + 1/2 d2/dx2[sigma^2 P]
     - lambda P + (Erlang convolution of lambda P) on the grid; nodes inside
     the stencil margin of the ends are zeroed.  ``master.generator_gap``
-    forms the same route from the same terms.
+    forms the same route from the same terms.  Raises BoundaryMassError, as
+    ``generator_gap`` does, unless every row of P decays at both grid ends:
+    the convolution is truncated at x_lo.
     """
+    _check_decay(P.values)
     return GridFunction(P.spec, _integral_route(P.spec, model, *_shared_terms(P, model)))
+
+
+def stationary_ou_m1(alpha, lam, gamma, x):
+    """Stationary density for m=1 jumps and linear restoring drift.
+
+    The Gamma(k, gamma) law with shape k = lam/alpha and rate gamma,
+    P(x) = gamma^k x^{k-1} e^{-gamma x} / Gamma(k) on x > 0, evaluated in
+    log space; zero for x < 0, and at x = 0 the limit from the right.
+    """
+    for name, v in (("alpha", alpha), ("lam", lam), ("gamma", gamma)):
+        if not v > 0:
+            raise ValueError(f"{name} must be positive")
+    k = lam / alpha
+    x = np.asarray(x, dtype=float)
+    pos = x > 0
+    safe = np.where(pos, x, 1.0)
+    vals = np.exp(k * np.log(gamma) + (k - 1) * np.log(safe) - gamma * safe - log_gamma(k))
+    # x = 0 limit: 0 for k > 1, gamma for k = 1, infinite for k < 1
+    lim = 0.0 if k > 1 else (gamma if k == 1 else np.inf)
+    out = np.where(pos, vals, np.where(x == 0, lim, 0.0))
+    return float(out) if out.ndim == 0 else out
 
 
 def wave_mass_and_mean(sol: WaveSolution):

@@ -24,7 +24,7 @@ import pytest
 import erlangshot
 from erlangshot import cli, closedform, csvformat, master, simulate, specfun
 from erlangshot.cli import main, parse_config, write_csv
-from erlangshot.noise import stream
+from erlangshot.noise import ErlangJumpLaw, stream
 from erlangshot.simulate import sample_linear_shot_noise_exact
 
 
@@ -605,10 +605,14 @@ _MASTER_OFF_CENTRE = dict(_MASTER_BASE, m_values=[1, 2], x_lo=-1e5, x_hi=1e5, si
         ("stationary", _stationary_cfg(gamma=1e300), []),
         ("wave", _wave_cfg(xi_lo=-1e308, xi_hi=1e308), []),
         ("transient", _transient_cfg(x0=1e308), []),
-        # lambda / alpha at or barely above 1: the law stays above the
-        # residual's boundary gate down to x = 1e-300
-        *(("stationary", _stationary_cfg(m=m, **{"lambda": lam}), [])
-          for m in (1, 2) for lam in (0.5, 1.0, 1.02)),
+        # lambda / alpha below 1, where the law is unbounded at 0 like
+        # x^(lambda/alpha - 1); m = 2 grids of 9 and 16 nodes, with no node
+        # past the stencil margin of 8 at each end
+        ("stationary", _stationary_cfg(m=1, **{"lambda": 0.5}), []),
+        ("stationary", _stationary_cfg(grid={"x_lo": 1e-4, "x_hi": 8.0, "n": 9}), []),
+        ("stationary", _stationary_cfg(grid={"x_lo": 1e-4, "x_hi": 15.0, "n": 16}), []),
+        ("stationary", _stationary_cfg(m=2, **{"lambda": 0.5}), []),
+        *(("stationary", _stationary_cfg(m=m, **{"lambda": 0.99}), []) for m in (1, 2)),
         # n_workers is retired: an unknown key whatever its value (1 below)
         *((command, _bad_sim(cfg, block, n_workers=n), [])
           for command, cfg, block in (
@@ -1007,12 +1011,9 @@ def test_write_csv_joins_a_formatted_column_in_any_position(tmp_path, n_rows):
             assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
-def test_stationary_residual_edges_come_from_one_call_each(monkeypatch):
-    # at grid x_hi = 12 the law is about 1e-4, so the right edge of the
-    # residual grid lies further out: the first of 12, 22, 32, ... (each the
-    # previous plus 10 / gamma) where it clears 1e-13, as one point-by-point
-    # probe finds it; validation evaluates the law once per edge
-    cfg = _stationary_cfg(grid={"x_lo": 1e-4, "x_hi": 12.0, "n": 2001})
+def test_stationary_residual_is_that_of_the_csv_density(tmp_path, monkeypatch):
+    # validation tabulates the m = 2 law once, on the run's own grid, and the
+    # reported residual is that of the density the CSV holds, bit for bit
     real = closedform.stationary_ou_m2
     calls = []
 
@@ -1021,13 +1022,44 @@ def test_stationary_residual_edges_come_from_one_call_each(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(closedform, "stationary_ou_m2", counted)
-    spec = parse_config("stationary", cfg).residual_grid
-    assert len(calls) == 2
-    x_hi = 12.0
-    while real(1.0, 2.0, 1.0, x_hi) > 1e-13:
-        x_hi += 10.0
-    assert x_hi > 12.0
-    assert (spec.x_hi, spec.n) == (x_hi, 4001)
+    cfg = _stationary_cfg(sim={"dt": 0.05, "t_end": 10.0, "n_paths": 3000})
+    record = parse_config("stationary", cfg)
+    assert len(calls) == 1
+    out = tmp_path / "out"
+    assert main(["stationary", "--config", _write(tmp_path, "s.json", cfg), "--out", str(out)]) == 0
+    x, dens = np.loadtxt(out / "analytic_density.csv", delimiter=",", skiprows=1).T
+    spec = master.GridSpec(1e-4, 40.0, 2001)
+    assert np.array_equal(x, spec.nodes()) and np.array_equal(dens, record.density)
+    model = master.ModelSpec(master.LinearRestoring(1.0), 0.0, master.ConstantRate(2.0),
+                             ErlangJumpLaw(2, 1.0))
+    want = master.stationary_residual(master.GridFunction(spec, dens), model)
+    report = json.loads((out / "report.json").read_text())
+    assert report["metrics"]["stationary_residual"] == want == record.residual
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("lam", [1.0, 1.02])
+def test_stationary_runs_where_the_law_does_not_vanish_at_0(tmp_path, m, lam):
+    # at lambda / alpha = 1 the law is gamma e^(-gamma x) (m = 1) or starts at
+    # gamma / e (m = 2), and at 1.02 it still rises like x^0.02 from 0: the
+    # residual is taken on the run's grid all the same (these once exited 2)
+    cfg = _stationary_cfg(m=m, seed=7, **{"lambda": lam})
+    cfg["sim"] = {"dt": 0.02, "t_end": 20.0, "n_paths": 16384}
+    out = tmp_path / "out"
+    assert main(["stationary", "--config", _write(tmp_path, "s.json", cfg), "--out", str(out)]) == 0
+    metrics = json.loads((out / "report.json").read_text())["metrics"]
+    assert math.isfinite(metrics["stationary_residual"])
+
+
+def test_stationary_grid_inside_the_stencil_margin_exits_2(tmp_path, capsys):
+    # 9 nodes, spacing 1: every other check passes, and the m = 2 residual
+    # has no node left past its margin of 8 at each end
+    cfg = _stationary_cfg(grid={"x_lo": 1e-4, "x_hi": 8.0, "n": 9})
+    out = tmp_path / "out"
+    assert main(["stationary", "--config", _write(tmp_path, "s.json", cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "stencil margin" in err and "zero-size" not in err
+    assert not out.exists()
 
 
 # one small valid config per command; every block and tag a table names is present

@@ -20,7 +20,6 @@ from erlangshot.closedform import (
     gumbel_wave,
     laplace_transform_linear,
     stationary_m1,
-    stationary_ou_m1,
     stationary_ou_m2,
     whittaker_wave,
 )
@@ -32,7 +31,7 @@ from erlangshot.simulate import (
     ks_distance,
     sample_linear_shot_noise_exact,
 )
-from reference import mellin_moment, wave_mass_and_mean
+from reference import mellin_moment, stationary_ou_m1, wave_mass_and_mean
 
 EULER_GAMMA = 0.5772156649015329
 

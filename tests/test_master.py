@@ -252,12 +252,63 @@ def test_wave_residual_m2():
 
 
 def test_boundary_mass_error():
+    # only the integral route, whose convolution starts at x_lo, needs the
+    # decay; the differential residuals are local and take P as it is
     spec = GridSpec(-3.0, 3.0, 257)
     P = _bump(spec, 2.5, 0.5)  # leaks through the right boundary
     with pytest.raises(BoundaryMassError):
         integral_generator(P, _model(1))
     with pytest.raises(BoundaryMassError):
-        wave_residual(P, 1.0, 1.0, 1, 1.0)
+        generator_gap(P, _model(1))
+    assert math.isfinite(wave_residual(P, 1.0, 1.0, 1, 1.0))
+
+
+def test_differential_generator_is_local():
+    # a density that does not vanish at either grid end: on the common
+    # interior the generator on [-2, 2] is, bit for bit, its value on
+    # [-4, 4] (spacing 2^-6 on both, so the shared nodes are the same
+    # doubles)
+    model = _model(2, drift=LinearRestoring(0.6), sigma=0.3)
+    wide = GridSpec(-4.0, 4.0, 513)
+    narrow = GridSpec(-2.0, 2.0, 257)
+    x = wide.nodes()
+    vals = 0.5 + np.exp(-x**2) + 0.1 * np.sin(3.0 * x)
+    assert np.array_equal(x[128:385], narrow.nodes())
+    k = interior_margin(2)
+    got = differential_generator(GridFunction(narrow, vals[128:385]), model).values[k:-k]
+    want = differential_generator(GridFunction(wide, vals), model).values[128 + k:385 - k]
+    assert np.array_equal(got, want)
+    assert np.all(got != 0.0)
+
+
+def _ou_law_on_the_grid(m, alpha, lam, gamma, spec):
+    """The stationary law the stationary command tabulates on ``spec``."""
+    if m == 1:
+        return stationary_m1(lambda x: alpha * x, lambda x: lam, gamma, spec)
+    return GridFunction(spec, stationary_ou_m2(alpha, lam, gamma, spec.nodes()))
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_stationary_residual_on_the_commands_grid(m):
+    # the stationary command's grid [1e-4, 40] of 2001 points, where the law
+    # is far from 0 at x_lo: the residual needs no vanishing boundary value,
+    # and a model 5% off in alpha reads well above it
+    spec = GridSpec(1e-4, 40.0, 2001)
+    P = _ou_law_on_the_grid(m, 1.0, 2.0, 1.0, spec)
+    assert P.values[0] > 1e-5
+    assert stationary_residual(P, _model(m, gamma=1.0, lam=2.0, drift=LinearRestoring(1.0))) < 1e-6
+    off = _model(m, gamma=1.0, lam=2.0, drift=LinearRestoring(1.05))
+    assert stationary_residual(P, off) > 1e-2
+
+
+def test_stationary_residual_m1_fourth_order_on_the_commands_grid():
+    model = _model(1, gamma=1.0, lam=2.0, drift=LinearRestoring(1.0))
+    res, hs = [], []
+    for n in (2001, 4001, 8001):
+        spec = GridSpec(1e-4, 40.0, n)
+        res.append(stationary_residual(_ou_law_on_the_grid(1, 1.0, 2.0, 1.0, spec), model))
+        hs.append(spec.h)
+    assert fit_convergence_order(hs, res) >= 3.5
 
 
 def test_model_validation():

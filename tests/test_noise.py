@@ -2,6 +2,7 @@
 
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -97,6 +98,18 @@ def test_laplace_magnitudes_equal_both_former_inverse_cdfs_bitwise():
         assert np.array_equal(got.view(np.int64), sampler.view(np.int64))
         assert got[0] == 0.0 and np.all(np.isfinite(got))
         assert np.all(np.diff(got[np.argsort(u)]) >= 0)  # monotone in u
+
+
+def test_laplace_magnitude_of_a_zero_uniform_is_finite():
+    # Generator.random draws 0 with chance 2^-53: it maps to the jump of the
+    # smallest positive double, with no divide-by-zero warning
+    u = np.array([0.0, 5e-324, 1e-300, 0.25, 0.5, 1.0 - 2.0**-53])
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        got = laplace_magnitudes(u, 1.3)
+    assert np.all(np.isfinite(got))
+    assert got[0] <= got[1]
+    assert np.all(np.diff(got) >= 0)  # monotone in u
 
 
 def test_laplace_sample_moments_and_ks():

@@ -8,8 +8,11 @@ smallest valid config of every command branch through ``cli.main``.  The
 guard walks the AST of every module, nested defs included, and fails for
 each ``def`` whose code never ran, unless ``ALLOWED`` names it with the
 reason it stays.  An allowlisted entry must still exist and still not run,
-so the list can only shrink: code that a command starts to reach, or that
-is deleted, leaves it in the same change.
+so an entry leaves the list with its function, or when a command starts to
+call it, in the same change.  An entry is added, with its one-line reason,
+for a function that must stay unreached: one that ``perfbench/tracer.py``
+binds must be added when it loses its last command caller, since the
+list's traced entries are exactly the tracer's unreached bindings.
 
 To allowlist a function, add its module-qualified ``__qualname__``
 (``module.Class.method``, ``module.outer.<locals>.inner``) with one line

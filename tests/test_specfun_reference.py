@@ -271,3 +271,23 @@ def test_kummer_1f1_past_its_switch_where_b_minus_a_is_a_nonpositive_integer(a, 
         want = float(mpmath.hyp1f1(a, b, z))
     assert kummer_1f1(a, b, z) == pytest.approx(want, rel=1e-12, abs=0.0)
     assert kummer_1f1(np.array([a, a]), b, np.array([z, -10.0]))[0] == kummer_1f1(a, b, z)
+
+
+def test_kummer_1f1_of_the_transient_law_matches_mpmath():
+    # TransientLaw takes 1F1(1 - r, 2, -s) at r = lambda / alpha, which is
+    # mostly not an integer: the Kummer-transformed series up to
+    # s = max(40, r |r - 1|), then the asymptotic expansion.  The series
+    # stops at its first term below 1e-10 of the sum; s <= 350 keeps it
+    # within 500 terms at every r <= 20
+    rng = np.random.default_rng(53)
+    r = rng.uniform(0.0, 20.0, 120)
+    r = np.where(r % 1.0 == 0.0, r + 0.5, r)
+    s = rng.uniform(0.0, 350.0, 120)
+    with mpmath.workdps(40):
+        want = np.array([float(mpmath.hyp1f1(1.0 - a, 2, -z))
+                         for a, z in zip(r.tolist(), s.tolist())])
+    err = np.abs(kummer_1f1(1.0 - r, 2.0, -s) / want - 1.0)
+    asymptotic = s > np.maximum(40.0, r * np.abs(r - 1.0))
+    assert 20 < asymptotic.sum() < 100
+    assert np.all(err[asymptotic] <= 1e-12)
+    assert np.all(err[~asymptotic] <= 1e-9)

@@ -2,7 +2,7 @@
 
 Analytic solutions for shot-noise dynamics with Erlang jumps: the m=1
 stationary density for general drift/rate, the linear-drift stationary
-laws for m=1 (Gamma) and m=2 (Bessel I form), stationary cumulants, the
+law for m=2 (Bessel I form), stationary cumulants, the
 Laplace transform and m=1 transient for linear drift, the Gumbel and
 Whittaker traveling-wave profiles with their speeds, and the tanh-drift
 jump diffusion: transient law by characteristic-function inversion and

@@ -102,7 +102,9 @@ _KS_MARGIN = 1e-9
 @dataclass(frozen=True)
 class SimConfig:
     """Step size, horizon, path count, seed, and recording stride of a
-    simulation, which runs in one thread."""
+    simulation.  The exact samplers of the ``stationary`` and ``tanh``
+    blocks draw on one helper thread (``_DRAWS``); the other engines run
+    in the calling thread."""
 
     dt: float
     t_end: float

@@ -676,8 +676,9 @@ def whittaker_w0(kappa, z):
 
 
 # the Taylor series of 1F1 stops at its first term below _SERIES_TOL times
-# max(1, |sum|), within _MAX_TERMS terms; _MAX_TERMS also bounds the degree
-# of a terminating polynomial
+# max(1, |sum|), within max(_MAX_TERMS, ceil(1.5 z) + 100) terms: a
+# positive-term series peaks near term z and ends about 7 sqrt(z) past it.
+# _MAX_TERMS also bounds the degree of a terminating polynomial
 _SERIES_TOL = 1e-10
 _MAX_TERMS = 500
 
@@ -710,9 +711,11 @@ def _kummer_series(a, b, z):
     idx = np.arange(z.size)
     term = np.ones_like(z)
     total = np.ones_like(z)
-    # an overflowing series is reported below, not warned about
+    budget = np.maximum(_MAX_TERMS, np.ceil(1.5 * z) + 100.0)
+    # an overflowing series is reported below, not warned about: a sum gone
+    # to inf stops at once, since inf <= tol * inf
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, _MAX_TERMS + 1):
+        for k in range(1, int(budget.max()) + 1):
             term = term * ((a + k - 1) / (b + k - 1) * z / k)
             total = total + term
             done = np.abs(term) <= _SERIES_TOL * np.maximum(1.0, np.abs(total))
@@ -720,14 +723,15 @@ def _kummer_series(a, b, z):
                 out[idx[done]] = total[done]
                 keep = ~done
                 idx, z, term, total = idx[keep], z[keep], term[keep], total[keep]
-                a, b = _take(a, keep), _take(b, keep)
+                a, b, budget = _take(a, keep), _take(b, keep), budget[keep]
                 if not idx.size:
                     break
-        else:
-            raise OverflowError(
-                f"kummer_1f1 series did not converge within {_MAX_TERMS} terms "
-                f"at (a, b, z) = {_entry(idx[0], *params)}"
-            )
+            if k >= _MAX_TERMS and (budget <= k).any():
+                i = int(np.argmax(budget <= k))
+                raise OverflowError(
+                    f"kummer_1f1 series did not converge within {budget[i]:.0f} terms "
+                    f"at (a, b, z) = {_entry(idx[i], *params)}"
+                )
     bad = ~np.isfinite(out)
     if bad.any():
         raise OverflowError(
@@ -833,8 +837,8 @@ def kummer_1f1(a, b, z):
     polynomial, e^z at b = a.
 
     Raises ValueError for a non-finite a, and OverflowError when the series
-    fails to converge within 500 terms or overflows, and when a terminating
-    polynomial's degree -a exceeds 500.
+    fails to converge within max(500, ceil(1.5 |z|) + 100) terms or
+    overflows, and when a terminating polynomial's degree -a exceeds 500.
     """
     a, b, z, shape = _flat(a, b, z)
     _require((b > 0).all(), "kummer_1f1 requires b > 0")

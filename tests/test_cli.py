@@ -25,7 +25,8 @@ import erlangshot
 from erlangshot import cli, closedform, csvformat, master, simulate, specfun
 from erlangshot.cli import main, parse_config, write_csv
 from erlangshot.noise import ErlangJumpLaw, stream
-from erlangshot.simulate import sample_linear_shot_noise_exact
+from erlangshot.quadrature import trapezoid_cdf
+from erlangshot.simulate import interp_cdf, sample_linear_shot_noise_exact
 
 
 def _write(tmp_path, name, cfg):
@@ -674,9 +675,9 @@ _MASTER_OFF_CENTRE = dict(_MASTER_BASE, m_values=[1, 2], x_lo=-1e5, x_hi=1e5, si
         # xi spacing 2e268: every node but the first sees a zero profile (this
         # once ran, failed its mass flags and passed its mean flags)
         ("wave", _wave_cfg(xi_lo=-10.0, xi_hi=1e271, n_xi=501), []),
-        # 1F1(-19.5, 2, -s) needs more than 500 series terms short of the
-        # asymptotic range s > 360 (this once ran with a law of mass 0.55)
-        ("transient", _transient_cfg(x0=0.0, times=[3.0], **{"lambda": 20.5}), []),
+        # e^-s 1F1(31.5, 2, s), the transformed 1F1(-29.5, 2, -s), overflows
+        # from s = 599 on, short of the asymptotic range s > 900
+        ("transient", _transient_cfg(x0=0.0, times=[3.0], **{"lambda": 30.5}), []),
         ("verify-master", _MASTER_OFF_CENTRE, []),
         # a repeated m once ran its ladder twice, wrote its rows twice and exited 0
         ("verify-master", _verify_master_cfg(m_values=[1, 1], grid_sizes=[257, 513, 1025, 2049]),
@@ -730,6 +731,18 @@ def test_tanh_with_a_vanishing_jump_rate_writes_a_report(tmp_path, lam):
     assert main(["tanh", "--config", cfg, "--out", str(out)]) in (0, 1)
     metrics = json.loads((out / "report.json").read_text())["metrics"]
     assert np.isfinite(metrics["stationary_ks_jump_only"])
+
+
+def test_transient_past_500_series_terms_runs(tmp_path):
+    # 1F1(-19.5, 2, -s) takes 501 series terms at s = 358.6, short of the
+    # asymptotic range s > 400: this once exited 2, and before that ran with
+    # a law of mass 0.55
+    cfg = _transient_cfg(x0=0.0, times=[3.0], n_samples=20000, **{"lambda": 20.5})
+    out = tmp_path / "out"
+    assert main(["transient", "--config", _write(tmp_path, "t.json", cfg), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert all(report["flags"].values())
+    assert report["metrics"]["mass_t1"] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_transient_at_a_large_time_is_the_stationary_law(tmp_path):
@@ -1025,8 +1038,12 @@ def test_stationary_residual_is_that_of_the_csv_density(tmp_path, monkeypatch):
     cfg = _stationary_cfg(sim={"dt": 0.05, "t_end": 10.0, "n_paths": 3000})
     record = parse_config("stationary", cfg)
     assert len(calls) == 1
+    # a whole run evaluates the law once, in its validation: ks is taken
+    # against the same table
+    calls.clear()
     out = tmp_path / "out"
     assert main(["stationary", "--config", _write(tmp_path, "s.json", cfg), "--out", str(out)]) == 0
+    assert len(calls) == 1
     x, dens = np.loadtxt(out / "analytic_density.csv", delimiter=",", skiprows=1).T
     spec = master.GridSpec(1e-4, 40.0, 2001)
     assert np.array_equal(x, spec.nodes()) and np.array_equal(dens, record.density)
@@ -1035,6 +1052,44 @@ def test_stationary_residual_is_that_of_the_csv_density(tmp_path, monkeypatch):
     want = master.stationary_residual(master.GridFunction(spec, dens), model)
     report = json.loads((out / "report.json").read_text())
     assert report["metrics"]["stationary_residual"] == want == record.residual
+
+
+@pytest.mark.parametrize("m,bound", [(1, 1e-4), (2, 1e-5)])
+def test_stationary_ks_reference_is_near_the_law(m, bound):
+    # ks compares the sample with the trapezoid CDF of the table, linear
+    # between nodes; on the README grid it stays near the law's CDF on 4
+    # times as many points, so ks is within that bound of ks against the
+    # law.  X = Gamma(2 + K, 1) with K = 0 (m = 1) or Poisson(2) (m = 2),
+    # whose CDF for integer shapes is a finite sum.  The m = 1 law rises
+    # like x from 0, where linear interpolation errs by h^2 / 8 = 5e-5
+    record = parse_config("stationary", _stationary_cfg(m=m))
+    x = record.grid.nodes()
+    ref = interp_cdf(x, trapezoid_cdf(record.density, x))
+    fine = np.linspace(x[0], x[-1], 8001)
+    # the Gamma(n, 1) CDF is P(Poisson(x) >= n)
+    j = np.arange(62)
+    log_fact = np.array([math.lgamma(i + 1.0) for i in j])
+    poisson_below = np.cumsum(np.exp(j[:, None] * np.log(fine) - fine - log_fact[:, None]), axis=0)
+    k = j[:60]
+    weights = np.exp(k * np.log(2.0) - 2.0 - log_fact[:60]) if m == 2 else k == 0
+    law = weights @ (1.0 - poisson_below[k + 1])
+    assert np.abs(ref(fine) - law).max() <= bound
+
+
+def test_stationary_law_is_evaluated_without_warnings(tmp_path, capsys):
+    # at lambda / alpha = 200 the Bessel-I form takes the log of I_199,
+    # which underflows to 0 near x_lo; validation's errstate silences that,
+    # and a second evaluation of the law in the run once printed a
+    # RuntimeWarning.  t_end 5 falls short of stationarity: exit 1 is fine
+    cfg = {"schema_version": 1, "m": 2, "alpha": 1.0, "lambda": 200.0, "gamma": 1.0,
+           "grid": {"x_lo": 1e-4, "x_hi": 640.0, "n": 2001},
+           "sim": {"dt": 0.5, "t_end": 5.0, "n_paths": 100}}
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["stationary", "--config", _write(tmp_path, "s.json", cfg),
+                     "--out", str(out)]) in (0, 1)
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("m", [1, 2])

@@ -273,6 +273,22 @@ def test_kummer_1f1_past_its_switch_where_b_minus_a_is_a_nonpositive_integer(a, 
     assert kummer_1f1(np.array([a, a]), b, np.array([z, -10.0]))[0] == kummer_1f1(a, b, z)
 
 
+@pytest.mark.parametrize("r,s", [(20.5, 358.57), (100.5, 400.0), (50.5, 500.0)])
+def test_kummer_1f1_past_500_series_terms_matches_mpmath(r, s):
+    # the transformed series e^-s 1F1(1 + r; 2; s) peaks near term s and
+    # takes 501, 614 and 690 terms here: its budget grows with s
+    with mpmath.workdps(40):
+        want = float(mpmath.hyp1f1(1.0 - r, 2, -s))
+    assert kummer_1f1(1.0 - r, 2.0, -s) == pytest.approx(want, rel=1e-9, abs=0.0)
+
+
+def test_kummer_1f1_series_past_its_overflow_still_raises():
+    # from r = 30 on the transformed series overflows near s = 600, within
+    # its budget and short of the asymptotic range s > r (r - 1)
+    with pytest.raises(OverflowError, match=r"series overflowed at \(a, b, z\) = \(31\.5, 2\.0"):
+        kummer_1f1(-29.5, 2.0, -650.0)
+
+
 def test_kummer_1f1_of_the_transient_law_matches_mpmath():
     # TransientLaw takes 1F1(1 - r, 2, -s) at r = lambda / alpha, which is
     # mostly not an integer: the Kummer-transformed series up to

@@ -249,8 +249,10 @@ class RunReport:
     ``timings`` holds the seconds spent validating the config (each check's
     analytic work included), running the experiment, and writing output
     files (the config echo and every CSV; CSVs written during the run count
-    under ``write``, not ``run``), and, within ``run``, ``draw_wait``: the
-    seconds the exact samplers waited for their helper thread's draws."""
+    under ``write``, not ``run``).  Within ``run``, ``simulate`` holds the
+    seconds spent in the exact samplers and the swarm, and within that,
+    ``draw_wait`` the seconds the exact samplers waited for their helper
+    thread's draws."""
 
     def __init__(self, command, parameters, seed, out_dir):
         self.command = command
@@ -260,7 +262,8 @@ class RunReport:
         self.metrics = {}
         self.flags = {}
         self.counters = Counter()
-        self.timings = {"validate": 0.0, "run": 0.0, "write": 0.0, "draw_wait": 0.0}
+        self.timings = {"validate": 0.0, "run": 0.0, "write": 0.0, "simulate": 0.0,
+                        "draw_wait": 0.0}
         self._t0 = time.perf_counter()
 
     def write_csv(self, name, header, columns):
@@ -281,18 +284,22 @@ class RunReport:
     def metric(self, name, value):
         self.metrics[name] = float(value)
 
-    def count_exact(self, sample):
+    def count_exact(self, sample, start):
         """Add an exact sampler's counters: samples as paths, no steps, jumps;
         ``tile_values`` is the largest tile's values per temporary array of
-        every exact sample of the run.  Its wait for draws adds to
-        ``timings["draw_wait"]``."""
+        every exact sample of the run.  The seconds since ``start``, taken
+        just before the sampler's call, add to ``timings["simulate"]``, and
+        its wait for draws to ``timings["draw_wait"]``."""
+        self.timings["simulate"] += time.perf_counter() - start
         self.counters.update(paths=len(sample), steps=0, jumps=int(sample.jump_counts.sum()))
         self.counters["tile_values"] = max(self.counters["tile_values"], sample.tile_values)
         self.timings["draw_wait"] += sample.draw_wait
 
-    def count_swarm(self, sim, series):
+    def count_swarm(self, sim, series, start):
         """Add a swarm run's counters: agents, agent-steps, exponential
-        clock draws, jumps."""
+        clock draws, jumps.  The seconds since ``start``, taken just before
+        the swarm's call, add to ``timings["simulate"]``."""
+        self.timings["simulate"] += time.perf_counter() - start
         self.counters.update(
             agents=series.n_agents,
             agent_steps=series.n_agents * sim.n_steps,
@@ -429,8 +436,9 @@ def _run_wave(cfg, report):
         sim = replace(cfg.swarm, seed=cfg.seed)
         for m in cfg.m_values:
             for b in betas:
+                start = time.perf_counter()
                 series = simulate.simulate_swarm(sim.n_paths, m, gamma, b, sim)
-                report.count_swarm(sim, series)
+                report.count_swarm(sim, series, start)
                 fitted = simulate.estimate_speed(series, _SPEED_WINDOW)
                 sol = waves[(m, b)]
                 rel = abs(fitted / sol.speed - 1.0)
@@ -646,10 +654,11 @@ def _run_stationary(cfg, report):
 
     # sigma = 0 and linear drift: the state at t_end is drawn exactly from
     # the explicit shot-noise solution; sim.dt does not enter
+    start = time.perf_counter()
     sample = simulate.sample_linear_shot_noise_exact(
         alpha, lam, gamma, m, 0.0, sim.t_end, sim.n_paths, cfg.seed
     )
-    report.count_exact(sample)
+    report.count_exact(sample, start)
     final = sample.values
     hist = simulate.empirical_density(final, cfg.n_bins)
     report.write_csv(
@@ -707,10 +716,11 @@ def _run_transient(cfg, report):
     alpha, lam, gamma, x0, t_u, law = cfg.alpha, cfg.lambda_, cfg.gamma, cfg.x0, cfg.t_u, cfg.law
     # one pathwise sample, read at every comparison time and at t_u
     grid = sorted(set(cfg.times) | {t_u})
+    start = time.perf_counter()
     sample = simulate.sample_linear_shot_noise_exact(
         alpha, lam, gamma, 1, x0, grid, cfg.n_samples, cfg.seed
     )
-    report.count_exact(sample)
+    report.count_exact(sample, start)
     at = {t: sample.values[i] for i, t in enumerate(grid)}
     for i, t in enumerate(cfg.times, start=1):
         mass = law.total_mass(t)
@@ -778,8 +788,9 @@ def _run_tanh(cfg, report):
     report.write_csv("tanh_transient_density.csv", ["x", "density"], [xs, dens])
     # exact jump-adapted draws of the state at the horizon; dt and
     # record_stride do not enter
+    start = time.perf_counter()
     sample = simulate.sample_tanh_exact(lam, gamma, beta, t, cfg.sim.n_paths, cfg.seed)
-    report.count_exact(sample)
+    report.count_exact(sample, start)
     ks = simulate.ks_distance(sample.values, interp_cdf(xs, cdf))
     report.metric("transient_mass", mass)
     report.metric("transient_ks", ks)
@@ -790,10 +801,11 @@ def _run_tanh(cfg, report):
         ssim, olaw = cfg.stationary_sim, cfg.ou_law
         ys, ydens = cfg.ou_table
         report.write_csv("ou_stationary_density.csv", ["y", "density"], [ys, ydens])
+        start = time.perf_counter()
         osample = simulate.sample_ou_tanh_exact(
             alpha, lam, gamma, beta, ssim.t_end, ssim.n_paths, cfg.seed
         )
-        report.count_exact(osample)
+        report.count_exact(osample, start)
         ycdf = trapezoid_cdf(ydens, ys)
         sks = simulate.ks_distance(osample.values, interp_cdf(ys, ycdf))
         report.metric("stationary_ks", sks)

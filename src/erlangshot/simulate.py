@@ -36,12 +36,15 @@ whole, one chunk ahead on one helper thread (see ``_exact_chunks``): while
 the calling thread sums chunk c, the helper fills chunk c + 1's buffers
 from that chunk's own stream, so the values do not depend on the overlap.
 The sums run in tiles of whole, consecutive paths (see ``_tiles``), each
-holding at most about ``_TILE`` jumps, or up to twice as many grid cells,
-per temporary array.  So a sampler holds two chunks' draws, one tile's
-temporaries and its output.  A path's arithmetic does not depend on its
-neighbours, so the tiles leave every value bit-identical.  Every Erlang
-jump size, in the Euler reference, the exact sampler and the swarm, comes
-from ``noise.erlang_magnitudes``.
+holding at most about ``_TILE`` jumps, or up to twice as many cells of a
+table of jump times, per temporary array.  So a sampler holds two chunks'
+draws, one tile's temporaries and its output.  The jump-adapted samplers
+advance a tile's paths one round per interval, on a compact, round-major
+table of the intervals (see ``_advance``), so their work is O(intervals)
+beside one sort of each path's jump times.  A path's arithmetic does not
+depend on its neighbours, so the tiles leave every value bit-identical.
+Every Erlang jump size, in the Euler reference, the exact sampler and the
+swarm, comes from ``noise.erlang_magnitudes``.
 
 Estimators (wave speed, normalized histograms, Kolmogorov-Smirnov
 distance) live here as well.
@@ -50,8 +53,8 @@ distance) live here as well.
 from __future__ import annotations
 
 import math
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,9 +88,11 @@ _CHUNK = 4096  # draws per stream of the exact samplers
 _EXACT_STREAM_BASE = 2**63
 _OU_STREAM_BASE = 2**63 + 2**62
 _TILE = 2**17  # values per temporary array of an exact sampler's tile of paths
-# the one helper thread on which the exact samplers draw their next chunk;
-# it starts at the first draw, not at import
-_DRAWS = ThreadPoolExecutor(max_workers=1, thread_name_prefix="erlangshot-draws")
+# the one helper thread on which the exact samplers draw their next chunk,
+# made at the first draw (see _draws), so that a command that never draws
+# neither starts it nor imports concurrent.futures (and logging with it)
+_DRAWS = None
+_DRAWS_MADE = threading.Lock()  # so that callers on two threads make one
 # interior times up to which the linear sampler finds each jump's interval
 # by counting comparisons into a uint8 (at most 255) rather than by a binary
 # search; the counting loop is O(times) per jump, and on 49 chunks of 24576
@@ -438,6 +443,18 @@ def _tiles(nj, per_path, min_width=1):
         j0 = j1
 
 
+def _draws():
+    """The helper executor ``_DRAWS``, made at the first call; one already
+    set is used as it is."""
+    global _DRAWS
+    with _DRAWS_MADE:
+        if _DRAWS is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _DRAWS = ThreadPoolExecutor(max_workers=1, thread_name_prefix="erlangshot-draws")
+        return _DRAWS
+
+
 def _exact_chunks(n, seed, mean_jumps, d, work, normals=0, base=_EXACT_STREAM_BASE):
     """Call ``work(lo, hi, counts, arrivals, magnitude uniforms)`` on each
     chunk of an exact sampler's draws, in order, with ``sign uniforms,
@@ -480,7 +497,8 @@ def _exact_chunks(n, seed, mean_jumps, d, work, normals=0, base=_EXACT_STREAM_BA
         waited += time.perf_counter() - start
         return out
 
-    job = _DRAWS.submit(draw, [], 0)
+    helper = _draws()
+    job = helper.submit(draw, [], 0)
     try:
         ready = None
         for lo in range(0, n, _CHUNK):
@@ -492,7 +510,7 @@ def _exact_chunks(n, seed, mean_jumps, d, work, normals=0, base=_EXACT_STREAM_BA
             if normals:
                 draws += [np.empty(len(nj) + total), np.empty((len(nj) + total, normals))]
                 fills += [(gen.random, draws[2]), (gen.standard_normal, draws[3])]
-            job = _DRAWS.submit(draw, fills, lo + _CHUNK)
+            job = helper.submit(draw, fills, lo + _CHUNK)
             if ready is not None:
                 work(*ready)
             ready = (lo, lo + len(nj), nj, *draws)
@@ -501,7 +519,7 @@ def _exact_chunks(n, seed, mean_jumps, d, work, normals=0, base=_EXACT_STREAM_BA
             work(*ready)
     finally:
         if not job.cancel():
-            wait([job])
+            job.exception()  # waits for the job without raising its error
     return waited
 
 
@@ -513,9 +531,10 @@ def sample_tanh_exact(lam, gamma, beta, t, n, seed) -> ExactSample:
     Brownian motion: from x, a Brownian motion with drift s beta, the sign
     s = +1 drawn once with probability (1 + tanh(beta x)) / 2.  Each path is
     advanced from jump to jump by this law, so there is no time step and no
-    discretization bias.  The work is not O(jumps): ``_jump_adapted`` pads
-    each tile of paths to its largest jump count.  It also gives the
-    stream layout.  ``values`` holds X_t, ``jump_counts`` each path's jumps.
+    discretization bias.  The work is O(jumps + paths), beside a sort of
+    each path's jump times in a table padded to its tile's busiest path
+    (see ``_jump_adapted``, which also gives the stream layout).
+    ``values`` holds X_t, ``jump_counts`` each path's jumps.
     """
     if lam < 0 or not gamma > 0 or not beta > 0:
         raise ValueError("need lam >= 0, gamma > 0, beta > 0")
@@ -550,20 +569,19 @@ def _jump_adapted(lam, gamma, beta, t, n, seed, alpha=None):
     each path's in time order.  A path's jump times are its N arrival
     uniforms, sorted, times t, and its magnitudes follow them in draw order.
 
-    The chunk's paths are advanced in tiles (see ``_tiles``), each costing
-    p (N_max + 1) grid cells per coefficient (see ``_advance``) for its p
-    paths and its largest jump count N_max, against the sum over its paths
-    of N_i + 1, the intervals they hold.  At rate 1 a whole chunk's grid is
-    3.5 (X) and 3.9 (Y) times its intervals at t = 1, and 1.8 and 1.9 at
-    t = 20: the padding weighs most where few jumps are expected per path.
-    Tiles are cut for the chunk's largest N_max to hold at most about
-    ``_TILE`` cells per coefficient.  A round costs about a dozen numpy
-    calls whatever its width, so where that would leave tiles narrower than
-    a quarter chunk (past 128 cells per path, lambda t near 100), they are
-    1024 paths wide, or, past 256 cells per path, as wide as 2 * ``_TILE``
-    cells allow: at lambda t = 100 to 1000, narrower tiles were measured
-    4-18% slower.  ``tile_values`` is the largest tile's p (N_max + 1), and
-    ``draw_wait`` the seconds spent waiting for draws.
+    The chunk's paths are advanced in tiles (see ``_tiles``) by
+    ``_advance``.  For a tile of p paths with N_i jumps each, N_max the
+    largest, its arrays hold one value per interval, the sum of N_i + 1,
+    per coefficient, and one table of p (N_max + 1) cells, in which each
+    path's jump times are sorted.  Tiles are cut for the chunk's largest
+    N_max to hold at most about ``_TILE`` cells of that table.  A round
+    costs six numpy calls for X and nine for Y whatever its width, so where
+    that would leave tiles narrower than a quarter chunk (past 128 cells
+    per path, lambda t near 100), they are 1024 paths wide, or, past 256
+    cells per path, as wide as 2 * ``_TILE`` cells allow: at lambda t = 100
+    to 1000, narrower tiles were measured 4-18% slower, when every round
+    still spanned the whole tile.  ``tile_values`` is the largest tile's
+    p (N_max + 1), and ``draw_wait`` the seconds spent waiting for draws.
     """
     if not 0 < t < math.inf:
         raise ValueError("t must be finite and positive")
@@ -593,49 +611,85 @@ def _advance(nj, arrivals, mags, up, z, t, beta, alpha):
     """X_t, or Y_t when ``alpha`` is given, of paths with nj jumps each,
     from their draws in the order of ``_jump_adapted``.
 
-    Each interval's coefficients are set into a grid of rounds by paths,
-    cell (r, i) holding path i's interval r; a cell past a path's last
-    interval has length zero, no jump and no noise, and leaves the path
-    where it is.  The paths then advance together, one round at a time.
+    Each interval's coefficients are computed where its draws lie, path
+    after path, as one row of a table.  The paths are ranked by jump count,
+    busiest first, and the rows are gathered once into round-major order:
+    round r holds interval r of the ``alive[r]`` busiest paths, the paths
+    that have one, as rows ``off[r]`` ... ``off[r] + alive[r] - 1``.  The
+    paths then advance together, one round at a time, round r moving
+    ``x[:alive[r]]``.  So the arrays and the work are O(intervals): no round
+    touches a path past its last interval.  Only the jump times are
+    tabulated by path and round, padded, to sort each path's arrivals.  A
+    path meets the same operations in the same order whatever its rank and
+    its neighbours.
     """
-    # (path, r) cells: the path's r-th jump, the path's r-th interval
-    rounds = np.arange(nj.max() + 1)
-    jumped = rounds < nj[:, None]
-    lived = rounds <= nj[:, None]
-    # interval r ends at the path's r-th jump in time order, the last at t
-    ends = np.ones(jumped.shape)
-    ends[jumped] = arrivals
-    ends.sort(axis=1)
-    length = np.diff(t * ends, axis=1, prepend=0.0)[lived]
-    jump = np.zeros(jumped.shape)
+    p, total = len(nj), len(up)
+    rounds = int(nj.max()) + 1
+    # path i's intervals are first[i] ... first[i] + nj[i], the last ending
+    # at t and the others at the path's jumps in time order
+    first = np.cumsum(nj + 1) - (nj + 1)
+    jumped = np.ones(total, dtype=bool)
+    jumped[first + nj] = False
+    cell = np.arange(total) + np.repeat(np.arange(0, p * rounds, rounds) - first, nj + 1)
+    ends = np.ones(p * rounds)
+    ends[cell[jumped]] = arrivals
+    ends.reshape(p, rounds).sort(axis=1)
+    ends = ends.take(cell)
+    ends *= t
+    length = np.empty(total)
+    np.subtract(ends[1:], ends[:-1], out=length[1:])
+    length[first] = ends[first]
+    del cell, ends
+    jump = np.zeros(total)
     jump[jumped] = mags
-    jump = jump[lived]
-    # one row of coefficients per round; cols[j] is coefficient j by path
-    grid = np.zeros((3 if alpha is None else 6, len(rounds), len(nj)))
-    cols = grid.transpose(0, 2, 1)
+    # a row per interval: twice its sign uniform (the drift sign is +1 where
+    # 2u < 1 + tanh(beta x), exactly where u < (1 + tanh(beta x)) / 2), then
+    # X's increment noise + sign * drift for sign +1 and for sign -1, each
+    # rounded once as that sum is; for Y, e^{-alpha d}, then Y's two
+    coef = np.empty((total, 3 if alpha is None else 6))
+    np.multiply(up, 2.0, out=coef[:, 0])
     root = np.sqrt(length)
-    cols[0][lived] = up
-    cols[1][lived] = beta * length
-    cols[2][lived] = root * z[:, 0] + jump
+    drift = beta * length
+    noise = root * z[:, 0] + jump
+    np.add(noise, drift, out=coef[:, 1])
+    np.subtract(noise, drift, out=coef[:, 2])
     if alpha is not None:
         gap = -np.expm1(-alpha * length)  # 1 - e^{-alpha d}
         cov = gap / alpha
         slope = np.divide(cov, root, out=np.zeros_like(root), where=length > 0)
         # Var(I | W), clipped at the rounding of its cancellation
         rest = np.maximum(-np.expm1(-2.0 * alpha * length) / (2.0 * alpha) - slope**2, 0.0)
-        grid[3] = 1.0
-        cols[3][lived] = 1.0 - gap
-        cols[4][lived] = beta * cov
-        cols[5][lived] = slope * z[:, 0] + np.sqrt(rest) * z[:, 1] + jump
-    x = np.zeros(len(nj))
-    y = np.zeros(len(nj))
-    for row in grid.transpose(1, 0, 2):
-        sign = np.where(row[0] < 0.5 * (1.0 + np.tanh(beta * x)), 1.0, -1.0)
-        x += sign * row[1] + row[2]
+        np.subtract(1.0, gap, out=coef[:, 3])
+        drift = beta * cov
+        noise = slope * z[:, 0] + np.sqrt(rest) * z[:, 1] + jump
+        np.add(noise, drift, out=coef[:, 4])
+        np.subtract(noise, drift, out=coef[:, 5])
+    del length, jump, root, drift, noise
+    # busiest first, ties in path order (a small unsigned key sorts by
+    # radix); round r's row k is interval r of the path ranked k
+    order = np.argsort((rounds - 1 - nj).astype(np.min_scalar_type(rounds)), kind="stable")
+    alive = np.bincount(nj, minlength=rounds)[::-1].cumsum()[::-1]
+    off = np.cumsum(alive) - alive
+    rank = np.arange(total)
+    rank -= np.repeat(off, alive)
+    row = first[order].take(rank)
+    row += np.repeat(np.arange(rounds), alive)
+    coef = coef.take(row, axis=0)
+    del rank, row
+    x = np.zeros(p)
+    y = np.zeros(p)
+    for lo, k in zip(off.tolist(), alive.tolist()):
+        c = coef[lo : lo + k]
+        xs = x[:k]
+        plus = c[:, 0] < 1.0 + np.tanh(beta * xs)
+        xs += np.where(plus, c[:, 1], c[:, 2])
         if alpha is not None:
-            y *= row[3]
-            y += sign * row[4] + row[5]
-    return x if alpha is None else y
+            ys = y[:k]
+            ys *= c[:, 3]
+            ys += np.where(plus, c[:, 4], c[:, 5])
+    out = np.empty(p)
+    out[order] = x if alpha is None else y
+    return out
 
 
 # ---------------------------------------------------------------------------

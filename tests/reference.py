@@ -116,3 +116,52 @@ def exp1_ref(z):
     val = _integrate("exp1", lambda t, k: np.exp(-z[k] * t) / t, np.ones_like(z), np.inf,
                      1e-14, 1e-13, z=z)
     return _shaped(val, shape)
+
+
+def advance_padded(nj, arrivals, mags, up, z, t, beta, alpha):
+    """``simulate._advance`` on a padded grid of rounds by paths: the
+    oracle of the compact, round-major one.
+
+    Each interval's coefficients are set into a grid of rounds by paths,
+    cell (r, i) holding path i's interval r; a cell past a path's last
+    interval has length zero, no jump and no noise, and leaves the path
+    where it is.  The paths then advance together, one round at a time.
+    """
+    # (path, r) cells: the path's r-th jump, the path's r-th interval
+    rounds = np.arange(nj.max() + 1)
+    jumped = rounds < nj[:, None]
+    lived = rounds <= nj[:, None]
+    # interval r ends at the path's r-th jump in time order, the last at t
+    ends = np.ones(jumped.shape)
+    ends[jumped] = arrivals
+    ends.sort(axis=1)
+    length = np.diff(t * ends, axis=1, prepend=0.0)[lived]
+    jump = np.zeros(jumped.shape)
+    jump[jumped] = mags
+    jump = jump[lived]
+    # one row of coefficients per round; cols[j] is coefficient j by path
+    grid = np.zeros((3 if alpha is None else 6, len(rounds), len(nj)))
+    cols = grid.transpose(0, 2, 1)
+    root = np.sqrt(length)
+    cols[0][lived] = up
+    cols[1][lived] = beta * length
+    cols[2][lived] = root * z[:, 0] + jump
+    if alpha is not None:
+        gap = -np.expm1(-alpha * length)  # 1 - e^{-alpha d}
+        cov = gap / alpha
+        slope = np.divide(cov, root, out=np.zeros_like(root), where=length > 0)
+        # Var(I | W), clipped at the rounding of its cancellation
+        rest = np.maximum(-np.expm1(-2.0 * alpha * length) / (2.0 * alpha) - slope**2, 0.0)
+        grid[3] = 1.0
+        cols[3][lived] = 1.0 - gap
+        cols[4][lived] = beta * cov
+        cols[5][lived] = slope * z[:, 0] + np.sqrt(rest) * z[:, 1] + jump
+    x = np.zeros(len(nj))
+    y = np.zeros(len(nj))
+    for row in grid.transpose(1, 0, 2):
+        sign = np.where(row[0] < 0.5 * (1.0 + np.tanh(beta * x)), 1.0, -1.0)
+        x += sign * row[1] + row[2]
+        if alpha is not None:
+            y *= row[3]
+            y += sign * row[4] + row[5]
+    return x if alpha is None else y

@@ -814,6 +814,26 @@ def test_cli_import_loads_no_scipy():
     assert done.stdout.strip() == "[]"
 
 
+def test_draw_helper_is_imported_at_the_first_draw(tmp_path):
+    # start-up cost: concurrent.futures, and logging with it, load with the
+    # exact samplers' helper thread, which a command that never draws does
+    # not make
+    src = Path(erlangshot.__file__).resolve().parents[1]
+    path = _write(tmp_path, "t.json", _transient_cfg(n_samples=1000))
+    code = (
+        "import sys, erlangshot.cli as cli\n"
+        "def loaded():\n"
+        "    return [m in sys.modules for m in ('concurrent.futures', 'logging')]\n"
+        "before = loaded()\n"
+        f"code = cli.run_command('transient', {path!r}, {str(tmp_path / 'out')!r}, quiet=True)\n"
+        "print(before, loaded(), code in (0, 1))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.strip() == "[False, False] [True, True] True"
+
+
 def test_largest_seed_runs(tmp_path):
     # the largest seed keys every stream of the run
     path = _write(tmp_path, "t.json", _transient_cfg(times=[0.7], n_samples=2000))
@@ -831,10 +851,11 @@ def test_report_keys_and_engine_counters(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert set(report) == keys
     timings = report["timings"]
-    assert set(timings) == {"validate", "run", "write", "draw_wait"}
+    assert set(timings) == {"validate", "run", "write", "simulate", "draw_wait"}
     assert all(v >= 0 for v in timings.values())
-    # the samplers' wait for their helper thread's draws is part of the run
-    assert 0 < timings["draw_wait"] <= timings["run"]
+    # the samplers' wait for their helper thread's draws is part of their
+    # time, which is part of the run
+    assert 0 < timings["draw_wait"] <= timings["simulate"] <= timings["run"]
     assert set(report["environment"]) == {"python", "numpy", "nproc"}
     assert report["environment"]["nproc"] >= 1
     assert set(report["metrics"]) == {

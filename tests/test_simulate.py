@@ -8,6 +8,8 @@ from concurrent.futures import Future
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.random import Generator, Philox
 from scipy import stats
 
@@ -40,7 +42,7 @@ from erlangshot.simulate import (
     simulate_swarm,
     simulate_tanh,
 )
-from reference import wave_variance
+from reference import advance_padded, wave_variance
 
 
 def _ou_model(m=1, alpha=1.0, lam=2.0, gamma=1.0, sigma=0.0):
@@ -493,6 +495,43 @@ def test_exact_tanh_samplers_take_zero_length_intervals(monkeypatch, ou):
             sample = sample_tanh_exact(3.0, 2.0, 0.5, 1.0, 2000, 27)
     assert sample.jump_counts.max() > 1
     assert np.all(np.isfinite(sample.values))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    nj=st.lists(st.integers(0, 12), min_size=1, max_size=40),
+    ou=st.booleans(),
+    at_zero=st.booleans(),
+    t=st.sampled_from([1e-3, 1.5, 40.0]),
+    beta=st.sampled_from([0.5, 3.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# all paths without a jump (one round), one path, one busy path among idle
+# ones, equal jump counts, zero-length intervals
+@example(nj=[0] * 9, ou=False, at_zero=False, t=1.5, beta=0.5, seed=1)
+@example(nj=[0] * 9, ou=True, at_zero=False, t=1.5, beta=0.5, seed=1)
+@example(nj=[7], ou=False, at_zero=False, t=1.5, beta=0.5, seed=2)
+@example(nj=[7], ou=True, at_zero=False, t=1.5, beta=0.5, seed=2)
+@example(nj=[0, 0, 11, 0, 0], ou=False, at_zero=False, t=1.5, beta=0.5, seed=3)
+@example(nj=[0, 0, 11, 0, 0], ou=True, at_zero=False, t=1.5, beta=0.5, seed=3)
+@example(nj=[4] * 6, ou=False, at_zero=False, t=1.5, beta=0.5, seed=4)
+@example(nj=[4] * 6, ou=True, at_zero=False, t=1.5, beta=0.5, seed=4)
+@example(nj=[3, 0, 5, 1], ou=False, at_zero=True, t=1.5, beta=0.5, seed=5)
+@example(nj=[3, 0, 5, 1], ou=True, at_zero=True, t=1.5, beta=0.5, seed=5)
+def test_advance_matches_the_padded_grid_bit_for_bit(nj, ou, at_zero, t, beta, seed):
+    # the compact, round-major advance against the padded grid of rounds by
+    # paths it replaced: the same bytes, for X and for Y
+    nj = np.array(nj, dtype=np.int64)
+    total = int(nj.sum())
+    g = Generator(Philox(seed))
+    arrivals = np.zeros(total) if at_zero else g.random(total)
+    mags = laplace_magnitudes(g.random(total), 2.0)
+    up = g.random(total + len(nj))
+    z = g.standard_normal((total + len(nj), 2 if ou else 1))
+    alpha = 0.7 if ou else None
+    got = simulate._advance(nj, arrivals, mags, up, z, t, beta, alpha)
+    want = advance_padded(nj, arrivals, mags, up, z, t, beta, alpha)
+    assert got.tobytes() == want.tobytes()
 
 
 def _tiled_samples(n=4100):

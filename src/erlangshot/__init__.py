@@ -11,7 +11,6 @@ from .closedform import (
     TransientLaw,
     WaveSolution,
     cumulant,
-    gaussian_pair_mixture,
     gumbel_wave,
     laplace_transform_linear,
     stationary_m1,
@@ -36,7 +35,6 @@ from .master import (
 )
 from .noise import (
     ErlangJumpLaw,
-    SymmetricLaplaceLaw,
     TiltedJumpLaw,
     erlang_pdf,
 )

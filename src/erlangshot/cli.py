@@ -244,7 +244,10 @@ def _environment():
 
 
 class RunReport:
-    """Named metrics, pass/fail flags, and provenance for one run.
+    """Named metrics, pass/fail flags, and provenance for one run, and the
+    one copy of each step the commands share: timing a sampler or swarm
+    and adding its counters (``exact``, ``swarm``), and the KS, mass and
+    4 s.e. checks (``ks``, ``mass``, ``within_4se``).
 
     ``timings`` holds the seconds spent validating the config (each check's
     analytic work included), running the experiment, and writing output
@@ -266,46 +269,79 @@ class RunReport:
                         "draw_wait": 0.0}
         self._t0 = time.perf_counter()
 
+    def _timed(self, key, fn, *args, **kwargs):
+        """``fn(*args, **kwargs)``, its seconds added to ``timings[key]``."""
+        start = time.perf_counter()
+        out = fn(*args, **kwargs)
+        self.timings[key] += time.perf_counter() - start
+        return out
+
     def write_csv(self, name, header, columns):
         """Write the CSV artifact ``name`` in the output directory, timed
         under ``write``."""
-        start = time.perf_counter()
-        write_csv(self.out_dir / name, header, columns)
-        self.timings["write"] += time.perf_counter() - start
+        self._timed("write", write_csv, self.out_dir / name, header, columns)
 
     def cells(self, values):
         """``csvformat.cells(values)``: a column formatted once for several
         CSVs, timed under ``write``."""
-        start = time.perf_counter()
-        formatted = csvformat.cells(values)
-        self.timings["write"] += time.perf_counter() - start
-        return formatted
+        return self._timed("write", csvformat.cells, values)
 
     def metric(self, name, value):
         self.metrics[name] = float(value)
 
-    def count_exact(self, sample, start):
-        """Add an exact sampler's counters: samples as paths, no steps, jumps;
-        ``tile_values`` is the largest tile's values per temporary array of
-        every exact sample of the run.  The seconds since ``start``, taken
-        just before the sampler's call, add to ``timings["simulate"]``, and
-        its wait for draws to ``timings["draw_wait"]``."""
-        self.timings["simulate"] += time.perf_counter() - start
+    def exact(self, sampler, *args):
+        """``sampler(*args)``, an exact sampler's sample, timed under
+        ``simulate``, its wait for draws added to ``draw_wait``.  Its
+        counters add up: samples as paths, no steps, jumps; ``tile_values``
+        is the largest tile's values per temporary array of every exact
+        sample of the run."""
+        sample = self._timed("simulate", sampler, *args)
         self.counters.update(paths=len(sample), steps=0, jumps=int(sample.jump_counts.sum()))
         self.counters["tile_values"] = max(self.counters["tile_values"], sample.tile_values)
         self.timings["draw_wait"] += sample.draw_wait
+        return sample
 
-    def count_swarm(self, sim, series, start):
-        """Add a swarm run's counters: agents, agent-steps, exponential
-        clock draws, jumps.  The seconds since ``start``, taken just before
-        the swarm's call, add to ``timings["simulate"]``."""
-        self.timings["simulate"] += time.perf_counter() - start
-        self.counters.update(
-            agents=series.n_agents,
-            agent_steps=series.n_agents * sim.n_steps,
-            proposals=series.proposals,
-            jumps=series.jumps,
-        )
+    def swarm(self, m, gamma, beta, sim, stream_id):
+        """The swarm of ``sim.n_paths`` agents run on stream ``(sim.seed,
+        stream_id)``, timed under ``simulate``.  Its counters add up:
+        agents, agent-steps, exponential clock draws, jumps."""
+        series = self._timed("simulate", simulate.simulate_swarm,
+                             sim.n_paths, m, gamma, beta, sim, stream_id=stream_id)
+        self.counters.update(agents=series.n_agents, agent_steps=series.n_agents * sim.n_steps,
+                             proposals=series.proposals, jumps=series.jumps)
+        return series
+
+    def ks(self, name, sample, x, cdf, bound=None):
+        """The KS distance of the sample to the CDF tabulated as cdf at the
+        nodes x, recorded as the metric ``name``; with a bound, written as
+        in the flag's name, also the flag ``name_below_<bound>``."""
+        ks = simulate.ks_distance(sample, interp_cdf(x, cdf))
+        self.metric(name, ks)
+        if bound is not None:
+            self.flag(f"{name}_below_{bound}", ks < float(bound))
+
+    def mass(self, name, mass, tol):
+        """Record the metric ``name`` and the flag ``name_within_<tol>``
+        that the mass lies within tol, written as in the flag's name, of 1;
+        returns the flag."""
+        self.metric(name, mass)
+        ok = abs(mass - 1.0) <= float(tol)
+        self.flag(f"{name}_within_{tol}", ok)
+        return ok
+
+    def within_4se(self, values, analytic, names):
+        """The sample mean of values against its analytic value: records the
+        metrics and the flag that ``names`` gives, (mean, analytic, 4 s.e.,
+        flag), the flag true when the two differ by at most 4 standard
+        errors of the mean; returns the sample mean."""
+        mean_name, analytic_name, se_name, flag_name = names
+        mean = float(values.mean())
+        se = float(values.std(ddof=1) / np.sqrt(len(values)))
+        self.metric(mean_name, mean)
+        self.metric(analytic_name, analytic)
+        self.metric(se_name, 4 * se)
+        self.flag(flag_name, abs(mean - analytic) <= 4 * se)
+        return mean
 
     def flag(self, name, ok):
         self.flags[name] = bool(ok)
@@ -412,16 +448,13 @@ def _run_wave(cfg, report):
             sol = waves[(m, b)]
             dens = sol.profile(xi)
             report.write_csv(f"wave_m{m}_beta{b:g}.csv", ["xi", "density"], [xi_cells, dens])
-            mass = simpson(dens, xi)
-            mean = simpson(xi * dens, xi)
             tag = f"_beta{b:g}"
             report.metric(f"C{m}{tag}", sol.speed)
-            report.metric(f"mass_m{m}{tag}", mass)
+            mass_ok = report.mass(f"mass_m{m}{tag}", simpson(dens, xi), "1e-6")
+            mean = simpson(xi * dens, xi)
             report.metric(f"mean_m{m}{tag}", mean)
             if single_beta:
                 report.metric(f"C{m}", sol.speed)
-            mass_ok = abs(mass - 1.0) <= 1e-6
-            report.flag(f"mass_m{m}{tag}_within_1e-6", mass_ok)
             # a mean is the profile's only where its mass is
             report.flag(f"mean_m{m}{tag}_within_1e-5", mass_ok and abs(mean) <= 1e-5)
     if 2 in cfg.m_values:
@@ -434,25 +467,21 @@ def _run_wave(cfg, report):
             report.flag(f"speed_ratio_beta{b:g}_gt_2", ratio > 2.0)
     if cfg.swarm is not None:
         sim = replace(cfg.swarm, seed=cfg.seed)
-        for m in cfg.m_values:
-            for b in betas:
-                start = time.perf_counter()
-                series = simulate.simulate_swarm(sim.n_paths, m, gamma, b, sim)
-                report.count_swarm(sim, series, start)
-                fitted = simulate.estimate_speed(series, _SPEED_WINDOW)
-                sol = waves[(m, b)]
-                rel = abs(fitted / sol.speed - 1.0)
-                centered = series.centered_tail_positions(0.25)
-                gx, gc = sol.cdf_grid()
-                ks = simulate.ks_distance(centered, interp_cdf(gx, gc))
-                tag = f"_m{m}_beta{b:g}"
-                report.metric(f"fitted_speed{tag}", fitted)
-                report.metric(f"speed_rel_err{tag}", rel)
-                report.metric(f"ks_centered{tag}", ks)
-                report.flag(f"speed{tag}_within_5pct", rel < 0.05)
-                report.flag(f"ks_centered{tag}_below_0.05", ks < 0.05)
-                report.write_csv(f"swarm_barycenter_m{m}_beta{b:g}.csv", ["t", "barycenter"],
-                                 [series.times, series.barycenter])
+        # swarm k of the run, every beta for each m in turn, reads stream
+        # (seed, k): no two swarms of a run share draws
+        for k, (m, b) in enumerate((m, b) for m in cfg.m_values for b in betas):
+            series = report.swarm(m, gamma, b, sim, stream_id=k)
+            fitted = simulate.estimate_speed(series, _SPEED_WINDOW)
+            sol = waves[(m, b)]
+            rel = abs(fitted / sol.speed - 1.0)
+            tag = f"_m{m}_beta{b:g}"
+            report.metric(f"fitted_speed{tag}", fitted)
+            report.metric(f"speed_rel_err{tag}", rel)
+            report.flag(f"speed{tag}_within_5pct", rel < 0.05)
+            report.ks(f"ks_centered{tag}", series.centered_tail_positions(0.25), *sol.cdf_grid(),
+                      bound="0.05")
+            report.write_csv(f"swarm_barycenter_m{m}_beta{b:g}.csv", ["t", "barycenter"],
+                             [series.times, series.barycenter])
 
 
 # ---------------------------------------------------------------------------
@@ -654,12 +683,8 @@ def _run_stationary(cfg, report):
 
     # sigma = 0 and linear drift: the state at t_end is drawn exactly from
     # the explicit shot-noise solution; sim.dt does not enter
-    start = time.perf_counter()
-    sample = simulate.sample_linear_shot_noise_exact(
-        alpha, lam, gamma, m, 0.0, sim.t_end, sim.n_paths, cfg.seed
-    )
-    report.count_exact(sample, start)
-    final = sample.values
+    final = report.exact(simulate.sample_linear_shot_noise_exact,
+                         alpha, lam, gamma, m, 0.0, sim.t_end, sim.n_paths, cfg.seed).values
     hist = simulate.empirical_density(final, cfg.n_bins)
     report.write_csv(
         "mc_histogram.csv",
@@ -668,18 +693,12 @@ def _run_stationary(cfg, report):
     )
 
     # the reference is the law validation tabulated, as the CSV holds it
-    ks = simulate.ks_distance(final, interp_cdf(x, trapezoid_cdf(dens, x)))
-    mc_mean = float(final.mean())
-    se = float(final.std(ddof=1) / np.sqrt(len(final)))
+    report.ks("ks", final, x, trapezoid_cdf(dens, x), bound="0.02")
     analytic_mean = closedform.cumulant(1, m, gamma, lam, lambda s: alpha * s)
-    report.metric("ks", ks)
-    report.metric("mc_mean", mc_mean)
-    report.metric("analytic_mean", analytic_mean)
+    mc_mean = report.within_4se(final, analytic_mean,
+                                ("mc_mean", "analytic_mean", "mean_4se", "mean_within_4se"))
     report.metric("mean_abs_diff", abs(mc_mean - analytic_mean))
-    report.metric("mean_4se", 4 * se)
     report.metric("stationary_residual", cfg.residual)
-    report.flag("ks_below_0.02", ks < 0.02)
-    report.flag("mean_within_4se", abs(mc_mean - analytic_mean) <= 4 * se)
 
 
 # ---------------------------------------------------------------------------
@@ -716,33 +735,21 @@ def _run_transient(cfg, report):
     alpha, lam, gamma, x0, t_u, law = cfg.alpha, cfg.lambda_, cfg.gamma, cfg.x0, cfg.t_u, cfg.law
     # one pathwise sample, read at every comparison time and at t_u
     grid = sorted(set(cfg.times) | {t_u})
-    start = time.perf_counter()
-    sample = simulate.sample_linear_shot_noise_exact(
-        alpha, lam, gamma, 1, x0, grid, cfg.n_samples, cfg.seed
-    )
-    report.count_exact(sample, start)
+    sample = report.exact(simulate.sample_linear_shot_noise_exact,
+                          alpha, lam, gamma, 1, x0, grid, cfg.n_samples, cfg.seed)
     at = {t: sample.values[i] for i, t in enumerate(grid)}
     for i, t in enumerate(cfg.times, start=1):
-        mass = law.total_mass(t)
         xs, dens, cdf = cfg.tables[t]
-        ks = simulate.ks_distance(at[t], interp_cdf(xs, np.minimum(cdf, 1.0)))
         report.write_csv(f"density_t{i}.csv", ["x", "density"], [xs, dens])
-        report.metric(f"mass_t{i}", mass)
-        report.metric(f"ks_t{i}", ks)
+        report.mass(f"mass_t{i}", law.total_mass(t), "1e-4")
+        report.ks(f"ks_t{i}", at[t], xs, np.minimum(cdf, 1.0), bound="0.02")
         report.metric(f"atom_weight_t{i}", law.atom_weight(t))
         report.metric(f"atom_location_t{i}", law.atom_location(t))
-        report.flag(f"mass_t{i}_within_1e-4", abs(mass - 1.0) <= 1e-4)
-        report.flag(f"ks_t{i}_below_0.02", ks < 0.02)
-    samples = at[t_u]
     for j, u in enumerate(cfg.u_values, start=1):
-        emp = np.exp(-u * samples)
-        mc = float(emp.mean())
-        se = float(emp.std(ddof=1) / np.sqrt(len(emp)))
         analytic = closedform.laplace_transform_linear(u, t_u, 1, alpha, lam, gamma, x0)
-        report.metric(f"laplace_mc_u{j}", mc)
-        report.metric(f"laplace_analytic_u{j}", analytic)
-        report.metric(f"laplace_4se_u{j}", 4 * se)
-        report.flag(f"laplace_u{j}_within_4se", abs(mc - analytic) <= 4 * se)
+        report.within_4se(np.exp(-u * at[t_u]), analytic, (
+            f"laplace_mc_u{j}", f"laplace_analytic_u{j}", f"laplace_4se_u{j}",
+            f"laplace_u{j}_within_4se"))
 
 
 # ---------------------------------------------------------------------------
@@ -783,40 +790,25 @@ def _run_tanh(cfg, report):
     # each law's chirp-z sum is evaluated once, by the check; mass and CDF
     # come from its grid
     xs, dens = cfg.transient_table
-    mass = float(simpson(dens, xs))
-    cdf = trapezoid_cdf(dens, xs)
     report.write_csv("tanh_transient_density.csv", ["x", "density"], [xs, dens])
     # exact jump-adapted draws of the state at the horizon; dt and
     # record_stride do not enter
-    start = time.perf_counter()
-    sample = simulate.sample_tanh_exact(lam, gamma, beta, t, cfg.sim.n_paths, cfg.seed)
-    report.count_exact(sample, start)
-    ks = simulate.ks_distance(sample.values, interp_cdf(xs, cdf))
-    report.metric("transient_mass", mass)
-    report.metric("transient_ks", ks)
-    report.flag("transient_mass_within_1e-4", abs(mass - 1.0) <= 1e-4)
-    report.flag("transient_ks_below_0.02", ks < 0.02)
+    sample = report.exact(simulate.sample_tanh_exact, lam, gamma, beta, t, cfg.sim.n_paths,
+                          cfg.seed)
+    report.mass("transient_mass", float(simpson(dens, xs)), "1e-4")
+    report.ks("transient_ks", sample.values, xs, trapezoid_cdf(dens, xs), bound="0.02")
 
     if cfg.stationary_sim is not None:
-        ssim, olaw = cfg.stationary_sim, cfg.ou_law
+        ssim = cfg.stationary_sim
         ys, ydens = cfg.ou_table
         report.write_csv("ou_stationary_density.csv", ["y", "density"], [ys, ydens])
-        start = time.perf_counter()
-        osample = simulate.sample_ou_tanh_exact(
-            alpha, lam, gamma, beta, ssim.t_end, ssim.n_paths, cfg.seed
-        )
-        report.count_exact(osample, start)
-        ycdf = trapezoid_cdf(ydens, ys)
-        sks = simulate.ks_distance(osample.values, interp_cdf(ys, ycdf))
-        report.metric("stationary_ks", sks)
-        report.flag("stationary_ks_below_0.03", sks < 0.03)
+        osample = report.exact(simulate.sample_ou_tanh_exact,
+                               alpha, lam, gamma, beta, ssim.t_end, ssim.n_paths, cfg.seed)
+        report.ks("stationary_ks", osample.values, ys, trapezoid_cdf(ydens, ys), bound="0.03")
         # informational: distance to the bare Bessel-K mixture (jump part only)
-        jd = olaw.jump_component_density(ys)
+        jd = cfg.ou_law.jump_component_density(ys)
         jd = np.where(np.isfinite(jd), jd, 0.0)
-        report.metric(
-            "stationary_ks_jump_only",
-            simulate.ks_distance(osample.values, interp_cdf(ys, trapezoid_cdf(jd, ys))),
-        )
+        report.ks("stationary_ks_jump_only", osample.values, ys, trapezoid_cdf(jd, ys))
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ stationary density for general drift/rate, the linear-drift stationary
 law for m=2 (Bessel I form), stationary cumulants, the
 Laplace transform and m=1 transient for linear drift, the Gumbel and
 Whittaker traveling-wave profiles with their speeds, and the tanh-drift
-jump diffusion: transient law by characteristic-function inversion and
-the invariant law of its Ornstein-Uhlenbeck-driven companion.
+jump diffusion at a positive jump rate: transient law by
+characteristic-function inversion and the invariant law of its
+Ornstein-Uhlenbeck-driven companion.
 
 Quadrature is adaptive 21-point Gauss-Kronrod (``quadrature.gauss_kronrod``)
 with absolute tolerance 1e-8 or better; infinite domains are mapped to
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .master import GridFunction, GridSpec
-from .noise import SymmetricLaplaceLaw, TiltedJumpLaw
+from .noise import TiltedJumpLaw
 from .quadrature import (
     CONVERGED,
     LIMIT,
@@ -64,7 +65,6 @@ __all__ = [
     "laplace_transform_linear",
     "gumbel_wave",
     "whittaker_wave",
-    "gaussian_pair_mixture",
 ]
 
 
@@ -475,15 +475,6 @@ def whittaker_wave(beta, gamma) -> WaveSolution:
 # tanh-drift jump diffusion
 
 
-def gaussian_pair_mixture(x, t, beta):
-    """Equal mixture of unit-variance-rate Gaussians drifting at +-beta."""
-    x = np.asarray(x, dtype=float)
-    out = 0.5 * (
-        np.exp(-((x - beta * t) ** 2) / (2 * t)) + np.exp(-((x + beta * t) ** 2) / (2 * t))
-    ) / np.sqrt(2 * np.pi * t)
-    return float(out) if out.ndim == 0 else out
-
-
 # frequency nodes of one inversion at most: its chirp-z transform holds a few
 # complex arrays of about that length
 _MAX_COSINE_NODES = 2**20
@@ -554,12 +545,13 @@ class TanhTransientLaw:
     inversion on a uniform frequency grid truncated where the Gaussian
     factor is below 1e-18: ``density_grid`` (and ``mass`` and ``cdf_grid``
     built on it) evaluates the trapezoid sum on a uniform x grid by chirp-z,
-    ``density`` evaluates it at scattered points by the dense sum.
+    ``density`` evaluates it at scattered points by the dense sum.  The law
+    takes lam > 0, as the ``tanh`` command does.
 
-    For lam > 0 and beta > 0 this is not the law of the SDE above, and the
-    gap is measured, not resolved: at lam = 1, gamma = 2, beta = 0.5 and
-    t = 1 the law's variance is 1.971, while exact jump-adapted samples of
-    the SDE (``simulate.sample_tanh_exact``) have variance 1.84, and 10^6 of
+    For beta > 0 this is not the law of the SDE above, and the gap is
+    measured, not resolved: at lam = 1, gamma = 2, beta = 0.5 and t = 1
+    the law's variance is 1.971, while exact jump-adapted samples of the
+    SDE (``simulate.sample_tanh_exact``) have variance 1.84, and 10^6 of
     them lie at KS distance 0.0044 to 0.0047 from the law, where sampling
     alone stays below 0.0027 at p = 1e-6.  Euler paths show the same gap.
     """
@@ -570,13 +562,9 @@ class TanhTransientLaw:
     tilt: TiltedJumpLaw = field(init=False)
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lam must be nonnegative")
-        if not self.gamma > 0:
-            raise ValueError("gamma must be positive")
-        object.__setattr__(
-            self, "tilt", TiltedJumpLaw(SymmetricLaplaceLaw(self.gamma), self.beta)
-        )
+        if not self.lam > 0:
+            raise ValueError("lam must be positive")
+        object.__setattr__(self, "tilt", TiltedJumpLaw(self.gamma, self.beta))
 
     def char_fn(self, u, t):
         """Characteristic function at frequency u and time t (real, even)."""
@@ -603,8 +591,6 @@ class TanhTransientLaw:
         if not t > 0:
             raise ValueError("t must be positive")
         x = np.asarray(x, dtype=float)
-        if self.lam == 0:
-            return gaussian_pair_mixture(x, t, self.beta)
         return _cosine_sum(x, *self._coefficients(t, np.max(np.abs(x)) if x.size else 1.0))
 
     def density_grid(self, t, n=8001):
@@ -613,8 +599,6 @@ class TanhTransientLaw:
             raise ValueError("t must be positive")
         hw = self.support_halfwidth(t)
         x = np.linspace(-hw, hw, n)
-        if self.lam == 0:
-            return x, gaussian_pair_mixture(x, t, self.beta)
         return x, _cosine_sum_grid(x, *self._coefficients(t, hw))
 
     def support_halfwidth(self, t):

@@ -1,8 +1,8 @@
 """Jump-size laws of compound Poisson noise and their samplers.
 
-Provides the one-sided Erlang jump law, the symmetric Laplace law and the
-cosh-tilted Laplace law with its mass factor and characteristic function
-(the tests hold the pointwise densities), and the inverse-CDF maps from
+Provides the one-sided Erlang jump law and the cosh-tilted symmetric
+Laplace law with its mass factor and characteristic function (the tests
+hold the pointwise densities), and the inverse-CDF maps from
 uniforms to Erlang and Laplace jump sizes that every sampler of the package
 uses (monotone in the underlying uniforms, so that sample sequences are
 reproducible and easy to audit).
@@ -25,7 +25,6 @@ __all__ = [
     "stream_key",
     "stream",
     "ErlangJumpLaw",
-    "SymmetricLaplaceLaw",
     "TiltedJumpLaw",
     "erlang_pdf",
     "erlang_magnitudes",
@@ -68,44 +67,36 @@ class ErlangJumpLaw:
 
 
 @dataclass(frozen=True)
-class SymmetricLaplaceLaw:
-    """Two-sided exponential law with density gamma/2 * exp(-gamma |x|)."""
-
-    gamma: float
-
-    def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError("Laplace rate gamma must be positive")
-
-
-@dataclass(frozen=True)
 class TiltedJumpLaw:
-    """Cosh-tilted Laplace law: density phi(y) cosh(beta y) / mass.
+    """Cosh-tilted Laplace law: density phi(y) cosh(beta y) / mass, phi
+    being the symmetric Laplace density gamma/2 * exp(-gamma |y|).
 
     The tilt multiplies the Laplace density by cosh(beta y); the raw tilted
     kernel has total mass ``mass = gamma^2 / (gamma^2 - beta^2)``, exposed
     separately because the transient solution needs it.  Integrability
-    requires beta < gamma.
+    requires beta < gamma; beta = 0 is the Laplace law itself.
     """
 
-    base: SymmetricLaplaceLaw
+    gamma: float
     beta: float
 
     def __post_init__(self):
+        if not self.gamma > 0:
+            raise ValueError("Laplace rate gamma must be positive")
         if self.beta < 0:
             raise ValueError("tilt beta must be nonnegative")
-        if self.beta >= self.base.gamma:
+        if self.beta >= self.gamma:
             raise ValueError("tilted law requires beta < gamma for integrability")
 
     @property
     def mass(self):
-        g, b = self.base.gamma, self.beta
+        g, b = self.gamma, self.beta
         return g**2 / (g**2 - b**2)
 
     def char_fn(self, u):
         """Characteristic function of the normalized tilted law (real, even)."""
         u = np.asarray(u, dtype=float)
-        g, b = self.base.gamma, self.beta
+        g, b = self.gamma, self.beta
         rm, rp = g - b, g + b
         wm = g / (2.0 * rm)
         wp = g / (2.0 * rp)

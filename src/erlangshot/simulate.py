@@ -16,8 +16,8 @@ barycenter entering their Poisson rates.  It is simulated exactly, on a
 common clock on which the agents jump independently and the barycenter
 acts only as a time change, in vectorised windows of about one jump per
 agent; the step ``dt`` only sets the record grid.  It draws from the one
-stream ``(seed, 0)``, its work is O(jumps + agents x windows) and its
-memory is O(agents) plus the recorded snapshots.
+stream ``(seed, stream_id)``, its work is O(jumps + agents x windows)
+and its memory is O(agents) plus the recorded snapshots.
 
 Where the pathwise solution is explicit (linear drift, no diffusion),
 ``sample_linear_shot_noise_exact`` draws the state from it directly, at one
@@ -578,10 +578,13 @@ def _jump_adapted(lam, gamma, beta, t, n, seed, alpha=None):
     costs six numpy calls for X and nine for Y whatever its width, so where
     that would leave tiles narrower than a quarter chunk (past 128 cells
     per path, lambda t near 100), they are 1024 paths wide, or, past 256
-    cells per path, as wide as 2 * ``_TILE`` cells allow: at lambda t = 100
-    to 1000, narrower tiles were measured 4-18% slower, when every round
-    still spanned the whole tile.  ``tile_values`` is the largest tile's
-    p (N_max + 1), and ``draw_wait`` the seconds spent waiting for draws.
+    cells per path, as wide as 2 * ``_TILE`` cells allow.  On the compact
+    rounds of ``_advance``, two sweeps of 11 paired calls measured
+    narrower tiles 15-24% slower for Y at lambda t = 1000 and 11-15% for X
+    at lambda t = 300, where the tree against itself read 0.94-1.06; at
+    lambda t = 100 the rule is within that spread.  ``tile_values`` is the
+    largest tile's p (N_max + 1), and ``draw_wait`` the seconds spent
+    waiting for draws.
     """
     if not 0 < t < math.inf:
         raise ValueError("t must be finite and positive")
@@ -699,7 +702,7 @@ def _advance(nj, arrivals, mags, up, z, t, beta, alpha):
 _EVENTS_PER_AGENT = 1.0  # expected jumps per agent in one window of the swarm's clock
 
 
-def simulate_swarm(n_agents, m, gamma, beta, config: SimConfig) -> SwarmSeries:
+def simulate_swarm(n_agents, m, gamma, beta, config: SimConfig, *, stream_id=0) -> SwarmSeries:
     """Pure-jump agents coupled through their barycenter, simulated exactly.
 
     Each agent jumps at instantaneous rate exp(-beta (x_i - xbar)) with
@@ -726,7 +729,8 @@ def simulate_swarm(n_agents, m, gamma, beta, config: SimConfig) -> SwarmSeries:
     window the jumps up to it are applied in order and the positions and
     their mean recorded; jumps after the last record time are dropped.
 
-    All randomness comes from the one stream ``(seed, 0)``.  Per window it
+    All randomness comes from the one stream ``(config.seed, stream_id)``;
+    swarms run side by side take distinct ``stream_id``s.  Per window it
     yields N standard exponentials for the targets, then, round by round,
     m magnitude uniforms per jumping agent and one standard exponential
     per jumping agent for its next target, agents in increasing order.
@@ -745,7 +749,7 @@ def simulate_swarm(n_agents, m, gamma, beta, config: SimConfig) -> SwarmSeries:
     if not gamma > 0 or not beta > 0:
         raise ValueError("gamma and beta must be positive")
 
-    gen = stream(config.seed, 0)
+    gen = stream(config.seed, stream_id)
     times = config.record_steps() * config.dt
     snaps = np.zeros((len(times), n_agents))
     bary = np.zeros(len(times))

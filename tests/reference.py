@@ -16,7 +16,7 @@ from erlangshot.master import (
     _integral_route,
     _shared_terms,
 )
-from erlangshot.noise import SymmetricLaplaceLaw, TiltedJumpLaw
+from erlangshot.noise import TiltedJumpLaw
 from erlangshot.oracles import _batch, _integrate, _require, _shaped
 from erlangshot.specfun import log_gamma
 
@@ -88,10 +88,10 @@ def mellin_moment(sol: WaveSolution, u):
     return _quad(lambda s: np.exp(-u * s) * sol.profile(s), lo, hi, epsabs=1e-11)
 
 
-def laplace_pdf(law: SymmetricLaplaceLaw, x):
+def laplace_pdf(gamma, x):
     """Density gamma/2 * exp(-gamma |x|) of the symmetric Laplace law."""
     x = np.asarray(x, dtype=float)
-    out = 0.5 * law.gamma * np.exp(-law.gamma * np.abs(x))
+    out = 0.5 * gamma * np.exp(-gamma * np.abs(x))
     return float(out) if out.ndim == 0 else out
 
 
@@ -103,8 +103,18 @@ def tilted_pdf(law: TiltedJumpLaw, x):
     which cannot overflow for large |x|.
     """
     x = np.abs(np.asarray(x, dtype=float))
-    g, b = law.base.gamma, law.beta
+    g, b = law.gamma, law.beta
     out = 0.25 * g * (np.exp(-(g - b) * x) + np.exp(-(g + b) * x)) / law.mass
+    return float(out) if out.ndim == 0 else out
+
+
+def gaussian_pair_mixture(x, t, beta):
+    """Equal mixture of unit-variance-rate Gaussians drifting at +-beta: the
+    law at time t of the tanh-drift diffusion without jumps."""
+    x = np.asarray(x, dtype=float)
+    out = 0.5 * (
+        np.exp(-((x - beta * t) ** 2) / (2 * t)) + np.exp(-((x + beta * t) ** 2) / (2 * t))
+    ) / np.sqrt(2 * np.pi * t)
     return float(out) if out.ndim == 0 else out
 
 

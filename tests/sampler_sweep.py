@@ -2,7 +2,7 @@
 one process.
 
     python tests/sampler_sweep.py PARENT_SRC CHANGE_SRC [--calls 21]
-        [--cases tanh_0.5,ou_1000] [--json rows.json]
+        [--cases tanh_0.5,ou_1000] [--control] [--json rows.json]
 
 PARENT_SRC and CHANGE_SRC are ``src`` directories, each holding an
 ``erlangshot`` package (for example a ``git archive`` of the parent commit
@@ -12,7 +12,10 @@ makes one warm-up call per side, which also checks that both sides give the
 same bytes, then ``--calls`` pairs of calls, the side that goes first
 alternating from pair to pair.  Each call is timed by the wall clock.  A
 row holds each side's median in ms, the median of the per-pair ratios
-change / parent, and the pairs the change won.
+change / parent, and the pairs the change won.  With ``--control`` each
+case also gets a row ``<case>:control`` that times PARENT_SRC against a
+second import of itself: its ratio is the tool's own bias, such as the
+side that goes first or the heap that one side left behind.
 
 The cases are those of ``BENCH_31.json``'s ``sampler_times``:
 - lin_L: sample_linear_shot_noise_exact(1, L / 20, 1, 2, 0, 20, n, 1);
@@ -123,6 +126,8 @@ def main(argv=None):
     parser.add_argument("change_src")
     parser.add_argument("--calls", type=int, default=21)
     parser.add_argument("--cases", default=",".join(cases()))
+    parser.add_argument("--control", action="store_true",
+                        help="also time PARENT_SRC against itself, one control row per case")
     parser.add_argument("--json", default=None, help="write the rows to this file")
     args = parser.parse_args(argv)
     known = cases()
@@ -133,10 +138,14 @@ def main(argv=None):
     _steady_heap()
     parent = _simulate(args.parent_src, "erlangshot_parent")
     change = _simulate(args.change_src, "erlangshot_change")
+    sides = {"": change}
+    if args.control:
+        sides[":control"] = _simulate(args.parent_src, "erlangshot_control")
     rows = {}
     for name in names:
-        rows[name] = row(known[name], parent, change, args.calls)
-        print(name, json.dumps(rows[name]), flush=True)
+        for suffix, other in sides.items():
+            rows[name + suffix] = row(known[name], parent, other, args.calls)
+            print(name + suffix, json.dumps(rows[name + suffix]), flush=True)
     if args.json:
         Path(args.json).write_text(json.dumps(rows, indent=1) + "\n")
     return 0 if all(r["same_bytes"] for r in rows.values()) else 1

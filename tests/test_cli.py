@@ -907,6 +907,27 @@ def test_report_swarm_counters(tmp_path):
     assert 0 < counters["jumps"] <= counters["proposals"]
 
 
+def test_wave_swarms_of_one_run_read_their_own_streams(tmp_path, monkeypatch):
+    # swarm k of a run, every beta for each m in turn, reads stream (seed, k);
+    # a rerun at the seed writes the same bytes
+    swarm = {"n_agents": 50, "dt": 0.01, "t_end": 1.0, "record_stride": 2}
+    cfg = _wave_cfg(m_values=[1, 2], beta_values=[0.5, 1.0], n_xi=501, swarm=swarm)
+    run, keys = simulate.simulate_swarm, []
+
+    def spy(n, m, gamma, beta, sim, *, stream_id):
+        keys.append((m, beta, stream_id))
+        return run(n, m, gamma, beta, sim, stream_id=stream_id)
+
+    monkeypatch.setattr(simulate, "simulate_swarm", spy)
+    bodies = []
+    for name in ("first", "again"):
+        out = tmp_path / name
+        assert main(["wave", "--config", _write(tmp_path, "w.json", cfg), "--out", str(out)]) in (0, 1)
+        bodies.append({p.name: p.read_bytes() for p in out.glob("swarm_barycenter_*.csv")})
+    assert keys == 2 * [(1, 0.5, 0), (1, 1.0, 1), (2, 0.5, 2), (2, 1.0, 3)]
+    assert len(bodies[0]) == 4 and bodies[0] == bodies[1]
+
+
 def test_write_csv_matches_per_value_format(tmp_path):
     # the table-wide printf form writes the bytes of formatting each value
     # with format(float(v), ".17g"), special values and integer columns included

@@ -64,9 +64,6 @@ ALLOWED = {
     "master.wave_residual": _WAVE_RESIDUAL,
     "master.ExpDecayCentered.__post_init__": _WAVE_RESIDUAL,
     "master.ExpDecayCentered.rate": _WAVE_RESIDUAL,
-    "closedform.gaussian_pair_mixture": (
-        "the tanh law's lambda = 0 branch, which commands reject; the chirp-z route is "
-        "1.7e-12 off there, the tests pin 1e-14"),
     "specfun._entry": "names the failing entry in an error, which exits 2",
 }
 

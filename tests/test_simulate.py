@@ -20,7 +20,6 @@ from erlangshot.closedform import (
     TiltedOuLaw,
     TransientLaw,
     cumulant,
-    gaussian_pair_mixture,
     gumbel_wave,
     whittaker_wave,
 )
@@ -42,7 +41,7 @@ from erlangshot.simulate import (
     simulate_swarm,
     simulate_tanh,
 )
-from reference import advance_padded, wave_variance
+from reference import advance_padded, gaussian_pair_mixture, wave_variance
 
 
 def _ou_model(m=1, alpha=1.0, lam=2.0, gamma=1.0, sigma=0.0):
@@ -371,6 +370,16 @@ def test_same_seed_reproduces_swarm():
     b = simulate_swarm(200, 2, 1.0, 1.0, cfg)
     assert a.snapshots.tobytes() == b.snapshots.tobytes()
     assert a.barycenter.tobytes() == b.barycenter.tobytes()
+
+
+def test_swarm_stream_id_picks_its_stream():
+    # stream 0 by default; another id draws another swarm at the same seed
+    cfg = SimConfig(dt=0.01, t_end=1.0, n_paths=1, seed=13, record_stride=10)
+    a = simulate_swarm(200, 2, 1.0, 1.0, cfg)
+    b = simulate_swarm(200, 2, 1.0, 1.0, cfg, stream_id=0)
+    c = simulate_swarm(200, 2, 1.0, 1.0, cfg, stream_id=1)
+    assert a.snapshots.tobytes() == b.snapshots.tobytes()
+    assert a.snapshots.tobytes() != c.snapshots.tobytes()
 
 
 def test_tanh_full_model_vs_closed_form_reduced():
